@@ -56,10 +56,8 @@ inline void note_tile_skipped(KernelStats* stats) {
 
 inline void note_workspace_high_water(const Workspace& ws) {
   if (g_metrics.ws_high_water != nullptr) {
-    const auto hw = static_cast<double>(ws.high_water_bytes());
-    if (hw > g_metrics.ws_high_water->value()) {
-      g_metrics.ws_high_water->set(hw);
-    }
+    g_metrics.ws_high_water->set_max(
+        static_cast<double>(ws.high_water_bytes()));
   }
 }
 

@@ -7,6 +7,7 @@
 #include "kernels/flash_attention.hpp"
 #include "kernels/lm_head.hpp"
 #include "kernels/rope.hpp"
+#include "parallel/thread_pool.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
@@ -130,28 +131,40 @@ LayerForwardCache layer_forward(const ModelConfig& cfg, const LayerWeights& w,
   Tensor v_all = tensor::matmul(x, w.wv);
   const IndexMap map = IndexMap::range(0, x.rows());
   c.attn_concat = Tensor::zeros(x.rows(), cfg.d_model);
-  const std::int64_t group = cfg.group_size();
-  for (std::int64_t kvh = 0; kvh < cfg.num_kv_heads(); ++kvh) {
-    Tensor kh = tensor::copy_cols(k_all, kvh * dh, dh);
-    if (cfg.use_rope) {
-      kernels::apply_rope_inplace(kh, map);
+  const auto group = static_cast<std::size_t>(cfg.group_size());
+  // One chunk per head: each writes only its own slots and its own column
+  // block of attn_concat, so the result is the same for every pool size.
+  const auto kv_heads = static_cast<std::size_t>(cfg.num_kv_heads());
+  c.k.resize(kv_heads);
+  c.v.resize(kv_heads);
+  parallel::parallel_for(0, kv_heads, 1, [&](std::size_t h0, std::size_t h1) {
+    for (std::size_t kvh = h0; kvh < h1; ++kvh) {
+      const std::int64_t col = static_cast<std::int64_t>(kvh) * dh;
+      c.k[kvh] = tensor::copy_cols(k_all, col, dh);
+      if (cfg.use_rope) {
+        kernels::apply_rope_inplace(c.k[kvh], map);
+      }
+      c.v[kvh] = tensor::copy_cols(v_all, col, dh);
     }
-    c.k.push_back(std::move(kh));
-    c.v.push_back(tensor::copy_cols(v_all, kvh * dh, dh));
-  }
-  for (std::int64_t h = 0; h < cfg.heads; ++h) {
-    Tensor qh = tensor::copy_cols(q_all, h * dh, dh);
-    if (cfg.use_rope) {
-      kernels::apply_rope_inplace(qh, map);
+  });
+  const auto heads = static_cast<std::size_t>(cfg.heads);
+  c.q.resize(heads);
+  c.o.resize(heads);
+  c.lse.resize(heads);
+  parallel::parallel_for(0, heads, 1, [&](std::size_t h0, std::size_t h1) {
+    for (std::size_t h = h0; h < h1; ++h) {
+      const std::int64_t col = static_cast<std::int64_t>(h) * dh;
+      c.q[h] = tensor::copy_cols(q_all, col, dh);
+      if (cfg.use_rope) {
+        kernels::apply_rope_inplace(c.q[h], map);
+      }
+      auto r = kernels::flash_forward(c.q[h], map, c.k[h / group],
+                                      c.v[h / group], map, mask, scale);
+      tensor::set_cols(c.attn_concat, col, r.o);
+      c.o[h] = std::move(r.o);
+      c.lse[h] = std::move(r.lse);
     }
-    const std::size_t kvh = static_cast<std::size_t>(h / group);
-    auto r = kernels::flash_forward(qh, map, c.k[kvh], c.v[kvh], map, mask,
-                                    scale);
-    tensor::set_cols(c.attn_concat, h * dh, r.o);
-    c.q.push_back(std::move(qh));
-    c.o.push_back(std::move(r.o));
-    c.lse.push_back(std::move(r.lse));
-  }
+  });
   Tensor a = tensor::matmul(c.attn_concat, w.wo);
   c.h = tensor::add(a, x);
   c.u_pre = tensor::matmul(c.h, w.w1);
@@ -183,32 +196,43 @@ Tensor layer_backward(const ModelConfig& cfg, const LayerWeights& w,
   Tensor d_attn = tensor::matmul_nt(dh_total, w.wo);
   tensor::add_inplace(g.wo, tensor::matmul_tn(c.attn_concat, dh_total));
 
-  // Per-head attention backward.
-  const IndexMap map = IndexMap::range(0, c.x_in.rows());
-  Tensor dq_all = Tensor::zeros(c.x_in.rows(), cfg.d_model);
-  Tensor dk_all = Tensor::zeros(c.x_in.rows(), cfg.d_kv());
-  Tensor dv_all = Tensor::zeros(c.x_in.rows(), cfg.d_kv());
-  const std::int64_t group = cfg.group_size();
-  for (std::int64_t h = 0; h < cfg.heads; ++h) {
-    const std::size_t hi = static_cast<std::size_t>(h);
-    const std::size_t kvh = static_cast<std::size_t>(h / group);
-    Tensor d_oh = tensor::copy_cols(d_attn, h * dh, dh);
-    Tensor dvec = kernels::attention_dvec(d_oh, c.o[hi]);
-    Tensor dq = Tensor::zeros(c.x_in.rows(), dh);
-    Tensor dk = Tensor::zeros(c.x_in.rows(), dh);
-    Tensor dv = Tensor::zeros(c.x_in.rows(), dh);
-    kernels::flash_backward_partial(c.q[hi], map, c.k[kvh], c.v[kvh], map,
-                                    mask, scale, d_oh, c.lse[hi], dvec, dq,
-                                    dk, dv);
-    if (cfg.use_rope) {
-      // Gradients w.r.t. pre-rotation Q/K: apply the inverse rotation.
-      kernels::apply_rope_inverse_inplace(dq, map);
-      kernels::apply_rope_inverse_inplace(dk, map);
+  // Per-head attention backward, one chunk per head. Each head keeps its
+  // own dK/dV until the fixed-order GQA reduction after the join.
+  const std::int64_t rows = c.x_in.rows();
+  const IndexMap map = IndexMap::range(0, rows);
+  Tensor dq_all = Tensor::zeros(rows, cfg.d_model);
+  const auto group = static_cast<std::size_t>(cfg.group_size());
+  const auto heads = static_cast<std::size_t>(cfg.heads);
+  std::vector<Tensor> dk(heads);
+  std::vector<Tensor> dv(heads);
+  parallel::parallel_for(0, heads, 1, [&](std::size_t h0, std::size_t h1) {
+    for (std::size_t h = h0; h < h1; ++h) {
+      const std::size_t kvh = h / group;
+      const std::int64_t col = static_cast<std::int64_t>(h) * dh;
+      Tensor d_oh = tensor::copy_cols(d_attn, col, dh);
+      Tensor dvec = kernels::attention_dvec(d_oh, c.o[h]);
+      Tensor dq = Tensor::zeros(rows, dh);
+      dk[h] = Tensor::zeros(rows, dh);
+      dv[h] = Tensor::zeros(rows, dh);
+      kernels::flash_backward_partial(c.q[h], map, c.k[kvh], c.v[kvh], map,
+                                      mask, scale, d_oh, c.lse[h], dvec, dq,
+                                      dk[h], dv[h]);
+      if (cfg.use_rope) {
+        // Gradients w.r.t. pre-rotation Q/K: apply the inverse rotation.
+        kernels::apply_rope_inverse_inplace(dq, map);
+        kernels::apply_rope_inverse_inplace(dk[h], map);
+      }
+      tensor::set_cols(dq_all, col, dq);
     }
-    tensor::set_cols(dq_all, h * dh, dq);
-    // Query heads of one group accumulate into their shared K/V head.
-    tensor::add_cols_inplace(dk_all, static_cast<std::int64_t>(kvh) * dh, dk);
-    tensor::add_cols_inplace(dv_all, static_cast<std::int64_t>(kvh) * dh, dv);
+  });
+  // Query heads of one group accumulate into their shared K/V head, in
+  // ascending head order whatever the pool size.
+  Tensor dk_all = Tensor::zeros(rows, cfg.d_kv());
+  Tensor dv_all = Tensor::zeros(rows, cfg.d_kv());
+  for (std::size_t h = 0; h < heads; ++h) {
+    const std::int64_t col = static_cast<std::int64_t>(h / group) * dh;
+    tensor::add_cols_inplace(dk_all, col, dk[h]);
+    tensor::add_cols_inplace(dv_all, col, dv[h]);
   }
 
   // Q = X Wq etc.

@@ -48,6 +48,15 @@ class Counter {
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
+  /// Raises the gauge to `v` if `v` is larger. Atomic against concurrent
+  /// set_max calls, so high-water marks fed from several threads never lose
+  /// the true maximum.
+  void set_max(double v) {
+    double cur = value_.load(std::memory_order_relaxed);
+    while (v > cur &&
+           !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:

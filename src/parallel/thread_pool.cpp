@@ -8,6 +8,9 @@ namespace burst::parallel {
 
 namespace {
 
+// True on pool worker threads (set once in worker_loop).
+thread_local bool t_on_worker = false;
+
 // BURST_THREADS env override: positive integer -> worker count; anything
 // else (unset, junk, <= 0) falls through to hardware concurrency.
 std::size_t env_threads() {
@@ -89,6 +92,7 @@ void ThreadPool::reset_global(std::size_t num_threads) {
 }
 
 void ThreadPool::worker_loop() {
+  t_on_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -121,19 +125,37 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
   const std::size_t n = end - begin;
   const std::size_t chunks = (n + grain - 1) / grain;
   ThreadPool& pool = ThreadPool::global();
-  if (chunks == 1 || pool.size() == 1) {
+  // A worker must not block on chunks that may sit in the queue behind the
+  // task it is running, so nested calls run inline.
+  if (chunks == 1 || pool.size() == 1 || t_on_worker) {
     fn(begin, end);
     return;
   }
+  // Completion is counted per call, so concurrent callers never wait on each
+  // other's chunks. The count lives on this frame: the last chunk notifies
+  // while holding the lock, so the frame outlives every access to it.
+  struct Pending {
+    std::mutex mutex;
+    std::condition_variable done;
+    std::size_t left = 0;
+  } pending;
+  pending.left = chunks - 1;
   // Chunk boundaries are fixed multiples of `grain` from `begin`, regardless
   // of pool size. Chunk 0 runs on the caller to keep one chunk off the queue.
   for (std::size_t ci = 1; ci < chunks; ++ci) {
     const std::size_t b = begin + ci * grain;
     const std::size_t e = std::min(end, b + grain);
-    pool.submit([&fn, b, e] { fn(b, e); });
+    pool.submit([&fn, &pending, b, e] {
+      fn(b, e);
+      std::lock_guard lock(pending.mutex);
+      if (--pending.left == 0) {
+        pending.done.notify_one();
+      }
+    });
   }
   fn(begin, begin + grain);
-  pool.wait_idle();
+  std::unique_lock lock(pending.mutex);
+  pending.done.wait(lock, [&pending] { return pending.left == 0; });
 }
 
 void parallel_for(std::size_t n, std::size_t grain,

@@ -1,7 +1,9 @@
-// Minimal fixed-size thread pool used for intra-op parallelism (blocked GEMM,
-// attention tiles). Follows C++ Core Guidelines CP.*: threads are joined in the
-// destructor (RAII), work is expressed as tasks, and all shared state is
-// guarded by a single mutex + condition variable pair.
+// Minimal fixed-size thread pool used for intra-op parallelism (GEMM row
+// blocks, the serial transformer block's attention heads). Follows C++ Core
+// Guidelines CP.*: threads are joined in the destructor (RAII), work is
+// expressed as tasks, the task queue is guarded by a single mutex +
+// condition variable pair, and each parallel_for call waits on its own
+// completion count.
 #pragma once
 
 #include <condition_variable>
@@ -17,8 +19,8 @@ namespace burst::parallel {
 /// A fixed pool of worker threads executing `std::function<void()>` tasks.
 ///
 /// The pool is intentionally simple: a single locked queue. Intra-op tasks in
-/// this codebase are coarse (whole GEMM panels / attention tile rows), so
-/// queue contention is negligible compared to task cost.
+/// this codebase are coarse (whole GEMM panels / attention heads), so queue
+/// contention is negligible compared to task cost.
 class ThreadPool {
  public:
   /// Creates `num_threads` workers. `num_threads == 0` selects the
@@ -64,14 +66,18 @@ class ThreadPool {
 /// Splits `[begin, end)` into chunks of exactly `grain` elements (last chunk
 /// may be short) at fixed boundaries `begin + i*grain`, and runs
 /// `fn(chunk_begin, chunk_end)` for each chunk on the global pool. Blocks
-/// until all chunks complete.
+/// until this call's chunks complete; callers on other threads never wait
+/// on each other's chunks.
 ///
 /// The partition depends only on (begin, end, grain) — never on the pool
 /// size — so a kernel whose chunks touch disjoint state computes bitwise
 /// identical results for any pool size (including `BURST_THREADS`
 /// overrides). Falls back to one serial `fn(begin, end)` call when there is
-/// a single chunk or a single worker; per-element arithmetic is unchanged
-/// because chunk boundaries never split `fn`'s per-index work.
+/// a single chunk, a single worker, or the caller is itself a pool worker —
+/// a nested call, such as a GEMM inside a per-head task, whose worker would
+/// otherwise wait on chunks queued behind its own task. Per-element
+/// arithmetic is unchanged because chunk boundaries never split `fn`'s
+/// per-index work.
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& fn);
 

@@ -285,10 +285,8 @@ void gemm_dt_driver(ConstMatView a, Trans ta, std::int64_t m, std::int64_t k,
   }
 
   if (g_metrics.ws_high_water != nullptr) {
-    const auto hw = static_cast<double>(ws.high_water_bytes());
-    if (hw > g_metrics.ws_high_water->value()) {
-      g_metrics.ws_high_water->set(hw);
-    }
+    g_metrics.ws_high_water->set_max(
+        static_cast<double>(ws.high_water_bytes()));
   }
 }
 
@@ -380,12 +378,8 @@ void gemm(ConstMatView a, Trans ta, ConstMatView b, Trans tb, MatView c,
   }
 
   if (g_metrics.ws_high_water != nullptr) {
-    // Racy max across threads is fine: observation-only, and the caller
-    // thread's workspace dominates in the common single-pool-user case.
-    const auto hw = static_cast<double>(ws.high_water_bytes());
-    if (hw > g_metrics.ws_high_water->value()) {
-      g_metrics.ws_high_water->set(hw);
-    }
+    g_metrics.ws_high_water->set_max(
+        static_cast<double>(ws.high_water_bytes()));
   }
 }
 

@@ -1,15 +1,19 @@
 // Bitwise determinism across thread-pool sizes: the packed GEMM and the
 // flash-attention kernels partition work at fixed chunk boundaries and keep
-// a fixed per-element arithmetic order, so the exact same bits must come out
-// for any worker count (including a BURST_THREADS override).
+// a fixed per-element arithmetic order, and the serial transformer block
+// gives each attention head its own chunk and reduces GQA dK/dV in a fixed
+// order, so the exact same bits must come out for any worker count
+// (including a BURST_THREADS override).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "kernels/flash_attention.hpp"
+#include "model/transformer.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/rng.hpp"
@@ -69,6 +73,33 @@ AttnOut attention_result(const MaskSpec& mask) {
   return out;
 }
 
+// One serial train step with RoPE and 8 query heads. With 2 K/V heads each
+// group reduces four heads' dK/dV, so a reduction order that followed the
+// thread schedule would change bits.
+model::TrainStepResult train_step_result(std::int64_t kv_heads) {
+  model::ModelConfig cfg = model::ModelConfig::toy();
+  cfg.d_model = 64;
+  cfg.heads = 8;
+  cfg.kv_heads = kv_heads;
+  cfg.use_rope = true;
+  const model::ModelWeights w = model::ModelWeights::init(cfg, 97);
+  Rng rng(101);
+  const Tensor tokens = rng.token_ids(151, cfg.vocab);
+  return model::serial_train_step(cfg, w, tokens, MaskSpec::causal());
+}
+
+std::vector<const Tensor*> grad_tensors(const model::ModelGrads& g) {
+  std::vector<const Tensor*> out;
+  for (const model::LayerGrads& l : g.layers) {
+    for (const Tensor* t : {&l.wq, &l.wk, &l.wv, &l.wo, &l.w1, &l.w2}) {
+      out.push_back(t);
+    }
+  }
+  out.push_back(&g.w_embed);
+  out.push_back(&g.w_head);
+  return out;
+}
+
 TEST(KernelDeterminism, GemmBitwiseIdenticalAcrossPoolSizes) {
   parallel::ThreadPool::reset_global(1);
   const Tensor base = gemm_result();
@@ -107,6 +138,28 @@ TEST(KernelDeterminism, AttentionBitwiseIdenticalAcrossPoolSizes) {
       EXPECT_TRUE(bitwise_equal(got.dq, base.dq)) << workers;
       EXPECT_TRUE(bitwise_equal(got.dk, base.dk)) << workers;
       EXPECT_TRUE(bitwise_equal(got.dv, base.dv)) << workers;
+    }
+  }
+  parallel::ThreadPool::reset_global();
+}
+
+TEST(KernelDeterminism, SerialTrainStepBitwiseAcrossPoolSizes) {
+  for (const std::int64_t kv_heads : {0, 2}) {  // MHA, then GQA
+    parallel::ThreadPool::reset_global(1);
+    const model::TrainStepResult base = train_step_result(kv_heads);
+    const std::vector<const Tensor*> want = grad_tensors(base.grads);
+    for (std::size_t workers : {2u, 3u, 4u}) {
+      parallel::ThreadPool::reset_global(workers);
+      const model::TrainStepResult got = train_step_result(kv_heads);
+      EXPECT_EQ(std::memcmp(&got.loss, &base.loss, sizeof(double)), 0)
+          << "kv_heads " << kv_heads << ", pool size " << workers;
+      const std::vector<const Tensor*> have = grad_tensors(got.grads);
+      ASSERT_EQ(have.size(), want.size());
+      for (std::size_t i = 0; i < have.size(); ++i) {
+        EXPECT_TRUE(bitwise_equal(*have[i], *want[i]))
+            << "kv_heads " << kv_heads << ", pool size " << workers
+            << ", gradient tensor " << i;
+      }
     }
   }
   parallel::ThreadPool::reset_global();

@@ -64,6 +64,32 @@ TEST(Gauge, SetOverwrites) {
   EXPECT_DOUBLE_EQ(g.value(), -1.0);
 }
 
+TEST(Gauge, SetMaxKeepsTheTrueMaximumUnderContention) {
+  Gauge g;
+  g.set_max(3.0);
+  g.set_max(1.0);
+  EXPECT_DOUBLE_EQ(g.value(), 3.0);
+
+  // Interleaved rising values from several threads: a read-then-set update
+  // can let a smaller value overwrite a larger one; set_max must not.
+  Gauge hw;
+  constexpr int kThreads = 8;
+  constexpr int kValues = 10000;
+  std::vector<std::thread> ts;
+  ts.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&hw, t] {
+      for (int j = 0; j < kValues; ++j) {
+        hw.set_max(static_cast<double>(j * kThreads + t));
+      }
+    });
+  }
+  for (auto& th : ts) {
+    th.join();
+  }
+  EXPECT_DOUBLE_EQ(hw.value(), static_cast<double>(kValues * kThreads - 1));
+}
+
 TEST(Histogram, PercentilesNearestRank) {
   Histogram h;
   for (int i = 1; i <= 100; ++i) {

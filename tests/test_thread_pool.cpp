@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <numeric>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -135,6 +137,62 @@ TEST(ParallelFor, SumReductionCorrect) {
     total.fetch_add(local);
   });
   EXPECT_EQ(total.load(), 10000LL * 9999 / 2);
+}
+
+// A parallel_for issued from inside a chunk runs on a pool worker. Waiting
+// there for queued chunks, the way an outside caller does, can leave every
+// worker waiting with nothing left to drain the queue.
+TEST(ParallelFor, NestedCallCompletesAtEveryPoolSize) {
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 50;  // 13 chunks at grain 4
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    ThreadPool::reset_global(workers);
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    parallel_for(kOuter, 1, [&hits](std::size_t ob, std::size_t oe) {
+      for (std::size_t o = ob; o < oe; ++o) {
+        parallel_for(kInner, 4, [&hits, o](std::size_t ib, std::size_t ie) {
+          for (std::size_t i = ib; i < ie; ++i) {
+            hits[o * kInner + i].fetch_add(1);
+          }
+        });
+      }
+    });
+    for (auto& h : hits) {
+      EXPECT_EQ(h.load(), 1) << "pool size " << workers;
+    }
+  }
+  ThreadPool::reset_global();
+}
+
+// Each call waits for its own chunks only: two threads calling parallel_for
+// at once each find their whole range covered exactly once on return.
+TEST(ParallelFor, ConcurrentCallersEachCoverTheirRangeOnce) {
+  ThreadPool::reset_global(4);
+  constexpr std::size_t kN = 2000;
+  constexpr int kRepeats = 20;
+  const auto cover = [](std::vector<std::atomic<int>>& hits, bool& exact) {
+    for (int rep = 1; rep <= kRepeats; ++rep) {
+      parallel_for(hits.size(), 16, [&hits](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) {
+          hits[i].fetch_add(1);
+        }
+      });
+      for (const auto& h : hits) {
+        exact = exact && h.load() == rep;
+      }
+    }
+  };
+  std::vector<std::atomic<int>> first(kN);
+  std::vector<std::atomic<int>> second(kN);
+  bool first_exact = true;
+  bool second_exact = true;
+  std::thread t1(cover, std::ref(first), std::ref(first_exact));
+  std::thread t2(cover, std::ref(second), std::ref(second_exact));
+  t1.join();
+  t2.join();
+  EXPECT_TRUE(first_exact);
+  EXPECT_TRUE(second_exact);
+  ThreadPool::reset_global();
 }
 
 }  // namespace
