@@ -32,7 +32,8 @@
 #             walks, so parity must also hold with the sanitizers watching.
 #   tsan      TSan build (-DBURST_SANITIZE=thread) running the threaded
 #             suites: test_thread_pool, test_kernel_determinism,
-#             test_serve_engine, test_api_server, test_api_scheduler, and
+#             test_serve_decode, test_serve_engine, test_api_server,
+#             test_api_scheduler, and
 #             test_transport_conformance (SocketTransport's mesh build runs
 #             accept/connect threads; the socket-backed cases put them under
 #             TSan).
@@ -207,11 +208,11 @@ fi
 tsan_gate() {
   cmake -B "$TSAN_BUILD_DIR" -S . -DBURST_SANITIZE=thread >/dev/null &&
   cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" \
-        --target test_thread_pool test_kernel_determinism test_serve_engine \
-                 test_api_server test_api_scheduler \
+        --target test_thread_pool test_kernel_determinism test_serve_decode \
+                 test_serve_engine test_api_server test_api_scheduler \
                  test_transport_conformance &&
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeEngine|ApiServer|SloEngine|Admission|TransportConformance|SocketTransportSmoke'
+        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|TransportConformance|SocketTransportSmoke'
 }
 if [[ $RUN_TSAN -eq 1 ]]; then
   echo "== TSan build + threaded suites (${TSAN_BUILD_DIR})"

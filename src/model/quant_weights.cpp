@@ -135,43 +135,23 @@ Tensor forward_prefill_chunk_q(const ModelConfig& cfg, const ModelWeights& w,
 }
 
 Tensor forward_decode_q(const ModelConfig& cfg, const ModelWeights& w,
-                        const QuantizedWeights& qw, SequenceKvCache& cache,
-                        std::int64_t token, const MaskSpec& mask,
-                        kernels::KernelStats* stats) {
+                        const QuantizedWeights& qw,
+                        const std::vector<SequenceKvCache*>& caches,
+                        const std::vector<std::int64_t>& tokens,
+                        const MaskSpec& mask, kernels::KernelStats* stats) {
   assert(qw.layers.size() == static_cast<std::size_t>(cfg.layers));
-  cache.reserve(1);
-  const std::int64_t pos = cache.len();
-  const IndexMap posmap = IndexMap::range(pos, 1);
-  const std::int64_t dh = cfg.head_dim();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  const std::int64_t group = cfg.group_size();
-  Tensor x = embed_ids(cfg, w, &token, 1);
+  begin_decode_batch(caches, tokens);
+  const auto rows = static_cast<std::int64_t>(tokens.size());
+  Tensor x = embed_ids(cfg, w, tokens.data(), rows);
   tensor::round_bf16_inplace(x);
-  Tensor qh(1, dh);
-  Tensor attn(1, cfg.d_model);
+  Tensor attn(rows, cfg.d_model);
   for (std::int64_t l = 0; l < cfg.layers; ++l) {
     const QuantizedWeights::Layer& lw =
         qw.layers[static_cast<std::size_t>(l)];
-    Tensor q_all = tensor::packed_matmul(x, lw.wq);
-    Tensor k_all = tensor::packed_matmul(x, lw.wk);
-    Tensor v_all = tensor::packed_matmul(x, lw.wv);
-    for (std::int64_t kvh = 0; kvh < cfg.num_kv_heads(); ++kvh) {
-      Tensor kh = tensor::copy_cols(k_all, kvh * dh, dh);
-      if (cfg.use_rope) {
-        kernels::apply_rope_inplace(kh, posmap);
-      }
-      cache.put(l, kvh, kh, tensor::copy_cols(v_all, kvh * dh, dh));
-    }
-    for (std::int64_t h = 0; h < cfg.heads; ++h) {
-      tensor::copy_cols_into(q_all, h * dh, qh);
-      if (cfg.use_rope) {
-        kernels::apply_rope_inplace(qh, posmap);
-      }
-      const std::int64_t kvh = h / group;
-      kernels::flash_decode_step(qh.view(), cache.k_view(l, kvh, pos + 1),
-                                 cache.v_view(l, kvh, pos + 1), pos, mask,
-                                 scale, attn.col_block(h * dh, dh), stats);
-    }
+    const Tensor q_all = tensor::packed_matmul(x, lw.wq);
+    const Tensor k_all = tensor::packed_matmul(x, lw.wk);
+    const Tensor v_all = tensor::packed_matmul(x, lw.wv);
+    decode_attention(cfg, l, caches, q_all, k_all, v_all, mask, attn, stats);
     Tensor a = tensor::packed_matmul(attn, lw.wo);
     Tensor hres = tensor::add(a, x);
     Tensor u = tensor::relu(tensor::packed_matmul(hres, lw.w1));
@@ -179,13 +159,18 @@ Tensor forward_decode_q(const ModelConfig& cfg, const ModelWeights& w,
     tensor::add_inplace(x, hres);
     tensor::round_bf16_inplace(x);
   }
-  cache.commit(1);
-  Tensor logits = head_logits_q(qw, x);  // [1, vocab]
-  Tensor out(cfg.vocab);
-  for (std::int64_t j = 0; j < cfg.vocab; ++j) {
-    out[j] = logits(0, j);
+  for (SequenceKvCache* cache : caches) {
+    cache->commit(1);
   }
-  return out;
+  return head_logits_q(qw, x);
+}
+
+Tensor forward_decode_q(const ModelConfig& cfg, const ModelWeights& w,
+                        const QuantizedWeights& qw, SequenceKvCache& cache,
+                        std::int64_t token, const MaskSpec& mask,
+                        kernels::KernelStats* stats) {
+  return logits_row(
+      forward_decode_q(cfg, w, qw, {&cache}, {token}, mask, stats), 0);
 }
 
 }  // namespace burst::model

@@ -68,7 +68,16 @@ tensor::Tensor forward_prefill_chunk_q(const ModelConfig& cfg,
                                        const kernels::MaskSpec& mask,
                                        kernels::KernelStats* stats = nullptr);
 
-/// Quantized mirror of forward_decode: returns next-token logits [vocab].
+/// Quantized mirror of the batched forward_decode: same batch contract and
+/// errors, returns next-token logits [B, vocab].
+tensor::Tensor forward_decode_q(const ModelConfig& cfg, const ModelWeights& w,
+                                const QuantizedWeights& qw,
+                                const std::vector<SequenceKvCache*>& caches,
+                                const std::vector<std::int64_t>& tokens,
+                                const kernels::MaskSpec& mask,
+                                kernels::KernelStats* stats = nullptr);
+
+/// Single-sequence quantized decode step (the B = 1 batch): logits [vocab].
 tensor::Tensor forward_decode_q(const ModelConfig& cfg, const ModelWeights& w,
                                 const QuantizedWeights& qw,
                                 SequenceKvCache& cache, std::int64_t token,

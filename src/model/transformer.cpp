@@ -1,12 +1,16 @@
 #include "model/transformer.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string>
 
 #include "kernels/flash_attention.hpp"
 #include "kernels/lm_head.hpp"
 #include "kernels/rope.hpp"
+#include "obs/error.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
@@ -434,54 +438,112 @@ Tensor forward_prefill_chunk(const ModelConfig& cfg, const ModelWeights& w,
   return x;
 }
 
-Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
-                      SequenceKvCache& cache, std::int64_t token,
-                      const MaskSpec& mask, kernels::KernelStats* stats) {
-  cache.reserve(1);
-  const std::int64_t pos = cache.len();
-  const IndexMap posmap = IndexMap::range(pos, 1);
+void begin_decode_batch(const std::vector<SequenceKvCache*>& caches,
+                        const std::vector<std::int64_t>& tokens) {
+  if (caches.empty()) {
+    throw InvariantError("decode batch is empty");
+  }
+  if (caches.size() != tokens.size()) {
+    throw InvariantError("decode batch has " + std::to_string(caches.size()) +
+                         " caches but " + std::to_string(tokens.size()) +
+                         " tokens");
+  }
+  if (std::find(caches.begin(), caches.end(), nullptr) != caches.end()) {
+    throw InvariantError("decode batch has a null cache");
+  }
+  // Two rows appending into one cache would write the same K/V row.
+  std::vector<const SequenceKvCache*> sorted(caches.begin(), caches.end());
+  std::sort(sorted.begin(), sorted.end(), std::less<>());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    throw InvariantError("decode batch lists one cache twice");
+  }
+  for (SequenceKvCache* cache : caches) {
+    cache->reserve(1);
+  }
+}
+
+void decode_attention(const ModelConfig& cfg, std::int64_t layer,
+                      const std::vector<SequenceKvCache*>& caches,
+                      const Tensor& q_all, const Tensor& k_all,
+                      const Tensor& v_all, const MaskSpec& mask, Tensor& attn,
+                      kernels::KernelStats* stats) {
   const std::int64_t dh = cfg.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   const std::int64_t group = cfg.group_size();
-  Tensor x = embed_ids(cfg, w, &token, 1);
-  // Reused across heads and layers — the per-token decode loop is the
-  // latency-critical serving path, so it allocates nothing per head.
+  // Reused across rows and heads: the decode loop allocates nothing per head.
   Tensor qh(1, dh);
-  Tensor attn(1, cfg.d_model);
-  for (std::int64_t l = 0; l < cfg.layers; ++l) {
-    const LayerWeights& lw = w.layers[static_cast<std::size_t>(l)];
-    Tensor q_all = tensor::matmul(x, lw.wq);
-    Tensor k_all = tensor::matmul(x, lw.wk);
-    Tensor v_all = tensor::matmul(x, lw.wv);
+  Tensor kh(1, dh);
+  Tensor vh(1, dh);
+  // dst[0, :] = src[row, col:col+dh].
+  const auto slice = [dh](const Tensor& src, std::int64_t row,
+                          std::int64_t col, Tensor& dst) {
+    const float* s = src.data() + row * src.cols() + col;
+    std::copy(s, s + dh, dst.data());
+  };
+  for (std::size_t b = 0; b < caches.size(); ++b) {
+    SequenceKvCache& cache = *caches[b];
+    const auto row = static_cast<std::int64_t>(b);
+    const std::int64_t pos = cache.len();
+    const IndexMap posmap = IndexMap::range(pos, 1);
     for (std::int64_t kvh = 0; kvh < cfg.num_kv_heads(); ++kvh) {
-      Tensor kh = tensor::copy_cols(k_all, kvh * dh, dh);
+      slice(k_all, row, kvh * dh, kh);
       if (cfg.use_rope) {
         kernels::apply_rope_inplace(kh, posmap);
       }
-      cache.put(l, kvh, kh, tensor::copy_cols(v_all, kvh * dh, dh));
+      slice(v_all, row, kvh * dh, vh);
+      cache.put(layer, kvh, kh, vh);
     }
     for (std::int64_t h = 0; h < cfg.heads; ++h) {
-      tensor::copy_cols_into(q_all, h * dh, qh);
+      slice(q_all, row, h * dh, qh);
       if (cfg.use_rope) {
         kernels::apply_rope_inplace(qh, posmap);
       }
       const std::int64_t kvh = h / group;
-      kernels::flash_decode_step(qh.view(), cache.k_view(l, kvh, pos + 1),
-                                 cache.v_view(l, kvh, pos + 1), pos, mask,
-                                 scale, attn.col_block(h * dh, dh), stats);
+      const tensor::MatView o_row{attn.data() + row * attn.cols() + h * dh, 1,
+                                  dh, attn.cols()};
+      kernels::flash_decode_step(qh.view(), cache.k_view(layer, kvh, pos + 1),
+                                 cache.v_view(layer, kvh, pos + 1), pos, mask,
+                                 scale, o_row, stats);
     }
+  }
+}
+
+Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
+                      const std::vector<SequenceKvCache*>& caches,
+                      const std::vector<std::int64_t>& tokens,
+                      const MaskSpec& mask, kernels::KernelStats* stats) {
+  begin_decode_batch(caches, tokens);
+  const auto rows = static_cast<std::int64_t>(tokens.size());
+  Tensor x = embed_ids(cfg, w, tokens.data(), rows);
+  Tensor attn(rows, cfg.d_model);
+  for (std::int64_t l = 0; l < cfg.layers; ++l) {
+    const LayerWeights& lw = w.layers[static_cast<std::size_t>(l)];
+    const Tensor q_all = tensor::matmul(x, lw.wq);
+    const Tensor k_all = tensor::matmul(x, lw.wk);
+    const Tensor v_all = tensor::matmul(x, lw.wv);
+    decode_attention(cfg, l, caches, q_all, k_all, v_all, mask, attn, stats);
     Tensor a = tensor::matmul(attn, lw.wo);
     Tensor hres = tensor::add(a, x);
     Tensor u = tensor::relu(tensor::matmul(hres, lw.w1));
     x = tensor::matmul(u, lw.w2);
     tensor::add_inplace(x, hres);
   }
-  cache.commit(1);
-  Tensor logits = head_logits(w, x);  // [1, vocab]
-  Tensor out(cfg.vocab);
-  for (std::int64_t j = 0; j < cfg.vocab; ++j) {
-    out[j] = logits(0, j);
+  for (SequenceKvCache* cache : caches) {
+    cache->commit(1);
   }
+  return head_logits(w, x);
+}
+
+Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
+                      SequenceKvCache& cache, std::int64_t token,
+                      const MaskSpec& mask, kernels::KernelStats* stats) {
+  return logits_row(forward_decode(cfg, w, {&cache}, {token}, mask, stats), 0);
+}
+
+Tensor logits_row(const Tensor& logits, std::int64_t r) {
+  Tensor out(logits.cols());
+  const float* src = logits.data() + r * logits.cols();
+  std::copy(src, src + logits.cols(), out.data());
   return out;
 }
 

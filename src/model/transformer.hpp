@@ -111,12 +111,47 @@ tensor::Tensor forward_prefill_chunk(const ModelConfig& cfg,
                                      const kernels::MaskSpec& mask,
                                      kernels::KernelStats* stats = nullptr);
 
-/// Single-token decode step: appends `token`'s K/V at position cache.len()
-/// and returns the next-token logits [vocab], using the append-one-query
-/// attention path (kernels::flash_decode_step).
+/// Batched decode step over B independent sequences: row b appends
+/// `tokens[b]`'s K/V to `*caches[b]` at position caches[b]->len() and row b
+/// of the result holds its next-token logits ([B, vocab]). Every projection,
+/// the FFN and the LM head run once on [B, d], so each weight streams once
+/// per call whatever B is; RoPE, the K/V append and the append-one-query
+/// attention (kernels::flash_decode_step) run per row against that row's own
+/// cache and position. Each output row is bitwise-equal to decoding that
+/// sequence alone (DESIGN.md "Continuous batching"). Throws
+/// burst::InvariantError on an empty batch, a caches/tokens size mismatch, a
+/// null cache, or a cache listed twice.
+tensor::Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
+                              const std::vector<SequenceKvCache*>& caches,
+                              const std::vector<std::int64_t>& tokens,
+                              const kernels::MaskSpec& mask,
+                              kernels::KernelStats* stats = nullptr);
+
+/// Single-sequence decode step (the B = 1 batch): returns logits [vocab].
 tensor::Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
                               SequenceKvCache& cache, std::int64_t token,
                               const kernels::MaskSpec& mask,
                               kernels::KernelStats* stats = nullptr);
+
+/// Row `r` of a [n, vocab] logits matrix as a rank-1 [vocab] tensor.
+tensor::Tensor logits_row(const tensor::Tensor& logits, std::int64_t r);
+
+// --- building blocks shared by the dense and quantized batched decode -----
+
+/// Checks a decode batch's preconditions (see forward_decode) and reserves
+/// one row in every cache.
+void begin_decode_batch(const std::vector<SequenceKvCache*>& caches,
+                        const std::vector<std::int64_t>& tokens);
+
+/// The per-row half of decode layer `layer`: for each row b, RoPE-rotates
+/// row b of `k_all` at caches[b]->len(), appends it and row b of `v_all` to
+/// *caches[b], then attends row b of `q_all` over that cache into row b of
+/// `attn` ([B, d_model]).
+void decode_attention(const ModelConfig& cfg, std::int64_t layer,
+                      const std::vector<SequenceKvCache*>& caches,
+                      const tensor::Tensor& q_all, const tensor::Tensor& k_all,
+                      const tensor::Tensor& v_all,
+                      const kernels::MaskSpec& mask, tensor::Tensor& attn,
+                      kernels::KernelStats* stats);
 
 }  // namespace burst::model

@@ -543,30 +543,40 @@ ServeReport Engine::run(sim::DeviceContext& ctx, const RunOptions& opts) {
                                   ? model::head_logits_q(qweights_, last_row)
                                   : model::head_logits(weights_, last_row);
         lin_flops += head_per_row;
-        Tensor row(model_.vocab);
-        for (std::int64_t j = 0; j < model_.vocab; ++j) {
-          row[j] = logits(0, j);
-        }
-        s.generated.push_back(model::argmax(row));
+        s.generated.push_back(model::argmax(model::logits_row(logits, 0)));
         produced.push_back(&s);
         s.state = RequestState::kDecode;
       }
     }
 
-    for (const std::int64_t id : plan.decodes) {
-      EngineSlot& s = slots[static_cast<std::size_t>(id)];
-      assert(s.state == RequestState::kDecode && !s.generated.empty());
-      grow_cache(s, 1);
+    if (!plan.decodes.empty()) {
+      // One batched forward for every decoding request: each weight streams
+      // once per iteration, which is what the roofline below charges.
+      std::vector<EngineSlot*> decoding;
+      std::vector<SequenceKvCache*> caches;
+      std::vector<std::int64_t> tokens;
+      for (const std::int64_t id : plan.decodes) {
+        EngineSlot& s = slots[static_cast<std::size_t>(id)];
+        assert(s.state == RequestState::kDecode && !s.generated.empty());
+        grow_cache(s, 1);
+        decoding.push_back(&s);
+        caches.push_back(&s.cache);
+        tokens.push_back(s.generated.back());
+      }
       const Tensor logits =
           quantized_ ? model::forward_decode_q(model_, weights_, qweights_,
-                                               s.cache, s.generated.back(),
-                                               cfg_.mask, &stats)
-                     : model::forward_decode(model_, weights_, s.cache,
-                                             s.generated.back(), cfg_.mask,
-                                             &stats);
-      lin_flops += lin_per_tok + head_per_row;
-      s.generated.push_back(model::argmax(logits));
-      produced.push_back(&s);
+                                               caches, tokens, cfg_.mask,
+                                               &stats)
+                     : model::forward_decode(model_, weights_, caches, tokens,
+                                             cfg_.mask, &stats);
+      lin_flops += static_cast<std::uint64_t>(decoding.size()) *
+                   (lin_per_tok + head_per_row);
+      for (std::size_t b = 0; b < decoding.size(); ++b) {
+        EngineSlot& s = *decoding[b];
+        s.generated.push_back(model::argmax(
+            model::logits_row(logits, static_cast<std::int64_t>(b))));
+        produced.push_back(&s);
+      }
     }
 
     const double iter_begin = ctx.clock().now(sim::kCompute);

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
 
@@ -182,6 +187,66 @@ TEST(Gemm, ConvenienceWrappers) {
   EXPECT_LT(
       max_abs_diff(matmul_tn(at, b), naive_matmul(at, Trans::Yes, b, Trans::No)),
       1e-4f);
+}
+
+// Batched decode rests on this: a C row's arithmetic does not depend on how
+// many other rows share the GEMM (one register accumulator chain per row,
+// k-blocking fixed by kGemmKC), so row i of a GEMM over m rows is bitwise
+// the GEMM of row i alone. k and n cross kGemmKC and kGemmNC; m crosses the
+// 4-row microkernel tile and the kGemmMC row block.
+TEST(Gemm, RowResultIndependentOfBatchRows) {
+  constexpr std::int64_t k = 300;
+  constexpr std::int64_t n = 700;
+  Rng rng(77);
+  const Tensor b = rng.gaussian(k, n, 1.0f);
+  const Tensor b_t = rng.gaussian(n, k, 1.0f);
+  const PackedB q8 = PackedB::pack(b.view(), Trans::No, DType::kQ8_0);
+  const PackedB q4 = PackedB::pack(b.view(), Trans::No, DType::kQ4_0);
+  struct Variant {
+    std::string name;
+    std::function<void(const Tensor&, Tensor&)> run;
+  };
+  const std::vector<Variant> variants = {
+      {"gemm", [&](const Tensor& a, Tensor& c) {
+         gemm(a.view(), Trans::No, b.view(), Trans::No, c.view());
+       }},
+      {"gemm_nt", [&](const Tensor& a, Tensor& c) {
+         gemm(a.view(), Trans::No, b_t.view(), Trans::Yes, c.view());
+       }},
+      {"gemm_dt_q8", [&](const Tensor& a, Tensor& c) {
+         gemm_dt(a.view(), Trans::No, b.view(), Trans::No, c.view(),
+                 DType::kQ8_0);
+       }},
+      {"gemm_dt_q4", [&](const Tensor& a, Tensor& c) {
+         gemm_dt(a.view(), Trans::No, b.view(), Trans::No, c.view(),
+                 DType::kQ4_0);
+       }},
+      {"gemm_packed_q8", [&](const Tensor& a, Tensor& c) {
+         gemm_packed(a.view(), Trans::No, q8, c.view());
+       }},
+      {"gemm_packed_q4", [&](const Tensor& a, Tensor& c) {
+         gemm_packed(a.view(), Trans::No, q4, c.view());
+       }},
+  };
+  for (const std::size_t workers : {1u, 4u}) {
+    parallel::ThreadPool::reset_global(workers);
+    for (const std::int64_t m : {1, 3, 4, 5, 17, 64, 65, 130}) {
+      const Tensor a = rng.gaussian(m, k, 1.0f);
+      for (const Variant& v : variants) {
+        Tensor batched(m, n);
+        v.run(a, batched);
+        Tensor alone(1, n);
+        for (std::int64_t i = 0; i < m; ++i) {
+          v.run(a.copy_rows(i, 1), alone);
+          ASSERT_EQ(std::memcmp(batched.data() + i * n, alone.data(),
+                                static_cast<std::size_t>(n) * sizeof(float)),
+                    0)
+              << v.name << " m=" << m << " row " << i << " pool " << workers;
+        }
+      }
+    }
+  }
+  parallel::ThreadPool::reset_global();
 }
 
 }  // namespace

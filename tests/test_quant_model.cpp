@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "decode_parity.hpp"
 #include "kernels/lm_head.hpp"
 #include "kernels/mask.hpp"
 #include "model/kv_cache.hpp"
@@ -82,6 +83,33 @@ TEST(QuantModel, ChunkedPrefillBitwiseMatchesOneShot) {
     EXPECT_FLOAT_EQ(tensor::max_abs_diff(l_one, l_two), 0.0f)
         << tensor::dtype_name(dt);
   }
+}
+
+// One batched quantized decode call over B sequences is bitwise B
+// single-row calls: the packed GEMMs keep each row's arithmetic independent
+// of the batch too.
+TEST(QuantModel, BatchedDecodeBitwiseEqualsPerRequest) {
+  ModelConfig cfg = testutil::batched_decode_toy();
+  cfg.quant.weights = DType::kQ8_0;
+  const ModelWeights w = ModelWeights::init(cfg, 83);
+  const QuantizedWeights qw = QuantizedWeights::pack(cfg, w);
+  const MaskSpec mask = MaskSpec::causal();
+  testutil::expect_batched_decode_matches_per_request(
+      cfg,
+      [&](SequenceKvCache& cache, const std::int64_t* tokens,
+          std::int64_t count) {
+        model::forward_prefill_chunk_q(cfg, w, qw, cache, tokens, count, mask);
+      },
+      [&](const std::vector<SequenceKvCache*>& caches,
+          const std::vector<std::int64_t>& tokens,
+          kernels::KernelStats* stats) {
+        return model::forward_decode_q(cfg, w, qw, caches, tokens, mask,
+                                       stats);
+      },
+      [&](SequenceKvCache& cache, std::int64_t token,
+          kernels::KernelStats* stats) {
+        return model::forward_decode_q(cfg, w, qw, cache, token, mask, stats);
+      });
 }
 
 // The quantized forward tracks the fp32 functional path within the format

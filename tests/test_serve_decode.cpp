@@ -8,11 +8,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "decode_parity.hpp"
 #include "kernels/flash_attention.hpp"
 #include "kernels/index_map.hpp"
 #include "kernels/mask.hpp"
 #include "model/kv_cache.hpp"
 #include "model/transformer.hpp"
+#include "obs/error.hpp"
 #include "serve/dist_prefill.hpp"
 #include "sim/cluster.hpp"
 #include "tensor/ops.hpp"
@@ -212,6 +214,64 @@ TEST(ServeDecode, DistributedPrefillMatchesSerial) {
   const Tensor b =
       model::forward_decode(cfg, w, serial_cache, dist.first_token, mask);
   EXPECT_LT(tensor::max_abs_diff(a, b), 2e-3f);
+}
+
+// One batched decode call over B sequences is bitwise B single-row calls.
+TEST(ServeDecode, BatchedDecodeBitwiseEqualsPerRequest) {
+  const ModelConfig cfg = testutil::batched_decode_toy();
+  const ModelWeights w = ModelWeights::init(cfg, 83);
+  const MaskSpec mask = MaskSpec::causal();
+  testutil::expect_batched_decode_matches_per_request(
+      cfg,
+      [&](SequenceKvCache& cache, const std::int64_t* tokens,
+          std::int64_t count) {
+        model::forward_prefill_chunk(cfg, w, cache, tokens, count, mask);
+      },
+      [&](const std::vector<SequenceKvCache*>& caches,
+          const std::vector<std::int64_t>& tokens,
+          kernels::KernelStats* stats) {
+        return model::forward_decode(cfg, w, caches, tokens, mask, stats);
+      },
+      [&](SequenceKvCache& cache, std::int64_t token,
+          kernels::KernelStats* stats) {
+        return model::forward_decode(cfg, w, cache, token, mask, stats);
+      });
+}
+
+// Batch preconditions are typed errors raised before any cache is touched.
+TEST(ServeDecode, BatchedDecodeRejectsEmptyBatch) {
+  const ModelConfig cfg = serve_toy();
+  const ModelWeights w = ModelWeights::init(cfg, 97);
+  EXPECT_THROW(model::forward_decode(cfg, w, std::vector<SequenceKvCache*>{},
+                                     std::vector<std::int64_t>{},
+                                     MaskSpec::causal()),
+               InvariantError);
+}
+
+TEST(ServeDecode, BatchedDecodeRejectsSizeMismatch) {
+  const ModelConfig cfg = serve_toy();
+  const ModelWeights w = ModelWeights::init(cfg, 97);
+  SequenceKvCache a = SequenceKvCache::create(cfg, 8);
+  SequenceKvCache b = SequenceKvCache::create(cfg, 8);
+  EXPECT_THROW(model::forward_decode(cfg, w, {&a, &b}, {1}, MaskSpec::causal()),
+               InvariantError);
+  EXPECT_EQ(a.capacity_tokens(), 0);
+  EXPECT_EQ(b.capacity_tokens(), 0);
+}
+
+TEST(ServeDecode, BatchedDecodeRejectsDuplicateCache) {
+  const ModelConfig cfg = serve_toy();
+  const ModelWeights w = ModelWeights::init(cfg, 97);
+  const MaskSpec mask = MaskSpec::causal();
+  SequenceKvCache a = SequenceKvCache::create(cfg, 8);
+  SequenceKvCache b = SequenceKvCache::create(cfg, 8);
+  const auto prompt = random_prompt(101, 5, cfg.vocab);
+  model::forward_prefill_chunk(cfg, w, a, prompt.data(), 5, mask);
+  const SequenceKvCache before = a;
+  EXPECT_THROW(model::forward_decode(cfg, w, {&a, &b, &a}, {1, 2, 3}, mask),
+               InvariantError);
+  EXPECT_TRUE(testutil::caches_equal(cfg, a, before));
+  EXPECT_EQ(b.capacity_tokens(), 0);
 }
 
 TEST(ServeDecode, DistributedPrefillRejectsIndivisiblePrompt) {

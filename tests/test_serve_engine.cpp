@@ -2,10 +2,12 @@
 // FCFS baseline, KV eviction, arrival handling, and metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "model/transformer.hpp"
 #include "serve/engine.hpp"
 #include "serve/scheduler.hpp"
 #include "sim/cluster.hpp"
@@ -238,6 +240,57 @@ TEST(ServeEngine, TraceRecordsIterationBatches) {
     }
   }
   EXPECT_EQ(iters, rep.metrics.iterations);
+}
+
+// Batched decode serves every request, not only the shortest, exactly as
+// greedy decoding over the one-shot full forward: ten concurrent decoders
+// with prompt lengths 5..23 share each decode forward.
+TEST(ServeEngine, EveryRequestMatchesSerialGreedyChain) {
+  const ModelConfig cfg = serve_toy();
+  const ModelWeights w = ModelWeights::init(cfg, 79);
+  sim::TraceRecorder trace;
+  EngineConfig ec;
+  ec.sched.policy = BatchPolicy::kContinuous;
+  ec.sched.token_budget = 256;
+  ec.sched.chunk_tokens = 32;
+  ec.block_tokens = 8;
+  ec.trace = &trace;
+  Engine engine(cfg, w, ec);
+  constexpr std::int64_t kRequests = 10;
+  constexpr std::int64_t kNewTokens = 12;
+  std::vector<std::vector<std::int64_t>> prompts;
+  for (std::int64_t i = 0; i < kRequests; ++i) {
+    prompts.push_back(prompt_of(200 + static_cast<std::uint64_t>(i), 5 + 2 * i,
+                                cfg.vocab));
+    engine.add_request(prompts.back(), kNewTokens);
+  }
+  const ServeReport rep = run_on_single_device(engine);
+
+  std::size_t max_decodes = 0;
+  for (const auto& e : trace.events()) {
+    const auto d = e.name.find(" d=");
+    if (e.name.rfind("serve:iter", 0) == 0 && d != std::string::npos) {
+      max_decodes = std::max(max_decodes,
+                             static_cast<std::size_t>(std::stoul(
+                                 e.name.substr(d + 3))));
+    }
+  }
+  EXPECT_GE(max_decodes, 8u);
+
+  ASSERT_EQ(rep.results.size(), static_cast<std::size_t>(kRequests));
+  for (const auto& r : rep.results) {
+    ASSERT_EQ(r.outcome, Outcome::kCompleted) << "request " << r.id;
+    std::vector<std::int64_t> tokens = prompts[static_cast<std::size_t>(r.id)];
+    std::vector<std::int64_t> expect;
+    for (std::int64_t j = 0; j < kNewTokens; ++j) {
+      const auto n = static_cast<std::int64_t>(tokens.size());
+      const tensor::Tensor logits = model::serial_forward_logits(
+          cfg, w, tokens.data(), n, ec.mask);
+      expect.push_back(model::argmax(model::logits_row(logits, n - 1)));
+      tokens.push_back(expect.back());
+    }
+    EXPECT_EQ(r.generated, expect) << "request " << r.id;
+  }
 }
 
 // A pool too small for even one request used to deadlock-then-throw; the
