@@ -242,8 +242,8 @@ TEST(ServeEngine, TraceRecordsIterationBatches) {
   EXPECT_EQ(iters, rep.metrics.iterations);
 }
 
-// Batched decode serves every request, not only the shortest, exactly as
-// greedy decoding over the one-shot full forward: ten concurrent decoders
+// Batched decode serves every request, whatever its context length, exactly
+// as greedy decoding over the one-shot full forward: ten concurrent decoders
 // with prompt lengths 5..23 share each decode forward.
 TEST(ServeEngine, EveryRequestMatchesSerialGreedyChain) {
   const ModelConfig cfg = serve_toy();
