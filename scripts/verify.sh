@@ -33,7 +33,8 @@
 #   tsan      TSan build (-DBURST_SANITIZE=thread) running the threaded
 #             suites: test_thread_pool, test_kernel_determinism,
 #             test_serve_decode, test_serve_engine, test_api_server,
-#             test_api_scheduler, and
+#             test_api_scheduler, test_dist_model and test_gqa (the
+#             distributed step's rank threads share one kernel pool), and
 #             test_transport_conformance (SocketTransport's mesh build runs
 #             accept/connect threads; the socket-backed cases put them under
 #             TSan).
@@ -210,9 +211,9 @@ tsan_gate() {
   cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" \
         --target test_thread_pool test_kernel_determinism test_serve_decode \
                  test_serve_engine test_api_server test_api_scheduler \
-                 test_transport_conformance &&
+                 test_dist_model test_gqa test_transport_conformance &&
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|TransportConformance|SocketTransportSmoke'
+        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|DistModel|GqaDist|TransportConformance|SocketTransportSmoke'
 }
 if [[ $RUN_TSAN -eq 1 ]]; then
   echo "== TSan build + threaded suites (${TSAN_BUILD_DIR})"

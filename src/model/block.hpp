@@ -1,0 +1,156 @@
+// The one transformer block (Eq. 2-3 of the paper):
+//   H = ATTN(X) W_o + X,  Y = relu(H W_1) W_2 + H.
+// Every forward in the repo — serial training, chunked prefill, batched
+// decode (dense and quantized), the distributed step and its checkpoint
+// recompute, and distributed prefill — runs this body and differs only in
+// where attention reads K/V from: each caller passes its attention source as
+// an AttendFn. The layer type picks the rest by overload: dense LayerWeights
+// project through matmul and keep fp32 activations; packed
+// QuantizedWeights::Layer project through packed_matmul and round to bf16 at
+// every layer boundary (DESIGN.md section 2, "One transformer block").
+#pragma once
+
+#include <algorithm>
+#include <cassert>
+#include <cstdint>
+#include <functional>
+#include <utility>
+
+#include "model/quant_weights.hpp"
+#include "model/transformer.hpp"
+#include "tensor/gemm.hpp"
+#include "tensor/ops.hpp"
+#include "tensor/tensor.hpp"
+
+namespace burst::model {
+
+/// x @ W. The weight's type picks the GEMM: dense fp32 weights, or panels
+/// packed once at the serving dtype.
+inline tensor::Tensor project(const tensor::Tensor& x,
+                              const tensor::Tensor& w) {
+  return tensor::matmul(x, w);
+}
+inline tensor::Tensor project(const tensor::Tensor& x,
+                              const tensor::PackedB& w) {
+  return tensor::packed_matmul(x, w);
+}
+
+/// Activations leaving a layer of type `Layer` (the embedding output or a
+/// block output).
+template <class Layer>
+void layer_boundary(tensor::Tensor& x);
+template <>
+inline void layer_boundary<LayerWeights>(tensor::Tensor& /*x*/) {}
+template <>
+inline void layer_boundary<QuantizedWeights::Layer>(tensor::Tensor& x) {
+  tensor::round_bf16_inplace(x);
+}
+
+/// Attention source: (Q, K, V) projections [rows, d_model | d_kv] -> the
+/// concatenated head outputs [rows, d_model].
+using AttendFn = std::function<tensor::Tensor(const tensor::Tensor& q_all,
+                                              const tensor::Tensor& k_all,
+                                              const tensor::Tensor& v_all)>;
+
+/// What a block keeps for its W_2 output and its backward.
+struct BlockActs {
+  tensor::Tensor attn;   // concatenated head outputs
+  tensor::Tensor h;      // attn W_o + X
+  tensor::Tensor u_pre;  // H W_1
+  tensor::Tensor u;      // relu(u_pre)
+};
+
+/// The block up to the FFN hidden state: Q/K/V projections, `attend`, W_o
+/// plus the residual, W_1 and ReLU.
+template <class Layer>
+BlockActs block_hidden(const Layer& w, const tensor::Tensor& x,
+                       const AttendFn& attend) {
+  const tensor::Tensor q_all = project(x, w.wq);
+  const tensor::Tensor k_all = project(x, w.wk);
+  const tensor::Tensor v_all = project(x, w.wv);
+  BlockActs a;
+  a.attn = attend(q_all, k_all, v_all);
+  a.h = tensor::add(project(a.attn, w.wo), x);
+  a.u_pre = project(a.h, w.w1);
+  a.u = tensor::relu(a.u_pre);
+  return a;
+}
+
+/// The block output Y = U W_2 + H, at the layer boundary.
+template <class Layer>
+tensor::Tensor block_output(const Layer& w, const BlockActs& a) {
+  tensor::Tensor y = project(a.u, w.w2);
+  tensor::add_inplace(y, a.h);
+  layer_boundary<Layer>(y);
+  return y;
+}
+
+/// Gradients flowing out of the FFN and W_o.
+struct BlockFfnGrads {
+  tensor::Tensor d_h;     // dL/dH, including the residual from Y
+  tensor::Tensor d_attn;  // dL/d(concatenated head outputs)
+};
+
+/// Backward through W_2, ReLU, W_1 and W_o; accumulates their gradients.
+inline BlockFfnGrads block_backward_ffn(const LayerWeights& w,
+                                        const BlockActs& a,
+                                        const tensor::Tensor& d_y,
+                                        LayerGrads& g) {
+  tensor::Tensor du = tensor::matmul_nt(d_y, w.w2);
+  tensor::add_inplace(g.w2, tensor::matmul_tn(a.u, d_y));
+  du = tensor::relu_backward(du, a.u_pre);
+  BlockFfnGrads out;
+  out.d_h = tensor::matmul_nt(du, w.w1);
+  tensor::add_inplace(g.w1, tensor::matmul_tn(a.h, du));
+  tensor::add_inplace(out.d_h, d_y);  // residual
+  out.d_attn = tensor::matmul_nt(out.d_h, w.wo);
+  tensor::add_inplace(g.wo, tensor::matmul_tn(a.attn, out.d_h));
+  return out;
+}
+
+/// Backward through the Q/K/V projections given the pre-RoPE head gradients
+/// (concatenated) and dH; accumulates their gradients and returns dX.
+inline tensor::Tensor block_backward_qkv(
+    const LayerWeights& w, const tensor::Tensor& x, tensor::Tensor d_h,
+    const tensor::Tensor& dq, const tensor::Tensor& dk,
+    const tensor::Tensor& dv, LayerGrads& g) {
+  tensor::Tensor dx = std::move(d_h);  // residual path
+  tensor::add_inplace(dx, tensor::matmul_nt(dq, w.wq));
+  tensor::add_inplace(dx, tensor::matmul_nt(dk, w.wk));
+  tensor::add_inplace(dx, tensor::matmul_nt(dv, w.wv));
+  tensor::add_inplace(g.wq, tensor::matmul_tn(x, dq));
+  tensor::add_inplace(g.wk, tensor::matmul_tn(x, dk));
+  tensor::add_inplace(g.wv, tensor::matmul_tn(x, dv));
+  return dx;
+}
+
+/// Embedding lookup: row i is w_embed's row ids[i], at the layer boundary of
+/// the `Layer` stack it feeds.
+template <class Layer = LayerWeights>
+tensor::Tensor embed(const ModelWeights& w, const std::int64_t* ids,
+                     std::int64_t count) {
+  const std::int64_t d = w.w_embed.cols();
+  tensor::Tensor x(count, d);
+  for (std::int64_t i = 0; i < count; ++i) {
+    assert(ids[i] >= 0 && ids[i] < w.w_embed.rows());
+    const float* row = w.w_embed.data() + ids[i] * d;
+    std::copy(row, row + d, x.data() + i * d);
+  }
+  layer_boundary<Layer>(x);
+  return x;
+}
+
+/// Embedding backward: scatter-adds row i of `dx` into row ids[i] of
+/// `g_embed`, in ascending row order.
+inline void embed_backward(const std::int64_t* ids, const tensor::Tensor& dx,
+                           tensor::Tensor& g_embed) {
+  const std::int64_t d = dx.cols();
+  for (std::int64_t i = 0; i < dx.rows(); ++i) {
+    float* row = g_embed.data() + ids[i] * d;
+    for (std::int64_t c = 0; c < d; ++c) {
+      row[c] += dx(i, c);
+    }
+  }
+}
+
+}  // namespace burst::model

@@ -11,7 +11,7 @@
 #include "kernels/flash_attention.hpp"
 #include "kernels/lm_head.hpp"
 #include "kernels/rope.hpp"
-#include "tensor/gemm.hpp"
+#include "model/block.hpp"
 #include "tensor/ops.hpp"
 
 namespace burst::model {
@@ -66,14 +66,19 @@ std::uint64_t bf16_bytes(const Tensor& t) {
   return static_cast<std::uint64_t>(t.numel()) * 2;
 }
 
+// Per-head Q/K/V of the distributed block.
+struct Heads {
+  std::vector<Tensor> q, k, v;
+};
+
 // Everything a layer may keep between forward and backward. Which fields are
 // populated depends on the checkpoint strategy / attention impl.
 struct LayerCache {
   Tensor x_in;  // always stored (the gradient-checkpoint boundary)
   // kNone: full serial-style cache.
   bool full = false;
-  std::vector<Tensor> q, k, v;
-  Tensor attn_concat, h, u_pre, u;
+  Heads heads;
+  BlockActs acts;
   // Attention outputs (per head): all rows (SelectivePP / kNone), the stored
   // tail (SeqSelective), or nothing (Full).
   std::vector<Tensor> o_stored, lse_stored;
@@ -237,43 +242,48 @@ void charge(DeviceState& st, LayerCache& cache, const Tensor& t,
   cache.charged_bytes += bytes;
 }
 
-struct LayerForwardOut {
-  Tensor y;
-};
-
-LayerForwardOut dist_layer_forward(DeviceState& st, const LayerWeights& w,
-                                   const Tensor& x, LayerCache& cache) {
+// The head split every distributed attention source starts from: charges
+// the Q/K/V projection FLOPs to the virtual clock (before any sweep starts),
+// then splits the projections into heads rotated at the device's global
+// positions.
+Heads split_qkv(DeviceState& st, const Tensor& q_all, const Tensor& k_all,
+                const Tensor& v_all) {
   const auto& m = st.cfg->model;
   const std::int64_t dh = m.head_dim();
+  st.comm->transport().compute(
+      2.0 * static_cast<double>(q_all.rows()) *
+      (fd(m.d_model) * fd(m.d_model) + 2.0 * fd(m.d_model) * fd(m.d_kv())));
+  Heads hd{split_heads(q_all, m.heads, dh),
+           split_heads(k_all, m.num_kv_heads(), dh),
+           split_heads(v_all, m.num_kv_heads(), dh)};
+  maybe_rope(st, &hd.q);
+  maybe_rope(st, &hd.k);
+  return hd;
+}
+
+Tensor concat_heads(const std::vector<Tensor>& o, std::int64_t d_model) {
+  Tensor out(o.front().rows(), d_model);
+  for (std::size_t h = 0; h < o.size(); ++h) {
+    tensor::set_cols(out, static_cast<std::int64_t>(h) * o[h].cols(), o[h]);
+  }
+  return out;
+}
+
+Tensor dist_layer_forward(DeviceState& st, const LayerWeights& w,
+                          const Tensor& x, LayerCache& cache) {
+  const auto& m = st.cfg->model;
   cache.x_in = x;
   charge(st, cache, x, "ckpt input");
 
-  Tensor q_all = tensor::matmul(x, w.wq);
-  Tensor k_all = tensor::matmul(x, w.wk);
-  Tensor v_all = tensor::matmul(x, w.wv);
-  st.comm->transport().compute(
-      2.0 * static_cast<double>(x.rows()) *
-      (fd(m.d_model) * fd(m.d_model) +
-         2.0 * fd(m.d_model) * fd(m.d_kv())));
-  std::vector<Tensor> q = split_heads(q_all, m.heads, dh);
-  std::vector<Tensor> k = split_heads(k_all, m.num_kv_heads(), dh);
-  std::vector<Tensor> v = split_heads(v_all, m.num_kv_heads(), dh);
-  maybe_rope(st, &q);
-  maybe_rope(st, &k);
-
+  Heads hd;
   std::vector<Tensor> o, lse;
-  attention_forward(st, q, k, v, cache, &o, &lse);
-
-  Tensor attn_concat(x.rows(), m.d_model);
-  for (std::int64_t h = 0; h < m.heads; ++h) {
-    tensor::set_cols(attn_concat, h * dh, o[static_cast<std::size_t>(h)]);
-  }
-  Tensor a = tensor::matmul(attn_concat, w.wo);
-  Tensor hres = tensor::add(a, x);
-  Tensor u_pre = tensor::matmul(hres, w.w1);
-  Tensor u = tensor::relu(u_pre);
-  Tensor y = tensor::matmul(u, w.w2);
-  tensor::add_inplace(y, hres);
+  BlockActs acts = block_hidden(
+      w, x, [&](const Tensor& q_all, const Tensor& k_all, const Tensor& v_all) {
+        hd = split_qkv(st, q_all, k_all, v_all);
+        attention_forward(st, hd.q, hd.k, hd.v, cache, &o, &lse);
+        return concat_heads(o, m.d_model);
+      });
+  Tensor y = block_output(w, acts);
   st.comm->transport().compute(2.0 * static_cast<double>(x.rows()) *
                          (fd(m.d_model) * fd(m.d_model) +
                           2.0 * fd(m.d_model) * fd(m.d_ff)));
@@ -289,36 +299,31 @@ LayerForwardOut dist_layer_forward(DeviceState& st, const LayerWeights& w,
       charge(st, cache, t, "ulysses saved");
     }
     cache.full = false;
-    return {y};
+    return y;
   }
   if (st.cfg->ckpt.strategy == CkptStrategy::kNone) {
     cache.full = true;
-    cache.q = std::move(q);
-    cache.k = std::move(k);
-    cache.v = std::move(v);
+    cache.heads = std::move(hd);
     cache.o_stored = std::move(o);
     cache.lse_stored = std::move(lse);
-    cache.attn_concat = std::move(attn_concat);
-    cache.h = std::move(hres);
-    cache.u_pre = std::move(u_pre);
-    cache.u = std::move(u);
-    for (const auto& t : cache.q) {
+    cache.acts = std::move(acts);
+    for (const auto& t : cache.heads.q) {
       charge(st, cache, t, "acts q");
     }
-    for (const auto& t : cache.k) {
+    for (const auto& t : cache.heads.k) {
       charge(st, cache, t, "acts k");
     }
-    for (const auto& t : cache.v) {
+    for (const auto& t : cache.heads.v) {
       charge(st, cache, t, "acts v");
     }
     for (const auto& t : cache.o_stored) {
       charge(st, cache, t, "acts o");
     }
-    charge(st, cache, cache.attn_concat, "acts attn");
-    charge(st, cache, cache.h, "acts h");
-    charge(st, cache, cache.u_pre, "acts u_pre");
-    charge(st, cache, cache.u, "acts u");
-    return {y};
+    charge(st, cache, cache.acts.attn, "acts attn");
+    charge(st, cache, cache.acts.h, "acts h");
+    charge(st, cache, cache.acts.u_pre, "acts u_pre");
+    charge(st, cache, cache.acts.u, "acts u");
+    return y;
   }
 
   // Checkpointed path: keep only the attention outputs the strategy stores.
@@ -331,7 +336,7 @@ LayerForwardOut dist_layer_forward(DeviceState& st, const LayerWeights& w,
       charge(st, cache, cache.o_stored.back(), "stored attn out");
     }
   }
-  return {y};
+  return y;
 }
 
 // Rebuilds the full per-head (O, Lse) for backward: stored rows are
@@ -403,98 +408,65 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
   const auto& m = st.cfg->model;
   const std::int64_t dh = m.head_dim();
   const Tensor& x = cache.x_in;
-  const bool external_cache = st.cfg->impl == AttnImpl::kUlysses ||
-                              st.cfg->impl == AttnImpl::kUsp;
 
   // ---- recompute (or restore) the forward intermediates --------------------
-  std::vector<Tensor> q, k, v, o, lse;
-  Tensor attn_concat, hres, u_pre, u;
+  Heads hd;
+  std::vector<Tensor> o, lse;
+  BlockActs acts;
   if (cache.full) {
-    q = std::move(cache.q);
-    k = std::move(cache.k);
-    v = std::move(cache.v);
+    hd = std::move(cache.heads);
     o = std::move(cache.o_stored);
     lse = std::move(cache.lse_stored);
-    attn_concat = std::move(cache.attn_concat);
-    hres = std::move(cache.h);
-    u_pre = std::move(cache.u_pre);
-    u = std::move(cache.u);
+    acts = std::move(cache.acts);
   } else {
-    Tensor q_all = tensor::matmul(x, w.wq);
-    Tensor k_all = tensor::matmul(x, w.wk);
-    Tensor v_all = tensor::matmul(x, w.wv);
-    st.comm->transport().compute(
-        2.0 * static_cast<double>(x.rows()) *
-        (fd(m.d_model) * fd(m.d_model) +
-         2.0 * fd(m.d_model) * fd(m.d_kv())));
-    q = split_heads(q_all, m.heads, dh);
-    k = split_heads(k_all, m.num_kv_heads(), dh);
-    v = split_heads(v_all, m.num_kv_heads(), dh);
-    maybe_rope(st, &q);
-    maybe_rope(st, &k);
-    if (external_cache) {
-      // Local O comes back out of the saved head-sharded state lazily in the
-      // backward call; for the concat we recompute via a fresh forward on
-      // the saved state (outputs equal the stored ones).
-      o.clear();
+    // The block up to W_1: the recompute never needs W_2's output.
+    acts = block_hidden(w, x, [&](const Tensor& q_all, const Tensor& k_all,
+                                  const Tensor& v_all) {
+      hd = split_qkv(st, q_all, k_all, v_all);
       if (st.cfg->impl == AttnImpl::kUlysses) {
+        // Ulysses/USP local O is recomputed by a fresh forward on scratch
+        // state (outputs equal the stored ones); backward reads the saved
+        // head-sharded state.
         core::UlyssesSaved scratch;
-        o = ulysses_forward(*st.comm, st.ulysses_cfg(), q, k, v, &scratch);
-      } else {
+        o = ulysses_forward(*st.comm, st.ulysses_cfg(), hd.q, hd.k, hd.v,
+                            &scratch);
+      } else if (st.cfg->impl == AttnImpl::kUsp) {
         core::UspSaved scratch;
-        o = usp_forward(*st.comm, st.usp_cfg(), q, k, v, &scratch);
+        o = usp_forward(*st.comm, st.usp_cfg(), hd.q, hd.k, hd.v, &scratch);
+      } else {
+        rebuild_attention_outputs(st, hd.q, hd.k, hd.v, cache, &o, &lse);
       }
-    } else {
-      rebuild_attention_outputs(st, q, k, v, cache, &o, &lse);
-    }
-    attn_concat = Tensor(x.rows(), m.d_model);
-    for (std::int64_t h = 0; h < m.heads; ++h) {
-      tensor::set_cols(attn_concat, h * dh, o[static_cast<std::size_t>(h)]);
-    }
-    Tensor a = tensor::matmul(attn_concat, w.wo);
-    hres = tensor::add(a, x);
-    u_pre = tensor::matmul(hres, w.w1);
-    u = tensor::relu(u_pre);
+      return concat_heads(o, m.d_model);
+    });
     st.comm->transport().compute(2.0 * static_cast<double>(x.rows()) *
                            (fd(m.d_model) * fd(m.d_model) +
                             fd(m.d_model) * fd(m.d_ff)));
   }
 
-  // ---- backward math (mirrors the serial layer) ----------------------------
-  Tensor du = tensor::matmul_nt(d_y, w.w2);
-  tensor::add_inplace(g.w2, tensor::matmul_tn(u, d_y));
-  du = tensor::relu_backward(du, u_pre);
-  Tensor dh_total = tensor::matmul_nt(du, w.w1);
-  tensor::add_inplace(g.w1, tensor::matmul_tn(hres, du));
-  tensor::add_inplace(dh_total, d_y);
-
-  Tensor d_attn = tensor::matmul_nt(dh_total, w.wo);
-  tensor::add_inplace(g.wo, tensor::matmul_tn(attn_concat, dh_total));
+  // ---- backward math (the serial block's) ----------------------------------
+  BlockFfnGrads ffn = block_backward_ffn(w, acts, d_y, g);
   st.comm->transport().compute(4.0 * static_cast<double>(x.rows()) *
                          (fd(m.d_model) * fd(m.d_model) +
                           2.0 * fd(m.d_model) * fd(m.d_ff)));
 
-  std::vector<Tensor> d_o_heads = split_heads(d_attn, m.heads, dh);
+  std::vector<Tensor> d_o_heads = split_heads(ffn.d_attn, m.heads, dh);
   Tensor dq_all(x.rows(), m.d_model);
   Tensor dk_all(x.rows(), m.d_kv());
   Tensor dv_all(x.rows(), m.d_kv());
+  // The head-parallel impls return every head's gradients for local rows.
+  const auto set_heads = [&](const auto& grads) {
+    for (std::int64_t h = 0; h < m.heads; ++h) {
+      const std::size_t hi = static_cast<std::size_t>(h);
+      tensor::set_cols(dq_all, h * dh, grads.dq[hi]);
+      tensor::set_cols(dk_all, h * dh, grads.dk[hi]);
+      tensor::set_cols(dv_all, h * dh, grads.dv[hi]);
+    }
+  };
   if (st.cfg->impl == AttnImpl::kUlysses) {
-    auto grads =
-        ulysses_backward(*st.comm, st.ulysses_cfg(), cache.ulysses, d_o_heads);
-    for (std::int64_t h = 0; h < m.heads; ++h) {
-      const std::size_t hi = static_cast<std::size_t>(h);
-      tensor::set_cols(dq_all, h * dh, grads.dq[hi]);
-      tensor::set_cols(dk_all, h * dh, grads.dk[hi]);
-      tensor::set_cols(dv_all, h * dh, grads.dv[hi]);
-    }
+    set_heads(ulysses_backward(*st.comm, st.ulysses_cfg(), cache.ulysses,
+                               d_o_heads));
   } else if (st.cfg->impl == AttnImpl::kUsp) {
-    auto grads = usp_backward(*st.comm, st.usp_cfg(), cache.usp, d_o_heads);
-    for (std::int64_t h = 0; h < m.heads; ++h) {
-      const std::size_t hi = static_cast<std::size_t>(h);
-      tensor::set_cols(dq_all, h * dh, grads.dq[hi]);
-      tensor::set_cols(dk_all, h * dh, grads.dk[hi]);
-      tensor::set_cols(dv_all, h * dh, grads.dv[hi]);
-    }
+    set_heads(usp_backward(*st.comm, st.usp_cfg(), cache.usp, d_o_heads));
   } else {
     const std::int64_t group = m.group_size();
     dk_all.fill(0.0f);
@@ -502,7 +474,7 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
     for (std::int64_t h = 0; h < m.heads; ++h) {
       const std::size_t hi = static_cast<std::size_t>(h);
       const std::size_t kvh = static_cast<std::size_t>(h / group);
-      core::LocalQKV local{q[hi], k[kvh], v[kvh]};
+      core::LocalQKV local{hd.q[hi], hd.k[kvh], hd.v[kvh]};
       kernels::AttnResult fwd;
       fwd.o = o[hi];
       fwd.lse = lse[hi];
@@ -519,13 +491,8 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
     }
   }
 
-  Tensor dx = dh_total;
-  tensor::add_inplace(dx, tensor::matmul_nt(dq_all, w.wq));
-  tensor::add_inplace(dx, tensor::matmul_nt(dk_all, w.wk));
-  tensor::add_inplace(dx, tensor::matmul_nt(dv_all, w.wv));
-  tensor::add_inplace(g.wq, tensor::matmul_tn(x, dq_all));
-  tensor::add_inplace(g.wk, tensor::matmul_tn(x, dk_all));
-  tensor::add_inplace(g.wv, tensor::matmul_tn(x, dv_all));
+  Tensor dx = block_backward_qkv(w, x, std::move(ffn.d_h), dq_all, dk_all,
+                                 dv_all, g);
   st.comm->transport().compute(12.0 * static_cast<double>(x.rows()) * fd(m.d_model) *
                          fd(m.d_model));
 
@@ -563,28 +530,24 @@ DistStepResult dist_train_step(comm::Communicator& comm,
 
   // ---- embedding -------------------------------------------------------------
   const std::int64_t n_loc = st.map.size();
-  Tensor x(n_loc, m.d_model);
+  std::vector<std::int64_t> ids(static_cast<std::size_t>(n_loc));
+  std::vector<std::int64_t> targets(static_cast<std::size_t>(n_loc));
   for (std::int64_t i = 0; i < n_loc; ++i) {
-    const auto tok = static_cast<std::int64_t>(tokens[st.map.global(i)]);
-    for (std::int64_t c = 0; c < m.d_model; ++c) {
-      x(i, c) = weights.w_embed(tok, c);
-    }
+    const std::int64_t pos = st.map.global(i);
+    ids[static_cast<std::size_t>(i)] = static_cast<std::int64_t>(tokens[pos]);
+    targets[static_cast<std::size_t>(i)] =
+        static_cast<std::int64_t>(tokens[pos + 1]);
   }
+  Tensor x = embed(weights, ids.data(), n_loc);
 
   // ---- forward ----------------------------------------------------------------
   std::vector<LayerCache> caches(static_cast<std::size_t>(m.layers));
   for (std::int64_t l = 0; l < m.layers; ++l) {
-    auto out = dist_layer_forward(st, weights.layers[static_cast<std::size_t>(l)],
-                                  x, caches[static_cast<std::size_t>(l)]);
-    x = std::move(out.y);
+    x = dist_layer_forward(st, weights.layers[static_cast<std::size_t>(l)], x,
+                           caches[static_cast<std::size_t>(l)]);
   }
 
   // ---- LM head + loss (sequence-parallel: local rows, full vocabulary) -------
-  std::vector<std::int64_t> targets(static_cast<std::size_t>(n_loc));
-  for (std::int64_t i = 0; i < n_loc; ++i) {
-    targets[static_cast<std::size_t>(i)] =
-        static_cast<std::int64_t>(tokens[st.map.global(i) + 1]);
-  }
   kernels::LmHeadResult lm;
   if (cfg.fused_lm_head) {
     lm = kernels::fused_lm_head_loss(x, weights.w_head, targets, 32, 64);
@@ -625,12 +588,7 @@ DistStepResult dist_train_step(comm::Communicator& comm,
                              caches[static_cast<std::size_t>(l)], dx,
                              out.grads.layers[static_cast<std::size_t>(l)]);
   }
-  for (std::int64_t i = 0; i < n_loc; ++i) {
-    const auto tok = static_cast<std::int64_t>(tokens[st.map.global(i)]);
-    for (std::int64_t c = 0; c < m.d_model; ++c) {
-      out.grads.w_embed(tok, c) += dx(i, c);
-    }
-  }
+  embed_backward(ids.data(), dx, out.grads.w_embed);
 
   // ---- data-parallel gradient synchronization --------------------------------
   if (!cfg.sync_grads) {

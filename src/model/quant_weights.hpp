@@ -1,17 +1,16 @@
 // Quantized serving weights (DESIGN.md section 16).
 //
-// QuantizedWeights is the serving-side mirror of ModelWeights: every
-// projection matrix and the LM head packed once into tensor::PackedB
-// operands at `cfg.quant.weights` (kF32, kQ8_0, or kQ4_0), so steady-state
-// prefill/decode GEMMs stream the 4-8x smaller panels straight through the
+// QuantizedWeights holds the serving weights packed: every projection
+// matrix and the LM head packed once into tensor::PackedB operands at
+// `cfg.quant.weights` (kF32, kQ8_0, or kQ4_0), so steady-state prefill/decode
+// GEMMs stream the 4-8x smaller panels straight through the
 // dequantize-in-microkernel path with zero per-call packing or heap
-// traffic. The embedding stays an fp32 lookup table (it is a gather, not a
-// GEMM).
-//
-// Mixed-precision policy: the quantized forward rounds activations to bf16
-// at layer boundaries (after the embedding and after each block's residual
-// output) — the paper's communication-boundary precision — while attention
-// and GEMM accumulation stay fp32. Training is untouched: gradients and the
+// traffic. The embedding stays an fp32 lookup table (a gather, not a GEMM).
+// The forwards below run the one block (model/block.hpp) over
+// QuantizedWeights::Layer, which rounds activations to bf16 at layer
+// boundaries (after the embedding and after each block's residual output)
+// — the paper's communication-boundary precision — while attention and GEMM
+// accumulation stay fp32. Training is untouched: gradients and the
 // training-path weights remain fp32; cfg.quant.weights == kBf16 (the
 // default) means "serve the dense functional path" and nothing here is
 // built.
@@ -56,9 +55,8 @@ struct QuantizedWeights {
 tensor::Tensor head_logits_q(const QuantizedWeights& qw,
                              const tensor::Tensor& h);
 
-/// Quantized mirror of forward_prefill_chunk: same cache/mask contract,
-/// projections run over the packed weights, activations rounded to bf16 at
-/// layer boundaries.
+/// forward_prefill_chunk over the packed weights: same cache/mask contract,
+/// activations rounded to bf16 at layer boundaries.
 tensor::Tensor forward_prefill_chunk_q(const ModelConfig& cfg,
                                        const ModelWeights& w,
                                        const QuantizedWeights& qw,
@@ -68,8 +66,8 @@ tensor::Tensor forward_prefill_chunk_q(const ModelConfig& cfg,
                                        const kernels::MaskSpec& mask,
                                        kernels::KernelStats* stats = nullptr);
 
-/// Quantized mirror of the batched forward_decode: same batch contract and
-/// errors, returns next-token logits [B, vocab].
+/// The batched forward_decode over the packed weights: same batch contract
+/// and errors, returns next-token logits [B, vocab].
 tensor::Tensor forward_decode_q(const ModelConfig& cfg, const ModelWeights& w,
                                 const QuantizedWeights& qw,
                                 const std::vector<SequenceKvCache*>& caches,

@@ -10,6 +10,8 @@
 #include "kernels/flash_attention.hpp"
 #include "kernels/lm_head.hpp"
 #include "kernels/rope.hpp"
+#include "model/block.hpp"
+#include "model/quant_weights.hpp"
 #include "obs/error.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/gemm.hpp"
@@ -115,71 +117,68 @@ void apply_sgd(ModelWeights& w, const ModelGrads& g, float lr) {
 
 namespace {
 
+std::vector<std::int64_t> token_ids(const Tensor& tokens) {
+  std::vector<std::int64_t> ids(static_cast<std::size_t>(tokens.numel()));
+  for (std::int64_t i = 0; i < tokens.numel(); ++i) {
+    ids[static_cast<std::size_t>(i)] = static_cast<std::int64_t>(tokens[i]);
+  }
+  return ids;
+}
+
 struct LayerForwardCache {
-  Tensor x_in;               // block input
+  Tensor x_in;                          // block input
   std::vector<Tensor> q, k, v, o, lse;  // per head
-  Tensor attn_concat;        // concatenated head outputs
-  Tensor h;                  // attention residual output
-  Tensor u;                  // FFN hidden (pre-W2, post-ReLU)
-  Tensor u_pre;              // FFN hidden pre-activation
+  BlockActs acts;
 };
 
+// The serial block: every head attends over the whole sequence.
 LayerForwardCache layer_forward(const ModelConfig& cfg, const LayerWeights& w,
                                 const Tensor& x, const MaskSpec& mask) {
   LayerForwardCache c;
   c.x_in = x;
   const std::int64_t dh = cfg.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  Tensor q_all = tensor::matmul(x, w.wq);
-  Tensor k_all = tensor::matmul(x, w.wk);
-  Tensor v_all = tensor::matmul(x, w.wv);
   const IndexMap map = IndexMap::range(0, x.rows());
-  c.attn_concat = Tensor::zeros(x.rows(), cfg.d_model);
   const auto group = static_cast<std::size_t>(cfg.group_size());
-  // One chunk per head: each writes only its own slots and its own column
-  // block of attn_concat, so the result is the same for every pool size.
-  const auto kv_heads = static_cast<std::size_t>(cfg.num_kv_heads());
-  c.k.resize(kv_heads);
-  c.v.resize(kv_heads);
-  parallel::parallel_for(0, kv_heads, 1, [&](std::size_t h0, std::size_t h1) {
-    for (std::size_t kvh = h0; kvh < h1; ++kvh) {
-      const std::int64_t col = static_cast<std::int64_t>(kvh) * dh;
-      c.k[kvh] = tensor::copy_cols(k_all, col, dh);
-      if (cfg.use_rope) {
-        kernels::apply_rope_inplace(c.k[kvh], map);
+  c.acts = block_hidden(w, x, [&](const Tensor& q_all, const Tensor& k_all,
+                                  const Tensor& v_all) {
+    Tensor attn = Tensor::zeros(x.rows(), cfg.d_model);
+    // One chunk per head: each writes only its own slots and its own column
+    // block of attn, so the result is the same for every pool size.
+    const auto kv_heads = static_cast<std::size_t>(cfg.num_kv_heads());
+    c.k.resize(kv_heads);
+    c.v.resize(kv_heads);
+    parallel::parallel_for(0, kv_heads, 1, [&](std::size_t h0, std::size_t h1) {
+      for (std::size_t kvh = h0; kvh < h1; ++kvh) {
+        const std::int64_t col = static_cast<std::int64_t>(kvh) * dh;
+        c.k[kvh] = tensor::copy_cols(k_all, col, dh);
+        if (cfg.use_rope) {
+          kernels::apply_rope_inplace(c.k[kvh], map);
+        }
+        c.v[kvh] = tensor::copy_cols(v_all, col, dh);
       }
-      c.v[kvh] = tensor::copy_cols(v_all, col, dh);
-    }
-  });
-  const auto heads = static_cast<std::size_t>(cfg.heads);
-  c.q.resize(heads);
-  c.o.resize(heads);
-  c.lse.resize(heads);
-  parallel::parallel_for(0, heads, 1, [&](std::size_t h0, std::size_t h1) {
-    for (std::size_t h = h0; h < h1; ++h) {
-      const std::int64_t col = static_cast<std::int64_t>(h) * dh;
-      c.q[h] = tensor::copy_cols(q_all, col, dh);
-      if (cfg.use_rope) {
-        kernels::apply_rope_inplace(c.q[h], map);
+    });
+    const auto heads = static_cast<std::size_t>(cfg.heads);
+    c.q.resize(heads);
+    c.o.resize(heads);
+    c.lse.resize(heads);
+    parallel::parallel_for(0, heads, 1, [&](std::size_t h0, std::size_t h1) {
+      for (std::size_t h = h0; h < h1; ++h) {
+        const std::int64_t col = static_cast<std::int64_t>(h) * dh;
+        c.q[h] = tensor::copy_cols(q_all, col, dh);
+        if (cfg.use_rope) {
+          kernels::apply_rope_inplace(c.q[h], map);
+        }
+        auto r = kernels::flash_forward(c.q[h], map, c.k[h / group],
+                                        c.v[h / group], map, mask, scale);
+        tensor::set_cols(attn, col, r.o);
+        c.o[h] = std::move(r.o);
+        c.lse[h] = std::move(r.lse);
       }
-      auto r = kernels::flash_forward(c.q[h], map, c.k[h / group],
-                                      c.v[h / group], map, mask, scale);
-      tensor::set_cols(c.attn_concat, col, r.o);
-      c.o[h] = std::move(r.o);
-      c.lse[h] = std::move(r.lse);
-    }
+    });
+    return attn;
   });
-  Tensor a = tensor::matmul(c.attn_concat, w.wo);
-  c.h = tensor::add(a, x);
-  c.u_pre = tensor::matmul(c.h, w.w1);
-  c.u = tensor::relu(c.u_pre);
   return c;
-}
-
-Tensor layer_output(const LayerForwardCache& c, const LayerWeights& w) {
-  Tensor f = tensor::matmul(c.u, w.w2);
-  tensor::add_inplace(f, c.h);
-  return f;
 }
 
 // Returns dX given dY; accumulates weight grads.
@@ -188,17 +187,7 @@ Tensor layer_backward(const ModelConfig& cfg, const LayerWeights& w,
                       const MaskSpec& mask, LayerGrads& g) {
   const std::int64_t dh = cfg.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  // Y = U W2 + H.
-  Tensor du = tensor::matmul_nt(d_y, w.w2);
-  tensor::add_inplace(g.w2, tensor::matmul_tn(c.u, d_y));
-  du = tensor::relu_backward(du, c.u_pre);
-  Tensor dh_total = tensor::matmul_nt(du, w.w1);
-  tensor::add_inplace(g.w1, tensor::matmul_tn(c.h, du));
-  tensor::add_inplace(dh_total, d_y);  // residual
-
-  // H = attn_concat Wo + X.
-  Tensor d_attn = tensor::matmul_nt(dh_total, w.wo);
-  tensor::add_inplace(g.wo, tensor::matmul_tn(c.attn_concat, dh_total));
+  BlockFfnGrads ffn = block_backward_ffn(w, c.acts, d_y, g);
 
   // Per-head attention backward, one chunk per head. Each head keeps its
   // own dK/dV until the fixed-order GQA reduction after the join.
@@ -213,7 +202,7 @@ Tensor layer_backward(const ModelConfig& cfg, const LayerWeights& w,
     for (std::size_t h = h0; h < h1; ++h) {
       const std::size_t kvh = h / group;
       const std::int64_t col = static_cast<std::int64_t>(h) * dh;
-      Tensor d_oh = tensor::copy_cols(d_attn, col, dh);
+      Tensor d_oh = tensor::copy_cols(ffn.d_attn, col, dh);
       Tensor dvec = kernels::attention_dvec(d_oh, c.o[h]);
       Tensor dq = Tensor::zeros(rows, dh);
       dk[h] = Tensor::zeros(rows, dh);
@@ -238,16 +227,20 @@ Tensor layer_backward(const ModelConfig& cfg, const LayerWeights& w,
     tensor::add_cols_inplace(dk_all, col, dk[h]);
     tensor::add_cols_inplace(dv_all, col, dv[h]);
   }
+  return block_backward_qkv(w, c.x_in, std::move(ffn.d_h), dq_all, dk_all,
+                            dv_all, g);
+}
 
-  // Q = X Wq etc.
-  Tensor dx = dh_total;  // residual path
-  tensor::add_inplace(dx, tensor::matmul_nt(dq_all, w.wq));
-  tensor::add_inplace(dx, tensor::matmul_nt(dk_all, w.wk));
-  tensor::add_inplace(dx, tensor::matmul_nt(dv_all, w.wv));
-  tensor::add_inplace(g.wq, tensor::matmul_tn(c.x_in, dq_all));
-  tensor::add_inplace(g.wk, tensor::matmul_tn(c.x_in, dk_all));
-  tensor::add_inplace(g.wv, tensor::matmul_tn(c.x_in, dv_all));
-  return dx;
+// Final-layer hidden states of the serial forward over `count` ids.
+Tensor serial_hidden(const ModelConfig& cfg, const ModelWeights& w,
+                     const std::int64_t* ids, std::int64_t count,
+                     const MaskSpec& mask) {
+  Tensor x = embed(w, ids, count);
+  for (std::int64_t l = 0; l < cfg.layers; ++l) {
+    const LayerWeights& lw = w.layers[static_cast<std::size_t>(l)];
+    x = block_output(lw, layer_forward(cfg, lw, x, mask).acts);
+  }
+  return x;
 }
 
 }  // namespace
@@ -257,32 +250,20 @@ TrainStepResult serial_train_step(const ModelConfig& cfg,
                                   const MaskSpec& mask) {
   const std::int64_t n = tokens.numel() - 1;
   assert(n > 0);
+  const std::vector<std::int64_t> ids = token_ids(tokens);
 
-  // Embedding lookup.
-  Tensor x(n, cfg.d_model);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto tok = static_cast<std::int64_t>(tokens[i]);
-    for (std::int64_t c = 0; c < cfg.d_model; ++c) {
-      x(i, c) = w.w_embed(tok, c);
-    }
-  }
-
+  Tensor x = embed(w, ids.data(), n);
   std::vector<LayerForwardCache> caches;
   caches.reserve(static_cast<std::size_t>(cfg.layers));
   for (std::int64_t l = 0; l < cfg.layers; ++l) {
-    caches.push_back(layer_forward(cfg, w.layers[static_cast<std::size_t>(l)],
-                                   x, mask));
-    x = layer_output(caches.back(), w.layers[static_cast<std::size_t>(l)]);
+    const LayerWeights& lw = w.layers[static_cast<std::size_t>(l)];
+    caches.push_back(layer_forward(cfg, lw, x, mask));
+    x = block_output(lw, caches.back().acts);
   }
 
-  std::vector<std::int64_t> targets(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    targets[static_cast<std::size_t>(i)] =
-        static_cast<std::int64_t>(tokens[i + 1]);
-  }
-  auto lm =
-      kernels::fused_lm_head_loss(x, w.w_head, targets, /*block_s=*/32,
-                                  /*block_v=*/64);
+  auto lm = kernels::fused_lm_head_loss(
+      x, w.w_head, {ids.begin() + 1, ids.end()}, /*block_s=*/32,
+      /*block_v=*/64);
 
   TrainStepResult out;
   out.loss = lm.loss;
@@ -295,13 +276,7 @@ TrainStepResult serial_train_step(const ModelConfig& cfg,
                         caches[static_cast<std::size_t>(l)], dx, mask,
                         out.grads.layers[static_cast<std::size_t>(l)]);
   }
-  // Embedding gradient: scatter-add rows by token id.
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto tok = static_cast<std::int64_t>(tokens[i]);
-    for (std::int64_t c = 0; c < cfg.d_model; ++c) {
-      out.grads.w_embed(tok, c) += dx(i, c);
-    }
-  }
+  embed_backward(ids.data(), dx, out.grads.w_embed);
   return out;
 }
 
@@ -310,50 +285,42 @@ std::vector<double> serial_per_row_loss(const ModelConfig& cfg,
                                         const Tensor& tokens,
                                         const MaskSpec& mask) {
   const std::int64_t n = tokens.numel() - 1;
-  Tensor x(n, cfg.d_model);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto tok = static_cast<std::int64_t>(tokens[i]);
-    for (std::int64_t c = 0; c < cfg.d_model; ++c) {
-      x(i, c) = w.w_embed(tok, c);
-    }
-  }
-  for (std::int64_t l = 0; l < cfg.layers; ++l) {
-    LayerForwardCache c =
-        layer_forward(cfg, w.layers[static_cast<std::size_t>(l)], x, mask);
-    x = layer_output(c, w.layers[static_cast<std::size_t>(l)]);
-  }
+  const std::vector<std::int64_t> ids = token_ids(tokens);
   // Per-row CE: lse(logits_i) - logit_i[target_i].
-  Tensor logits = tensor::matmul_nt(x, w.w_head);
-  Tensor lse = tensor::row_lse(logits);
+  const Tensor logits =
+      head_logits(w, serial_hidden(cfg, w, ids.data(), n, mask));
+  const Tensor lse = tensor::row_lse(logits);
   std::vector<double> out(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
-    const auto t = static_cast<std::int64_t>(tokens[i + 1]);
     out[static_cast<std::size_t>(i)] =
-        static_cast<double>(lse[i]) - logits(i, t);
+        static_cast<double>(lse[i]) -
+        logits(i, ids[static_cast<std::size_t>(i + 1)]);
   }
   return out;
 }
 
-namespace {
-
-Tensor embed_ids(const ModelConfig& cfg, const ModelWeights& w,
-                 const std::int64_t* tokens, std::int64_t count) {
-  Tensor x(count, cfg.d_model);
-  for (std::int64_t i = 0; i < count; ++i) {
-    assert(tokens[i] >= 0 && tokens[i] < cfg.vocab);
-    for (std::int64_t c = 0; c < cfg.d_model; ++c) {
-      x(i, c) = w.w_embed(tokens[i], c);
-    }
-  }
-  return x;
+double serial_loss(const ModelConfig& cfg, const ModelWeights& w,
+                   const Tensor& tokens, const MaskSpec& mask) {
+  const std::int64_t n = tokens.numel() - 1;
+  const std::vector<std::int64_t> ids = token_ids(tokens);
+  return kernels::fused_lm_head_loss(serial_hidden(cfg, w, ids.data(), n, mask),
+                                     w.w_head, {ids.begin() + 1, ids.end()},
+                                     32, 64)
+      .loss;
 }
 
-constexpr float kNegInfF = -std::numeric_limits<float>::infinity();
-
-}  // namespace
+Tensor serial_forward_logits(const ModelConfig& cfg, const ModelWeights& w,
+                             const std::int64_t* tokens, std::int64_t count,
+                             const MaskSpec& mask) {
+  return head_logits(w, serial_hidden(cfg, w, tokens, count, mask));
+}
 
 Tensor head_logits(const ModelWeights& w, const Tensor& h) {
   return tensor::matmul_nt(h, w.w_head);
+}
+
+Tensor head_logits_q(const QuantizedWeights& qw, const Tensor& h) {
+  return tensor::packed_matmul(h, qw.w_head_t);
 }
 
 std::int64_t argmax(const Tensor& logits) {
@@ -367,23 +334,24 @@ std::int64_t argmax(const Tensor& logits) {
   return best;
 }
 
-Tensor serial_forward_logits(const ModelConfig& cfg, const ModelWeights& w,
-                             const std::int64_t* tokens, std::int64_t count,
-                             const MaskSpec& mask) {
-  Tensor x = embed_ids(cfg, w, tokens, count);
-  for (std::int64_t l = 0; l < cfg.layers; ++l) {
-    LayerForwardCache c =
-        layer_forward(cfg, w.layers[static_cast<std::size_t>(l)], x, mask);
-    x = layer_output(c, w.layers[static_cast<std::size_t>(l)]);
-  }
-  return head_logits(w, x);
+Tensor logits_row(const Tensor& logits, std::int64_t r) {
+  Tensor out(logits.cols());
+  const float* src = logits.data() + r * logits.cols();
+  std::copy(src, src + logits.cols(), out.data());
+  return out;
 }
 
-Tensor forward_prefill_chunk(const ModelConfig& cfg, const ModelWeights& w,
-                             SequenceKvCache& cache, const std::int64_t* tokens,
-                             std::int64_t count, const MaskSpec& mask,
-                             kernels::KernelStats* stats) {
+namespace {
+
+constexpr float kNegInfF = -std::numeric_limits<float>::infinity();
+
+template <class Layer>
+Tensor prefill_chunk(const ModelConfig& cfg, const ModelWeights& w,
+                     const std::vector<Layer>& layers, SequenceKvCache& cache,
+                     const std::int64_t* tokens, std::int64_t count,
+                     const MaskSpec& mask, kernels::KernelStats* stats) {
   assert(count > 0);
+  assert(layers.size() == static_cast<std::size_t>(cfg.layers));
   cache.reserve(count);
   const std::int64_t pos0 = cache.len();
   const std::int64_t total = pos0 + count;
@@ -392,52 +360,50 @@ Tensor forward_prefill_chunk(const ModelConfig& cfg, const ModelWeights& w,
   const IndexMap qmap = IndexMap::range(pos0, count);
   const IndexMap kmap = IndexMap::range(0, total);
   const std::int64_t group = cfg.group_size();
-  Tensor x = embed_ids(cfg, w, tokens, count);
   // Head-sized scratch reused across heads *and* layers (identical shapes
   // every iteration) so the prefill hot loop allocates nothing per head.
   Tensor qh(count, dh);
   Tensor o(count, dh);
   Tensor lse(count);
-  Tensor attn(count, cfg.d_model);
+  Tensor x = embed<Layer>(w, tokens, count);
   for (std::int64_t l = 0; l < cfg.layers; ++l) {
-    const LayerWeights& lw = w.layers[static_cast<std::size_t>(l)];
-    Tensor q_all = tensor::matmul(x, lw.wq);
-    Tensor k_all = tensor::matmul(x, lw.wk);
-    Tensor v_all = tensor::matmul(x, lw.wv);
-    // The chunk's K/V rows must land in the cache before attention so every
-    // query row can read keys up to its own position.
-    for (std::int64_t kvh = 0; kvh < cfg.num_kv_heads(); ++kvh) {
-      Tensor kh = tensor::copy_cols(k_all, kvh * dh, dh);
-      if (cfg.use_rope) {
-        kernels::apply_rope_inplace(kh, qmap);
+    const Layer& lw = layers[static_cast<std::size_t>(l)];
+    x = block_output(lw, block_hidden(lw, x, [&](const Tensor& q_all,
+                                                 const Tensor& k_all,
+                                                 const Tensor& v_all) {
+      // The chunk's K/V rows must land in the cache before attention so
+      // every query row can read keys up to its own position.
+      for (std::int64_t kvh = 0; kvh < cfg.num_kv_heads(); ++kvh) {
+        Tensor kh = tensor::copy_cols(k_all, kvh * dh, dh);
+        if (cfg.use_rope) {
+          kernels::apply_rope_inplace(kh, qmap);
+        }
+        cache.put(l, kvh, kh, tensor::copy_cols(v_all, kvh * dh, dh));
       }
-      cache.put(l, kvh, kh, tensor::copy_cols(v_all, kvh * dh, dh));
-    }
-    attn.fill(0.0f);
-    for (std::int64_t h = 0; h < cfg.heads; ++h) {
-      tensor::copy_cols_into(q_all, h * dh, qh);
-      if (cfg.use_rope) {
-        kernels::apply_rope_inplace(qh, qmap);
+      Tensor attn(count, cfg.d_model);
+      for (std::int64_t h = 0; h < cfg.heads; ++h) {
+        tensor::copy_cols_into(q_all, h * dh, qh);
+        if (cfg.use_rope) {
+          kernels::apply_rope_inplace(qh, qmap);
+        }
+        const std::int64_t kvh = h / group;
+        o.fill(0.0f);
+        lse.fill(kNegInfF);
+        kernels::flash_forward_partial(qh.view(), qmap,
+                                       cache.k_view(l, kvh, total),
+                                       cache.v_view(l, kvh, total), kmap,
+                                       mask, scale, o.view(), lse, stats);
+        tensor::set_cols(attn, h * dh, o);
       }
-      const std::int64_t kvh = h / group;
-      o.fill(0.0f);
-      lse.fill(kNegInfF);
-      kernels::flash_forward_partial(qh.view(), qmap,
-                                     cache.k_view(l, kvh, total),
-                                     cache.v_view(l, kvh, total), kmap, mask,
-                                     scale, o.view(), lse, stats);
-      tensor::set_cols(attn, h * dh, o);
-    }
-    Tensor a = tensor::matmul(attn, lw.wo);
-    Tensor hres = tensor::add(a, x);
-    Tensor u = tensor::relu(tensor::matmul(hres, lw.w1));
-    x = tensor::matmul(u, lw.w2);
-    tensor::add_inplace(x, hres);
+      return attn;
+    }));
   }
   cache.commit(count);
   return x;
 }
 
+// Checks a decode batch's preconditions (see forward_decode) and reserves
+// one row in every cache.
 void begin_decode_batch(const std::vector<SequenceKvCache*>& caches,
                         const std::vector<std::int64_t>& tokens) {
   if (caches.empty()) {
@@ -462,14 +428,19 @@ void begin_decode_batch(const std::vector<SequenceKvCache*>& caches,
   }
 }
 
-void decode_attention(const ModelConfig& cfg, std::int64_t layer,
-                      const std::vector<SequenceKvCache*>& caches,
-                      const Tensor& q_all, const Tensor& k_all,
-                      const Tensor& v_all, const MaskSpec& mask, Tensor& attn,
-                      kernels::KernelStats* stats) {
+// The per-row half of decode layer `layer`: for each row b, RoPE-rotates
+// row b of `k_all` at caches[b]->len(), appends it and row b of `v_all` to
+// *caches[b], then attends row b of `q_all` over that cache into row b of
+// the result ([B, d_model]).
+Tensor decode_attention(const ModelConfig& cfg, std::int64_t layer,
+                        const std::vector<SequenceKvCache*>& caches,
+                        const Tensor& q_all, const Tensor& k_all,
+                        const Tensor& v_all, const MaskSpec& mask,
+                        kernels::KernelStats* stats) {
   const std::int64_t dh = cfg.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   const std::int64_t group = cfg.group_size();
+  Tensor attn(q_all.rows(), cfg.d_model);
   // Reused across rows and heads: the decode loop allocates nothing per head.
   Tensor qh(1, dh);
   Tensor kh(1, dh);
@@ -506,32 +477,68 @@ void decode_attention(const ModelConfig& cfg, std::int64_t layer,
                                  scale, o_row, stats);
     }
   }
+  return attn;
+}
+
+// Final-layer hidden states [B, d] of one batched decode step.
+template <class Layer>
+Tensor decode_batch(const ModelConfig& cfg, const ModelWeights& w,
+                    const std::vector<Layer>& layers,
+                    const std::vector<SequenceKvCache*>& caches,
+                    const std::vector<std::int64_t>& tokens,
+                    const MaskSpec& mask, kernels::KernelStats* stats) {
+  assert(layers.size() == static_cast<std::size_t>(cfg.layers));
+  begin_decode_batch(caches, tokens);
+  Tensor x = embed<Layer>(w, tokens.data(),
+                          static_cast<std::int64_t>(tokens.size()));
+  for (std::int64_t l = 0; l < cfg.layers; ++l) {
+    const Layer& lw = layers[static_cast<std::size_t>(l)];
+    x = block_output(lw, block_hidden(lw, x, [&](const Tensor& q_all,
+                                                 const Tensor& k_all,
+                                                 const Tensor& v_all) {
+      return decode_attention(cfg, l, caches, q_all, k_all, v_all, mask,
+                              stats);
+    }));
+  }
+  for (SequenceKvCache* cache : caches) {
+    cache->commit(1);
+  }
+  return x;
+}
+
+}  // namespace
+
+Tensor forward_prefill_chunk(const ModelConfig& cfg, const ModelWeights& w,
+                             SequenceKvCache& cache, const std::int64_t* tokens,
+                             std::int64_t count, const MaskSpec& mask,
+                             kernels::KernelStats* stats) {
+  return prefill_chunk(cfg, w, w.layers, cache, tokens, count, mask, stats);
+}
+
+Tensor forward_prefill_chunk_q(const ModelConfig& cfg, const ModelWeights& w,
+                               const QuantizedWeights& qw,
+                               SequenceKvCache& cache,
+                               const std::int64_t* tokens, std::int64_t count,
+                               const MaskSpec& mask,
+                               kernels::KernelStats* stats) {
+  return prefill_chunk(cfg, w, qw.layers, cache, tokens, count, mask, stats);
 }
 
 Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
                       const std::vector<SequenceKvCache*>& caches,
                       const std::vector<std::int64_t>& tokens,
                       const MaskSpec& mask, kernels::KernelStats* stats) {
-  begin_decode_batch(caches, tokens);
-  const auto rows = static_cast<std::int64_t>(tokens.size());
-  Tensor x = embed_ids(cfg, w, tokens.data(), rows);
-  Tensor attn(rows, cfg.d_model);
-  for (std::int64_t l = 0; l < cfg.layers; ++l) {
-    const LayerWeights& lw = w.layers[static_cast<std::size_t>(l)];
-    const Tensor q_all = tensor::matmul(x, lw.wq);
-    const Tensor k_all = tensor::matmul(x, lw.wk);
-    const Tensor v_all = tensor::matmul(x, lw.wv);
-    decode_attention(cfg, l, caches, q_all, k_all, v_all, mask, attn, stats);
-    Tensor a = tensor::matmul(attn, lw.wo);
-    Tensor hres = tensor::add(a, x);
-    Tensor u = tensor::relu(tensor::matmul(hres, lw.w1));
-    x = tensor::matmul(u, lw.w2);
-    tensor::add_inplace(x, hres);
-  }
-  for (SequenceKvCache* cache : caches) {
-    cache->commit(1);
-  }
-  return head_logits(w, x);
+  return head_logits(
+      w, decode_batch(cfg, w, w.layers, caches, tokens, mask, stats));
+}
+
+Tensor forward_decode_q(const ModelConfig& cfg, const ModelWeights& w,
+                        const QuantizedWeights& qw,
+                        const std::vector<SequenceKvCache*>& caches,
+                        const std::vector<std::int64_t>& tokens,
+                        const MaskSpec& mask, kernels::KernelStats* stats) {
+  return head_logits_q(
+      qw, decode_batch(cfg, w, qw.layers, caches, tokens, mask, stats));
 }
 
 Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
@@ -540,34 +547,12 @@ Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
   return logits_row(forward_decode(cfg, w, {&cache}, {token}, mask, stats), 0);
 }
 
-Tensor logits_row(const Tensor& logits, std::int64_t r) {
-  Tensor out(logits.cols());
-  const float* src = logits.data() + r * logits.cols();
-  std::copy(src, src + logits.cols(), out.data());
-  return out;
-}
-
-double serial_loss(const ModelConfig& cfg, const ModelWeights& w,
-                   const Tensor& tokens, const MaskSpec& mask) {
-  const std::int64_t n = tokens.numel() - 1;
-  Tensor x(n, cfg.d_model);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto tok = static_cast<std::int64_t>(tokens[i]);
-    for (std::int64_t c = 0; c < cfg.d_model; ++c) {
-      x(i, c) = w.w_embed(tok, c);
-    }
-  }
-  for (std::int64_t l = 0; l < cfg.layers; ++l) {
-    LayerForwardCache c =
-        layer_forward(cfg, w.layers[static_cast<std::size_t>(l)], x, mask);
-    x = layer_output(c, w.layers[static_cast<std::size_t>(l)]);
-  }
-  std::vector<std::int64_t> targets(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    targets[static_cast<std::size_t>(i)] =
-        static_cast<std::int64_t>(tokens[i + 1]);
-  }
-  return kernels::fused_lm_head_loss(x, w.w_head, targets, 32, 64).loss;
+Tensor forward_decode_q(const ModelConfig& cfg, const ModelWeights& w,
+                        const QuantizedWeights& qw, SequenceKvCache& cache,
+                        std::int64_t token, const MaskSpec& mask,
+                        kernels::KernelStats* stats) {
+  return logits_row(
+      forward_decode_q(cfg, w, qw, {&cache}, {token}, mask, stats), 0);
 }
 
 }  // namespace burst::model

@@ -136,22 +136,4 @@ tensor::Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
 /// Row `r` of a [n, vocab] logits matrix as a rank-1 [vocab] tensor.
 tensor::Tensor logits_row(const tensor::Tensor& logits, std::int64_t r);
 
-// --- building blocks shared by the dense and quantized batched decode -----
-
-/// Checks a decode batch's preconditions (see forward_decode) and reserves
-/// one row in every cache.
-void begin_decode_batch(const std::vector<SequenceKvCache*>& caches,
-                        const std::vector<std::int64_t>& tokens);
-
-/// The per-row half of decode layer `layer`: for each row b, RoPE-rotates
-/// row b of `k_all` at caches[b]->len(), appends it and row b of `v_all` to
-/// *caches[b], then attends row b of `q_all` over that cache into row b of
-/// `attn` ([B, d_model]).
-void decode_attention(const ModelConfig& cfg, std::int64_t layer,
-                      const std::vector<SequenceKvCache*>& caches,
-                      const tensor::Tensor& q_all, const tensor::Tensor& k_all,
-                      const tensor::Tensor& v_all,
-                      const kernels::MaskSpec& mask, tensor::Tensor& attn,
-                      kernels::KernelStats* stats);
-
 }  // namespace burst::model

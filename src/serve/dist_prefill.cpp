@@ -1,6 +1,7 @@
 #include "serve/dist_prefill.hpp"
 // burst-lint: allow-file(no-direct-cluster) hosting boundary: wraps each cluster rank in a SimTransport before the comm layer is used
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -10,7 +11,7 @@
 #include "core/dist_attention.hpp"
 #include "core/sweep.hpp"
 #include "kernels/rope.hpp"
-#include "tensor/gemm.hpp"
+#include "model/block.hpp"
 #include "tensor/ops.hpp"
 
 namespace burst::serve {
@@ -43,6 +44,12 @@ DistPrefillResult distributed_prefill(sim::Cluster& cluster,
         "distributed_prefill: prompt length must be a positive multiple of "
         "the cluster world size");
   }
+  if (std::any_of(prompt.begin(), prompt.end(), [&](std::int64_t t) {
+        return t < 0 || t >= cfg.vocab;
+      })) {
+    throw std::invalid_argument(
+        "distributed_prefill: prompt token id outside [0, vocab)");
+  }
 
   DistPrefillResult out;
   out.cache = SequenceKvCache::create(cfg, block_tokens);
@@ -67,13 +74,7 @@ DistPrefillResult distributed_prefill(sim::Cluster& cluster,
     const std::int64_t m = map.size();
     const std::int64_t off = map.offset();
 
-    Tensor x(m, cfg.d_model);
-    for (std::int64_t i = 0; i < m; ++i) {
-      const std::int64_t tok = prompt[static_cast<std::size_t>(map.global(i))];
-      for (std::int64_t c = 0; c < cfg.d_model; ++c) {
-        x(i, c) = w.w_embed(tok, c);
-      }
-    }
+    Tensor x = model::embed(w, prompt.data() + off, m);  // contiguous shard
 
     // Per-layer local K/V shards (post-RoPE), kept for the gather phase.
     std::vector<std::vector<Tensor>> k_shard(
@@ -83,35 +84,32 @@ DistPrefillResult distributed_prefill(sim::Cluster& cluster,
 
     for (std::int64_t l = 0; l < cfg.layers; ++l) {
       const auto& lw = w.layers[static_cast<std::size_t>(l)];
-      Tensor q_all = tensor::matmul(x, lw.wq);
-      Tensor k_all = tensor::matmul(x, lw.wk);
-      Tensor v_all = tensor::matmul(x, lw.wv);
       auto& kl = k_shard[static_cast<std::size_t>(l)];
       auto& vl = v_shard[static_cast<std::size_t>(l)];
-      for (std::int64_t kvh = 0; kvh < kvh_n; ++kvh) {
-        Tensor kh = tensor::copy_cols(k_all, kvh * dh, dh);
-        if (cfg.use_rope) {
-          kernels::apply_rope_inplace(kh, map);
+      // Attention source: the BurstAttention ring sweep over every shard.
+      x = model::block_output(lw, model::block_hidden(lw, x, [&](
+          const Tensor& q_all, const Tensor& k_all, const Tensor& v_all) {
+        for (std::int64_t kvh = 0; kvh < kvh_n; ++kvh) {
+          Tensor kh = tensor::copy_cols(k_all, kvh * dh, dh);
+          if (cfg.use_rope) {
+            kernels::apply_rope_inplace(kh, map);
+          }
+          kl.push_back(std::move(kh));
+          vl.push_back(tensor::copy_cols(v_all, kvh * dh, dh));
         }
-        kl.push_back(std::move(kh));
-        vl.push_back(tensor::copy_cols(v_all, kvh * dh, dh));
-      }
-      Tensor attn = Tensor::zeros(m, cfg.d_model);
-      for (std::int64_t h = 0; h < cfg.heads; ++h) {
-        Tensor qh = tensor::copy_cols(q_all, h * dh, dh);
-        if (cfg.use_rope) {
-          kernels::apply_rope_inplace(qh, map);
+        Tensor attn = Tensor::zeros(m, cfg.d_model);
+        for (std::int64_t h = 0; h < cfg.heads; ++h) {
+          Tensor qh = tensor::copy_cols(q_all, h * dh, dh);
+          if (cfg.use_rope) {
+            kernels::apply_rope_inplace(qh, map);
+          }
+          const auto kvh = static_cast<std::size_t>(h / group);
+          core::LocalQKV local{qh, kl[kvh], vl[kvh]};
+          auto r = core::dist_attention_forward(comm, route, acfg, local);
+          tensor::set_cols(attn, h * dh, r.o);
         }
-        const auto kvh = static_cast<std::size_t>(h / group);
-        core::LocalQKV local{qh, kl[kvh], vl[kvh]};
-        auto r = core::dist_attention_forward(comm, route, acfg, local);
-        tensor::set_cols(attn, h * dh, r.o);
-      }
-      Tensor a = tensor::matmul(attn, lw.wo);
-      Tensor hres = tensor::add(a, x);
-      Tensor u = tensor::relu(tensor::matmul(hres, lw.w1));
-      x = tensor::matmul(u, lw.w2);
-      tensor::add_inplace(x, hres);
+        return attn;
+      }));
     }
 
     // Gather: every device ships its per-(layer, kv head) cache shard to
@@ -164,12 +162,8 @@ DistPrefillResult distributed_prefill(sim::Cluster& cluster,
         out.last_hidden = comm.recv(owner, kTagHidden)[0];
       }
       out.cache.commit(n);
-      const Tensor logits = model::head_logits(w, out.last_hidden);
-      Tensor row(cfg.vocab);
-      for (std::int64_t j = 0; j < cfg.vocab; ++j) {
-        row[j] = logits(0, j);
-      }
-      out.first_token = model::argmax(row);
+      out.first_token = model::argmax(
+          model::logits_row(model::head_logits(w, out.last_hidden), 0));
     }
   });
 

@@ -135,6 +135,12 @@ std::int64_t Engine::add_request(Request r) {
   if (r.tenant < 0) {
     throw std::invalid_argument("add_request: tenant id must be >= 0");
   }
+  if (std::any_of(r.prompt.begin(), r.prompt.end(), [this](std::int64_t t) {
+        return t < 0 || t >= model_.vocab;
+      })) {
+    throw std::invalid_argument(
+        "add_request: prompt token id outside [0, vocab)");
+  }
   r.id = static_cast<std::int64_t>(pending_.size());
   pending_.push_back(std::move(r));
   return pending_.back().id;

@@ -4,8 +4,11 @@
 // prefill front-end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "decode_parity.hpp"
@@ -15,6 +18,7 @@
 #include "model/kv_cache.hpp"
 #include "model/transformer.hpp"
 #include "obs/error.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/dist_prefill.hpp"
 #include "sim/cluster.hpp"
 #include "tensor/ops.hpp"
@@ -214,6 +218,92 @@ TEST(ServeDecode, DistributedPrefillMatchesSerial) {
   const Tensor b =
       model::forward_decode(cfg, w, serial_cache, dist.first_token, mask);
   EXPECT_LT(tensor::max_abs_diff(a, b), 2e-3f);
+}
+
+// The same distributed prefill on a 2x2 double ring, where route positions
+// differ from global ranks: the gather must place every shard at its own
+// offset and find the last row's owner by route position.
+TEST(ServeDecode, DistributedPrefillOnDoubleRingMatchesChunkedPrefill) {
+  const ModelConfig cfg = serve_toy();
+  const ModelWeights w = ModelWeights::init(cfg, 59);
+  const MaskSpec mask = MaskSpec::causal();
+  const auto prompt = random_prompt(61, 32, cfg.vocab);
+
+  SequenceKvCache serial = SequenceKvCache::create(cfg, 8);
+  const Tensor hidden = model::forward_prefill_chunk(
+      cfg, w, serial, prompt.data(), 32, mask);
+  const Tensor logits = model::head_logits(w, hidden.copy_rows(31, 1));
+
+  sim::Cluster cluster({sim::Topology::multi_node(2, 2)});
+  const auto dist = serve::distributed_prefill(cluster, cfg, w, prompt,
+                                               /*block_tokens=*/8, mask);
+  ASSERT_EQ(dist.cache.len(), 32);
+  float kv_err = 0.0f;
+  for (std::int64_t l = 0; l < cfg.layers; ++l) {
+    for (std::int64_t h = 0; h < cfg.num_kv_heads(); ++h) {
+      const auto dk = dist.cache.k_view(l, h, 32);
+      const auto sk = serial.k_view(l, h, 32);
+      const auto dv = dist.cache.v_view(l, h, 32);
+      const auto sv = serial.v_view(l, h, 32);
+      for (std::int64_t r = 0; r < 32; ++r) {
+        for (std::int64_t c = 0; c < cfg.head_dim(); ++c) {
+          kv_err = std::max(kv_err, std::fabs(dk(r, c) - sk(r, c)));
+          kv_err = std::max(kv_err, std::fabs(dv(r, c) - sv(r, c)));
+        }
+      }
+    }
+  }
+  EXPECT_LT(kv_err, 2e-3f);
+  const Tensor dist_logits = model::head_logits(w, dist.last_hidden);
+  EXPECT_LT(tensor::max_abs_diff(dist_logits, logits), 2e-3f);
+  EXPECT_EQ(dist.first_token, model::argmax(model::logits_row(logits, 0)));
+}
+
+TEST(ServeDecode, DistributedPrefillRejectsOutOfVocabToken) {
+  const ModelConfig cfg = serve_toy();
+  const ModelWeights w = ModelWeights::init(cfg, 67);
+  sim::Cluster cluster({sim::Topology::single_node(4)});
+  for (const std::int64_t bad : {std::int64_t{-1}, cfg.vocab}) {
+    auto prompt = random_prompt(71, 32, cfg.vocab);
+    prompt[17] = bad;
+    EXPECT_THROW(serve::distributed_prefill(cluster, cfg, w, prompt, 8),
+                 std::invalid_argument)
+        << "token " << bad;
+  }
+}
+
+// Serving and training run the same block: one-chunk prefill through the
+// cache, then the LM head, is bitwise the serial forward on every row.
+TEST(ServeDecode, OneChunkPrefillBitwiseEqualsSerialForward) {
+  const MaskSpec mask = MaskSpec::causal();
+  for (const std::int64_t kv_heads : {0, 2}) {  // MHA, then GQA
+    ModelConfig cfg = ModelConfig::toy();
+    cfg.kv_heads = kv_heads;
+    cfg.use_rope = true;
+    const ModelWeights w = ModelWeights::init(cfg, 103);
+    const auto prompt = random_prompt(107, 37, cfg.vocab);
+    for (const std::size_t workers : {1u, 4u}) {
+      parallel::ThreadPool::reset_global(workers);
+      const Tensor ref =
+          model::serial_forward_logits(cfg, w, prompt.data(), 37, mask);
+      SequenceKvCache cache = SequenceKvCache::create(cfg, 8);
+      const Tensor got = model::head_logits(
+          w, model::forward_prefill_chunk(cfg, w, cache, prompt.data(), 37,
+                                          mask));
+      ASSERT_EQ(got.rows(), ref.rows());
+      ASSERT_EQ(got.cols(), ref.cols());
+      for (std::int64_t r = 0; r < ref.rows(); ++r) {
+        EXPECT_EQ(std::memcmp(got.data() + r * got.cols(),
+                              ref.data() + r * ref.cols(),
+                              static_cast<std::size_t>(ref.cols()) *
+                                  sizeof(float)),
+                  0)
+            << "kv_heads=" << kv_heads << " workers=" << workers
+            << " row " << r;
+      }
+    }
+  }
+  parallel::ThreadPool::reset_global();
 }
 
 // One batched decode call over B sequences is bitwise B single-row calls.

@@ -311,5 +311,21 @@ TEST(ServeEngine, StarvedPoolRejectsEveryRequest) {
   }
 }
 
+// Prompt ids index the embedding table, so the engine rejects any id outside
+// [0, vocab) at its own entry point instead of reading past w_embed.
+TEST(ServeEngine, AddRequestRejectsOutOfVocabToken) {
+  const ModelConfig cfg = serve_toy();
+  const ModelWeights w = ModelWeights::init(cfg, 73);
+  Engine engine(cfg, w, EngineConfig{});
+  for (const std::int64_t bad : {std::int64_t{-1}, cfg.vocab}) {
+    std::vector<std::int64_t> prompt = prompt_of(9, 6, cfg.vocab);
+    prompt[3] = bad;
+    EXPECT_THROW(engine.add_request(prompt, 4), std::invalid_argument)
+        << "token " << bad;
+  }
+  // A rejected request is not enqueued: the next id is still 0.
+  EXPECT_EQ(engine.add_request(prompt_of(9, 6, cfg.vocab), 4), 0);
+}
+
 }  // namespace
 }  // namespace burst::serve
