@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -226,23 +227,9 @@ void Communicator::all_reduce_inplace(Tensor& t) {
 }
 
 std::vector<Tensor> Communicator::all_to_all(std::vector<Tensor> send_bufs) {
-  const int g = world_size();
-  const int r = rank();
-  const int base = fresh_tag_block();
-  assert(static_cast<int>(send_bufs.size()) == g);
-  std::vector<Tensor> out(static_cast<std::size_t>(g));
-  out[static_cast<std::size_t>(r)] =
-      std::move(send_bufs[static_cast<std::size_t>(r)]);
-  // Pairwise exchange schedule (standard MPI_Alltoall for power-of-two-free
-  // sizes): at step s exchange with (r + s) and (r - s).
-  for (int s = 1; s < g; ++s) {
-    const int dst = (r + s) % g;
-    const int src = (r - s + g) % g;
-    send(dst, base + s, {std::move(send_bufs[static_cast<std::size_t>(dst)])});
-    auto got = recv(src, base + s);
-    out[static_cast<std::size_t>(src)] = std::move(got.at(0));
-  }
-  return out;
+  std::vector<int> world(static_cast<std::size_t>(world_size()));
+  std::iota(world.begin(), world.end(), 0);
+  return all_to_all_group(world, std::move(send_bufs));
 }
 
 std::vector<Tensor> Communicator::all_to_all_group(
@@ -259,6 +246,8 @@ std::vector<Tensor> Communicator::all_to_all_group(
   std::vector<Tensor> out(static_cast<std::size_t>(gm));
   out[static_cast<std::size_t>(pos)] =
       std::move(send_bufs[static_cast<std::size_t>(pos)]);
+  // Pairwise exchange schedule (standard MPI_Alltoall): at step s exchange
+  // with positions (pos + s) and (pos - s).
   for (int s = 1; s < gm; ++s) {
     const int dst_pos = (pos + s) % gm;
     const int src_pos = (pos - s + gm) % gm;

@@ -1,106 +1,40 @@
 #include "comm/transport.hpp"
 
-#include <cstring>
-
 #include "comm/errors.hpp"
+#include "tensor/codec.hpp"
 
 namespace burst::comm {
 
-namespace {
-
 constexpr std::uint32_t kFrameMagic = 0x4246524du;  // "BFRM"
-
-// Appends via resize + memcpy rather than insert(end, p, p + n): the
-// iterator-range insert trips a -Wstringop-overflow false positive in
-// GCC 12 at -O3 when inlined, and the tree builds with -Werror.
-void put_bytes(std::vector<std::uint8_t>& out, const void* src,
-               std::size_t n) {
-  const std::size_t off = out.size();
-  out.resize(off + n);
-  std::memcpy(out.data() + off, src, n);
-}
-
-template <typename T>
-void put(std::vector<std::uint8_t>& out, T value) {
-  put_bytes(out, &value, sizeof(T));
-}
-
-template <typename T>
-T get(const std::uint8_t*& p, const std::uint8_t* end) {
-  T value;
-  if (p + sizeof(T) > end) {
-    throw CommError("frame decode: truncated header");
-  }
-  std::memcpy(&value, p, sizeof(T));
-  p += sizeof(T);
-  return value;
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> serialize_frame(const Frame& frame) {
   std::size_t total = sizeof(std::uint32_t) * 2 + sizeof(std::uint64_t);
   for (const auto& t : frame.tensors) {
-    total += sizeof(std::uint32_t) +
-             static_cast<std::size_t>(t.rank()) * sizeof(std::int64_t) +
-             static_cast<std::size_t>(t.numel()) * sizeof(float);
+    total += tensor::encoded_bytes(t);
   }
-  std::vector<std::uint8_t> out;
-  out.reserve(total);
-  put(out, kFrameMagic);
-  put(out, static_cast<std::uint32_t>(frame.tensors.size()));
-  put(out, frame.wire_bytes);
+  tensor::ByteWriter w(total);
+  w.u32(kFrameMagic);
+  w.u32(static_cast<std::uint32_t>(frame.tensors.size()));
+  w.u64(frame.wire_bytes);
   for (const auto& t : frame.tensors) {
-    put(out, static_cast<std::uint32_t>(t.rank()));
-    for (int d = 0; d < t.rank(); ++d) {
-      put(out, t.size(d));
-    }
-    put_bytes(out, t.data(),
-              static_cast<std::size_t>(t.numel()) * sizeof(float));
+    w.tensor(t);
   }
-  return out;
+  return w.take();
 }
 
 Frame deserialize_frame(const std::uint8_t* data, std::size_t size) {
-  const std::uint8_t* p = data;
-  const std::uint8_t* end = data + size;
-  if (get<std::uint32_t>(p, end) != kFrameMagic) {
-    throw CommError("frame decode: bad magic");
+  tensor::ByteReader<CommError> r(data, size, "frame decode");
+  if (r.u32() != kFrameMagic) {
+    r.fail("bad magic");
   }
-  const auto count = get<std::uint32_t>(p, end);
+  const std::size_t count = r.count<std::uint32_t>(tensor::kMinTensorBytes);
   Frame frame;
-  frame.wire_bytes = get<std::uint64_t>(p, end);
+  frame.wire_bytes = r.u64();
   frame.tensors.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const auto rank = get<std::uint32_t>(p, end);
-    if (rank > 2) {
-      throw CommError("frame decode: unsupported tensor rank");
-    }
-    std::int64_t dims[2] = {0, 0};
-    for (std::uint32_t d = 0; d < rank; ++d) {
-      dims[d] = get<std::int64_t>(p, end);
-      if (dims[d] < 0) {
-        throw CommError("frame decode: negative dimension");
-      }
-    }
-    tensor::Tensor t;
-    if (rank == 1) {
-      t = tensor::Tensor(dims[0]);
-    } else if (rank == 2) {
-      t = tensor::Tensor(dims[0], dims[1]);
-    }
-    const std::size_t nbytes =
-        static_cast<std::size_t>(t.numel()) * sizeof(float);
-    if (p + nbytes > end) {
-      throw CommError("frame decode: truncated payload");
-    }
-    std::memcpy(t.data(), p, nbytes);
-    p += nbytes;
-    frame.tensors.push_back(std::move(t));
+  for (std::size_t i = 0; i < count; ++i) {
+    frame.tensors.push_back(r.tensor());
   }
-  if (p != end) {
-    throw CommError("frame decode: trailing bytes");
-  }
+  r.finish();
   return frame;
 }
 

@@ -18,7 +18,8 @@
 //
 //   SocketTransport (comm/socket_transport.hpp) — one OS process per rank,
 //     TCP on a real network, root/worker rendezvous. Frames are serialized
-//     with serialize_frame below; the clock is the wall clock.
+//     with serialize_frame below, through the bounds-checked tensor codec
+//     (tensor/codec.hpp) that snapshots share; the clock is the wall clock.
 //
 // Everything above Communicator (ring attention sweeps, FSDP, resilience,
 // the serving engine) is written against Transport and runs unmodified on
@@ -73,7 +74,10 @@ struct Frame {
 
 /// Portable byte encoding of a Frame (little-endian, used by every
 /// byte-oriented backend): u32 magic, u32 tensor count, u64 wire_bytes,
-/// then per tensor u32 rank + i64 dims + f32 data.
+/// then each tensor in the shared tensor/codec.hpp encoding (u32 rank +
+/// i64 dims + f32 data). Decoding checks every count and size against the
+/// bytes that remain before allocating; any malformed or hostile input
+/// throws CommError.
 std::vector<std::uint8_t> serialize_frame(const Frame& frame);
 Frame deserialize_frame(const std::uint8_t* data, std::size_t size);
 

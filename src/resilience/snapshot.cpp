@@ -1,10 +1,13 @@
 #include "resilience/snapshot.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <stdexcept>
+#include <utility>
+
+#include "tensor/codec.hpp"
 
 namespace burst::resilience {
 
@@ -18,76 +21,17 @@ namespace {
 constexpr std::uint64_t kMagic = 0x50414E53'54525542ull;  // "BURSTSNAP"-ish
 constexpr std::uint32_t kVersion = 1;
 
-std::vector<unsigned char> serialize_payload(const TrainSnapshot& snap) {
-  PayloadWriter w;
-  w.u64(snap.step);
-  w.u64(snap.data_cursor);
-  w.u64(snap.data_rng.state);
-  w.u32(snap.data_rng.has_spare ? 1 : 0);
-  w.f64(snap.data_rng.spare);
-  w.i64(snap.adam.t);
-  w.u64(snap.adam.m.size());
-  w.f32s(snap.adam.m.data(), snap.adam.m.size());
-  w.f32s(snap.adam.v.data(), snap.adam.v.size());
-  w.u64(snap.weights.layers.size());
-  for (const auto& l : snap.weights.layers) {
-    w.tensor(l.wq);
-    w.tensor(l.wk);
-    w.tensor(l.wv);
-    w.tensor(l.wo);
-    w.tensor(l.w1);
-    w.tensor(l.w2);
-  }
-  w.tensor(snap.weights.w_embed);
-  w.tensor(snap.weights.w_head);
-  return w.bytes();
-}
-
-TrainSnapshot deserialize_payload(const std::vector<unsigned char>& payload) {
-  PayloadReader r(payload.data(), payload.size());
-  TrainSnapshot snap;
-  snap.step = r.u64();
-  snap.data_cursor = r.u64();
-  snap.data_rng.state = r.u64();
-  snap.data_rng.has_spare = r.u32() != 0;
-  snap.data_rng.spare = r.f64();
-  snap.adam.t = static_cast<int>(r.i64());
-  const std::uint64_t n = r.u64();
-  snap.adam.m.resize(n);
-  snap.adam.v.resize(n);
-  r.f32s(snap.adam.m.data(), n);
-  r.f32s(snap.adam.v.data(), n);
-  const std::uint64_t layers = r.u64();
-  snap.weights.layers.resize(layers);
-  for (auto& l : snap.weights.layers) {
-    l.wq = r.tensor();
-    l.wk = r.tensor();
-    l.wv = r.tensor();
-    l.wo = r.tensor();
-    l.w1 = r.tensor();
-    l.w2 = r.tensor();
-  }
-  snap.weights.w_embed = r.tensor();
-  snap.weights.w_head = r.tensor();
-  if (!r.done()) {
-    throw SnapshotCorruptError("trailing bytes after payload");
-  }
-  return snap;
-}
-
-/// Step number encoded in a snapshot filename, or -1 if it is not one.
-std::int64_t step_of(const fs::path& p) {
+/// Sequence number of a <prefix><n>.bin file name, or -1 if `p` is not one.
+std::int64_t sequence_of(const fs::path& p, const std::string& prefix) {
   const std::string name = p.filename().string();
-  if (name.rfind("snap-", 0) != 0 || p.extension() != ".bin") {
+  if (!name.starts_with(prefix) || !name.ends_with(".bin")) {
     return -1;
   }
-  try {
-    return std::stoll(name.substr(5));
-  } catch (const std::invalid_argument&) {
-    return -1;  // not a number: some other file in the snapshot dir
-  } catch (const std::out_of_range&) {
-    return -1;  // absurdly long digit string: not one of our files
-  }
+  const char* first = name.data() + prefix.size();
+  const char* last = name.data() + name.size() - 4;
+  std::int64_t n = -1;
+  const auto [end, err] = std::from_chars(first, last, n);
+  return err == std::errc() && end == last ? n : -1;
 }
 
 }  // namespace
@@ -146,6 +90,15 @@ std::vector<unsigned char> read_checked_blob(const std::string& path) {
     throw SnapshotCorruptError("unsupported version " +
                                std::to_string(version) + " in " + path);
   }
+  // Validate the declared size against the bytes actually on disk before
+  // allocating: a forged size field must not become a huge allocation.
+  const std::streamoff payload_at = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff file_end = is.tellg();
+  is.seekg(payload_at);
+  if (!is || size > static_cast<std::uint64_t>(file_end - payload_at)) {
+    throw SnapshotCorruptError("truncated payload in " + path);
+  }
   std::vector<unsigned char> payload(size);
   is.read(reinterpret_cast<char*>(payload.data()),
           static_cast<std::streamsize>(size));
@@ -181,20 +134,81 @@ bool bitwise_equal(const model::ModelWeights& a,
   return tensor_eq(a.w_embed, b.w_embed) && tensor_eq(a.w_head, b.w_head);
 }
 
-std::uint64_t snapshot_bytes(const TrainSnapshot& snap) {
-  return serialize_payload(snap).size() + kBlobHeaderBytes;
+std::vector<unsigned char> TrainSnapshotCodec::encode(
+    const TrainSnapshot& snap) {
+  tensor::ByteWriter w;
+  w.u64(snap.step);
+  w.u64(snap.data_cursor);
+  w.u64(snap.data_rng.state);
+  w.u32(snap.data_rng.has_spare ? 1 : 0);
+  w.f64(snap.data_rng.spare);
+  w.i64(snap.adam.t);
+  w.u64(snap.adam.m.size());
+  w.f32s(snap.adam.m.data(), snap.adam.m.size());
+  w.f32s(snap.adam.v.data(), snap.adam.v.size());
+  w.u64(snap.weights.layers.size());
+  for (const auto& l : snap.weights.layers) {
+    w.tensor(l.wq);
+    w.tensor(l.wk);
+    w.tensor(l.wv);
+    w.tensor(l.wo);
+    w.tensor(l.w1);
+    w.tensor(l.w2);
+  }
+  w.tensor(snap.weights.w_embed);
+  w.tensor(snap.weights.w_head);
+  return w.take();
 }
 
-SnapshotManager::SnapshotManager(std::string dir, int keep_last)
-    : dir_(std::move(dir)), keep_last_(std::max(1, keep_last)) {
+TrainSnapshot TrainSnapshotCodec::decode(
+    const std::vector<unsigned char>& payload) {
+  tensor::ByteReader<SnapshotCorruptError> r(payload.data(), payload.size(),
+                                             "training snapshot");
+  TrainSnapshot snap;
+  snap.step = r.u64();
+  snap.data_cursor = r.u64();
+  snap.data_rng.state = r.u64();
+  snap.data_rng.has_spare = r.u32() != 0;
+  snap.data_rng.spare = r.f64();
+  snap.adam.t = static_cast<int>(r.i64());
+  // Each moment element is two floats: one in m, one in v.
+  const std::size_t n = r.count(2 * sizeof(float));
+  snap.adam.m.resize(n);
+  snap.adam.v.resize(n);
+  r.f32s(snap.adam.m.data(), n);
+  r.f32s(snap.adam.v.data(), n);
+  snap.weights.layers.resize(r.count(6 * tensor::kMinTensorBytes));
+  for (auto& l : snap.weights.layers) {
+    l.wq = r.tensor();
+    l.wk = r.tensor();
+    l.wv = r.tensor();
+    l.wo = r.tensor();
+    l.w1 = r.tensor();
+    l.w2 = r.tensor();
+  }
+  snap.weights.w_embed = r.tensor();
+  snap.weights.w_head = r.tensor();
+  r.finish();
+  return snap;
+}
+
+std::uint64_t snapshot_bytes(const TrainSnapshot& snap) {
+  return TrainSnapshotCodec::encode(snap).size() + kBlobHeaderBytes;
+}
+
+SnapshotDir::SnapshotDir(std::string dir, std::string prefix, int keep_last)
+    : dir_(std::move(dir)),
+      prefix_(std::move(prefix)),
+      keep_last_(std::max(1, keep_last)) {
   fs::create_directories(dir_);
 }
 
-std::uint64_t SnapshotManager::save(const TrainSnapshot& snap) {
+std::uint64_t SnapshotDir::commit(std::int64_t sequence,
+                                  const std::vector<unsigned char>& payload) {
   const fs::path final_path =
-      fs::path(dir_) / ("snap-" + std::to_string(snap.step) + ".bin");
+      fs::path(dir_) / (prefix_ + std::to_string(sequence) + ".bin");
   const std::uint64_t written =
-      write_checked_blob(final_path.string(), serialize_payload(snap));
+      write_checked_blob(final_path.string(), payload);
 
   // Retention: drop the oldest snapshots beyond keep_last.
   std::vector<std::string> all = list();
@@ -205,36 +219,18 @@ std::uint64_t SnapshotManager::save(const TrainSnapshot& snap) {
   return written;
 }
 
-TrainSnapshot SnapshotManager::load(const std::string& path) const {
-  return deserialize_payload(read_checked_blob(path));
-}
-
-TrainSnapshot SnapshotManager::load_latest() const {
-  std::vector<std::string> all = list();
-  for (auto it = all.rbegin(); it != all.rend(); ++it) {
-    try {
-      return load(*it);
-      // burst-lint: allow(error-flow) load_latest's contract is exactly
-      // this fallback: skip each corrupt snapshot and try the next-newest;
-      // if none validates, the typed throw below reports it.
-    } catch (const SnapshotCorruptError&) {
-    }
-  }
-  throw SnapshotCorruptError("no valid snapshot in " + dir_);
-}
-
-std::vector<std::string> SnapshotManager::list() const {
+std::vector<std::string> SnapshotDir::list() const {
   std::vector<std::pair<std::int64_t, std::string>> found;
   for (const auto& entry : fs::directory_iterator(dir_)) {
-    const std::int64_t step = step_of(entry.path());
-    if (step >= 0) {
-      found.emplace_back(step, entry.path().string());
+    const std::int64_t seq = sequence_of(entry.path(), prefix_);
+    if (seq >= 0) {
+      found.emplace_back(seq, entry.path().string());
     }
   }
   std::sort(found.begin(), found.end());
   std::vector<std::string> paths;
   paths.reserve(found.size());
-  for (auto& [step, path] : found) {
+  for (auto& [seq, path] : found) {
     paths.push_back(std::move(path));
   }
   return paths;

@@ -1,20 +1,23 @@
-// Durable, checksummed training snapshots.
+// Durable, checksummed snapshots: the checked-blob container, the directory
+// store every snapshot family shares, and training snapshots.
 //
 // A TrainSnapshot captures everything needed to resume training bitwise
 // identically after a crash: the model weights, the Adam moments and step
-// counter, the data-stream RNG state, and the data cursor. Snapshots are
-// serialized to a single binary file with a magic/version header and an
-// FNV-1a 64-bit checksum over the payload; SnapshotManager::save writes to
-// a temporary file and commits with an atomic rename, so a crash during
-// save can never leave a half-written file under the snapshot name.
-// Loading validates magic, version, size, and checksum, and rejects corrupt
-// or truncated files with SnapshotCorruptError; load_latest skips invalid
-// files and falls back to the newest valid one.
+// counter, the data-stream RNG state, and the data cursor. Its payload uses
+// the shared tensor codec (tensor/codec.hpp) inside a checked blob: a
+// magic/version header and an FNV-1a 64-bit checksum over the payload.
+// SnapshotStore<Codec> (SnapshotManager here, ServeSnapshotManager in
+// serve/snapshot.hpp) saves to a temporary file and commits with an atomic
+// rename, so a crash during save never leaves a half-written file under the
+// snapshot name. Loading validates magic, version, size and checksum, then
+// decodes with every count and dim checked before allocation; any corrupt,
+// truncated or hostile file raises SnapshotCorruptError, and load_latest
+// falls back to the newest valid one.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/optimizer.hpp"
@@ -65,91 +68,6 @@ std::vector<unsigned char> read_checked_blob(const std::string& path);
 /// can forge/verify payloads).
 std::uint64_t fnv1a64(const unsigned char* data, std::size_t n);
 
-/// Little typed appender used to build checked-blob payloads.
-class PayloadWriter {
- public:
-  void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
-  void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
-  void i64(std::int64_t v) { raw(&v, sizeof(v)); }
-  void f64(double v) { raw(&v, sizeof(v)); }
-  void f32s(const float* v, std::size_t n) { raw(v, n * sizeof(float)); }
-
-  void tensor(const tensor::Tensor& t) {
-    u32(static_cast<std::uint32_t>(t.rank()));
-    for (int d = 0; d < t.rank(); ++d) {
-      i64(t.size(d));
-    }
-    f32s(t.data(), static_cast<std::size_t>(t.numel()));
-  }
-
-  const std::vector<unsigned char>& bytes() const { return buf_; }
-
- private:
-  void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    buf_.insert(buf_.end(), b, b + n);
-  }
-
-  std::vector<unsigned char> buf_;
-};
-
-/// Bounds-checked reader over a checked-blob payload; every overrun throws
-/// SnapshotCorruptError, so truncated payloads fail loud, never UB.
-class PayloadReader {
- public:
-  PayloadReader(const unsigned char* data, std::size_t n)
-      : data_(data), n_(n) {}
-
-  std::uint32_t u32() { return get<std::uint32_t>(); }
-  std::uint64_t u64() { return get<std::uint64_t>(); }
-  std::int64_t i64() { return get<std::int64_t>(); }
-  double f64() { return get<double>(); }
-
-  void f32s(float* out, std::size_t n) {
-    need(n * sizeof(float));
-    std::memcpy(out, data_ + pos_, n * sizeof(float));
-    pos_ += n * sizeof(float);
-  }
-
-  tensor::Tensor tensor() {
-    const std::uint32_t rank = u32();
-    if (rank != 1 && rank != 2) {
-      throw SnapshotCorruptError("tensor rank " + std::to_string(rank));
-    }
-    tensor::Tensor t;
-    if (rank == 1) {
-      t = tensor::Tensor(i64());
-    } else {
-      const std::int64_t rows = i64();
-      t = tensor::Tensor(rows, i64());
-    }
-    f32s(t.data(), static_cast<std::size_t>(t.numel()));
-    return t;
-  }
-
-  bool done() const { return pos_ == n_; }
-
- private:
-  template <typename T>
-  T get() {
-    need(sizeof(T));
-    T v;
-    std::memcpy(&v, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  void need(std::size_t n) const {
-    if (pos_ + n > n_) {
-      throw SnapshotCorruptError("payload truncated");
-    }
-  }
-
-  const unsigned char* data_;
-  std::size_t n_;
-  std::size_t pos_ = 0;
-};
-
 /// Everything the resilient training loop needs to resume a run.
 struct TrainSnapshot {
   /// Next step to execute when resuming (steps [0, step) are committed).
@@ -170,30 +88,80 @@ bool bitwise_equal(const model::ModelWeights& a, const model::ModelWeights& b);
 /// write, used to model snapshot I/O time against a disk bandwidth.
 std::uint64_t snapshot_bytes(const TrainSnapshot& snap);
 
-class SnapshotManager {
+/// Payload codec of training snapshots, stored as snap-<step>.bin.
+struct TrainSnapshotCodec {
+  using Value = TrainSnapshot;
+  static constexpr const char* kPrefix = "snap-";
+  static std::int64_t sequence(const TrainSnapshot& snap) {
+    return static_cast<std::int64_t>(snap.step);
+  }
+  static std::vector<unsigned char> encode(const TrainSnapshot& snap);
+  /// Throws SnapshotCorruptError on any malformed payload.
+  static TrainSnapshot decode(const std::vector<unsigned char>& payload);
+};
+
+/// The file side of a SnapshotStore: checked-blob files <prefix><n>.bin in
+/// one directory (created if missing), the newest `keep_last` retained.
+class SnapshotDir {
  public:
-  /// Snapshots live in `dir` (created if missing) as snap-<step>.bin.
-  /// After each save, only the newest `keep_last` snapshots are retained.
-  explicit SnapshotManager(std::string dir, int keep_last = 2);
+  SnapshotDir(std::string dir, std::string prefix, int keep_last);
 
   const std::string& dir() const { return dir_; }
 
-  /// Atomically persists `snap`; returns the bytes written.
-  std::uint64_t save(const TrainSnapshot& snap);
-
-  /// Loads and validates one snapshot file.
-  TrainSnapshot load(const std::string& path) const;
-
-  /// Loads the newest snapshot that validates, silently skipping corrupt
-  /// files. Throws SnapshotCorruptError if no valid snapshot exists.
-  TrainSnapshot load_latest() const;
-
-  /// Snapshot file paths in the directory, oldest step first.
+  /// Snapshot file paths in the directory, oldest first.
   std::vector<std::string> list() const;
+
+ protected:
+  /// Atomically writes <prefix><sequence>.bin, then prunes the oldest files
+  /// beyond keep_last. Returns the bytes written.
+  std::uint64_t commit(std::int64_t sequence,
+                       const std::vector<unsigned char>& payload);
 
  private:
   std::string dir_;
+  std::string prefix_;
   int keep_last_;
 };
+
+/// Durable store for one snapshot family. `Codec` supplies the value type,
+/// the file prefix, the sequence number that names a value's file and the
+/// payload encode/decode.
+template <typename Codec>
+class SnapshotStore : public SnapshotDir {
+ public:
+  using Value = typename Codec::Value;
+
+  explicit SnapshotStore(std::string dir, int keep_last = 2)
+      : SnapshotDir(std::move(dir), Codec::kPrefix, keep_last) {}
+
+  /// Atomically persists `value`; returns bytes written (header included).
+  std::uint64_t save(const Value& value) {
+    return commit(Codec::sequence(value), Codec::encode(value));
+  }
+
+  /// Loads and validates one snapshot file.
+  Value load(const std::string& path) const {
+    return Codec::decode(read_checked_blob(path));
+  }
+
+  /// Loads the newest snapshot that validates, silently skipping corrupt
+  /// files. Throws SnapshotCorruptError if no valid snapshot exists.
+  Value load_latest() const {
+    const std::vector<std::string> all = list();
+    for (auto it = all.rbegin(); it != all.rend(); ++it) {
+      try {
+        return load(*it);
+        // burst-lint: allow(error-flow) load_latest's contract is exactly
+        // this fallback: skip each corrupt snapshot and try the next-newest;
+        // if none validates, the typed throw below reports it.
+      } catch (const SnapshotCorruptError&) {
+      }
+    }
+    throw SnapshotCorruptError(std::string("no valid ") + Codec::kPrefix +
+                               "*.bin in " + dir());
+  }
+};
+
+using SnapshotManager = SnapshotStore<TrainSnapshotCodec>;
 
 }  // namespace burst::resilience

@@ -1,22 +1,22 @@
 #include "serve/snapshot.hpp"
 
-#include <algorithm>
-#include <filesystem>
-#include <stdexcept>
-#include <utility>
-
-#include "resilience/snapshot.hpp"
+#include "tensor/codec.hpp"
 
 namespace burst::serve {
 
-namespace fs = std::filesystem;
-
-using resilience::PayloadReader;
-using resilience::PayloadWriter;
 using resilience::SnapshotCorruptError;
 
+namespace {
+
+// Smallest encoding of one slot: four u32 fields, then eight 8-byte fields
+// (prefilled, blocks_held, first_token_s, finish_s, the generated and
+// token_times counts, cache_len and the stream count).
+constexpr std::size_t kMinSlotBytes = 4 * sizeof(std::uint32_t) + 8 * 8;
+
+}  // namespace
+
 std::vector<unsigned char> serialize_checkpoint(const EngineCheckpoint& ck) {
-  PayloadWriter w;
+  tensor::ByteWriter w;
   w.i64(ck.iteration);
   w.f64(ck.time_s);
   w.i64(ck.preempted);
@@ -45,17 +45,18 @@ std::vector<unsigned char> serialize_checkpoint(const EngineCheckpoint& ck) {
       w.tensor(s.v[i]);
     }
   }
-  return w.bytes();
+  return w.take();
 }
 
 EngineCheckpoint deserialize_checkpoint(
     const std::vector<unsigned char>& payload) {
-  PayloadReader r(payload.data(), payload.size());
+  tensor::ByteReader<SnapshotCorruptError> r(payload.data(), payload.size(),
+                                             "serve checkpoint");
   EngineCheckpoint ck;
   ck.iteration = r.i64();
   ck.time_s = r.f64();
   ck.preempted = r.i64();
-  ck.slots.resize(r.u64());
+  ck.slots.resize(r.count(kMinSlotBytes));
   for (auto& s : ck.slots) {
     s.state = r.u32();
     s.outcome = r.u32();
@@ -65,103 +66,30 @@ EngineCheckpoint deserialize_checkpoint(
     s.blocks_held = r.i64();
     s.first_token_s = r.f64();
     s.finish_s = r.f64();
-    s.generated.resize(r.u64());
+    s.generated.resize(r.count(sizeof(std::int64_t)));
     for (auto& t : s.generated) {
       t = r.i64();
     }
-    s.token_times.resize(r.u64());
+    s.token_times.resize(r.count(sizeof(double)));
     for (auto& t : s.token_times) {
       t = r.f64();
     }
     s.cache_len = r.i64();
-    const std::uint64_t streams = r.u64();
+    // Each stream is a K and a V tensor.
+    const std::size_t streams = r.count(2 * tensor::kMinTensorBytes);
     s.k.reserve(streams);
     s.v.reserve(streams);
-    for (std::uint64_t i = 0; i < streams; ++i) {
+    for (std::size_t i = 0; i < streams; ++i) {
       s.k.push_back(r.tensor());
       s.v.push_back(r.tensor());
     }
   }
-  if (!r.done()) {
-    throw SnapshotCorruptError("trailing bytes after serve checkpoint");
-  }
+  r.finish();
   return ck;
 }
 
 std::uint64_t checkpoint_bytes(const EngineCheckpoint& ck) {
   return serialize_checkpoint(ck).size() + resilience::kBlobHeaderBytes;
-}
-
-namespace {
-
-/// Iteration number encoded in a checkpoint filename, or -1 if not one.
-std::int64_t iteration_of(const fs::path& p) {
-  const std::string name = p.filename().string();
-  if (name.rfind("serve-", 0) != 0 || p.extension() != ".bin") {
-    return -1;
-  }
-  try {
-    return std::stoll(name.substr(6));
-  } catch (const std::invalid_argument&) {
-    return -1;  // not a number: some other file in the checkpoint dir
-  } catch (const std::out_of_range&) {
-    return -1;  // absurdly long digit string: not one of our files
-  }
-}
-
-}  // namespace
-
-ServeSnapshotManager::ServeSnapshotManager(std::string dir, int keep_last)
-    : dir_(std::move(dir)), keep_last_(std::max(1, keep_last)) {
-  fs::create_directories(dir_);
-}
-
-std::uint64_t ServeSnapshotManager::save(const EngineCheckpoint& ck) {
-  const fs::path final_path =
-      fs::path(dir_) / ("serve-" + std::to_string(ck.iteration) + ".bin");
-  const std::uint64_t written = resilience::write_checked_blob(
-      final_path.string(), serialize_checkpoint(ck));
-  std::vector<std::string> all = list();
-  while (static_cast<int>(all.size()) > keep_last_) {
-    fs::remove(all.front());
-    all.erase(all.begin());
-  }
-  return written;
-}
-
-EngineCheckpoint ServeSnapshotManager::load(const std::string& path) const {
-  return deserialize_checkpoint(resilience::read_checked_blob(path));
-}
-
-EngineCheckpoint ServeSnapshotManager::load_latest() const {
-  std::vector<std::string> all = list();
-  for (auto it = all.rbegin(); it != all.rend(); ++it) {
-    try {
-      return load(*it);
-      // burst-lint: allow(error-flow) load_latest's contract is exactly
-      // this fallback: skip each corrupt checkpoint and try the
-      // next-newest; if none validates, the typed throw below reports it.
-    } catch (const SnapshotCorruptError&) {
-    }
-  }
-  throw SnapshotCorruptError("no valid serve checkpoint in " + dir_);
-}
-
-std::vector<std::string> ServeSnapshotManager::list() const {
-  std::vector<std::pair<std::int64_t, std::string>> found;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    const std::int64_t it = iteration_of(entry.path());
-    if (it >= 0) {
-      found.emplace_back(it, entry.path().string());
-    }
-  }
-  std::sort(found.begin(), found.end());
-  std::vector<std::string> paths;
-  paths.reserve(found.size());
-  for (auto& [it, path] : found) {
-    paths.push_back(std::move(path));
-  }
-  return paths;
 }
 
 }  // namespace burst::serve

@@ -12,15 +12,18 @@
 //
 // Serialization rides on the checked-blob container from
 // resilience/snapshot.hpp ([magic][version][size][fnv1a64][payload], .tmp +
-// atomic rename), so serving checkpoints get the same torn-write and
-// corruption guarantees as training snapshots, and ServeSnapshotManager
-// mirrors SnapshotManager (retention, load_latest skipping corrupt files).
+// atomic rename), and the payload uses the shared tensor codec
+// (tensor/codec.hpp), so serving checkpoints get the same torn-write,
+// corruption and hostile-size guarantees as training snapshots.
+// ServeSnapshotManager is the same directory store as SnapshotManager
+// (resilience::SnapshotStore), instantiated with CheckpointCodec.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "resilience/snapshot.hpp"
 #include "tensor/tensor.hpp"
 
 namespace burst::serve {
@@ -55,6 +58,8 @@ struct EngineCheckpoint {
 
 /// Checkpoint payload bytes <-> struct. The payload goes inside the checked
 /// blob container (or travels in memory for diskless recovery tests).
+/// deserialize_checkpoint throws resilience::SnapshotCorruptError on any
+/// malformed payload.
 std::vector<unsigned char> serialize_checkpoint(const EngineCheckpoint& ck);
 EngineCheckpoint deserialize_checkpoint(
     const std::vector<unsigned char>& payload);
@@ -63,30 +68,24 @@ EngineCheckpoint deserialize_checkpoint(
 /// recovery supervisor charges this against a disk bandwidth.
 std::uint64_t checkpoint_bytes(const EngineCheckpoint& ck);
 
-/// Durable checkpoint store: serve-<iteration>.bin files in one directory,
-/// checksummed, atomically renamed, oldest pruned beyond keep_last.
-class ServeSnapshotManager {
- public:
-  explicit ServeSnapshotManager(std::string dir, int keep_last = 2);
-
-  const std::string& dir() const { return dir_; }
-
-  /// Atomically persists `ck`; returns bytes written (header included).
-  std::uint64_t save(const EngineCheckpoint& ck);
-
-  /// Loads and validates one checkpoint file.
-  EngineCheckpoint load(const std::string& path) const;
-
-  /// Newest checkpoint that validates, skipping corrupt files. Throws
-  /// resilience::SnapshotCorruptError when none validates.
-  EngineCheckpoint load_latest() const;
-
-  /// Checkpoint file paths, oldest iteration first.
-  std::vector<std::string> list() const;
-
- private:
-  std::string dir_;
-  int keep_last_;
+/// Payload codec of serving checkpoints, stored as serve-<iteration>.bin.
+struct CheckpointCodec {
+  using Value = EngineCheckpoint;
+  static constexpr const char* kPrefix = "serve-";
+  static std::int64_t sequence(const EngineCheckpoint& ck) {
+    return ck.iteration;
+  }
+  static std::vector<unsigned char> encode(const EngineCheckpoint& ck) {
+    return serialize_checkpoint(ck);
+  }
+  static EngineCheckpoint decode(const std::vector<unsigned char>& payload) {
+    return deserialize_checkpoint(payload);
+  }
 };
+
+/// Durable checkpoint store: serve-<iteration>.bin files in one directory,
+/// checksummed, atomically renamed, oldest pruned beyond keep_last, and
+/// load_latest skipping corrupt files.
+using ServeSnapshotManager = resilience::SnapshotStore<CheckpointCodec>;
 
 }  // namespace burst::serve

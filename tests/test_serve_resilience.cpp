@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -149,6 +150,54 @@ TEST(ServeSnapshot, TruncatedPayloadIsRejected) {
   auto payload = serialize_checkpoint(sample_checkpoint());
   payload.resize(payload.size() / 2);
   EXPECT_THROW(deserialize_checkpoint(payload),
+               resilience::SnapshotCorruptError);
+}
+
+// Hostile counts and dims: each is checked against the bytes that remain
+// before any resize, reserve or tensor allocation.
+
+// Byte offsets into serialize_checkpoint(sample_checkpoint()), following the
+// field order in serve/snapshot.cpp.
+constexpr std::size_t kSlotCountAt = 3 * 8;  // iteration, time_s, preempted
+// Slot 0: four u32 fields, then prefilled, blocks_held, first_token_s and
+// finish_s.
+constexpr std::size_t kGeneratedCountAt = kSlotCountAt + 8 + 4 * 4 + 4 * 8;
+// generated[3], the token_times count, token_times[3], cache_len.
+constexpr std::size_t kStreamCountAt = kGeneratedCountAt + 8 + 3 * 8 + 8 +
+                                       3 * 8 + 8;
+// The first K tensor: its u32 rank, then its first dim.
+constexpr std::size_t kFirstDimAt = kStreamCountAt + 8 + 4;
+
+/// sample_checkpoint()'s payload with the 8 bytes at `at` replaced.
+std::vector<unsigned char> forged_checkpoint(std::size_t at,
+                                             std::int64_t value) {
+  auto payload = serialize_checkpoint(sample_checkpoint());
+  std::memcpy(payload.data() + at, &value, sizeof(value));
+  return payload;
+}
+
+TEST(ServeSnapshot, RejectsHugeCountsAndNegativeDims) {
+  // The unforged offsets hold what sample_checkpoint() put there.
+  const auto valid = serialize_checkpoint(sample_checkpoint());
+  const auto read_i64 = [&](std::size_t at) {
+    std::int64_t v = 0;
+    std::memcpy(&v, valid.data() + at, sizeof(v));
+    return v;
+  };
+  ASSERT_EQ(read_i64(kSlotCountAt), 2);
+  ASSERT_EQ(read_i64(kGeneratedCountAt), 3);
+  ASSERT_EQ(read_i64(kStreamCountAt),
+            serve_toy().layers * serve_toy().num_kv_heads());
+  ASSERT_EQ(read_i64(kFirstDimAt), 19);
+
+  for (const std::size_t at :
+       {kSlotCountAt, kGeneratedCountAt, kGeneratedCountAt + 8 + 3 * 8,
+        kStreamCountAt}) {
+    EXPECT_THROW(deserialize_checkpoint(forged_checkpoint(at, 1ll << 62)),
+                 resilience::SnapshotCorruptError)
+        << "count at offset " << at;
+  }
+  EXPECT_THROW(deserialize_checkpoint(forged_checkpoint(kFirstDimAt, -1)),
                resilience::SnapshotCorruptError);
 }
 

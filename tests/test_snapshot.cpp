@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "comm/communicator.hpp"
 #include "comm/sim_transport.hpp"
@@ -139,6 +141,60 @@ TEST_F(SnapshotTest, KeepLastPrunesOldest) {
   ASSERT_EQ(paths.size(), 2u);
   EXPECT_NE(paths[0].find("snap-2.bin"), std::string::npos);
   EXPECT_NE(paths[1].find("snap-3.bin"), std::string::npos);
+}
+
+// Hostile sizes: every count in a snapshot is checked against the bytes
+// that remain before anything is allocated.
+
+// Byte offset of the Adam moment count in a training snapshot payload: after
+// step, data_cursor, the RNG state (u64 state, u32 has_spare, f64 spare) and
+// adam.t.
+constexpr std::size_t kMomentCountAt = 8 + 8 + 8 + 4 + 8 + 8;
+
+/// Writes `payload` with the 8 bytes at `at` replaced by `value` as a
+/// correctly checksummed snapshot file, so only the decoder can reject it.
+std::string write_forged(const std::string& dir,
+                         std::vector<unsigned char> payload, std::size_t at,
+                         std::uint64_t value) {
+  std::memcpy(payload.data() + at, &value, sizeof(value));
+  const std::string path = (fs::path(dir) / "snap-99.bin").string();
+  resilience::write_checked_blob(path, payload);
+  return path;
+}
+
+TEST_F(SnapshotTest, HugeMomentAndLayerCountsRejected) {
+  SnapshotManager mgr(dir_);
+  const TrainSnapshot snap = make_snapshot(1, 1);
+  mgr.save(snap);
+  const auto payload = resilience::read_checked_blob(mgr.list().back());
+  std::uint64_t moments = 0;
+  std::memcpy(&moments, payload.data() + kMomentCountAt, sizeof(moments));
+  ASSERT_EQ(moments, snap.adam.m.size());
+  // The layer count follows the m and v moment arrays.
+  const std::size_t layer_count_at =
+      kMomentCountAt + 8 + 2 * moments * sizeof(float);
+
+  for (const std::size_t at : {kMomentCountAt, layer_count_at}) {
+    const std::string path = write_forged(dir_, payload, at, 1ull << 62);
+    EXPECT_THROW(mgr.load(path), SnapshotCorruptError) << "offset " << at;
+  }
+}
+
+TEST_F(SnapshotTest, ForgedBlobSizeRejectedBeforeAllocating) {
+  SnapshotManager mgr(dir_, /*keep_last=*/4);
+  mgr.save(make_snapshot(1, 1));
+  mgr.save(make_snapshot(2, 2));
+  // Forge the newest file's header payload size (after the u64 magic and
+  // the u32 version) to 2^62 bytes.
+  const std::string newest = mgr.list().back();
+  {
+    std::fstream f(newest, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint64_t forged = 1ull << 62;
+    f.seekp(8 + 4, std::ios::beg);
+    f.write(reinterpret_cast<const char*>(&forged), sizeof(forged));
+  }
+  EXPECT_THROW(mgr.load(newest), SnapshotCorruptError);
+  EXPECT_EQ(mgr.load_latest().step, 1u);
 }
 
 /// Runs `n` deterministic distributed training steps in-place.

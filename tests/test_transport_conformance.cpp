@@ -21,6 +21,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <exception>
 #include <functional>
 #include <string>
@@ -527,6 +528,59 @@ TEST(FrameCodec, RejectsTruncationAndTrailingBytes) {
   auto bytes = serialize_frame(in);
   EXPECT_THROW(deserialize_frame(bytes.data(), bytes.size() - 1), CommError);
   bytes.push_back(0);
+  EXPECT_THROW(deserialize_frame(bytes.data(), bytes.size()), CommError);
+}
+
+// Hostile headers: every size a frame declares is checked against the bytes
+// that remain before anything is allocated.
+
+/// Valid frame header (magic, tensor count, wire bytes) declaring `count`
+/// tensors, with no tensor bytes after it.
+std::vector<std::uint8_t> frame_header(std::uint32_t count) {
+  auto bytes = serialize_frame(Frame{});
+  std::memcpy(bytes.data() + sizeof(std::uint32_t), &count, sizeof(count));
+  return bytes;
+}
+
+template <typename T>
+void append(std::vector<std::uint8_t>& bytes, T value) {
+  const std::size_t at = bytes.size();
+  bytes.resize(at + sizeof(T));
+  std::memcpy(bytes.data() + at, &value, sizeof(T));
+}
+
+/// One-tensor frame holding only a tensor header with `dims`.
+std::vector<std::uint8_t> frame_with_dims(std::vector<std::int64_t> dims) {
+  auto bytes = frame_header(1);
+  append(bytes, static_cast<std::uint32_t>(dims.size()));
+  for (const std::int64_t d : dims) {
+    append(bytes, d);
+  }
+  return bytes;
+}
+
+TEST(FrameCodec, RejectsHugeTensorCount) {
+  const auto bytes = frame_header(0xFFFFFFFFu);
+  EXPECT_THROW(deserialize_frame(bytes.data(), bytes.size()), CommError);
+}
+
+TEST(FrameCodec, RejectsDimsBeyondPayload) {
+  // 2^40 x 2^40 elements wrap to numel 0 if multiplied unchecked.
+  const auto bytes = frame_with_dims({1ll << 40, 1ll << 40});
+  EXPECT_THROW(deserialize_frame(bytes.data(), bytes.size()), CommError);
+}
+
+TEST(FrameCodec, RejectsDimsWhoseByteCountOverflows) {
+  // 2^62 floats are 2^64 bytes: the byte count wraps to 0.
+  for (const auto& dims : {std::vector<std::int64_t>{1ll << 62},
+                           std::vector<std::int64_t>{1ll << 32, 1ll << 30}}) {
+    const auto bytes = frame_with_dims(dims);
+    EXPECT_THROW(deserialize_frame(bytes.data(), bytes.size()), CommError);
+  }
+}
+
+TEST(FrameCodec, RejectsNegativeDim) {
+  const auto bytes = frame_with_dims({2, -1});
   EXPECT_THROW(deserialize_frame(bytes.data(), bytes.size()), CommError);
 }
 
