@@ -1,17 +1,21 @@
 // Microbenchmarks of the single-device kernels (google-benchmark):
-// flash-style attention forward/backward across mask types, tile-skip
-// effectiveness, and the three LM-head implementations. These document the
-// substrate the functional simulator charges time against.
+// flash-style attention forward/backward across mask types and shard maps
+// (contiguous, zigzag, striped), tile-skip effectiveness, and the three
+// LM-head implementations. These document the substrate the functional
+// simulator charges time against.
 #include <benchmark/benchmark.h>
 
 #include "reporter.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 
 #include "kernels/flash_attention.hpp"
 #include "kernels/lm_head.hpp"
 #include "kernels/reference_attention.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/workspace.hpp"
 
@@ -36,6 +40,27 @@ MaskSpec mask_for(int kind, std::int64_t n) {
   }
 }
 
+// The local rows of one rank under each workload-balance strategy, as the
+// context-parallel kernels see them: rank 0 of two over a 2n-token
+// sequence for zigzag (front and back chunk) and striped (every 2nd token).
+enum MapKind { kRangeMap = 0, kZigzagMap = 1, kStripedMap = 2 };
+
+IndexMap map_for(int kind, std::int64_t n) {
+  switch (kind) {
+    case kZigzagMap:
+      return IndexMap::segments({{0, n / 2}, {3 * n / 2, n / 2}});
+    case kStripedMap:
+      return IndexMap::strided(0, 2, n);
+    default:
+      return IndexMap::range(0, n);
+  }
+}
+
+const char* map_name(int kind) {
+  return kind == kZigzagMap ? "zigzag" : kind == kStripedMap ? "striped"
+                                                              : "range";
+}
+
 void BM_FlashForward(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   const std::int64_t d = 32;
@@ -44,10 +69,10 @@ void BM_FlashForward(benchmark::State& state) {
   Tensor k = rng.gaussian(n, d, 1.0f);
   Tensor v = rng.gaussian(n, d, 1.0f);
   const MaskSpec mask = mask_for(static_cast<int>(state.range(1)), n);
-  const IndexMap id = IndexMap::range(0, n);
+  const IndexMap map = map_for(static_cast<int>(state.range(2)), n);
   kernels::KernelStats stats;
   for (auto _ : state) {
-    auto r = kernels::flash_forward(q, id, k, v, id, mask, 0.2f, &stats);
+    auto r = kernels::flash_forward(q, map, k, v, map, mask, 0.2f, &stats);
     benchmark::DoNotOptimize(r.o.data());
   }
   // `flops` counts only unmasked pairs (post tile-skip), so this rate is
@@ -57,9 +82,10 @@ void BM_FlashForward(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
   state.counters["tiles_skipped"] = static_cast<double>(stats.tiles_skipped) /
                                     static_cast<double>(state.iterations());
+  state.SetLabel(map_name(static_cast<int>(state.range(2))));
 }
 BENCHMARK(BM_FlashForward)
-    ->ArgsProduct({{256, 512}, {0, 1, 2, 3}})
+    ->ArgsProduct({{256, 512}, {0, 1, 2, 3}, {kRangeMap, kZigzagMap, kStripedMap}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_FlashBackward(benchmark::State& state) {
@@ -71,23 +97,26 @@ void BM_FlashBackward(benchmark::State& state) {
   Tensor v = rng.gaussian(n, d, 1.0f);
   Tensor d_out = rng.gaussian(n, d, 1.0f);
   const MaskSpec mask = MaskSpec::causal();
-  const IndexMap id = IndexMap::range(0, n);
-  auto fwd = kernels::flash_forward(q, id, k, v, id, mask, 0.2f);
+  const IndexMap map = map_for(static_cast<int>(state.range(1)), n);
+  auto fwd = kernels::flash_forward(q, map, k, v, map, mask, 0.2f);
   Tensor dvec = kernels::attention_dvec(d_out, fwd.o);
   kernels::KernelStats stats;
   for (auto _ : state) {
     Tensor dq = Tensor::zeros(n, d);
     Tensor dk = Tensor::zeros(n, d);
     Tensor dv = Tensor::zeros(n, d);
-    kernels::flash_backward_partial(q, id, k, v, id, mask, 0.2f, d_out,
+    kernels::flash_backward_partial(q, map, k, v, map, mask, 0.2f, d_out,
                                     fwd.lse, dvec, dq, dk, dv, &stats);
     benchmark::DoNotOptimize(dq.data());
   }
   state.counters["GFLOP/s"] =
       benchmark::Counter(static_cast<double>(stats.flops) / 1e9,
                          benchmark::Counter::kIsRate);
+  state.SetLabel(map_name(static_cast<int>(state.range(1))));
 }
-BENCHMARK(BM_FlashBackward)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FlashBackward)
+    ->ArgsProduct({{256, 512}, {kRangeMap, kZigzagMap, kStripedMap}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ReferenceAttention(benchmark::State& state) {
   const std::int64_t n = state.range(0);
@@ -141,6 +170,34 @@ void BM_LmHead(benchmark::State& state) {
 }
 BENCHMARK(BM_LmHead)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
+// Useful GFLOP/s of a single-thread causal forward over a 512-row shard:
+// the best of five timed batches of ten calls.
+double causal_forward_gflops(int map_kind) {
+  const std::int64_t n = 512;
+  const std::int64_t d = 32;
+  Rng rng(5);
+  Tensor q = rng.gaussian(n, d, 1.0f);
+  Tensor k = rng.gaussian(n, d, 1.0f);
+  Tensor v = rng.gaussian(n, d, 1.0f);
+  const IndexMap map = map_for(map_kind, n);
+  kernels::KernelStats stats;
+  // Warm-up grows the workspace and counts the useful FLOPs of one call.
+  kernels::flash_forward(q, map, k, v, map, MaskSpec::causal(), 0.2f, &stats);
+  constexpr int kCalls = 10;
+  double best = 1e30;
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int c = 0; c < kCalls; ++c) {
+      auto r = kernels::flash_forward(q, map, k, v, map, MaskSpec::causal(),
+                                      0.2f);
+      benchmark::DoNotOptimize(r.o.data());
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+  }
+  return static_cast<double>(stats.flops) * kCalls / best / 1e9;
+}
+
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): the timing tables still come
@@ -160,6 +217,23 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   rep.measurement("benchmarks_run", static_cast<double>(ran));
   rep.check(ran > 0, "at least one benchmark ran");
+
+  // ---- regression-gate section: single-thread causal forward at n = 512,
+  // zigzag shard vs contiguous range. The ratio is machine-portable: a
+  // classification or masking slow path on non-contiguous maps shows up
+  // here however fast the host is.
+  {
+    burst::parallel::ThreadPool::reset_global(1);
+    const double range_gflops = causal_forward_gflops(kRangeMap);
+    const double zigzag_gflops = causal_forward_gflops(kZigzagMap);
+    rep.measurement("attn_fwd_causal_512_st_gflops", range_gflops,
+                    burst::obs::RunReport::kNoPaperValue, "GFLOP/s");
+    rep.measurement("attn_fwd_zigzag_512_st_gflops", zigzag_gflops,
+                    burst::obs::RunReport::kNoPaperValue, "GFLOP/s");
+    rep.measurement("attn_fwd_zigzag_over_range",
+                    zigzag_gflops / range_gflops);
+    burst::parallel::ThreadPool::reset_global();
+  }
   rep.measurement(
       "attn_workspace_high_water_bytes",
       static_cast<double>(burst::tensor::Workspace::tls().high_water_bytes()),

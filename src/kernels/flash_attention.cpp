@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/softmax.hpp"
 #include "tensor/workspace.hpp"
 
 namespace burst::kernels {
@@ -61,37 +62,17 @@ inline void note_workspace_high_water(const Workspace& ws) {
   }
 }
 
-// Tile classification in *local* coordinates: exact closed forms only apply
-// to contiguous maps, otherwise fall back to a per-element scan (toy scale).
-// Runs before any packing/GEMM so kNone tiles cost only this scan.
-MaskSpec::TileClass classify_tile(const MaskSpec& mask, const IndexMap& qmap,
-                                  const IndexMap& kmap, std::int64_t q0,
-                                  std::int64_t q1, std::int64_t k0,
-                                  std::int64_t k1) {
-  if (mask.kind() == MaskKind::kFull) {
-    return MaskSpec::TileClass::kAll;
+// Sets the masked scores of a kPartial tile (bq x bk, row-major) to -inf.
+// `qg` holds the tile's global query positions; `kg` is bk-entry scratch.
+void mask_partial_tile(const MaskSpec& mask, const std::int64_t* qg,
+                       std::int64_t bq, const IndexMap& kmap, std::int64_t k0,
+                       std::int64_t bk, std::int64_t* kg, float* s) {
+  for (std::int64_t j = 0; j < bk; ++j) {
+    kg[j] = kmap.global(k0 + j);
   }
-  if (qmap.is_contiguous() && kmap.is_contiguous()) {
-    return mask.classify(qmap.offset() + q0, qmap.offset() + q1,
-                         kmap.offset() + k0, kmap.offset() + k1);
+  for (std::int64_t i = 0; i < bq; ++i) {
+    mask.mask_row(qg[i], kg, bk, s + i * bk);
   }
-  bool any = false;
-  bool all = true;
-  for (std::int64_t i = q0; i < q1; ++i) {
-    const std::int64_t qg = qmap.global(i);
-    for (std::int64_t j = k0; j < k1; ++j) {
-      const bool a = mask.allowed(qg, kmap.global(j));
-      any = any || a;
-      all = all && a;
-      if (any && !all) {
-        return MaskSpec::TileClass::kPartial;
-      }
-    }
-  }
-  if (!any) {
-    return MaskSpec::TileClass::kNone;
-  }
-  return all ? MaskSpec::TileClass::kAll : MaskSpec::TileClass::kPartial;
 }
 
 // Rows [r0, r0+n) of a view, sharing storage.
@@ -132,22 +113,24 @@ void flash_forward_partial(ConstMatView q, const IndexMap& qmap,
     // heap allocations in steady state (asserted by test_workspace.cpp).
     Workspace::Scope scope(ws);
     float* m = ws.alloc_f32(static_cast<std::size_t>(bq));
-    double* l = ws.alloc_f64(static_cast<std::size_t>(bq));
+    float* l = ws.alloc_f32(static_cast<std::size_t>(bq));
+    float* corr = ws.alloc_f32(static_cast<std::size_t>(bq));
     float* o_tile = ws.alloc_f32(static_cast<std::size_t>(bq * d));
     float* s = ws.alloc_f32(static_cast<std::size_t>(bq * kTileK));
     std::int64_t* qg = ws.alloc_i64(static_cast<std::size_t>(bq));
     std::int64_t* kg = ws.alloc_i64(static_cast<std::size_t>(kTileK));
     std::fill(m, m + bq, kNegInf);
-    std::fill(l, l + bq, 0.0);
+    std::fill(l, l + bq, 0.0f);
     std::fill(o_tile, o_tile + bq * d, 0.0f);
     for (std::int64_t i = 0; i < bq; ++i) {
       qg[i] = qmap.global(q0 + i);
     }
+    const MatView oview{o_tile, bq, d, d};
 
     for (std::int64_t k0 = 0; k0 < nk; k0 += kTileK) {
       const std::int64_t k1 = std::min(nk, k0 + kTileK);
       const std::int64_t bk = k1 - k0;
-      const auto cls = classify_tile(mask, qmap, kmap, q0, q1, k0, k1);
+      const auto cls = classify_tile(mask, qmap, q0, q1, kmap, k0, k1);
       if (cls == MaskSpec::TileClass::kNone) {
         note_tile_skipped(stats);
         continue;
@@ -156,62 +139,36 @@ void flash_forward_partial(ConstMatView q, const IndexMap& qmap,
       MatView sview{s, bq, bk, bk};
       tensor::gemm(sub_rows(q, q0, bq), Trans::No, sub_rows(k, k0, bk),
                    Trans::Yes, sview, scale, 0.0f);
-      const bool partial = cls == MaskSpec::TileClass::kPartial;
-      if (partial) {
-        for (std::int64_t j = 0; j < bk; ++j) {
-          kg[j] = kmap.global(k0 + j);
-        }
+      if (cls == MaskSpec::TileClass::kPartial) {
+        mask_partial_tile(mask, qg, bq, kmap, k0, bk, kg, s);
       }
 
-      // One fused pass per row: mask-apply + running max, then a batched
-      // exp over the row, then rescale + PV accumulation.
+      // Online softmax per row: S becomes P = exp(S - m_new) in place and
+      // the running (m, l) rescale by corr = exp(m_old - m_new).
       for (std::int64_t i = 0; i < bq; ++i) {
         float* srow = s + i * bk;
-        float mt = kNegInf;
-        if (partial) {
-          const std::int64_t qgi = qg[i];
-          for (std::int64_t j = 0; j < bk; ++j) {
-            if (!mask.allowed(qgi, kg[j])) {
-              srow[j] = kNegInf;
-            } else {
-              mt = std::max(mt, srow[j]);
-            }
-          }
-        } else {
-          for (std::int64_t j = 0; j < bk; ++j) {
-            mt = std::max(mt, srow[j]);
-          }
-        }
+        const float mt = tensor::row_max(srow, bk);
         if (mt == kNegInf) {
-          continue;  // every key in this tile masked for this row
+          // Every key in this tile is masked for this row: P row is zero.
+          std::fill(srow, srow + bk, 0.0f);
+          corr[i] = 1.0f;
+          continue;
         }
         const float m_new = std::max(m[i], mt);
-        const float corr = m[i] == kNegInf ? 0.0f : std::exp(m[i] - m_new);
-        // Batched row-wise exp: masked entries are exactly -inf, and
-        // exp(-inf - m_new) == 0, so no per-element branch is needed.
-        double row_l = 0.0;
-        for (std::int64_t j = 0; j < bk; ++j) {
-          const float p = std::exp(srow[j] - m_new);
-          srow[j] = p;
-          row_l += p;
-        }
-        l[i] = l[i] * corr + row_l;
+        corr[i] = tensor::exp_f32(m[i] - m_new);  // 0 while m[i] is -inf
+        l[i] = l[i] * corr[i] + tensor::exp_sub_sum(srow, srow, bk, m_new);
         m[i] = m_new;
+      }
+
+      // O = diag(corr) O + P V.
+      for (std::int64_t i = 0; i < bq; ++i) {
         float* orow = o_tile + i * d;
         for (std::int64_t c = 0; c < d; ++c) {
-          orow[c] *= corr;
-        }
-        for (std::int64_t j = 0; j < bk; ++j) {
-          const float p = srow[j];
-          if (p == 0.0f) {
-            continue;
-          }
-          const float* vrow = v.data + (k0 + j) * v.stride;
-          for (std::int64_t c = 0; c < d; ++c) {
-            orow[c] += p * vrow[c];
-          }
+          orow[c] *= corr[i];
         }
       }
+      tensor::gemm(sview, Trans::No, sub_rows(v, k0, bk), Trans::No, oview,
+                   1.0f, 1.0f);
 
       note_tile_computed(
           stats, attention_pair_flops(static_cast<std::uint64_t>(bq) *
@@ -222,12 +179,12 @@ void flash_forward_partial(ConstMatView q, const IndexMap& qmap,
     // Normalize the tile and merge into the global accumulator in place
     // (same arithmetic as tensor::merge_online_softmax, row by row).
     for (std::int64_t i = 0; i < bq; ++i) {
-      const double li = l[i];
-      if (li <= 0.0) {
+      const float li = l[i];
+      if (li <= 0.0f) {
         continue;  // partition fully masked for this row
       }
-      const float lse_part = m[i] + static_cast<float>(std::log(li));
-      const float inv = static_cast<float>(1.0 / li);
+      const float lse_part = m[i] + std::log(li);
+      const float inv = 1.0f / li;
       float* orow = o_tile + i * d;
       for (std::int64_t c = 0; c < d; ++c) {
         orow[c] *= inv;
@@ -354,39 +311,28 @@ void flash_backward_partial(const Tensor& q, const IndexMap& qmap,
     for (std::int64_t k0 = 0; k0 < nk; k0 += kTileK) {
       const std::int64_t k1 = std::min(nk, k0 + kTileK);
       const std::int64_t bk = k1 - k0;
-      const auto cls = classify_tile(mask, qmap, kmap, q0, q1, k0, k1);
+      const auto cls = classify_tile(mask, qmap, q0, q1, kmap, k0, k1);
       if (cls == MaskSpec::TileClass::kNone) {
         note_tile_skipped(stats);
         continue;
       }
 
-      // P = exp(S - lse): rows with lse == -inf are fully masked globally.
+      // P = exp(S - lse): masked entries are set to -inf first and come out
+      // of the shared exp as exactly 0. Rows with lse == -inf are fully
+      // masked globally.
       MatView pview{p, bq, bk, bk};
       tensor::gemm(q.row_block(q0, bq), Trans::No, k.row_block(k0, bk),
                    Trans::Yes, pview, scale, 0.0f);
-      const bool partial = cls == MaskSpec::TileClass::kPartial;
-      if (partial) {
-        for (std::int64_t j = 0; j < bk; ++j) {
-          kg[j] = kmap.global(k0 + j);
-        }
+      if (cls == MaskSpec::TileClass::kPartial) {
+        mask_partial_tile(mask, qg, bq, kmap, k0, bk, kg, p);
       }
-      // Fused mask-apply + exp in a single pass over the tile.
       for (std::int64_t i = 0; i < bq; ++i) {
         float* prow = p + i * bk;
         const float li = lse[q0 + i];
         if (li == kNegInf) {
           std::fill(prow, prow + bk, 0.0f);
-          continue;
-        }
-        if (partial) {
-          const std::int64_t qgi = qg[i];
-          for (std::int64_t j = 0; j < bk; ++j) {
-            prow[j] = mask.allowed(qgi, kg[j]) ? std::exp(prow[j] - li) : 0.0f;
-          }
         } else {
-          for (std::int64_t j = 0; j < bk; ++j) {
-            prow[j] = std::exp(prow[j] - li);
-          }
+          tensor::exp_sub_sum(prow, prow, bk, li);
         }
       }
 

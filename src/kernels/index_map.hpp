@@ -9,8 +9,10 @@
 // IndexMap to decide masking for local tiles regardless of the partitioner.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -84,6 +86,61 @@ class IndexMap {
   std::int64_t offset() const {
     assert(is_contiguous());
     return kind_ == Kind::kSegments ? segs_.front().first : start_;
+  }
+
+  /// Global position of local row `a` when local rows [a, b) map to one
+  /// contiguous global run (a + i -> global(a) + i), otherwise nullopt.
+  /// A zigzag tile inside one segment is a run; one straddling the segment
+  /// boundary is not. Requires 0 <= a < b <= size().
+  std::optional<std::int64_t> run_offset(std::int64_t a, std::int64_t b) const {
+    assert(0 <= a && a < b && b <= len_);
+    switch (kind_) {
+      case Kind::kRange:
+        return start_ + a;
+      case Kind::kStrided:
+        if (stride_ == 1 || b - a == 1) {
+          return start_ + a * stride_;
+        }
+        return std::nullopt;
+      case Kind::kSegments:
+        for (const auto& [off, len] : segs_) {
+          if (a < len) {
+            if (b <= len) {
+              return off + a;
+            }
+            return std::nullopt;
+          }
+          a -= len;
+          b -= len;
+        }
+        break;
+    }
+    assert(false);
+    return std::nullopt;
+  }
+
+  /// Smallest and largest global position among local rows [a, b).
+  /// Requires 0 <= a < b <= size().
+  std::pair<std::int64_t, std::int64_t> global_bounds(std::int64_t a,
+                                                      std::int64_t b) const {
+    assert(0 <= a && a < b && b <= len_);
+    if (kind_ != Kind::kSegments) {
+      const std::int64_t first = global(a);
+      const std::int64_t last = global(b - 1);
+      return {std::min(first, last), std::max(first, last)};
+    }
+    std::pair<std::int64_t, std::int64_t> bounds{global(a), global(a)};
+    std::int64_t seg_begin = 0;  // local index of the segment's first row
+    for (const auto& [off, len] : segs_) {
+      const std::int64_t s0 = std::max(a, seg_begin);
+      const std::int64_t s1 = std::min(b, seg_begin + len);
+      if (s0 < s1) {
+        bounds.first = std::min(bounds.first, off + (s0 - seg_begin));
+        bounds.second = std::max(bounds.second, off + (s1 - 1 - seg_begin));
+      }
+      seg_begin += len;
+    }
+    return bounds;
   }
 
  private:

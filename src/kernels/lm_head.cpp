@@ -8,6 +8,7 @@
 
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/softmax.hpp"
 #include "tensor/workspace.hpp"
 
 namespace burst::kernels {
@@ -30,21 +31,21 @@ double dot_row(const Tensor& a, std::int64_t ra, const Tensor& b,
   return acc;
 }
 
-// Row LogSumExp over a raw row (same math as tensor::row_lse: float max,
-// double accumulation of exp).
+// Row LogSumExp over a raw row through the shared softmax primitive.
 float row_lse_raw(const float* row, std::int64_t n) {
-  float mx = kNegInf;
-  for (std::int64_t j = 0; j < n; ++j) {
-    mx = std::max(mx, row[j]);
-  }
+  const float mx = tensor::row_max(row, n);
   if (mx == kNegInf) {
     return kNegInf;
   }
-  double acc = 0.0;
-  for (std::int64_t j = 0; j < n; ++j) {
-    acc += std::exp(static_cast<double>(row[j]) - mx);
+  return mx + std::log(tensor::exp_sub_sum(row, nullptr, n, mx));
+}
+
+// dLogits row = exp(logits - lse) / N, in place.
+void softmax_grad_row(float* row, std::int64_t n, float lse, float inv_n) {
+  tensor::exp_sub_sum(row, row, n, lse);
+  for (std::int64_t c = 0; c < n; ++c) {
+    row[c] *= inv_n;
   }
-  return mx + static_cast<float>(std::log(acc));
 }
 
 }  // namespace
@@ -181,11 +182,8 @@ LmHeadResult tiled_lm_head_impl(const Tensor& h, const Tensor& w,
       // writes "+E"; the CE gradient is softmax minus the one-hot indicator —
       // see EXPERIMENTS.md, "paper typos".)
       for (std::int64_t r = 0; r < bs; ++r) {
-        const float l = lse[r];
         float* drow = tile + r * bv;
-        for (std::int64_t c = 0; c < bv; ++c) {
-          drow[c] = std::exp(drow[c] - l) * inv_n;
-        }
+        softmax_grad_row(drow, bv, lse[r], inv_n);
         const std::int64_t t = targets[static_cast<std::size_t>(s0 + r)];
         if (t >= j && t < j1) {
           drow[t - j] -= inv_n;
@@ -301,11 +299,8 @@ LmHeadResult fused_lm_head_loss_q(const Tensor& h, const QuantLmHead& w,
       float* tile = strip + bs * j;
       MatView dlogits{tile, bs, bv, bv};
       for (std::int64_t r = 0; r < bs; ++r) {
-        const float l = lse[r];
         float* drow = tile + r * bv;
-        for (std::int64_t c = 0; c < bv; ++c) {
-          drow[c] = std::exp(drow[c] - l) * inv_n;
-        }
+        softmax_grad_row(drow, bv, lse[r], inv_n);
         const std::int64_t t = targets[static_cast<std::size_t>(s0 + r)];
         if (t >= j && t < j1) {
           drow[t - j] -= inv_n;

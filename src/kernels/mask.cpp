@@ -1,6 +1,7 @@
 #include "kernels/mask.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace burst::kernels {
 
@@ -85,6 +86,34 @@ std::uint64_t MaskSpec::count_allowed(std::int64_t q0, std::int64_t q1,
   return 0;
 }
 
+namespace {
+
+// Exact per-pair scan over an nq x nk tile; qpos/kpos map tile indices to
+// global positions. Early-outs as soon as the tile is mixed.
+template <typename QPos, typename KPos>
+MaskSpec::TileClass scan_tile(const MaskSpec& mask, std::int64_t nq,
+                              std::int64_t nk, QPos qpos, KPos kpos) {
+  bool any = false;
+  bool all = true;
+  for (std::int64_t i = 0; i < nq; ++i) {
+    const std::int64_t q = qpos(i);
+    for (std::int64_t j = 0; j < nk; ++j) {
+      const bool a = mask.allowed(q, kpos(j));
+      any = any || a;
+      all = all && a;
+      if (any && !all) {
+        return MaskSpec::TileClass::kPartial;
+      }
+    }
+  }
+  if (!any) {
+    return MaskSpec::TileClass::kNone;
+  }
+  return all ? MaskSpec::TileClass::kAll : MaskSpec::TileClass::kPartial;
+}
+
+}  // namespace
+
 MaskSpec::TileClass MaskSpec::classify(std::int64_t q0, std::int64_t q1,
                                        std::int64_t k0,
                                        std::int64_t k1) const {
@@ -108,20 +137,21 @@ MaskSpec::TileClass MaskSpec::classify(std::int64_t q0, std::int64_t q1,
       }
       return TileClass::kPartial;
     }
-    case MaskKind::kDilated:
-    case MaskKind::kBlockSparse:
-    case MaskKind::kDocument: {
-      // Exact scan; tiles are small. Early-out as soon as the tile is mixed.
+    case MaskKind::kBlockSparse: {
+      // Every block pair the rectangle touches holds at least one of its
+      // pairs, and all pairs inside one block pair agree, so scanning the
+      // block pairs is exact. Blocks past the grid are never allowed.
       bool any = false;
       bool all = true;
-      for (std::int64_t q = q0; q < q1; ++q) {
-        for (std::int64_t k = k0; k < k1; ++k) {
-          const bool a = allowed(q, k);
+      for (std::int64_t qb = q0 / block_size_; qb <= (q1 - 1) / block_size_;
+           ++qb) {
+        for (std::int64_t kb = k0 / block_size_;
+             kb <= (k1 - 1) / block_size_; ++kb) {
+          const bool a = qb < block_mask_->rows() &&
+                         kb < block_mask_->cols() &&
+                         (*block_mask_)(qb, kb) != 0.0f;
           any = any || a;
           all = all && a;
-          if (any && !all) {
-            return TileClass::kPartial;
-          }
         }
       }
       if (!any) {
@@ -129,8 +159,61 @@ MaskSpec::TileClass MaskSpec::classify(std::int64_t q0, std::int64_t q1,
       }
       return all ? TileClass::kAll : TileClass::kPartial;
     }
+    case MaskKind::kDilated:
+    case MaskKind::kDocument:
+      return scan_tile(
+          *this, q1 - q0, k1 - k0, [q0](std::int64_t i) { return q0 + i; },
+          [k0](std::int64_t j) { return k0 + j; });
   }
   return TileClass::kPartial;
+}
+
+void MaskSpec::mask_row(std::int64_t q, const std::int64_t* k, std::int64_t n,
+                        float* row) const {
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  switch (kind_) {
+    case MaskKind::kFull:
+      return;
+    case MaskKind::kCausal:
+      for (std::int64_t j = 0; j < n; ++j) {
+        row[j] = k[j] <= q ? row[j] : kNegInf;
+      }
+      return;
+    case MaskKind::kSlidingWindow:
+      for (std::int64_t j = 0; j < n; ++j) {
+        row[j] = k[j] <= q && q - k[j] < window_ ? row[j] : kNegInf;
+      }
+      return;
+    case MaskKind::kDilated:
+    case MaskKind::kBlockSparse:
+    case MaskKind::kDocument:
+      for (std::int64_t j = 0; j < n; ++j) {
+        if (!allowed(q, k[j])) {
+          row[j] = kNegInf;
+        }
+      }
+      return;
+  }
+}
+
+MaskSpec::TileClass classify_tile(const MaskSpec& mask, const IndexMap& qmap,
+                                  std::int64_t q0, std::int64_t q1,
+                                  const IndexMap& kmap, std::int64_t k0,
+                                  std::int64_t k1) {
+  if (mask.kind() == MaskKind::kFull || mask.kind() == MaskKind::kCausal) {
+    const auto [qlo, qhi] = qmap.global_bounds(q0, q1);
+    const auto [klo, khi] = kmap.global_bounds(k0, k1);
+    return mask.classify(qlo, qhi + 1, klo, khi + 1);
+  }
+  const auto qoff = qmap.run_offset(q0, q1);
+  const auto koff = kmap.run_offset(k0, k1);
+  if (qoff && koff) {
+    return mask.classify(*qoff, *qoff + (q1 - q0), *koff, *koff + (k1 - k0));
+  }
+  return scan_tile(
+      mask, q1 - q0, k1 - k0,
+      [&qmap, q0](std::int64_t i) { return qmap.global(q0 + i); },
+      [&kmap, k0](std::int64_t j) { return kmap.global(k0 + j); });
 }
 
 }  // namespace burst::kernels

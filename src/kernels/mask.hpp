@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "kernels/index_map.hpp"
 #include "tensor/tensor.hpp"
 
 namespace burst::kernels {
@@ -126,10 +127,16 @@ class MaskSpec {
                               std::int64_t k0, std::int64_t k1) const;
 
   /// Tile classification used by the kernels to skip fully-masked tiles and
-  /// run unmasked fast paths.
+  /// run unmasked fast paths. Exact: kAll iff every pair of the (non-empty)
+  /// rectangle [q0,q1) x [k0,k1) is allowed, kNone iff none is.
   enum class TileClass { kNone, kPartial, kAll };
   TileClass classify(std::int64_t q0, std::int64_t q1, std::int64_t k0,
                      std::int64_t k1) const;
+
+  /// Sets row[j] = -inf for every key k[j] (global) that query `q` may not
+  /// attend; allowed entries are left untouched.
+  void mask_row(std::int64_t q, const std::int64_t* k, std::int64_t n,
+                float* row) const;
 
  private:
   explicit MaskSpec(MaskKind kind) : kind_(kind) {}
@@ -141,5 +148,16 @@ class MaskSpec {
   std::shared_ptr<const tensor::Tensor> block_mask_;
   std::shared_ptr<const std::vector<std::int64_t>> doc_of_;
 };
+
+/// Exact classification of the tile of local query rows [q0, q1) against
+/// local key rows [k0, k1), positions translated through the maps. Full and
+/// causal masks classify the tiles' global bounding boxes, which is exact
+/// for any map (causal: all pairs allowed iff max k <= min q, none iff
+/// min k > max q); other masks use MaskSpec::classify when both tiles are
+/// contiguous runs and a per-pair scan otherwise.
+MaskSpec::TileClass classify_tile(const MaskSpec& mask, const IndexMap& qmap,
+                                  std::int64_t q0, std::int64_t q1,
+                                  const IndexMap& kmap, std::int64_t k0,
+                                  std::int64_t k1);
 
 }  // namespace burst::kernels

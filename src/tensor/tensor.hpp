@@ -54,10 +54,10 @@ class Tensor {
   /// Empty tensor (rank 0, no storage). Useful as "no payload" marker.
   Tensor() = default;
 
-  /// Uninitialized vector of length `n`.
+  /// Zero-filled vector of length `n` (std::vector value-initializes).
   explicit Tensor(std::int64_t n);
 
-  /// Uninitialized matrix of `rows x cols`.
+  /// Zero-filled matrix of `rows x cols` (std::vector value-initializes).
   Tensor(std::int64_t rows, std::int64_t cols);
 
   static Tensor zeros(std::int64_t n);

@@ -75,7 +75,8 @@ struct GlobalResult {
 // results. `route_kind`: "flat" or "double".
 GlobalResult run_distributed(const Problem& p, const Topology& topo,
                              const std::string& route_kind,
-                             const DistAttnConfig& cfg_base) {
+                             const DistAttnConfig& cfg_base,
+                             kernels::KernelStats* stats = nullptr) {
   const int g = topo.world_size();
   Cluster cluster({topo});
   GlobalResult out;
@@ -96,11 +97,17 @@ GlobalResult run_distributed(const Problem& p, const Topology& topo,
     const IndexMap map = route_index_map(route, cfg, ctx.rank());
     LocalQKV local{shard_rows(p.q, map), shard_rows(p.k, map),
                    shard_rows(p.v, map)};
-    auto fwd = dist_attention_forward(comm, route, cfg, local);
+    kernels::KernelStats rank_stats;
+    auto fwd = dist_attention_forward(comm, route, cfg, local, &rank_stats);
     Tensor d_out_local = shard_rows(p.d_out, map);
-    auto grads =
-        dist_attention_backward(comm, route, cfg, local, fwd, d_out_local);
+    auto grads = dist_attention_backward(comm, route, cfg, local, fwd,
+                                         d_out_local, &rank_stats);
     std::lock_guard lock(mu);
+    if (stats != nullptr) {
+      stats->tiles_computed += rank_stats.tiles_computed;
+      stats->tiles_skipped += rank_stats.tiles_skipped;
+      stats->flops += rank_stats.flops;
+    }
     unshard_rows(out.o, map, fwd.o);
     unshard_vec(out.lse, map, fwd.lse);
     unshard_rows(out.dq, map, grads.dq);
@@ -298,6 +305,46 @@ TEST(DistAttention, RingAndBurstBackwardAgree) {
     EXPECT_LT(tensor::max_abs_diff(ring.dq, burst.dq), 1e-4f);
     EXPECT_LT(tensor::max_abs_diff(ring.dk, burst.dk), 1e-4f);
     EXPECT_LT(tensor::max_abs_diff(ring.dv, burst.dv), 1e-4f);
+  }
+}
+
+// KernelStats drive the simulated compute charges, so the post-skip tile
+// counts and FLOPs of the balanced shards are pinned to the constants an
+// exhaustive per-pair tile classification gives. Shards of 80 rows split
+// into zigzag segments of 40, so 32-row tiles straddle the segment
+// boundary; striped shards are never contiguous.
+TEST(DistAttentionStats, BalancedShardTileCountsArePinned) {
+  struct Case {
+    Balance balance;
+    const char* mask;
+    std::uint64_t tiles_computed;
+    std::uint64_t tiles_skipped;
+    std::uint64_t flops;
+  };
+  const Case cases[] = {
+      {Balance::kZigzag, "causal", 192, 96, 7975936},
+      {Balance::kZigzag, "swa", 122, 166, 5309440},
+      {Balance::kZigzag, "dilated", 192, 96, 7975936},
+      {Balance::kZigzag, "blocksparse", 52, 236, 2241536},
+      {Balance::kStriped, "causal", 192, 96, 7803904},
+      {Balance::kStriped, "swa", 160, 128, 6886400},
+      {Balance::kStriped, "dilated", 192, 96, 7803904},
+      {Balance::kStriped, "blocksparse", 160, 128, 6886400},
+  };
+  Problem p = make_problem(29, 320, 8);
+  for (const Case& c : cases) {
+    DistAttnConfig cfg;
+    cfg.mask = mask_by_name(c.mask, p.n);
+    cfg.scale = p.scale;
+    cfg.balance = c.balance;
+    cfg.backward = BackwardComm::kBurst;
+    kernels::KernelStats stats;
+    run_distributed(p, Topology::single_node(4), "flat", cfg, &stats);
+    EXPECT_EQ(stats.tiles_computed, c.tiles_computed)
+        << balance_name(c.balance) << " " << c.mask;
+    EXPECT_EQ(stats.tiles_skipped, c.tiles_skipped)
+        << balance_name(c.balance) << " " << c.mask;
+    EXPECT_EQ(stats.flops, c.flops) << balance_name(c.balance) << " " << c.mask;
   }
 }
 

@@ -49,12 +49,11 @@ struct AttnOut {
   Tensor o, lse, dq, dk, dv;
 };
 
-AttnOut attention_result(const MaskSpec& mask) {
+AttnOut attention_result(const MaskSpec& mask, const IndexMap& id) {
   Rng rng(89);
-  const std::int64_t n = 95;
+  const std::int64_t n = id.size();
   const std::int64_t d = 16;
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-  const IndexMap id = IndexMap::range(0, n);
   Tensor q = rng.gaussian(n, d, 1.0f);
   Tensor k = rng.gaussian(n, d, 1.0f);
   Tensor v = rng.gaussian(n, d, 1.0f);
@@ -123,21 +122,30 @@ TEST(KernelDeterminism, GemmBitwiseIdenticalUnderBurstThreadsEnv) {
 }
 
 TEST(KernelDeterminism, AttentionBitwiseIdenticalAcrossPoolSizes) {
-  for (const bool document : {false, true}) {
-    const MaskSpec mask =
-        document ? MaskSpec::document_from_lengths({40, 25, 30})
-                 : MaskSpec::causal();
-    parallel::ThreadPool::reset_global(1);
-    const AttnOut base = attention_result(mask);
-    EXPECT_NE(base.lse[0], kNegInf);
-    for (std::size_t workers : {2u, 8u}) {
-      parallel::ThreadPool::reset_global(workers);
-      const AttnOut got = attention_result(mask);
-      EXPECT_TRUE(bitwise_equal(got.o, base.o)) << workers;
-      EXPECT_TRUE(bitwise_equal(got.lse, base.lse)) << workers;
-      EXPECT_TRUE(bitwise_equal(got.dq, base.dq)) << workers;
-      EXPECT_TRUE(bitwise_equal(got.dk, base.dk)) << workers;
-      EXPECT_TRUE(bitwise_equal(got.dv, base.dv)) << workers;
+  // 95 rows as one contiguous range of a 95-token sequence, and as a
+  // two-segment zigzag shard of a 190-token sequence whose 32-row tiles
+  // straddle the segment boundary.
+  const IndexMap range = IndexMap::range(0, 95);
+  const IndexMap zigzag = IndexMap::segments({{0, 48}, {143, 47}});
+  for (const bool zig : {false, true}) {
+    for (const bool document : {false, true}) {
+      const std::int64_t s = zig ? 2 : 1;  // sequence length / 95
+      const MaskSpec mask =
+          document ? MaskSpec::document_from_lengths({40 * s, 25 * s, 30 * s})
+                   : MaskSpec::causal();
+      const IndexMap& map = zig ? zigzag : range;
+      parallel::ThreadPool::reset_global(1);
+      const AttnOut base = attention_result(mask, map);
+      EXPECT_NE(base.lse[0], kNegInf);
+      for (std::size_t workers : {2u, 8u}) {
+        parallel::ThreadPool::reset_global(workers);
+        const AttnOut got = attention_result(mask, map);
+        EXPECT_TRUE(bitwise_equal(got.o, base.o)) << workers;
+        EXPECT_TRUE(bitwise_equal(got.lse, base.lse)) << workers;
+        EXPECT_TRUE(bitwise_equal(got.dq, base.dq)) << workers;
+        EXPECT_TRUE(bitwise_equal(got.dk, base.dk)) << workers;
+        EXPECT_TRUE(bitwise_equal(got.dv, base.dv)) << workers;
+      }
     }
   }
   parallel::ThreadPool::reset_global();

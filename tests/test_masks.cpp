@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "kernels/index_map.hpp"
 #include "tensor/rng.hpp"
 
@@ -39,6 +44,31 @@ TEST(IndexMap, SegmentsConcatenate) {
   EXPECT_EQ(m.global(2), 10);
   EXPECT_EQ(m.global(4), 12);
   EXPECT_FALSE(m.is_contiguous());
+}
+
+TEST(IndexMap, RunOffsetFindsContiguousRuns) {
+  const IndexMap range = IndexMap::range(10, 8);
+  EXPECT_EQ(range.run_offset(2, 8), 12);
+  const IndexMap strided = IndexMap::strided(3, 4, 4);
+  EXPECT_EQ(strided.run_offset(2, 3), 11);  // a single row is a run
+  EXPECT_FALSE(strided.run_offset(1, 3).has_value());
+  const IndexMap zigzag = IndexMap::segments({{0, 4}, {20, 4}});
+  EXPECT_EQ(zigzag.run_offset(1, 4), 1);
+  EXPECT_EQ(zigzag.run_offset(4, 8), 20);
+  EXPECT_EQ(zigzag.run_offset(5, 7), 21);
+  EXPECT_FALSE(zigzag.run_offset(3, 5).has_value());  // straddles
+}
+
+TEST(IndexMap, GlobalBoundsCoverEverySegment) {
+  const IndexMap strided = IndexMap::strided(3, 4, 4);
+  EXPECT_EQ(strided.global_bounds(1, 4), std::make_pair(std::int64_t{7},
+                                                        std::int64_t{15}));
+  // Segments in descending global order: bounds are not the endpoints.
+  const IndexMap back_first = IndexMap::segments({{20, 4}, {0, 4}});
+  EXPECT_EQ(back_first.global_bounds(2, 6),
+            std::make_pair(std::int64_t{0}, std::int64_t{23}));
+  EXPECT_EQ(back_first.global_bounds(4, 5),
+            std::make_pair(std::int64_t{0}, std::int64_t{0}));
 }
 
 TEST(Mask, FullAllowsEverything) {
@@ -157,6 +187,99 @@ TEST_P(MaskClassify, ConsistentWithAllowed) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaskClassify, ::testing::Values(1, 2, 3));
+
+// Property: the kernels' tile classification equals an exhaustive per-pair
+// scan for every map kind (contiguous, strided, zigzag segments with tiles
+// straddling the segment boundary, segments out of global order), every
+// mask kind and every tile position. KernelStats, and through them the
+// simulated compute charges, depend on this being exact.
+MaskSpec::TileClass brute_classify(const MaskSpec& mask, const IndexMap& qmap,
+                                   std::int64_t q0, std::int64_t q1,
+                                   const IndexMap& kmap, std::int64_t k0,
+                                   std::int64_t k1) {
+  bool any = false;
+  bool all = true;
+  for (std::int64_t i = q0; i < q1; ++i) {
+    for (std::int64_t j = k0; j < k1; ++j) {
+      const bool a = mask.allowed(qmap.global(i), kmap.global(j));
+      any = any || a;
+      all = all && a;
+    }
+  }
+  if (!any) {
+    return MaskSpec::TileClass::kNone;
+  }
+  return all ? MaskSpec::TileClass::kAll : MaskSpec::TileClass::kPartial;
+}
+
+TEST(ClassifyTile, MatchesBruteForceForEveryMapMaskAndTile) {
+  // Four 48-row maps over a 96-token sequence.
+  const std::vector<IndexMap> maps = {
+      IndexMap::range(24, 48),
+      IndexMap::strided(1, 2, 48),                   // striped, G = 2
+      IndexMap::segments({{0, 24}, {72, 24}}),       // zigzag, G = 2
+      IndexMap::segments({{60, 20}, {4, 28}}),       // back segment first
+  };
+  tensor::Rng rng(7);
+  tensor::Tensor bm(10, 10);  // covers positions [0, 80): the rest is masked
+  for (std::int64_t i = 0; i < bm.numel(); ++i) {
+    bm.data()[i] = rng.next_uniform() < 0.5 ? 0.0f : 1.0f;
+  }
+  const std::vector<MaskSpec> masks = {
+      MaskSpec::full(),
+      MaskSpec::causal(),
+      MaskSpec::sliding_window(10),
+      MaskSpec::dilated(3),
+      MaskSpec::block_sparse(bm, 8),
+      MaskSpec::document_from_lengths({30, 17, 49}),
+  };
+  const std::int64_t tile = 8;
+  for (const MaskSpec& mask : masks) {
+    for (const IndexMap& qmap : maps) {
+      for (const IndexMap& kmap : maps) {
+        for (std::int64_t q0 = 0; q0 < qmap.size(); ++q0) {
+          const std::int64_t q1 = std::min(qmap.size(), q0 + tile);
+          for (std::int64_t k0 = 0; k0 < kmap.size(); ++k0) {
+            const std::int64_t k1 = std::min(kmap.size(), k0 + tile);
+            ASSERT_EQ(classify_tile(mask, qmap, q0, q1, kmap, k0, k1),
+                      brute_classify(mask, qmap, q0, q1, kmap, k0, k1))
+                << "kind=" << static_cast<int>(mask.kind()) << " q[" << q0
+                << "," << q1 << ") k[" << k0 << "," << k1 << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Mask, MaskRowMatchesAllowed) {
+  tensor::Rng rng(11);
+  tensor::Tensor bm(6, 6);
+  for (std::int64_t i = 0; i < bm.numel(); ++i) {
+    bm.data()[i] = rng.next_uniform() < 0.5 ? 0.0f : 1.0f;
+  }
+  const std::vector<MaskSpec> masks = {
+      MaskSpec::full(),       MaskSpec::causal(),
+      MaskSpec::sliding_window(5), MaskSpec::dilated(3),
+      MaskSpec::block_sparse(bm, 8),
+      MaskSpec::document_from_lengths({20, 28})};
+  std::vector<std::int64_t> keys(48);
+  for (std::int64_t j = 0; j < 48; ++j) {
+    keys[static_cast<std::size_t>(j)] = (j * 29) % 48;  // scrambled order
+  }
+  for (const MaskSpec& mask : masks) {
+    for (std::int64_t q = 0; q < 48; ++q) {
+      std::vector<float> row(48, 1.5f);
+      mask.mask_row(q, keys.data(), 48, row.data());
+      for (std::int64_t j = 0; j < 48; ++j) {
+        const bool a = mask.allowed(q, keys[static_cast<std::size_t>(j)]);
+        EXPECT_EQ(row[static_cast<std::size_t>(j)],
+                  a ? 1.5f : -std::numeric_limits<float>::infinity())
+            << "kind=" << static_cast<int>(mask.kind()) << " q=" << q;
+      }
+    }
+  }
+}
 
 TEST(Mask, CausalTotalWorkIsHalfSquare) {
   MaskSpec m = MaskSpec::causal();
