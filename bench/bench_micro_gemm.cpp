@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
@@ -217,6 +219,51 @@ int main(int argc, char** argv) {
               "Q8_0 >= 1.5x fp32 packed GEMM in the streaming regime");
     rep.check(q4_speedup >= 1.5,
               "Q4_0 >= 1.5x fp32 packed GEMM in the streaming regime");
+    burst::parallel::ThreadPool::reset_global();
+  }
+
+  // ---- fork-join dispatch and the small-m column split ------------------
+  // parallel_for_dispatch_us: median wall time of a parallel_for whose
+  // chunks do nothing, at the full pool (what every split pays).
+  // gemm_m16_speedup: a decode-shaped 16x256x2048 kF32 gemm_packed at the
+  // full pool over one thread; m = 16 is one row block, so any speedup
+  // comes from the column split. Both depend on the host's core count and
+  // are informational.
+  {
+    const std::size_t nproc =
+        std::max(1u, std::thread::hardware_concurrency());
+    burst::parallel::ThreadPool::reset_global(nproc);
+    std::vector<double> dispatch_s;
+    for (int r = 0; r < 2001; ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      burst::parallel::parallel_for(nproc, 1,
+                                    [](std::size_t, std::size_t) {});
+      const auto t1 = std::chrono::steady_clock::now();
+      dispatch_s.push_back(std::chrono::duration<double>(t1 - t0).count());
+    }
+    std::nth_element(dispatch_s.begin(),
+                     dispatch_s.begin() + dispatch_s.size() / 2,
+                     dispatch_s.end());
+    rep.measurement("parallel_for_dispatch_us",
+                    dispatch_s[dispatch_s.size() / 2] * 1e6,
+                    burst::obs::RunReport::kNoPaperValue, "us");
+
+    Rng rng(5);
+    const Tensor a = rng.gaussian(16, 256, 1.0f);
+    const Tensor w = rng.gaussian(256, 2048, 1.0f);
+    const PackedB packed = PackedB::pack(w.view(), Trans::No, DType::kF32);
+    Tensor c(16, 2048);
+    const auto timed = [&](std::size_t ways) {
+      burst::parallel::ThreadPool::reset_global(ways);
+      gemm_packed(a.view(), Trans::No, packed, c.view());  // warm-up
+      return best_seconds(200, [&] {
+        gemm_packed(a.view(), Trans::No, packed, c.view());
+        benchmark::DoNotOptimize(c.data());
+      });
+    };
+    const double one_s = timed(1);
+    const double all_s = timed(nproc);
+    rep.measurement("gemm_m16_speedup", one_s / all_s);
     burst::parallel::ThreadPool::reset_global();
   }
 

@@ -203,14 +203,14 @@ class TestRepoModelCoverage(unittest.TestCase):
     def test_lock_scope_covers_thread_pool(self):
         fns = {f.name for f in self.model.functions
                if f.path == "src/parallel/thread_pool.cpp"}
-        for want in ("ThreadPool::submit", "ThreadPool::wait_idle",
-                     "ThreadPool::worker_loop"):
+        for want in ("ThreadPool::run", "ThreadPool::work",
+                     "ThreadPool::helper_loop"):
             self.assertIn(want, fns)
         locks = set()
         for f in self.model.functions:
             if f.path == "src/parallel/thread_pool.cpp":
                 locks |= f.locks
-        self.assertIn("ThreadPool::mutex_", locks)
+        self.assertIn("ThreadPool::park_mu_", locks)
 
     def test_lock_scope_covers_socket_transport(self):
         fns = {f.short for f in self.model.functions
@@ -240,9 +240,8 @@ class TestRepoModelCoverage(unittest.TestCase):
 
     def test_every_cv_wait_in_tree_has_predicate(self):
         self.assertEqual(
-            {"barrier_cv_", "cv_idle_", "cv_work_", "mail_cv_"},
-            self.model.cv_names & {"barrier_cv_", "cv_idle_", "cv_work_",
-                                   "mail_cv_"})
+            {"barrier_cv_", "park_cv_", "mail_cv_"},
+            self.model.cv_names & {"barrier_cv_", "park_cv_", "mail_cv_"})
         findings = [f for f in burst_lint.ANALYSES["lock-order"].check(
             self.model) if "wait" in f.message]
         self.assertEqual(findings, [])

@@ -75,6 +75,25 @@ void mask_partial_tile(const MaskSpec& mask, const std::int64_t* qg,
   }
 }
 
+// a . b over n floats in kDotLanes lane accumulators (lane l owns elements
+// c with c % kDotLanes == l) combined in a fixed pairwise tree, so the
+// result does not depend on whether the compiler vectorized the loop.
+constexpr std::int64_t kDotLanes = 8;
+inline float dot_lanes(const float* a, const float* b, std::int64_t n) {
+  float acc[kDotLanes] = {};
+  std::int64_t c = 0;
+  for (; c + kDotLanes <= n; c += kDotLanes) {
+    for (std::int64_t l = 0; l < kDotLanes; ++l) {
+      acc[l] += a[c + l] * b[c + l];
+    }
+  }
+  for (std::int64_t l = 0; c + l < n; ++l) {
+    acc[l] += a[c + l] * b[c + l];
+  }
+  return ((acc[0] + acc[4]) + (acc[2] + acc[6])) +
+         ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+}
+
 // Rows [r0, r0+n) of a view, sharing storage.
 ConstMatView sub_rows(ConstMatView m, std::int64_t r0, std::int64_t n) {
   assert(r0 >= 0 && r0 + n <= m.rows);
@@ -220,46 +239,42 @@ float flash_decode_step(ConstMatView q, ConstMatView k, ConstMatView v,
   const std::int64_t d = q.cols;
   const std::int64_t nk = k.rows;
   assert(k.cols == d && v.cols == d && v.rows == nk && o_row.cols == d);
-  for (std::int64_t c = 0; c < d; ++c) {
-    o_row(0, c) = 0.0f;
-  }
-  float m = kNegInf;
-  double l = 0.0;
+  float* o = o_row.data;
+  std::fill(o, o + d, 0.0f);
+
+  // Pass 1: scaled scores, masked keys at -inf.
+  Workspace& ws = Workspace::tls();
+  Workspace::Scope scope(ws);
+  float* s = ws.alloc_f32(static_cast<std::size_t>(nk));
   std::uint64_t pairs = 0;
   for (std::int64_t j = 0; j < nk; ++j) {
-    if (!mask.allowed(q_pos, j)) {
-      continue;
-    }
-    float s = 0.0f;
-    for (std::int64_t c = 0; c < d; ++c) {
-      s += q(0, c) * k(j, c);
-    }
-    s *= scale;
-    ++pairs;
-    if (s > m) {
-      // New running max: rescale the accumulator before adding this key.
-      const float corr = m == kNegInf ? 0.0f : std::exp(m - s);
-      l *= corr;
-      for (std::int64_t c = 0; c < d; ++c) {
-        o_row(0, c) *= corr;
-      }
-      m = s;
-    }
-    const float p = std::exp(s - m);
-    l += p;
-    for (std::int64_t c = 0; c < d; ++c) {
-      o_row(0, c) += p * v(j, c);
-    }
+    const bool allowed = mask.allowed(q_pos, j);
+    pairs += allowed ? 1 : 0;
+    s[j] = tensor::select_f32(
+        allowed, dot_lanes(q.data, k.data + j * k.stride, d) * scale, kNegInf);
   }
   note_tile_computed(stats, attention_pair_flops(pairs, d));
-  if (l <= 0.0) {
+  note_workspace_high_water(ws);
+  const float m = tensor::row_max(s, nk);
+  if (m == kNegInf) {
     return kNegInf;  // fully masked row; o_row stays zero
   }
-  const float inv = static_cast<float>(1.0 / l);
-  for (std::int64_t c = 0; c < d; ++c) {
-    o_row(0, c) *= inv;
+
+  // Pass 2: P = exp(S - m) in place (masked keys give exact zeros), then
+  // O = P V / sum(P), vectorized over d.
+  const float l = tensor::exp_sub_sum(s, s, nk, m);
+  for (std::int64_t j = 0; j < nk; ++j) {
+    const float p = s[j];
+    const float* vrow = v.data + j * v.stride;
+    for (std::int64_t c = 0; c < d; ++c) {
+      o[c] += p * vrow[c];
+    }
   }
-  return m + static_cast<float>(std::log(l));
+  const float inv = 1.0f / l;
+  for (std::int64_t c = 0; c < d; ++c) {
+    o[c] *= inv;
+  }
+  return m + std::log(l);
 }
 
 AttnResult flash_forward(const Tensor& q, const IndexMap& qmap,

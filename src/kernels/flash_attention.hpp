@@ -70,10 +70,13 @@ void flash_forward_partial(tensor::ConstMatView q, const IndexMap& qmap,
 
 /// Append-one-query decode path: attention of a single query row at global
 /// position `q_pos` against keys/values covering global positions
-/// [0, k.rows). One sequential online-softmax pass with no tile machinery —
-/// the per-token hot loop of KV-cache decoding. Writes the output into
-/// `o_row` ([1, d]) and returns the row's LogSumExp (-inf if every key is
-/// masked, in which case `o_row` is zeroed).
+/// [0, k.rows) — the per-token hot loop of KV-cache decoding. Two passes
+/// with no tile machinery: scores into Workspace scratch (masked keys at
+/// -inf), then the shared softmax primitive (tensor/softmax.hpp) and a PV
+/// accumulation vectorized over d. Writes the output into `o_row` ([1, d])
+/// and returns the row's LogSumExp (-inf if every key is masked, in which
+/// case `o_row` is zeroed). Counts one computed tile of `pairs * 4d` FLOPs
+/// in `stats`, where `pairs` is the number of allowed keys.
 float flash_decode_step(tensor::ConstMatView q, tensor::ConstMatView k,
                         tensor::ConstMatView v, std::int64_t q_pos,
                         const MaskSpec& mask, float scale,

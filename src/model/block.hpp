@@ -4,10 +4,11 @@
 // decode (dense and quantized), the distributed step and its checkpoint
 // recompute, and distributed prefill — runs this body and differs only in
 // where attention reads K/V from: each caller passes its attention source as
-// an AttendFn. The layer type picks the rest by overload: dense LayerWeights
-// project through matmul and keep fp32 activations; packed
-// QuantizedWeights::Layer project through packed_matmul and round to bf16 at
-// every layer boundary (DESIGN.md section 2, "One transformer block").
+// an AttendFn. The layer type picks the GEMM by overload: dense LayerWeights
+// project through matmul, PackedWeights::Layer through packed_matmul. The
+// serving forwards pass `bf16_boundary` from their packed set's spec to
+// round activations to bf16 at every layer boundary (DESIGN.md section 2,
+// "One transformer block").
 #pragma once
 
 #include <algorithm>
@@ -16,7 +17,6 @@
 #include <functional>
 #include <utility>
 
-#include "model/quant_weights.hpp"
 #include "model/transformer.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
@@ -35,15 +35,12 @@ inline tensor::Tensor project(const tensor::Tensor& x,
   return tensor::packed_matmul(x, w);
 }
 
-/// Activations leaving a layer of type `Layer` (the embedding output or a
-/// block output).
-template <class Layer>
-void layer_boundary(tensor::Tensor& x);
-template <>
-inline void layer_boundary<LayerWeights>(tensor::Tensor& /*x*/) {}
-template <>
-inline void layer_boundary<QuantizedWeights::Layer>(tensor::Tensor& x) {
-  tensor::round_bf16_inplace(x);
+/// Activations leaving a layer (the embedding output or a block output):
+/// rounded to bf16 on the quantized serving path, untouched otherwise.
+inline void layer_boundary(tensor::Tensor& x, bool bf16_boundary) {
+  if (bf16_boundary) {
+    tensor::round_bf16_inplace(x);
+  }
 }
 
 /// Attention source: (Q, K, V) projections [rows, d_model | d_kv] -> the
@@ -78,10 +75,11 @@ BlockActs block_hidden(const Layer& w, const tensor::Tensor& x,
 
 /// The block output Y = U W_2 + H, at the layer boundary.
 template <class Layer>
-tensor::Tensor block_output(const Layer& w, const BlockActs& a) {
+tensor::Tensor block_output(const Layer& w, const BlockActs& a,
+                            bool bf16_boundary = false) {
   tensor::Tensor y = project(a.u, w.w2);
   tensor::add_inplace(y, a.h);
-  layer_boundary<Layer>(y);
+  layer_boundary(y, bf16_boundary);
   return y;
 }
 
@@ -124,11 +122,9 @@ inline tensor::Tensor block_backward_qkv(
   return dx;
 }
 
-/// Embedding lookup: row i is w_embed's row ids[i], at the layer boundary of
-/// the `Layer` stack it feeds.
-template <class Layer = LayerWeights>
-tensor::Tensor embed(const ModelWeights& w, const std::int64_t* ids,
-                     std::int64_t count) {
+/// Embedding lookup: row i is w_embed's row ids[i], at the layer boundary.
+inline tensor::Tensor embed(const ModelWeights& w, const std::int64_t* ids,
+                            std::int64_t count, bool bf16_boundary = false) {
   const std::int64_t d = w.w_embed.cols();
   tensor::Tensor x(count, d);
   for (std::int64_t i = 0; i < count; ++i) {
@@ -136,7 +132,7 @@ tensor::Tensor embed(const ModelWeights& w, const std::int64_t* ids,
     const float* row = w.w_embed.data() + ids[i] * d;
     std::copy(row, row + d, x.data() + i * d);
   }
-  layer_boundary<Layer>(x);
+  layer_boundary(x, bf16_boundary);
   return x;
 }
 

@@ -319,8 +319,8 @@ Tensor head_logits(const ModelWeights& w, const Tensor& h) {
   return tensor::matmul_nt(h, w.w_head);
 }
 
-Tensor head_logits_q(const QuantizedWeights& qw, const Tensor& h) {
-  return tensor::packed_matmul(h, qw.w_head_t);
+Tensor head_logits(const PackedWeights& pw, const Tensor& h) {
+  return tensor::packed_matmul(h, pw.w_head_t);
 }
 
 std::int64_t argmax(const Tensor& logits) {
@@ -345,11 +345,25 @@ namespace {
 
 constexpr float kNegInfF = -std::numeric_limits<float>::infinity();
 
+// Sums per-head or per-row stats into `stats` (when given) after a join.
+void add_stats(kernels::KernelStats* stats,
+               const std::vector<kernels::KernelStats>& parts) {
+  if (stats == nullptr) {
+    return;
+  }
+  for (const kernels::KernelStats& p : parts) {
+    stats->flops += p.flops;
+    stats->tiles_computed += p.tiles_computed;
+    stats->tiles_skipped += p.tiles_skipped;
+  }
+}
+
 template <class Layer>
 Tensor prefill_chunk(const ModelConfig& cfg, const ModelWeights& w,
-                     const std::vector<Layer>& layers, SequenceKvCache& cache,
-                     const std::int64_t* tokens, std::int64_t count,
-                     const MaskSpec& mask, kernels::KernelStats* stats) {
+                     const std::vector<Layer>& layers, bool bf16_boundary,
+                     SequenceKvCache& cache, const std::int64_t* tokens,
+                     std::int64_t count, const MaskSpec& mask,
+                     kernels::KernelStats* stats) {
   assert(count > 0);
   assert(layers.size() == static_cast<std::size_t>(cfg.layers));
   cache.reserve(count);
@@ -359,44 +373,59 @@ Tensor prefill_chunk(const ModelConfig& cfg, const ModelWeights& w,
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   const IndexMap qmap = IndexMap::range(pos0, count);
   const IndexMap kmap = IndexMap::range(0, total);
-  const std::int64_t group = cfg.group_size();
-  // Head-sized scratch reused across heads *and* layers (identical shapes
-  // every iteration) so the prefill hot loop allocates nothing per head.
-  Tensor qh(count, dh);
-  Tensor o(count, dh);
-  Tensor lse(count);
-  Tensor x = embed<Layer>(w, tokens, count);
+  const auto group = static_cast<std::size_t>(cfg.group_size());
+  const auto kv_heads = static_cast<std::size_t>(cfg.num_kv_heads());
+  const auto heads = static_cast<std::size_t>(cfg.heads);
+  Tensor x = embed(w, tokens, count, bf16_boundary);
   for (std::int64_t l = 0; l < cfg.layers; ++l) {
     const Layer& lw = layers[static_cast<std::size_t>(l)];
     x = block_output(lw, block_hidden(lw, x, [&](const Tensor& q_all,
                                                  const Tensor& k_all,
                                                  const Tensor& v_all) {
       // The chunk's K/V rows must land in the cache before attention so
-      // every query row can read keys up to its own position.
-      for (std::int64_t kvh = 0; kvh < cfg.num_kv_heads(); ++kvh) {
-        Tensor kh = tensor::copy_cols(k_all, kvh * dh, dh);
-        if (cfg.use_rope) {
-          kernels::apply_rope_inplace(kh, qmap);
+      // every query row can read keys up to its own position. One chunk per
+      // K/V head, each writing only its own cache streams.
+      parallel::parallel_for(0, kv_heads, 1, [&](std::size_t h0,
+                                                 std::size_t h1) {
+        for (std::size_t kvh = h0; kvh < h1; ++kvh) {
+          const std::int64_t col = static_cast<std::int64_t>(kvh) * dh;
+          Tensor kh = tensor::copy_cols(k_all, col, dh);
+          if (cfg.use_rope) {
+            kernels::apply_rope_inplace(kh, qmap);
+          }
+          cache.put(l, static_cast<std::int64_t>(kvh), kh,
+                    tensor::copy_cols(v_all, col, dh));
         }
-        cache.put(l, kvh, kh, tensor::copy_cols(v_all, kvh * dh, dh));
-      }
+      });
+      // Then one chunk per query head, writing its own column block of attn
+      // and its own stats; the stats are summed after the join.
       Tensor attn(count, cfg.d_model);
-      for (std::int64_t h = 0; h < cfg.heads; ++h) {
-        tensor::copy_cols_into(q_all, h * dh, qh);
-        if (cfg.use_rope) {
-          kernels::apply_rope_inplace(qh, qmap);
+      std::vector<kernels::KernelStats> head_stats(heads);
+      parallel::parallel_for(0, heads, 1, [&](std::size_t h0,
+                                              std::size_t h1) {
+        // Head-sized scratch reused across this chunk's heads.
+        Tensor qh(count, dh);
+        Tensor o(count, dh);
+        Tensor lse(count);
+        for (std::size_t h = h0; h < h1; ++h) {
+          const std::int64_t col = static_cast<std::int64_t>(h) * dh;
+          tensor::copy_cols_into(q_all, col, qh);
+          if (cfg.use_rope) {
+            kernels::apply_rope_inplace(qh, qmap);
+          }
+          const auto kvh = static_cast<std::int64_t>(h / group);
+          o.fill(0.0f);
+          lse.fill(kNegInfF);
+          kernels::flash_forward_partial(
+              qh.view(), qmap, cache.k_view(l, kvh, total),
+              cache.v_view(l, kvh, total), kmap, mask, scale, o.view(), lse,
+              &head_stats[h]);
+          tensor::set_cols(attn, col, o);
         }
-        const std::int64_t kvh = h / group;
-        o.fill(0.0f);
-        lse.fill(kNegInfF);
-        kernels::flash_forward_partial(qh.view(), qmap,
-                                       cache.k_view(l, kvh, total),
-                                       cache.v_view(l, kvh, total), kmap,
-                                       mask, scale, o.view(), lse, stats);
-        tensor::set_cols(attn, h * dh, o);
-      }
+      });
+      add_stats(stats, head_stats);
       return attn;
-    }));
+    }), bf16_boundary);
   }
   cache.commit(count);
   return x;
@@ -431,7 +460,9 @@ void begin_decode_batch(const std::vector<SequenceKvCache*>& caches,
 // The per-row half of decode layer `layer`: for each row b, RoPE-rotates
 // row b of `k_all` at caches[b]->len(), appends it and row b of `v_all` to
 // *caches[b], then attends row b of `q_all` over that cache into row b of
-// the result ([B, d_model]).
+// the result ([B, d_model]). One parallel_for chunk per row: a row touches
+// only its own cache, its own output row and its own stats, which are
+// summed after the join, so the result is the same for every pool size.
 Tensor decode_attention(const ModelConfig& cfg, std::int64_t layer,
                         const std::vector<SequenceKvCache*>& caches,
                         const Tensor& q_all, const Tensor& k_all,
@@ -441,56 +472,62 @@ Tensor decode_attention(const ModelConfig& cfg, std::int64_t layer,
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   const std::int64_t group = cfg.group_size();
   Tensor attn(q_all.rows(), cfg.d_model);
-  // Reused across rows and heads: the decode loop allocates nothing per head.
-  Tensor qh(1, dh);
-  Tensor kh(1, dh);
-  Tensor vh(1, dh);
+  std::vector<kernels::KernelStats> row_stats(caches.size());
   // dst[0, :] = src[row, col:col+dh].
   const auto slice = [dh](const Tensor& src, std::int64_t row,
                           std::int64_t col, Tensor& dst) {
     const float* s = src.data() + row * src.cols() + col;
     std::copy(s, s + dh, dst.data());
   };
-  for (std::size_t b = 0; b < caches.size(); ++b) {
-    SequenceKvCache& cache = *caches[b];
-    const auto row = static_cast<std::int64_t>(b);
-    const std::int64_t pos = cache.len();
-    const IndexMap posmap = IndexMap::range(pos, 1);
-    for (std::int64_t kvh = 0; kvh < cfg.num_kv_heads(); ++kvh) {
-      slice(k_all, row, kvh * dh, kh);
-      if (cfg.use_rope) {
-        kernels::apply_rope_inplace(kh, posmap);
+  parallel::parallel_for(0, caches.size(), 1, [&](std::size_t b0,
+                                                  std::size_t b1) {
+    // Reused across this chunk's rows and heads.
+    Tensor qh(1, dh);
+    Tensor kh(1, dh);
+    Tensor vh(1, dh);
+    for (std::size_t b = b0; b < b1; ++b) {
+      SequenceKvCache& cache = *caches[b];
+      const auto row = static_cast<std::int64_t>(b);
+      const std::int64_t pos = cache.len();
+      const IndexMap posmap = IndexMap::range(pos, 1);
+      for (std::int64_t kvh = 0; kvh < cfg.num_kv_heads(); ++kvh) {
+        slice(k_all, row, kvh * dh, kh);
+        if (cfg.use_rope) {
+          kernels::apply_rope_inplace(kh, posmap);
+        }
+        slice(v_all, row, kvh * dh, vh);
+        cache.put(layer, kvh, kh, vh);
       }
-      slice(v_all, row, kvh * dh, vh);
-      cache.put(layer, kvh, kh, vh);
-    }
-    for (std::int64_t h = 0; h < cfg.heads; ++h) {
-      slice(q_all, row, h * dh, qh);
-      if (cfg.use_rope) {
-        kernels::apply_rope_inplace(qh, posmap);
+      for (std::int64_t h = 0; h < cfg.heads; ++h) {
+        slice(q_all, row, h * dh, qh);
+        if (cfg.use_rope) {
+          kernels::apply_rope_inplace(qh, posmap);
+        }
+        const std::int64_t kvh = h / group;
+        const tensor::MatView o_row{attn.data() + row * attn.cols() + h * dh,
+                                    1, dh, attn.cols()};
+        kernels::flash_decode_step(
+            qh.view(), cache.k_view(layer, kvh, pos + 1),
+            cache.v_view(layer, kvh, pos + 1), pos, mask, scale, o_row,
+            &row_stats[b]);
       }
-      const std::int64_t kvh = h / group;
-      const tensor::MatView o_row{attn.data() + row * attn.cols() + h * dh, 1,
-                                  dh, attn.cols()};
-      kernels::flash_decode_step(qh.view(), cache.k_view(layer, kvh, pos + 1),
-                                 cache.v_view(layer, kvh, pos + 1), pos, mask,
-                                 scale, o_row, stats);
     }
-  }
+  });
+  add_stats(stats, row_stats);
   return attn;
 }
 
 // Final-layer hidden states [B, d] of one batched decode step.
 template <class Layer>
 Tensor decode_batch(const ModelConfig& cfg, const ModelWeights& w,
-                    const std::vector<Layer>& layers,
+                    const std::vector<Layer>& layers, bool bf16_boundary,
                     const std::vector<SequenceKvCache*>& caches,
                     const std::vector<std::int64_t>& tokens,
                     const MaskSpec& mask, kernels::KernelStats* stats) {
   assert(layers.size() == static_cast<std::size_t>(cfg.layers));
   begin_decode_batch(caches, tokens);
-  Tensor x = embed<Layer>(w, tokens.data(),
-                          static_cast<std::int64_t>(tokens.size()));
+  Tensor x = embed(w, tokens.data(), static_cast<std::int64_t>(tokens.size()),
+                   bf16_boundary);
   for (std::int64_t l = 0; l < cfg.layers; ++l) {
     const Layer& lw = layers[static_cast<std::size_t>(l)];
     x = block_output(lw, block_hidden(lw, x, [&](const Tensor& q_all,
@@ -498,7 +535,7 @@ Tensor decode_batch(const ModelConfig& cfg, const ModelWeights& w,
                                                  const Tensor& v_all) {
       return decode_attention(cfg, l, caches, q_all, k_all, v_all, mask,
                               stats);
-    }));
+    }), bf16_boundary);
   }
   for (SequenceKvCache* cache : caches) {
     cache->commit(1);
@@ -512,16 +549,17 @@ Tensor forward_prefill_chunk(const ModelConfig& cfg, const ModelWeights& w,
                              SequenceKvCache& cache, const std::int64_t* tokens,
                              std::int64_t count, const MaskSpec& mask,
                              kernels::KernelStats* stats) {
-  return prefill_chunk(cfg, w, w.layers, cache, tokens, count, mask, stats);
+  return prefill_chunk(cfg, w, w.layers, false, cache, tokens, count, mask,
+                       stats);
 }
 
-Tensor forward_prefill_chunk_q(const ModelConfig& cfg, const ModelWeights& w,
-                               const QuantizedWeights& qw,
-                               SequenceKvCache& cache,
-                               const std::int64_t* tokens, std::int64_t count,
-                               const MaskSpec& mask,
-                               kernels::KernelStats* stats) {
-  return prefill_chunk(cfg, w, qw.layers, cache, tokens, count, mask, stats);
+Tensor forward_prefill_chunk(const ModelConfig& cfg, const ModelWeights& w,
+                             const PackedWeights& pw, SequenceKvCache& cache,
+                             const std::int64_t* tokens, std::int64_t count,
+                             const MaskSpec& mask,
+                             kernels::KernelStats* stats) {
+  return prefill_chunk(cfg, w, pw.layers, pw.quantized(), cache, tokens,
+                       count, mask, stats);
 }
 
 Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
@@ -529,16 +567,16 @@ Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
                       const std::vector<std::int64_t>& tokens,
                       const MaskSpec& mask, kernels::KernelStats* stats) {
   return head_logits(
-      w, decode_batch(cfg, w, w.layers, caches, tokens, mask, stats));
+      w, decode_batch(cfg, w, w.layers, false, caches, tokens, mask, stats));
 }
 
-Tensor forward_decode_q(const ModelConfig& cfg, const ModelWeights& w,
-                        const QuantizedWeights& qw,
-                        const std::vector<SequenceKvCache*>& caches,
-                        const std::vector<std::int64_t>& tokens,
-                        const MaskSpec& mask, kernels::KernelStats* stats) {
-  return head_logits_q(
-      qw, decode_batch(cfg, w, qw.layers, caches, tokens, mask, stats));
+Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
+                      const PackedWeights& pw,
+                      const std::vector<SequenceKvCache*>& caches,
+                      const std::vector<std::int64_t>& tokens,
+                      const MaskSpec& mask, kernels::KernelStats* stats) {
+  return head_logits(pw, decode_batch(cfg, w, pw.layers, pw.quantized(),
+                                      caches, tokens, mask, stats));
 }
 
 Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
@@ -547,12 +585,12 @@ Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
   return logits_row(forward_decode(cfg, w, {&cache}, {token}, mask, stats), 0);
 }
 
-Tensor forward_decode_q(const ModelConfig& cfg, const ModelWeights& w,
-                        const QuantizedWeights& qw, SequenceKvCache& cache,
-                        std::int64_t token, const MaskSpec& mask,
-                        kernels::KernelStats* stats) {
-  return logits_row(
-      forward_decode_q(cfg, w, qw, {&cache}, {token}, mask, stats), 0);
+Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
+                      const PackedWeights& pw, SequenceKvCache& cache,
+                      std::int64_t token, const MaskSpec& mask,
+                      kernels::KernelStats* stats) {
+  return logits_row(forward_decode(cfg, w, pw, {&cache}, {token}, mask, stats),
+                    0);
 }
 
 }  // namespace burst::model

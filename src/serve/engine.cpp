@@ -105,15 +105,12 @@ struct EngineSlot {
 
 Engine::Engine(const ModelConfig& model, const model::ModelWeights& weights,
                EngineConfig cfg)
-    : model_(model), weights_(weights), cfg_(std::move(cfg)) {
+    : model_(model),
+      weights_(weights),
+      packed_(model::PackedWeights::pack(model_, weights_)),
+      cfg_(std::move(cfg)) {
   if (cfg_.block_tokens <= 0 || cfg_.max_kv_blocks <= 0) {
     throw std::invalid_argument("EngineConfig: block/pool sizes must be > 0");
-  }
-  if (model_.quant.weights != tensor::DType::kBf16) {
-    // Pay the pack + quantize cost once here; every prefill/decode GEMM
-    // then streams the packed panels (4-8x smaller for Q8_0/Q4_0).
-    qweights_ = model::QuantizedWeights::pack(model_, weights_);
-    quantized_ = true;
   }
 }
 
@@ -530,24 +527,15 @@ ServeReport Engine::run(sim::DeviceContext& ctx, const RunOptions& opts) {
       }
       assert(s.state == RequestState::kPrefill);
       grow_cache(s, p.tokens);
-      const Tensor hidden =
-          quantized_
-              ? model::forward_prefill_chunk_q(
-                    model_, weights_, qweights_, s.cache,
-                    s.req.prompt.data() + s.prefilled, p.tokens, cfg_.mask,
-                    &stats)
-              : model::forward_prefill_chunk(
-                    model_, weights_, s.cache,
-                    s.req.prompt.data() + s.prefilled, p.tokens, cfg_.mask,
-                    &stats);
+      const Tensor hidden = model::forward_prefill_chunk(
+          model_, weights_, packed_, s.cache,
+          s.req.prompt.data() + s.prefilled, p.tokens, cfg_.mask, &stats);
       s.prefilled += p.tokens;
       lin_flops += static_cast<std::uint64_t>(p.tokens) * lin_per_tok;
       if (s.prefilled == static_cast<std::int64_t>(s.req.prompt.size())) {
         // Prefill done: the last prompt row's logits give the first token.
         const Tensor last_row = hidden.copy_rows(p.tokens - 1, 1);
-        const Tensor logits = quantized_
-                                  ? model::head_logits_q(qweights_, last_row)
-                                  : model::head_logits(weights_, last_row);
+        const Tensor logits = model::head_logits(packed_, last_row);
         lin_flops += head_per_row;
         s.generated.push_back(model::argmax(model::logits_row(logits, 0)));
         produced.push_back(&s);
@@ -569,12 +557,8 @@ ServeReport Engine::run(sim::DeviceContext& ctx, const RunOptions& opts) {
         caches.push_back(&s.cache);
         tokens.push_back(s.generated.back());
       }
-      const Tensor logits =
-          quantized_ ? model::forward_decode_q(model_, weights_, qweights_,
-                                               caches, tokens, cfg_.mask,
-                                               &stats)
-                     : model::forward_decode(model_, weights_, caches, tokens,
-                                             cfg_.mask, &stats);
+      const Tensor logits = model::forward_decode(
+          model_, weights_, packed_, caches, tokens, cfg_.mask, &stats);
       lin_flops += static_cast<std::uint64_t>(decoding.size()) *
                    (lin_per_tok + head_per_row);
       for (std::size_t b = 0; b < decoding.size(); ++b) {

@@ -168,21 +168,20 @@ class Engine {
 
   const EngineConfig& config() const { return cfg_; }
 
-  /// True when model.quant.weights routes forwards through the prepacked
-  /// quantized path (kF32/kQ8_0/kQ4_0; kBf16 = dense functional path).
-  bool quantized() const { return quantized_; }
+  /// True when model.quant.weights selects the quantized serving path
+  /// (kF32/kQ8_0/kQ4_0; kBf16 = dense functional path).
+  bool quantized() const { return packed_.quantized(); }
   /// Packed weight bytes at the serving dtype (0 unless quantized()).
   std::uint64_t packed_weight_bytes() const {
-    return quantized_ ? qweights_.model_bytes() : 0;
+    return quantized() ? packed_.model_bytes() : 0;
   }
 
  private:
   const model::ModelConfig model_;
   const model::ModelWeights& weights_;
-  /// Built once at construction when the QuantSpec asks for a packed
-  /// serving dtype; forwards then run dequantize-in-microkernel GEMMs.
-  model::QuantizedWeights qweights_;
-  bool quantized_ = false;
+  /// The serving weight set, packed once at construction for the
+  /// QuantSpec; every prefill, decode and LM-head GEMM streams its panels.
+  model::PackedWeights packed_;
   EngineConfig cfg_;
   std::vector<Request> pending_;
 };

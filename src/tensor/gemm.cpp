@@ -195,113 +195,30 @@ void micro_kernel_q4(const float* __restrict__ ap, const std::uint8_t* bp,
   }
 }
 
-QKernel kernel_for(DType dt) {
-  switch (dt) {
-    case DType::kQ8_0:
-      return micro_kernel_q8;
-    case DType::kQ4_0:
-      return micro_kernel_q4;
-    case DType::kF32:
-    case DType::kBf16:
-      return micro_kernel_f32p;
-  }
-  return micro_kernel_f32p;
-}
+// Smallest work one parallel task of a column-split cache block carries:
+// below it, dispatch costs more than the split saves (the LM head's
+// 32 x 256 x 64 tiles stay one task).
+constexpr std::int64_t kMinTaskFlops = std::int64_t{1} << 20;
 
-// Shared driver for the dtype paths. Mirrors gemm()'s structure exactly —
-// beta pre-scale, jc/pc cache-block loops, deterministic row-block
-// parallel_for with per-task A packing — so every dtype is bitwise
-// deterministic across pool sizes, and the kF32 panel path reproduces
-// gemm() bit for bit. `panel_for(ws, jc, nc, pc, kc)` supplies the packed
-// B stream for one cache block: a borrowed PackedB block (gemm_packed*) or
-// a workspace pack quantized on the fly (gemm_dt).
-template <typename PanelFn>
-void gemm_dt_driver(ConstMatView a, Trans ta, std::int64_t m, std::int64_t k,
-                    std::int64_t n, DType dt, MatView c, float alpha,
-                    float beta, PanelFn&& panel_for) {
+// The blocked driver behind every GEMM entry point: beta pre-scale, then
+// jc/pc cache-block loops, and per cache block one parallel_for over a grid
+// of kMC row blocks x groups of kNR column panels, each task packing its own
+// A block. `panel_for(ws, jc, nc, pc, kc)` supplies the packed B stream for
+// one cache block: a workspace pack made on the caller (gemm, gemm_dt) or a
+// borrowed PackedB block (gemm_packed*). `kKern` consumes it at its dtype.
+//
+// Column groups are formed only when the row blocks alone leave ways of the
+// pool idle (small m, e.g. batched decode) and each task still carries at
+// least kMinTaskFlops. Every C element is written by exactly one task, with
+// the same kernel call over the same packed panels in the same pc order, so
+// results are bitwise identical for any grid and any pool size, and
+// gemm_packed over a kF32 PackedB (the same panels gemm() packs per call)
+// reproduces gemm() bit for bit.
+template <QKernel kKern, typename PanelFn>
+void gemm_blocked(ConstMatView a, Trans ta, std::int64_t m, std::int64_t k,
+                  std::int64_t n, DType dt, MatView c, float alpha,
+                  float beta, PanelFn&& panel_for) {
   assert(c.rows == m && c.cols == n);
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* crow = c.data + i * c.stride;
-    if (beta == 0.0f) {
-      std::fill(crow, crow + n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        crow[j] *= beta;
-      }
-    }
-  }
-
-  if (g_metrics.calls != nullptr) {
-    g_metrics.calls->add(1);
-  }
-
-  const QKernel kern = kernel_for(dt);
-  Workspace& ws = Workspace::tls();
-  for (std::int64_t jc = 0; jc < n; jc += kNC) {
-    const std::int64_t nc = std::min(kNC, n - jc);
-    for (std::int64_t pc = 0; pc < k; pc += kKC) {
-      const std::int64_t kc = std::min(kKC, k - pc);
-      Workspace::Scope bscope(ws);
-      const std::uint8_t* bpack = panel_for(ws, jc, nc, pc, kc);
-      const std::int64_t bstride = pack::b_panel_stride_bytes(dt, kc);
-
-      const std::int64_t mblocks = (m + kMC - 1) / kMC;
-      parallel::parallel_for(
-          0, static_cast<std::size_t>(mblocks), 1,
-          [&](std::size_t bi0, std::size_t bi1) {
-            Workspace& wst = Workspace::tls();
-            for (std::size_t bi = bi0; bi < bi1; ++bi) {
-              const std::int64_t ic = static_cast<std::int64_t>(bi) * kMC;
-              const std::int64_t mc = std::min(kMC, m - ic);
-              Workspace::Scope ascope(wst);
-              float* apack = wst.alloc_f32(
-                  static_cast<std::size_t>(pack::a_panel_floats(mc, kc)));
-              const std::int64_t apanels =
-                  pack::pack_a(a, ta, ic, mc, pc, kc, alpha, apack);
-              if (g_metrics.a_panels != nullptr) {
-                g_metrics.a_panels->add(static_cast<std::uint64_t>(apanels));
-              }
-              float acc[kMR * kNR];
-              for (std::int64_t jr = 0; jr < nc; jr += kNR) {
-                const std::int64_t nr = std::min(kNR, nc - jr);
-                const std::uint8_t* bp = bpack + (jr / kNR) * bstride;
-                for (std::int64_t ir = 0; ir < mc; ir += kMR) {
-                  const std::int64_t mr = std::min(kMR, mc - ir);
-                  const float* ap = apack + (ir / kMR) * kc * kMR;
-                  kern(ap, bp, kc, acc);
-                  for (std::int64_t r = 0; r < mr; ++r) {
-                    float* crow =
-                        c.data + (ic + ir + r) * c.stride + jc + jr;
-                    const float* arow = acc + r * kNR;
-                    for (std::int64_t cc = 0; cc < nr; ++cc) {
-                      crow[cc] += arow[cc];
-                    }
-                  }
-                }
-              }
-            }
-          });
-    }
-  }
-
-  if (g_metrics.ws_high_water != nullptr) {
-    g_metrics.ws_high_water->set_max(
-        static_cast<double>(ws.high_water_bytes()));
-  }
-}
-
-}  // namespace
-
-void gemm(ConstMatView a, Trans ta, ConstMatView b, Trans tb, MatView c,
-          float alpha, float beta) {
-  const std::int64_t m = (ta == Trans::No) ? a.rows : a.cols;
-  const std::int64_t k = (ta == Trans::No) ? a.cols : a.rows;
-  const std::int64_t kb = (tb == Trans::No) ? b.rows : b.cols;
-  const std::int64_t n = (tb == Trans::No) ? b.cols : b.rows;
-  assert(k == kb);
-  (void)kb;
-  assert(c.rows == m && c.cols == n);
-
   // Scale / clear C first so the K-blocked accumulation below can always add.
   for (std::int64_t i = 0; i < m; ++i) {
     float* crow = c.data + i * c.stride;
@@ -318,34 +235,41 @@ void gemm(ConstMatView a, Trans ta, ConstMatView b, Trans tb, MatView c,
     g_metrics.calls->add(1);
   }
 
+  const std::int64_t mblocks = (m + kMC - 1) / kMC;
+  const auto ways = static_cast<std::int64_t>(parallel::concurrency());
   Workspace& ws = Workspace::tls();
   for (std::int64_t jc = 0; jc < n; jc += kNC) {
     const std::int64_t nc = std::min(kNC, n - jc);
+    const std::int64_t panels = (nc + kNR - 1) / kNR;
     for (std::int64_t pc = 0; pc < k; pc += kKC) {
       const std::int64_t kc = std::min(kKC, k - pc);
-      // B panel: packed once on the calling thread, shared read-only by the
-      // row tasks below (they only read it, and parallel_for joins before
-      // the scope pops).
+      // The B stream is shared read-only by the tasks below, and
+      // parallel_for joins before the scope pops.
       Workspace::Scope bscope(ws);
-      float* bpack =
-          ws.alloc_f32(static_cast<std::size_t>(pack::b_panel_floats(nc, kc)));
-      const std::int64_t bpanels = pack::pack_b(b, tb, pc, kc, jc, nc, bpack);
-      if (g_metrics.b_panels != nullptr) {
-        g_metrics.b_panels->add(static_cast<std::uint64_t>(bpanels));
-      }
+      const std::uint8_t* bpack = panel_for(ws, jc, nc, pc, kc);
+      const std::int64_t bstride = pack::b_panel_stride_bytes(dt, kc);
 
-      // Deterministic row-block partitioning: each task covers whole kMC
-      // blocks, packs its A block into its own thread-local workspace, and
-      // writes a disjoint row range of C — so the arithmetic per C element
-      // is identical for every pool size.
-      const std::int64_t mblocks = (m + kMC - 1) / kMC;
+      std::int64_t group_panels = panels;
+      if (ways > mblocks && m > 0) {
+        const std::int64_t panel_flops = 2 * std::min(m, kMC) * kc * kNR;
+        const std::int64_t min_panels =
+            (kMinTaskFlops + panel_flops - 1) / panel_flops;
+        const std::int64_t want = std::clamp<std::int64_t>(
+            panels / min_panels, 1, (ways + mblocks - 1) / mblocks);
+        group_panels = (panels + want - 1) / want;
+      }
+      const std::int64_t groups = (panels + group_panels - 1) / group_panels;
+
       parallel::parallel_for(
-          0, static_cast<std::size_t>(mblocks), 1,
-          [&](std::size_t bi0, std::size_t bi1) {
+          0, static_cast<std::size_t>(mblocks * groups), 1,
+          [&](std::size_t t0, std::size_t t1) {
             Workspace& wst = Workspace::tls();
-            for (std::size_t bi = bi0; bi < bi1; ++bi) {
-              const std::int64_t ic = static_cast<std::int64_t>(bi) * kMC;
+            for (std::size_t t = t0; t < t1; ++t) {
+              const auto task = static_cast<std::int64_t>(t);
+              const std::int64_t ic = task / groups * kMC;
               const std::int64_t mc = std::min(kMC, m - ic);
+              const std::int64_t jr0 = task % groups * group_panels * kNR;
+              const std::int64_t jr1 = std::min(nc, jr0 + group_panels * kNR);
               Workspace::Scope ascope(wst);
               float* apack = wst.alloc_f32(
                   static_cast<std::size_t>(pack::a_panel_floats(mc, kc)));
@@ -355,13 +279,13 @@ void gemm(ConstMatView a, Trans ta, ConstMatView b, Trans tb, MatView c,
                 g_metrics.a_panels->add(static_cast<std::uint64_t>(apanels));
               }
               float acc[kMR * kNR];
-              for (std::int64_t jr = 0; jr < nc; jr += kNR) {
+              for (std::int64_t jr = jr0; jr < jr1; jr += kNR) {
                 const std::int64_t nr = std::min(kNR, nc - jr);
-                const float* bp = bpack + (jr / kNR) * kc * kNR;
+                const std::uint8_t* bp = bpack + (jr / kNR) * bstride;
                 for (std::int64_t ir = 0; ir < mc; ir += kMR) {
                   const std::int64_t mr = std::min(kMR, mc - ir);
                   const float* ap = apack + (ir / kMR) * kc * kMR;
-                  micro_kernel(ap, bp, kc, acc);
+                  kKern(ap, bp, kc, acc);
                   for (std::int64_t r = 0; r < mr; ++r) {
                     float* crow =
                         c.data + (ic + ir + r) * c.stride + jc + jr;
@@ -381,6 +305,53 @@ void gemm(ConstMatView a, Trans ta, ConstMatView b, Trans tb, MatView c,
     g_metrics.ws_high_water->set_max(
         static_cast<double>(ws.high_water_bytes()));
   }
+}
+
+// gemm_blocked over `dt`'s microkernel.
+template <typename PanelFn>
+void gemm_dt_driver(ConstMatView a, Trans ta, std::int64_t m, std::int64_t k,
+                    std::int64_t n, DType dt, MatView c, float alpha,
+                    float beta, PanelFn&& panel_for) {
+  switch (dt) {
+    case DType::kQ8_0:
+      gemm_blocked<micro_kernel_q8>(a, ta, m, k, n, dt, c, alpha, beta,
+                                    panel_for);
+      return;
+    case DType::kQ4_0:
+      gemm_blocked<micro_kernel_q4>(a, ta, m, k, n, dt, c, alpha, beta,
+                                    panel_for);
+      return;
+    case DType::kF32:
+    case DType::kBf16:
+      gemm_blocked<micro_kernel_f32p>(a, ta, m, k, n, dt, c, alpha, beta,
+                                      panel_for);
+      return;
+  }
+}
+
+}  // namespace
+
+void gemm(ConstMatView a, Trans ta, ConstMatView b, Trans tb, MatView c,
+          float alpha, float beta) {
+  const std::int64_t m = (ta == Trans::No) ? a.rows : a.cols;
+  const std::int64_t k = (ta == Trans::No) ? a.cols : a.rows;
+  const std::int64_t kb = (tb == Trans::No) ? b.rows : b.cols;
+  const std::int64_t n = (tb == Trans::No) ? b.cols : b.rows;
+  assert(k == kb);
+  (void)kb;
+  gemm_blocked<micro_kernel_f32p>(
+      a, ta, m, k, n, DType::kF32, c, alpha, beta,
+      [&](Workspace& ws, std::int64_t jc, std::int64_t nc, std::int64_t pc,
+          std::int64_t kc) {
+        float* bpack = ws.alloc_f32(
+            static_cast<std::size_t>(pack::b_panel_floats(nc, kc)));
+        const std::int64_t bpanels =
+            pack::pack_b(b, tb, pc, kc, jc, nc, bpack);
+        if (g_metrics.b_panels != nullptr) {
+          g_metrics.b_panels->add(static_cast<std::uint64_t>(bpanels));
+        }
+        return reinterpret_cast<const std::uint8_t*>(bpack);
+      });
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

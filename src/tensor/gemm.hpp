@@ -5,7 +5,8 @@
 // Implementation (DESIGN.md §11): operands are packed per cache block into
 // contiguous, transpose-resolved panels (tensor/pack.hpp) borrowed from the
 // thread-local Workspace, then a branch-free 4x16 register-accumulator
-// microkernel runs over the packed panels. Row blocks are dispatched over
+// microkernel runs over the packed panels. Row blocks — and, when m is too
+// small to fill the pool, groups of column panels — are dispatched over
 // parallel::ThreadPool with deterministic partitioning, so results are
 // bitwise identical for any pool size (including BURST_THREADS overrides).
 // Quantized weights (DESIGN.md §16): B operands can be stored in any
@@ -103,8 +104,8 @@ class PackedB {
 };
 
 /// C = alpha * op(A) @ B + beta * C over a prepacked operand. Blocking,
-/// accumulation order, and deterministic row-block parallelism match
-/// gemm(); results are bitwise identical for any thread-pool size.
+/// accumulation order, and deterministic parallelism match gemm(); results
+/// are bitwise identical for any thread-pool size.
 void gemm_packed(ConstMatView a, Trans ta, const PackedB& b, MatView c,
                  float alpha = 1.0f, float beta = 0.0f);
 

@@ -56,7 +56,8 @@ inline model::ModelConfig batched_decode_toy() {
 
 /// Runs 32 greedy decode steps at B in {1, 3, 16} and pool sizes 1 and 4.
 /// Row b's prompt has 3 + 5b tokens, so contexts all differ and rows open
-/// new KV blocks at different steps of one batch.
+/// new KV blocks at different steps of one batch. The batched logits are
+/// also bitwise equal across the two pool sizes.
 ///   prefill(cache, tokens, count)          fills a fresh cache
 ///   decode_batch(caches, tokens, stats)    -> [B, vocab] logits
 ///   decode_one(cache, token, stats)        -> [vocab] logits
@@ -68,6 +69,8 @@ void expect_batched_decode_matches_per_request(const model::ModelConfig& cfg,
   using model::SequenceKvCache;
   constexpr std::int64_t kBlock = 8;
   const auto vocab_bytes = static_cast<std::size_t>(cfg.vocab) * sizeof(float);
+  std::vector<tensor::Tensor> pool1_logits;  // every batched call at pool 1
+  std::size_t call = 0;
   for (const std::size_t workers : {1u, 4u}) {
     parallel::ThreadPool::reset_global(workers);
     for (const std::int64_t batch : {1, 3, 16}) {
@@ -102,6 +105,17 @@ void expect_batched_decode_matches_per_request(const model::ModelConfig& cfg,
         const tensor::Tensor logits = decode_batch(ptrs, tokens, &stats_batched);
         ASSERT_EQ(logits.rows(), batch);
         ASSERT_EQ(logits.cols(), cfg.vocab);
+        if (workers == 1) {
+          pool1_logits.push_back(logits);
+        } else {
+          ASSERT_LT(call, pool1_logits.size());
+          ASSERT_EQ(std::memcmp(logits.data(), pool1_logits[call].data(),
+                                static_cast<std::size_t>(batch) * vocab_bytes),
+                    0)
+              << "B=" << batch << " step " << step << " pool " << workers
+              << " differs from pool 1";
+          ++call;
+        }
         kernels::KernelStats stats_single;
         for (std::int64_t b = 0; b < batch; ++b) {
           const auto i = static_cast<std::size_t>(b);

@@ -7,6 +7,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
@@ -248,6 +249,95 @@ TEST(Gemm, RowResultIndependentOfBatchRows) {
   }
   parallel::ThreadPool::reset_global();
 }
+
+// The column-split twin of RowResultIndependentOfBatchRows. Small-m GEMMs
+// split each cache block's column panels across the pool, and the grid
+// depends on m, k and the pool size. Every C element must still see the same
+// arithmetic: results at pools 1, 2 and 4 are memcmp-equal, the last row
+// equals that row computed alone, and kF32 gemm_packed stays bitwise
+// gemm(). The quantized microkernels run through the Q8_0/Q4_0 packs (the
+// per-call quantizing gemm_dt feeds them the same panels, at a much higher
+// packing cost). One instance per (k, n), so ctest runs them in parallel.
+class GemmColumnSplit
+    : public ::testing::TestWithParam<std::tuple<std::int64_t, std::int64_t>> {};
+
+TEST_P(GemmColumnSplit, ResultIndependentOfGridAndPool) {
+  const auto [k, n] = GetParam();
+  Rng rng(91 + static_cast<std::uint64_t>(k * 4099 + n));
+  const Tensor b = rng.gaussian(k, n, 1.0f);
+  const Tensor b_t = rng.gaussian(n, k, 1.0f);
+  const PackedB f32 = PackedB::pack(b.view(), Trans::No, DType::kF32);
+  const PackedB q8 = PackedB::pack(b.view(), Trans::No, DType::kQ8_0);
+  const PackedB q4 = PackedB::pack(b.view(), Trans::No, DType::kQ4_0);
+  struct Variant {
+    std::string name;
+    std::function<void(const Tensor&, Tensor&)> run;
+  };
+  const std::vector<Variant> variants = {
+      {"gemm", [&](const Tensor& a, Tensor& c) {
+         gemm(a.view(), Trans::No, b.view(), Trans::No, c.view());
+       }},
+      {"gemm_nt", [&](const Tensor& a, Tensor& c) {
+         gemm(a.view(), Trans::No, b_t.view(), Trans::Yes, c.view());
+       }},
+      {"gemm_dt_bf16", [&](const Tensor& a, Tensor& c) {
+         gemm_dt(a.view(), Trans::No, b.view(), Trans::No, c.view(),
+                 DType::kBf16);
+       }},
+      {"gemm_packed_f32", [&](const Tensor& a, Tensor& c) {
+         gemm_packed(a.view(), Trans::No, f32, c.view());
+       }},
+      {"gemm_packed_q8", [&](const Tensor& a, Tensor& c) {
+         gemm_packed(a.view(), Trans::No, q8, c.view());
+       }},
+      {"gemm_packed_q4", [&](const Tensor& a, Tensor& c) {
+         gemm_packed(a.view(), Trans::No, q4, c.view());
+       }},
+  };
+  for (const std::int64_t m : {1, 3, 16, 64, 65}) {
+    const Tensor a = rng.gaussian(m, k, 1.0f);
+    const auto bytes =
+        static_cast<std::size_t>(m * n) * sizeof(float);
+    std::vector<Tensor> pool1;
+    for (const std::size_t ways : {1u, 2u, 4u}) {
+      parallel::ThreadPool::reset_global(ways);
+      for (std::size_t vi = 0; vi < variants.size(); ++vi) {
+        const Variant& v = variants[vi];
+        Tensor c(m, n);
+        v.run(a, c);
+        const std::string where = v.name + " m=" + std::to_string(m) +
+                                  " n=" + std::to_string(n) +
+                                  " k=" + std::to_string(k) +
+                                  " pool " + std::to_string(ways);
+        if (ways == 1) {
+          pool1.push_back(c);
+          continue;
+        }
+        ASSERT_EQ(std::memcmp(c.data(), pool1[vi].data(), bytes), 0)
+            << where;
+        if (ways != 4) {
+          continue;
+        }
+        Tensor last(1, n);
+        v.run(a.copy_rows(m - 1, 1), last);
+        ASSERT_EQ(std::memcmp(c.data() + (m - 1) * n, last.data(),
+                              static_cast<std::size_t>(n) * sizeof(float)),
+                  0)
+            << where << " last row";
+      }
+    }
+    // Index 0 is gemm(), index 3 the kF32 pack of the same operand.
+    ASSERT_EQ(std::memcmp(pool1[3].data(), pool1[0].data(), bytes), 0)
+        << "kF32 gemm_packed vs gemm m=" << m << " n=" << n
+        << " k=" << k;
+  }
+  parallel::ThreadPool::reset_global();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmColumnSplit,
+    ::testing::Combine(::testing::Values<std::int64_t>(256, 688),
+                       ::testing::Values<std::int64_t>(16, 688, 2048)));
 
 }  // namespace
 }  // namespace burst::tensor

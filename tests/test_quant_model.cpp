@@ -26,7 +26,7 @@ namespace {
 using kernels::MaskSpec;
 using model::ModelConfig;
 using model::ModelWeights;
-using model::QuantizedWeights;
+using model::PackedWeights;
 using model::SequenceKvCache;
 using tensor::DType;
 using tensor::Rng;
@@ -59,15 +59,15 @@ TEST(QuantModel, ChunkedPrefillBitwiseMatchesOneShot) {
   for (const DType dt : {DType::kF32, DType::kQ8_0, DType::kQ4_0}) {
     const ModelConfig cfg = quant_toy(dt);
     const ModelWeights w = ModelWeights::init(cfg, 11);
-    const QuantizedWeights qw = QuantizedWeights::pack(cfg, w);
+    const PackedWeights qw = PackedWeights::pack(cfg, w);
 
     SequenceKvCache one = SequenceKvCache::create(cfg, 16);
-    const Tensor h_one = model::forward_prefill_chunk_q(
+    const Tensor h_one = model::forward_prefill_chunk(
         cfg, w, qw, one, prompt.data(), 24, mask);
 
     SequenceKvCache two = SequenceKvCache::create(cfg, 16);
-    model::forward_prefill_chunk_q(cfg, w, qw, two, prompt.data(), 10, mask);
-    const Tensor h_two = model::forward_prefill_chunk_q(
+    model::forward_prefill_chunk(cfg, w, qw, two, prompt.data(), 10, mask);
+    const Tensor h_two = model::forward_prefill_chunk(
         cfg, w, qw, two, prompt.data() + 10, 14, mask);
 
     // Rows 10..23 of the one-shot hidden == the second chunk's rows.
@@ -78,8 +78,8 @@ TEST(QuantModel, ChunkedPrefillBitwiseMatchesOneShot) {
       }
     }
     // And decode continues identically from both caches.
-    const Tensor l_one = model::forward_decode_q(cfg, w, qw, one, 3, mask);
-    const Tensor l_two = model::forward_decode_q(cfg, w, qw, two, 3, mask);
+    const Tensor l_one = model::forward_decode(cfg, w, qw, one, 3, mask);
+    const Tensor l_two = model::forward_decode(cfg, w, qw, two, 3, mask);
     EXPECT_FLOAT_EQ(tensor::max_abs_diff(l_one, l_two), 0.0f)
         << tensor::dtype_name(dt);
   }
@@ -92,23 +92,23 @@ TEST(QuantModel, BatchedDecodeBitwiseEqualsPerRequest) {
   ModelConfig cfg = testutil::batched_decode_toy();
   cfg.quant.weights = DType::kQ8_0;
   const ModelWeights w = ModelWeights::init(cfg, 83);
-  const QuantizedWeights qw = QuantizedWeights::pack(cfg, w);
+  const PackedWeights qw = PackedWeights::pack(cfg, w);
   const MaskSpec mask = MaskSpec::causal();
   testutil::expect_batched_decode_matches_per_request(
       cfg,
       [&](SequenceKvCache& cache, const std::int64_t* tokens,
           std::int64_t count) {
-        model::forward_prefill_chunk_q(cfg, w, qw, cache, tokens, count, mask);
+        model::forward_prefill_chunk(cfg, w, qw, cache, tokens, count, mask);
       },
       [&](const std::vector<SequenceKvCache*>& caches,
           const std::vector<std::int64_t>& tokens,
           kernels::KernelStats* stats) {
-        return model::forward_decode_q(cfg, w, qw, caches, tokens, mask,
+        return model::forward_decode(cfg, w, qw, caches, tokens, mask,
                                        stats);
       },
       [&](SequenceKvCache& cache, std::int64_t token,
           kernels::KernelStats* stats) {
-        return model::forward_decode_q(cfg, w, qw, cache, token, mask, stats);
+        return model::forward_decode(cfg, w, qw, cache, token, mask, stats);
       });
 }
 
@@ -134,11 +134,11 @@ TEST(QuantModel, QuantizedLogitsTrackDenseWithinBudget) {
   float err_q4 = 0.0f;
   for (const Case c : {Case{DType::kQ8_0, 0.1f}, Case{DType::kQ4_0, 1.0f}}) {
     const ModelConfig cfg = quant_toy(c.dt);
-    const QuantizedWeights qw = QuantizedWeights::pack(cfg, w);
+    const PackedWeights qw = PackedWeights::pack(cfg, w);
     SequenceKvCache cache = SequenceKvCache::create(cfg, 16);
-    const Tensor h = model::forward_prefill_chunk_q(cfg, w, qw, cache,
+    const Tensor h = model::forward_prefill_chunk(cfg, w, qw, cache,
                                                     prompt.data(), 16, mask);
-    const Tensor logits = model::head_logits_q(qw, h);
+    const Tensor logits = model::head_logits(qw, h);
     const float err = tensor::max_abs_diff(logits, logits_dense);
     EXPECT_LT(err, c.budget) << tensor::dtype_name(c.dt);
     (c.dt == DType::kQ8_0 ? err_q8 : err_q4) = err;
@@ -154,7 +154,7 @@ TEST(QuantModel, PackedBytesShrinkWithFormat) {
   const auto bytes = [&](DType dt) {
     ModelConfig c = cfg;
     c.quant.weights = dt;
-    return QuantizedWeights::pack(c, w).model_bytes();
+    return PackedWeights::pack(c, w).model_bytes();
   };
   const std::uint64_t f32 = bytes(DType::kF32);
   const std::uint64_t q8 = bytes(DType::kQ8_0);

@@ -15,7 +15,9 @@
 #include "kernels/flash_attention.hpp"
 #include "kernels/index_map.hpp"
 #include "kernels/mask.hpp"
+#include "kernels/reference_attention.hpp"
 #include "model/kv_cache.hpp"
+#include "model/quant_weights.hpp"
 #include "model/transformer.hpp"
 #include "obs/error.hpp"
 #include "parallel/thread_pool.hpp"
@@ -86,15 +88,54 @@ TEST(FlashDecodeStep, FullyMaskedRowIsZeroWithNegInfLse) {
   const Tensor k = rng.gaussian(std::int64_t{4}, d);
   const Tensor v = rng.gaussian(std::int64_t{4}, d);
   Tensor o(std::int64_t{1}, d);
+  o.fill(std::nanf(""));  // the zero row must be written, not inherited
+  kernels::KernelStats stats;
   // Sliding window far behind the query: every key is out of range.
   const float lse = kernels::flash_decode_step(
       q.view(), k.view(), v.view(), /*q_pos=*/10,
-      MaskSpec::sliding_window(2), 1.0f, o.view());
+      MaskSpec::sliding_window(2), 1.0f, o.view(), &stats);
   EXPECT_TRUE(std::isinf(lse) && lse < 0.0f);
+  EXPECT_EQ(stats.flops, 0u);
   for (std::int64_t c = 0; c < d; ++c) {
     // burst-lint: allow(no-naked-float-eq) fully-masked row zeroes its
     // output exactly (0*inf contract)
     EXPECT_EQ(o(0, c), 0.0f);
+  }
+}
+
+// The decode step against the naive reference under every mask shape the
+// serving path can see, at a head dim that is not a multiple of the dot
+// product's lane count. The stats count exactly the allowed pairs.
+TEST(FlashDecodeStep, MatchesReferenceUnderMasks) {
+  Rng rng(29);
+  const std::int64_t nk = 45;
+  const std::int64_t d = 20;
+  const Tensor k = rng.gaussian(nk, d);
+  const Tensor v = rng.gaussian(nk, d);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  const std::vector<MaskSpec> masks = {
+      MaskSpec::causal(), MaskSpec::sliding_window(5),
+      MaskSpec::document_from_lengths({12, 20, 13})};
+  for (std::size_t mi = 0; mi < masks.size(); ++mi) {
+    const MaskSpec& mask = masks[mi];
+    for (const std::int64_t q_pos : {std::int64_t{0}, std::int64_t{17}, nk - 1}) {
+      const Tensor q = rng.gaussian(std::int64_t{1}, d);
+      const auto ref = kernels::reference_attention_forward(
+          q, IndexMap::range(q_pos, 1), k, v, IndexMap::range(0, nk), mask,
+          scale);
+      Tensor o(std::int64_t{1}, d);
+      o.fill(std::nanf(""));  // every lane must be overwritten
+      kernels::KernelStats stats;
+      const float lse = kernels::flash_decode_step(
+          q.view(), k.view(), v.view(), q_pos, mask, scale, o.view(), &stats);
+      EXPECT_NEAR(lse, ref.lse[0], 1e-5f) << "mask " << mi << " q " << q_pos;
+      EXPECT_LT(tensor::max_abs_diff(o, ref.o), 1e-5f)
+          << "mask " << mi << " q " << q_pos;
+      const std::uint64_t pairs = mask.count_allowed(q_pos, q_pos + 1, 0, nk);
+      EXPECT_EQ(stats.flops, pairs * static_cast<std::uint64_t>(4 * d))
+          << "mask " << mi << " q " << q_pos;
+      EXPECT_EQ(stats.tiles_computed, 1u);
+    }
   }
 }
 
@@ -326,6 +367,64 @@ TEST(ServeDecode, BatchedDecodeBitwiseEqualsPerRequest) {
           kernels::KernelStats* stats) {
         return model::forward_decode(cfg, w, cache, token, mask, stats);
       });
+}
+
+// Dense serving runs through the one packed weight set at kF32: prefill
+// hidden states, LM-head logits and batched decode logits are bitwise the
+// dense ModelWeights path, at every pool size.
+TEST(ServeDecode, PackedDenseServingBitwiseEqualsDense) {
+  const ModelConfig cfg = testutil::batched_decode_toy();
+  const ModelWeights w = ModelWeights::init(cfg, 61);
+  const model::PackedWeights pw = model::PackedWeights::pack(cfg, w);
+  ASSERT_FALSE(pw.quantized());
+  const MaskSpec mask = MaskSpec::causal();
+  const auto bitwise = [](const Tensor& a, const Tensor& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+               0;
+  };
+  for (const std::size_t workers : {1u, 4u}) {
+    parallel::ThreadPool::reset_global(workers);
+    std::vector<SequenceKvCache> dense;
+    std::vector<SequenceKvCache> packed;
+    std::vector<std::int64_t> tokens;
+    for (std::int64_t b = 0; b < 5; ++b) {
+      const auto prompt = random_prompt(71 + static_cast<std::uint64_t>(b),
+                                        4 + 3 * b, cfg.vocab);
+      const auto count = static_cast<std::int64_t>(prompt.size());
+      dense.push_back(SequenceKvCache::create(cfg, 8));
+      packed.push_back(SequenceKvCache::create(cfg, 8));
+      const Tensor h_dense = model::forward_prefill_chunk(
+          cfg, w, dense.back(), prompt.data(), count, mask);
+      const Tensor h_packed = model::forward_prefill_chunk(
+          cfg, w, pw, packed.back(), prompt.data(), count, mask);
+      ASSERT_TRUE(bitwise(h_dense, h_packed)) << "prefill row " << b;
+      ASSERT_TRUE(bitwise(model::head_logits(w, h_dense),
+                          model::head_logits(pw, h_packed)))
+          << "head row " << b;
+      tokens.push_back(prompt.back());
+    }
+    std::vector<SequenceKvCache*> dense_ptrs;
+    std::vector<SequenceKvCache*> packed_ptrs;
+    for (std::size_t b = 0; b < dense.size(); ++b) {
+      dense_ptrs.push_back(&dense[b]);
+      packed_ptrs.push_back(&packed[b]);
+    }
+    for (int step = 0; step < 6; ++step) {
+      const Tensor l_dense =
+          model::forward_decode(cfg, w, dense_ptrs, tokens, mask);
+      const Tensor l_packed =
+          model::forward_decode(cfg, w, pw, packed_ptrs, tokens, mask);
+      ASSERT_TRUE(bitwise(l_dense, l_packed))
+          << "step " << step << " pool " << workers;
+      for (std::size_t b = 0; b < tokens.size(); ++b) {
+        tokens[b] = model::argmax(
+            model::logits_row(l_dense, static_cast<std::int64_t>(b)));
+      }
+    }
+  }
+  parallel::ThreadPool::reset_global();
 }
 
 // Batch preconditions are typed errors raised before any cache is touched.

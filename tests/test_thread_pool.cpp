@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -15,31 +17,109 @@
 namespace burst::parallel {
 namespace {
 
-TEST(ThreadPool, ExecutesAllSubmittedTasks) {
-  ThreadPool pool(2);
+// Every chunk of a parallel_for on a two-way pool runs exactly once.
+TEST(ThreadPool, RunsEveryChunkOnTwoWayPool) {
+  ThreadPool::reset_global(2);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
+  parallel_for(100, 1, [&count](std::size_t b, std::size_t e) {
+    count.fetch_add(static_cast<int>(e - b), std::memory_order_relaxed);
+  });
   EXPECT_EQ(count.load(), 100);
+  ThreadPool::reset_global();
 }
 
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(1);
-  pool.wait_idle();
-  SUCCEED();
+// A pool that never ran a job wakes and joins its parked helpers.
+TEST(ThreadPool, IdlePoolJoinsPromptly) {
+  for (std::size_t ways : {1u, 2u, 4u}) {
+    ThreadPool pool(ways);
+    EXPECT_EQ(pool.size(), ways);
+  }
 }
 
-TEST(ThreadPool, DestructorDrainsQueue) {
+// Rebuilding the global pool after jobs joins the old helpers only once
+// every chunk of every job has run.
+TEST(ThreadPool, ResetAfterJobsLosesNoChunk) {
   std::atomic<int> count{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
+  ThreadPool::reset_global(2);
+  for (int i = 0; i < 50; ++i) {
+    parallel_for(4, 1, [&count](std::size_t b, std::size_t e) {
+      count.fetch_add(static_cast<int>(e - b));
+    });
+  }
+  ThreadPool::reset_global();
+  EXPECT_EQ(count.load(), 200);
+}
+
+// Helpers park after their spin budget; a dispatch must wake them (or run
+// on the caller) and complete.
+TEST(ThreadPool, DispatchAfterHelpersParkCompletes) {
+  ThreadPool::reset_global(4);
+  for (int round = 0; round < 3; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::vector<std::atomic<int>> hits(64);
+    parallel_for(hits.size(), 1, [&hits](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        hits[i].fetch_add(1);
+      }
+    });
+    for (auto& h : hits) {
+      EXPECT_EQ(h.load(), 1) << "round " << round;
     }
   }
-  EXPECT_EQ(count.load(), 50);
+  ThreadPool::reset_global();
+}
+
+TEST(ThreadPool, RepeatedResetWhileIdle) {
+  for (int i = 0; i < 40; ++i) {
+    ThreadPool::reset_global(static_cast<std::size_t>(1 + i % 4));
+  }
+  std::atomic<int> count{0};
+  parallel_for(32, 1, [&count](std::size_t b, std::size_t e) {
+    count.fetch_add(static_cast<int>(e - b));
+  });
+  EXPECT_EQ(count.load(), 32);
+  ThreadPool::reset_global();
+}
+
+// The first exception a chunk throws reaches the caller after the join,
+// and the pool stays usable.
+TEST(ThreadPool, ChunkExceptionPropagatesToCaller) {
+  ThreadPool::reset_global(4);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(parallel_for(16, 1,
+                            [&ran](std::size_t b, std::size_t) {
+                              ran.fetch_add(1);
+                              if (b == 5) {
+                                throw std::runtime_error("chunk 5");
+                              }
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 16);
+  std::atomic<int> count{0};
+  parallel_for(16, 1, [&count](std::size_t b, std::size_t e) {
+    count.fetch_add(static_cast<int>(e - b));
+  });
+  EXPECT_EQ(count.load(), 16);
+  ThreadPool::reset_global();
+}
+
+// concurrency() is the pool size outside a job and 1 inside a chunk or on
+// a one-way pool.
+TEST(ThreadPool, ConcurrencyIsOneInsideAChunk) {
+  ThreadPool::reset_global(4);
+  EXPECT_EQ(concurrency(), 4u);
+  std::vector<std::size_t> inside(8, 0);
+  parallel_for(inside.size(), 1, [&inside](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      inside[i] = concurrency();
+    }
+  });
+  for (std::size_t c : inside) {
+    EXPECT_EQ(c, 1u);
+  }
+  ThreadPool::reset_global(1);
+  EXPECT_EQ(concurrency(), 1u);
+  ThreadPool::reset_global();
 }
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {
@@ -96,7 +176,7 @@ TEST(ParallelFor, ChunkBoundariesIndependentOfPoolSize) {
     return chunks;
   };
 
-  // A single worker takes the serial fallback: one fn(begin, end) call.
+  // A one-way pool takes the serial fallback: one fn(begin, end) call.
   // That merges chunks but never splits one, so per-element work — and with
   // it the kernels' arithmetic order — is unchanged.
   ThreadPool::reset_global(1);
@@ -164,12 +244,14 @@ TEST(ParallelFor, NestedCallCompletesAtEveryPoolSize) {
   ThreadPool::reset_global();
 }
 
-// Each call waits for its own chunks only: two threads calling parallel_for
-// at once each find their whole range covered exactly once on return.
+// Each call waits for its own chunks only: non-worker threads calling
+// parallel_for at once (one holds the job slot, the others run inline) each
+// find their whole range covered exactly once on return.
 TEST(ParallelFor, ConcurrentCallersEachCoverTheirRangeOnce) {
   ThreadPool::reset_global(4);
   constexpr std::size_t kN = 2000;
   constexpr int kRepeats = 20;
+  constexpr int kCallers = 4;
   const auto cover = [](std::vector<std::atomic<int>>& hits, bool& exact) {
     for (int rep = 1; rep <= kRepeats; ++rep) {
       parallel_for(hits.size(), 16, [&hits](std::size_t b, std::size_t e) {
@@ -182,16 +264,25 @@ TEST(ParallelFor, ConcurrentCallersEachCoverTheirRangeOnce) {
       }
     }
   };
-  std::vector<std::atomic<int>> first(kN);
-  std::vector<std::atomic<int>> second(kN);
-  bool first_exact = true;
-  bool second_exact = true;
-  std::thread t1(cover, std::ref(first), std::ref(first_exact));
-  std::thread t2(cover, std::ref(second), std::ref(second_exact));
-  t1.join();
-  t2.join();
-  EXPECT_TRUE(first_exact);
-  EXPECT_TRUE(second_exact);
+  std::vector<std::vector<std::atomic<int>>> hits;
+  for (int c = 0; c < kCallers; ++c) {
+    hits.emplace_back(kN);
+  }
+  std::vector<char> exact(kCallers, 1);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      bool ok = true;
+      cover(hits[static_cast<std::size_t>(c)], ok);
+      exact[static_cast<std::size_t>(c)] = ok ? 1 : 0;
+    });
+  }
+  for (auto& t : callers) {
+    t.join();
+  }
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_TRUE(exact[static_cast<std::size_t>(c)] != 0) << "caller " << c;
+  }
   ThreadPool::reset_global();
 }
 
