@@ -4,6 +4,9 @@
 // sweeps at the same shard sizes).
 #include <cmath>
 #include <mutex>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "reporter.hpp"
@@ -11,6 +14,7 @@
 #include "comm/sim_transport.hpp"
 #include "core/dist_attention.hpp"
 #include "core/sweep.hpp"
+#include "obs/report.hpp"
 #include "perfmodel/comm_model.hpp"
 #include "sim/cluster.hpp"
 #include "tensor/tensor.hpp"
@@ -19,6 +23,11 @@ namespace {
 
 using namespace burst;
 using namespace burst::bench;
+
+// Host-memory budget. The cross-validation sweeps run up to 16 ranks with a
+// 256 MB fp32 stand-in shard each (4 GB if every page were written); hops
+// share shards, so one deep copy per hop (at least 8 GB) fails the check.
+constexpr double kHostRssBudgetMb = 6.0 * 1024.0;
 
 // Simulated makespan of one activation pass + comparable gradient passes is
 // complex to map 1:1 onto Table 1's coefficients; instead we validate the
@@ -35,9 +44,13 @@ double simulate_forward_sweep(int nodes, int gpus, double shard_bytes,
     const core::SweepRoute route =
         topo_aware ? core::SweepRoute::double_ring(cc.topo)
                    : core::SweepRoute::flat(comm::flat_ring(nodes * gpus));
-    // One tensor of shard_bytes elements at 1 B/element.
-    tensor::Tensor own(static_cast<std::int64_t>(shard_bytes / 8), 8);
-    core::ring_sweep_activation(comm, route, core::SweepOptions{}, {own},
+    // One tensor of shard_bytes elements at 1 B/element, built in place (a
+    // braced {own} would copy it twice). Its pages stay untouched: the
+    // sweep shares it hop to hop and the visit reads nothing.
+    std::vector<tensor::Tensor> own;
+    own.emplace_back(static_cast<std::int64_t>(shard_bytes / 8), 8);
+    core::ring_sweep_activation(comm, route, core::SweepOptions{},
+                                std::move(own),
                                 [](const std::vector<tensor::Tensor>&, int) {});
   });
   return cluster.makespan();
@@ -119,6 +132,13 @@ int main() {
     }
   }
   v.print();
+  const double rss_mb = obs::host_peak_rss_mb();
+  rep.measurement("host_peak_rss_mb", rss_mb, obs::RunReport::kNoPaperValue,
+                  "MB");
+  rep.check(rss_mb <= kHostRssBudgetMb,
+            "host peak RSS within the " +
+                std::to_string(static_cast<int>(kHostRssBudgetMb)) +
+                " MB budget");
   std::printf(
       "\npaper: Burst < DoubleRing < Ring whenever B_intra > B_inter; the\n"
       "backward volume drop is ~25%% (3Nd+2N vs 4Nd).\n");

@@ -34,10 +34,12 @@
 #             suites: test_thread_pool, test_kernel_determinism,
 #             test_serve_decode, test_serve_engine, test_api_server,
 #             test_api_scheduler, test_dist_model and test_gqa (the
-#             distributed step's rank threads share one kernel pool), and
+#             distributed step's rank threads share one kernel pool),
 #             test_transport_conformance (SocketTransport's mesh build runs
 #             accept/connect threads; the socket-backed cases put them under
-#             TSan).
+#             TSan), and test_sweep and test_failure_injection (ring-sweep
+#             payloads are shared read-only across rank threads, and fault
+#             injection clones or shares them in flight).
 #   bench     bench fleet with the RunReport self_check gate, then the
 #             regression gate against the committed BENCH_baseline.json
 #             (gated metrics may not fall more than 10% below baseline).
@@ -211,9 +213,10 @@ tsan_gate() {
   cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" \
         --target test_thread_pool test_kernel_determinism test_serve_decode \
                  test_serve_engine test_api_server test_api_scheduler \
-                 test_dist_model test_gqa test_transport_conformance &&
+                 test_dist_model test_gqa test_transport_conformance \
+                 test_sweep test_failure_injection &&
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|DistModel|GqaDist|TransportConformance|SocketTransportSmoke'
+        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|DistModel|GqaDist|TransportConformance|SocketTransportSmoke|SweepRoute|ActivationSweep|GradientSweep|SweepTiming|ZeroCopySweep|FailureInjection|FaultPlan'
 }
 if [[ $RUN_TSAN -eq 1 ]]; then
   echo "== TSan build + threaded suites (${TSAN_BUILD_DIR})"

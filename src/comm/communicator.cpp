@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 #include <string>
 
@@ -15,30 +14,22 @@ using tensor::Tensor;
 
 namespace {
 
-/// FNV-1a (32-bit) over the raw bytes of every tensor in the frame. Cheap,
-/// deterministic, and sensitive to any in-flight bit flip.
-std::uint32_t frame_checksum(const std::vector<Tensor>& ts) {
+/// FNV-1a (32-bit) over the frame's bundle origin and the raw bytes of
+/// every payload tensor. Cheap, deterministic, and sensitive to any
+/// in-flight bit flip in what the receiver consumes.
+std::uint32_t frame_checksum(const Frame& frame) {
   std::uint32_t h = 2166136261u;
-  for (const auto& t : ts) {
-    const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
-    const std::size_t n = static_cast<std::size_t>(t.numel()) * sizeof(float);
+  const auto mix = [&h](const void* data, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
     for (std::size_t i = 0; i < n; ++i) {
       h = (h ^ bytes[i]) * 16777619u;
     }
+  };
+  mix(&frame.origin, sizeof(frame.origin));
+  for (const auto& t : *frame.payload) {
+    mix(t.data(), static_cast<std::size_t>(t.numel()) * sizeof(float));
   }
   return h;
-}
-
-/// The checksum is carried as two 16-bit halves so both floats hold their
-/// value exactly (a float mantissa cannot represent all 32-bit integers).
-Tensor make_header(std::int64_t seq, std::uint32_t checksum) {
-  // Sequence numbers must stay exactly representable in a float.
-  assert(seq < (std::int64_t{1} << 24));
-  Tensor hdr(3);
-  hdr[0] = static_cast<float>(seq);
-  hdr[1] = static_cast<float>(checksum & 0xFFFFu);
-  hdr[2] = static_cast<float>((checksum >> 16) & 0xFFFFu);
-  return hdr;
 }
 
 }  // namespace
@@ -56,23 +47,23 @@ int Communicator::stream_for(int peer) const {
                                                 : sim::kInterComm;
 }
 
-void Communicator::send_frame(int dst, int tag, std::vector<Tensor> payload,
-                              std::uint64_t bytes, int stream) {
-  const std::int64_t seq = ++send_seq_[dst];
+void Communicator::send_frame(int dst, int tag, tensor::SharedTensors payload,
+                              std::uint64_t bytes, int origin, int stream) {
   // On a reliable network (no message faults possible) skip the integrity
-  // machinery: no checksum pass over the payload and no retransmission
-  // copy, so fault-free runs take a zero-overhead path.
+  // machinery: no checksum pass over the payload, and the payload handle is
+  // moved into the one attempt so the receiver ends up its sole holder.
   const bool lossy = tp_.unreliable_network();
-  payload.push_back(make_header(seq, lossy ? frame_checksum(payload) : 0));
+  const std::uint64_t seq = ++send_seq_[dst];
+  Frame frame;
+  frame.payload = std::move(payload);
+  frame.wire_bytes = bytes;
+  frame.seq = seq;
+  frame.origin = origin;
+  frame.checksum = lossy ? frame_checksum(frame) : 0;
   for (int attempt = 0;; ++attempt) {
-    Frame frame;
-    frame.wire_bytes = bytes;
-    if (lossy) {
-      frame.tensors = payload;  // keep a copy in case this attempt is dropped
-    } else {
-      frame.tensors = std::move(payload);
-    }
-    if (tp_.send_frame(Endpoint::of(dst), tag, std::move(frame), stream)) {
+    // Lossy: keep the handle in case this attempt is dropped.
+    Frame sent = lossy ? frame : std::move(frame);
+    if (tp_.send_frame(Endpoint::of(dst), tag, std::move(sent), stream)) {
       return;
     }
     if (attempt + 1 >= rel_.max_send_attempts) {
@@ -92,17 +83,13 @@ void Communicator::send_frame(int dst, int tag, std::vector<Tensor> payload,
   }
 }
 
-std::vector<Tensor> Communicator::recv_frame(int src, int tag, int stream) {
+Frame Communicator::recv_frame(int src, int tag, int stream) {
   const double begin = tp_.now(stream);
   const bool lossy = tp_.unreliable_network();
   const double timeout = effective_recv_timeout_s();
   for (;;) {
     Frame frame = tp_.recv_frame(Endpoint::of(src), tag, stream, timeout);
-    assert(!frame.tensors.empty());  // every comm-layer message is framed
-    Tensor hdr = std::move(frame.tensors.back());
-    frame.tensors.pop_back();
-    const auto seq = static_cast<std::int64_t>(std::llround(hdr[0]));
-    if (seq == last_recv_seq_[src]) {
+    if (frame.seq == last_recv_seq_[src]) {
       // A link fault delivered this frame twice; drop the late copy.
       ++duplicates_discarded_;
       if (obs::Registry* reg = tp_.metrics()) {
@@ -113,21 +100,18 @@ std::vector<Tensor> Communicator::recv_frame(int src, int tag, int stream) {
       }
       continue;
     }
-    const std::uint32_t expect =
-        static_cast<std::uint32_t>(std::llround(hdr[1])) |
-        (static_cast<std::uint32_t>(std::llround(hdr[2])) << 16);
-    if (lossy && frame_checksum(frame.tensors) != expect) {
+    if (lossy && frame_checksum(frame) != frame.checksum) {
       throw CommCorruptionError(
-          src, "checksum mismatch on frame " + std::to_string(seq));
+          src, "checksum mismatch on frame " + std::to_string(frame.seq));
     }
-    last_recv_seq_[src] = seq;
+    last_recv_seq_[src] = frame.seq;
     if (frame.ready_time > begin + timeout) {
       throw CommTimeoutError(
-          src, "frame " + std::to_string(seq) + " ready at t=" +
+          src, "frame " + std::to_string(frame.seq) + " ready at t=" +
                    std::to_string(frame.ready_time) + "s, deadline was t=" +
                    std::to_string(begin + timeout) + "s");
     }
-    return std::move(frame.tensors);
+    return frame;
   }
 }
 
@@ -138,7 +122,8 @@ void Communicator::send(int dst, int tag, std::vector<Tensor> tensors) {
 void Communicator::send_on(int dst, int tag, std::vector<Tensor> tensors,
                            int stream) {
   const std::uint64_t bytes = wire_bytes(tensors);
-  send_frame(dst, tag, std::move(tensors), bytes, stream);
+  send_frame(dst, tag, tensor::SharedTensors(std::move(tensors)), bytes,
+             /*origin=*/-1, stream);
 }
 
 std::vector<Tensor> Communicator::recv(int src, int tag) {
@@ -146,25 +131,18 @@ std::vector<Tensor> Communicator::recv(int src, int tag) {
 }
 
 std::vector<Tensor> Communicator::recv_on(int src, int tag, int stream) {
-  return recv_frame(src, tag, stream);
+  return std::move(recv_frame(src, tag, stream).payload).take();
 }
 
 void Communicator::send_bundle(int dst, int tag, Bundle bundle, int stream) {
-  const std::uint64_t bytes =
-      wire_bytes(bundle.tensors);  // meta excluded: control plane
-  Tensor meta(1);
-  meta[0] = static_cast<float>(bundle.meta);
-  bundle.tensors.push_back(std::move(meta));
-  send_frame(dst, tag, std::move(bundle.tensors), bytes, stream);
+  const std::uint64_t bytes = wire_bytes(*bundle.payload);
+  send_frame(dst, tag, std::move(bundle.payload), bytes, bundle.origin,
+             stream);
 }
 
 Communicator::Bundle Communicator::recv_bundle(int src, int tag, int stream) {
-  std::vector<Tensor> tensors = recv_frame(src, tag, stream);
-  Bundle b;
-  b.meta = static_cast<int>(tensors.back()[0]);
-  tensors.pop_back();
-  b.tensors = std::move(tensors);
-  return b;
+  Frame frame = recv_frame(src, tag, stream);
+  return Bundle{std::move(frame.payload), frame.origin};
 }
 
 int Communicator::fresh_tag_block() {

@@ -18,16 +18,22 @@
 // training setup), so simulated times and measured byte counters match the
 // paper's arithmetic.
 //
-// Reliability: every message is framed with a control-plane header
-// [sequence number, payload checksum]. Sends observe link-level drops
+// Payloads: a message's tensors travel as one shared read-only handle
+// (tensor::SharedTensors). send() wraps its vector by move and recv()
+// unwraps by move when it holds the only handle, so point-to-point traffic
+// and collectives pay no copy; a ring-sweep bundle is forwarded as the
+// handle itself, so a shard visited by every rank exists once.
+//
+// Reliability: every frame carries a typed control plane (Frame::seq,
+// Frame::checksum, Frame::origin). Sends observe link-level drops
 // (sim::FaultPlan) and retry with exponential backoff up to
 // Reliability::max_send_attempts, charging the backoff to the sending
-// stream; receives discard duplicate frames by sequence number, reject
-// corrupted frames (CommCorruptionError), and enforce a per-recv deadline
-// against the transport clock (CommTimeoutError). Headers are control
-// plane: excluded from wire-byte accounting, like bundle metadata. When the
-// transport cannot damage messages (Transport::unreliable_network() is
-// false) the checksum pass and the retransmission payload copy are skipped
+// stream; a retransmission resends the same payload handle. Receives
+// discard duplicate frames by sequence number, reject corrupted frames
+// (CommCorruptionError), and enforce a per-recv deadline against the
+// transport clock (CommTimeoutError). The control plane is excluded from
+// wire-byte accounting. When the transport cannot damage messages
+// (Transport::unreliable_network() is false) the checksum pass is skipped
 // entirely, so fault-free runs pay no overhead for the hardening.
 #pragma once
 
@@ -37,6 +43,7 @@
 
 #include "comm/errors.hpp"
 #include "comm/transport.hpp"
+#include "tensor/shared_tensors.hpp"
 #include "tensor/tensor.hpp"
 
 namespace burst::comm {
@@ -111,13 +118,14 @@ class Communicator {
   std::vector<tensor::Tensor> recv(int src, int tag);
   std::vector<tensor::Tensor> recv_on(int src, int tag, int stream);
 
-  /// A bundle in flight around a ring: the payload tensors plus a small
-  /// metadata integer (the *origin rank* of the shard, so receivers can
-  /// reconstruct its IndexMap). Metadata is control-plane and excluded from
-  /// wire-byte accounting.
+  /// A bundle in flight around a ring: the shared payload plus the *origin
+  /// rank* of the shard, so receivers can reconstruct its IndexMap. The
+  /// origin is control plane and excluded from wire-byte accounting.
+  /// Sending a copy of a bundle shares its tensors; a sender that moves the
+  /// bundle in keeps no reference, so the receiver can take() them by move.
   struct Bundle {
-    std::vector<tensor::Tensor> tensors;
-    int meta = -1;
+    tensor::SharedTensors payload;
+    int origin = -1;
   };
   void send_bundle(int dst, int tag, Bundle bundle, int stream);
   Bundle recv_bundle(int src, int tag, int stream);
@@ -157,16 +165,16 @@ class Communicator {
  private:
   int fresh_tag_block();
 
-  /// Framed transmission with bounded retry: appends the [seq, checksum]
-  /// header, attempts delivery up to rel_.max_send_attempts times with
-  /// exponential backoff between attempts. `bytes` is the payload's wire
-  /// charge (header excluded).
-  void send_frame(int dst, int tag, std::vector<tensor::Tensor> payload,
-                  std::uint64_t bytes, int stream);
+  /// Framed transmission with bounded retry: stamps the sequence number,
+  /// checksum and `origin`, attempts delivery up to rel_.max_send_attempts
+  /// times with exponential backoff between attempts. `bytes` is the
+  /// payload's wire charge (control plane excluded).
+  void send_frame(int dst, int tag, tensor::SharedTensors payload,
+                  std::uint64_t bytes, int origin, int stream);
 
-  /// Framed receive: strips and validates the header, discards duplicate
+  /// Framed receive: validates the control plane, discards duplicate
   /// frames, rejects corruption, enforces the recv deadline.
-  std::vector<tensor::Tensor> recv_frame(int src, int tag, int stream);
+  Frame recv_frame(int src, int tag, int stream);
 
   Transport& tp_;
   double wire_bytes_per_element_;
@@ -174,8 +182,8 @@ class Communicator {
   // Collective tags live above 2^20 so user p2p tags below never collide.
   int tag_counter_ = 1 << 20;
   // Per-peer frame sequence numbers (send side / last accepted on recv).
-  std::map<int, std::int64_t> send_seq_;
-  std::map<int, std::int64_t> last_recv_seq_;
+  std::map<int, std::uint64_t> send_seq_;
+  std::map<int, std::uint64_t> last_recv_seq_;
   std::uint64_t retries_ = 0;
   std::uint64_t duplicates_discarded_ = 0;
 };

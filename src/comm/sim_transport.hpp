@@ -6,12 +6,13 @@
 // every test and bench that predates the transport split runs on it with
 // byte-identical virtual times.
 //
-// Frames travel by handle: send_frame hands the tensor payload straight to
-// the cluster mailbox (no serialization), which keeps the simulator's
-// zero-copy fast path and lets the fault layer's corruption/duplication
-// machinery act on the same tensors it always did. The byte primitives are
-// still implemented (a byte frame rides inside a single tensor) so transport
-// conformance tests can exercise the portable contract.
+// Frames travel by handle: send_frame hands the shared payload and the typed
+// control plane straight to the cluster mailbox, with no serialization and
+// no copy, so every hop of a ring sweep reads the tensors its origin rank
+// built. The fault layer's corruption clones the payload before it flips
+// bits and duplication shares it. The byte primitives are still implemented
+// (a byte frame rides inside a single tensor) so transport conformance tests
+// can exercise the portable contract.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +56,11 @@ class SimTransport final : public Transport {
   bool send_frame(const Endpoint& dst, int tag, Frame frame,
                   int stream) override {
     sim::Message msg;
-    msg.tensors = std::move(frame.tensors);
+    msg.payload = std::move(frame.payload);
     msg.bytes = frame.wire_bytes;
+    msg.seq = frame.seq;
+    msg.checksum = frame.checksum;
+    msg.origin = frame.origin;
     return ctx_.try_send(dst.rank, tag, std::move(msg), stream);
   }
 
@@ -65,8 +69,11 @@ class SimTransport final : public Transport {
     (void)timeout_s;  // blocked sim receives are woken by the abort machinery
     sim::Message msg = ctx_.recv(src.rank, tag, stream);
     Frame frame;
-    frame.tensors = std::move(msg.tensors);
+    frame.payload = std::move(msg.payload);
     frame.wire_bytes = msg.bytes;
+    frame.seq = msg.seq;
+    frame.checksum = msg.checksum;
+    frame.origin = msg.origin;
     frame.ready_time = msg.ready_time;
     return frame;
   }

@@ -11,10 +11,9 @@
 //
 //   SimTransport    (comm/sim_transport.hpp)    — wraps one rank of the
 //     thread-per-device sim::Cluster. Virtual clock, deterministic fault
-//     injection, bitwise-reproducible runs. Frames travel by handle (the
-//     tensor payloads are handed to the mailbox without serialization), so
-//     the simulator backend is byte-for-byte identical to the pre-transport
-//     design.
+//     injection, bitwise-reproducible runs. Frames travel by handle: the
+//     shared payload is handed to the mailbox without serialization or
+//     copying.
 //
 //   SocketTransport (comm/socket_transport.hpp) — one OS process per rank,
 //     TCP on a real network, root/worker rendezvous. Frames are serialized
@@ -47,7 +46,7 @@
 #include "sim/memory.hpp"
 #include "sim/topology.hpp"
 #include "obs/metrics.hpp"
-#include "tensor/tensor.hpp"
+#include "tensor/shared_tensors.hpp"
 
 namespace burst::comm {
 
@@ -62,22 +61,31 @@ struct Endpoint {
   static Endpoint of(int r) { return Endpoint{r, 0, 0}; }
 };
 
-/// One transport-level message: the tensor payload plus the wire-byte charge
-/// the protocol layer computed for it (control-plane data such as frame
-/// headers is excluded from the charge by the caller). `ready_time` is
-/// stamped by recv with the arrival time on the receiving transport's clock.
+/// One transport-level message: the tensor payload, the wire-byte charge
+/// the protocol layer computed for it, and the protocol's typed control
+/// plane, which is never charged on the wire. The payload is a shared
+/// read-only handle: a transport that moves frames in memory (the
+/// simulator) hands it over without copying. `ready_time` is stamped by
+/// recv with the arrival time on the receiving transport's clock.
 struct Frame {
-  std::vector<tensor::Tensor> tensors;
+  tensor::SharedTensors payload;
   std::uint64_t wire_bytes = 0;
+  /// Per-peer sequence number (duplicate detection).
+  std::uint64_t seq = 0;
+  /// FNV-1a over `origin` and the payload bytes; 0 when the network
+  /// cannot corrupt.
+  std::uint32_t checksum = 0;
+  /// Origin rank of a ring-sweep bundle; -1 for a plain message.
+  std::int32_t origin = -1;
   double ready_time = 0.0;
 };
 
 /// Portable byte encoding of a Frame (little-endian, used by every
 /// byte-oriented backend): u32 magic, u32 tensor count, u64 wire_bytes,
-/// then each tensor in the shared tensor/codec.hpp encoding (u32 rank +
-/// i64 dims + f32 data). Decoding checks every count and size against the
-/// bytes that remain before allocating; any malformed or hostile input
-/// throws CommError.
+/// u64 seq, u32 checksum, i32 origin, then each tensor in the shared
+/// tensor/codec.hpp encoding (u32 rank + i64 dims + f32 data). Decoding
+/// checks every count and size against the bytes that remain before
+/// allocating; any malformed or hostile input throws CommError.
 std::vector<std::uint8_t> serialize_frame(const Frame& frame);
 Frame deserialize_frame(const std::uint8_t* data, std::size_t size);
 
@@ -150,9 +158,9 @@ class Transport {
   virtual void barrier() = 0;
 
   /// True when frames can be dropped, duplicated or corrupted in flight, so
-  /// the protocol layer needs its integrity machinery (checksums, payload
-  /// copies for retransmission). Reliable media return false and fault-free
-  /// runs pay nothing for the hardening.
+  /// the protocol layer needs its integrity machinery (checksums, a payload
+  /// handle kept for retransmission). Reliable media return false and
+  /// fault-free runs pay nothing for the hardening.
   virtual bool unreliable_network() const = 0;
 
   /// Backend default for Reliability::recv_timeout_s when the caller leaves

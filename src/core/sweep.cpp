@@ -87,9 +87,9 @@ void ring_sweep_activation(
   const int me = tp.rank();
   const int steps = route.steps();
 
-  Communicator::Bundle cur;
-  cur.tensors = std::move(own);
-  cur.meta = me;
+  // The bundle is held as a shared handle: forwarding it shares the
+  // tensors with the next rank instead of copying them.
+  Communicator::Bundle cur{tensor::SharedTensors(std::move(own)), me};
   Event ready = tp.record(sim::kCompute);  // own data just produced
 
   for (int s = 0; s < steps; ++s) {
@@ -102,7 +102,7 @@ void ring_sweep_activation(
       comm.send_bundle(dst, imm_tag(opt, s), cur, stream);
     }
     tp.wait(sim::kCompute, ready);
-    visit(cur.tensors, cur.meta);
+    visit(*cur.payload, cur.origin);
     if (!opt.overlap && s < steps - 1) {
       // No double buffer: the exchange only starts once this step's compute
       // is done, serializing compute and communication.
@@ -132,9 +132,7 @@ std::vector<Tensor> ring_sweep_gradient(
   const int me = tp.rank();
   const int steps = route.steps();
 
-  Communicator::Bundle cur;
-  cur.tensors = std::move(own_imm);
-  cur.meta = me;
+  Communicator::Bundle cur{tensor::SharedTensors(std::move(own_imm)), me};
   Event imm_ready = tp.record(sim::kCompute);
 
   for (int s = 0; s < steps; ++s) {
@@ -146,27 +144,30 @@ std::vector<Tensor> ring_sweep_gradient(
     }
 
     tp.wait(sim::kCompute, imm_ready);
-    std::vector<Tensor> contrib = visit(cur.tensors, cur.meta);
+    std::vector<Tensor> contrib = visit(*cur.payload, cur.origin);
     const Event computed = tp.record(sim::kCompute);
 
     // Fetch the accumulator matching this shard: local for our own shard
-    // (step 0), else it trails the shard by one hop.
-    Communicator::Bundle acc;
+    // (step 0), else it trails the shard by one hop. Its sender moved it in
+    // and kept no reference, so take() moves the tensors out.
+    std::vector<Tensor> acc;
     if (s == 0) {
-      acc.tensors = std::move(own_accum);
-      acc.meta = me;
+      acc = std::move(own_accum);
     } else {
       const int src = route.hop_source(me, s - 1);
       const int stream = comm.stream_for(src);
-      acc = comm.recv_bundle(src, acc_tag(opt, s - 1), stream);
+      Communicator::Bundle in =
+          comm.recv_bundle(src, acc_tag(opt, s - 1), stream);
       tp.wait(sim::kCompute, tp.record(stream));
+      if (in.origin != cur.origin) {
+        throw burst::InvariantError(
+            "gradient sweep: accumulator/shard mismatch");
+      }
+      acc = std::move(in.payload).take();
     }
-    if (acc.meta != cur.meta) {
-      throw burst::InvariantError("gradient sweep: accumulator/shard mismatch");
-    }
-    assert(acc.tensors.size() == contrib.size());
+    assert(acc.size() == contrib.size());
     for (std::size_t i = 0; i < contrib.size(); ++i) {
-      tensor::add_inplace(acc.tensors[i], contrib[i]);
+      tensor::add_inplace(acc[i], contrib[i]);
     }
 
     // Forward the accumulator along the edge its shard took when leaving us
@@ -177,7 +178,11 @@ std::vector<Tensor> ring_sweep_gradient(
       const int dst = route.hop_target(me, s);
       const int stream = comm.stream_for(dst);
       tp.wait(stream, computed);
-      comm.send_bundle(dst, acc_tag(opt, s), std::move(acc), stream);
+      comm.send_bundle(
+          dst, acc_tag(opt, s),
+          Communicator::Bundle{tensor::SharedTensors(std::move(acc)),
+                               cur.origin},
+          stream);
     }
 
     if (!opt.overlap && s < steps - 1) {
@@ -203,12 +208,12 @@ std::vector<Tensor> ring_sweep_gradient(
   const int stream = comm.stream_for(src);
   Communicator::Bundle home =
       comm.recv_bundle(src, acc_tag(opt, steps - 1), stream);
-  if (home.meta != me) {
+  if (home.origin != me) {
     throw burst::InvariantError(
         "gradient sweep: returned accumulator is not ours");
   }
   tp.wait(sim::kCompute, tp.record(stream));
-  return std::move(home.tensors);
+  return std::move(home.payload).take();
 }
 
 }  // namespace burst::core

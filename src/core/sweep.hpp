@@ -28,6 +28,10 @@
 //    per-step hop schedule is identical on every device, so each step is a
 //    permutation and every bundle traces a Hamiltonian cycle.
 //
+// Bundles travel as shared read-only handles (tensor::SharedTensors): a hop
+// forwards the handle, not a copy, so every visit of a shard reads the
+// storage its origin rank built; accumulators are moved into their hop.
+//
 // When `overlap` is false the device serializes streams after every step,
 // modeling implementations that do not overlap (LoongTrain-DoubleRing's
 // gradient phase, per the paper's analysis).

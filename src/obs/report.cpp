@@ -1,10 +1,18 @@
 #include "obs/report.hpp"
 
+#include <sys/resource.h>
+
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 
 namespace burst::obs {
+
+double host_peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB
+}
 
 namespace {
 

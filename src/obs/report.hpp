@@ -118,6 +118,10 @@ class RunReport {
   bool self_check_ = true;
 };
 
+/// Peak resident set size of this process so far, in MB (getrusage). The
+/// host-memory budget that tests and benches report and check.
+double host_peak_rss_mb();
+
 /// JSON string escaping shared with everything that renders report text.
 std::string json_escape(const std::string& s);
 

@@ -397,12 +397,16 @@ bool Cluster::post(int src, int dst, int tag, Message msg, double send_time) {
     for (std::size_t i = 0; i < faults.corruptions.size(); ++i) {
       const auto& c = faults.corruptions[i];
       if (link_matches(c.src, c.dst, src, dst) && send_time >= c.from_time_s &&
-          !msg.tensors.empty() && msg.tensors.front().numel() > 0) {
+          !msg.payload->empty() && msg.payload->front().numel() > 0) {
         int* left = link_budget(corrupts_left_, i, c.count);
         if (*left > 0) {
           --*left;
           count_fault(&FaultCounters::corrupted);
-          msg.tensors.front().data()[0] += 1024.0f;  // in-flight bit rot
+          // In-flight bit rot hits the copy on the wire, never the sender's
+          // (possibly still shared) tensors.
+          std::vector<tensor::Tensor> rotted = *msg.payload;
+          rotted.front().data()[0] += 1024.0f;
+          msg.payload = tensor::SharedTensors(std::move(rotted));
         }
       }
     }
@@ -422,7 +426,7 @@ bool Cluster::post(int src, int dst, int tag, Message msg, double send_time) {
     std::lock_guard lock(mail_mutex_);
     auto& box = mailboxes_[{src, dst, tag}];
     if (duplicate) {
-      Message copy = msg;
+      Message copy = msg;  // shares the payload
       copy.injected_dup = true;
       box.push_back(std::move(msg));
       box.push_back(std::move(copy));

@@ -38,17 +38,24 @@
 #include "sim/memory.hpp"
 #include "sim/topology.hpp"
 #include "sim/trace.hpp"
-#include "tensor/tensor.hpp"
+#include "tensor/shared_tensors.hpp"
 
 namespace burst::sim {
 
-/// A point-to-point message. `tensors` may be empty for time-only runs;
-/// `bytes` is what is charged on the wire (the caller decides the simulated
-/// dtype width, e.g. 2 bytes/element for bf16 even though the functional
-/// payload is fp32).
+/// A point-to-point message. `payload` is a shared read-only handle (the
+/// mailbox never copies it) and may be empty for time-only runs; `bytes` is
+/// what is charged on the wire (the caller decides the simulated dtype
+/// width, e.g. 2 bytes/element for bf16 even though the functional payload
+/// is fp32).
 struct Message {
-  std::vector<tensor::Tensor> tensors;
+  tensor::SharedTensors payload;
   std::uint64_t bytes = 0;
+  /// Control plane of the protocol layer above (comm::Frame's sequence
+  /// number, payload checksum and bundle origin). Carried untouched, never
+  /// charged on the wire.
+  std::uint64_t seq = 0;
+  std::uint32_t checksum = 0;
+  std::int32_t origin = -1;
   double ready_time = 0.0;
   /// Extra copy injected by a DuplicateMessages fault. Receivers that never
   /// consume it (the common case: each tag is received exactly once) leave
@@ -109,8 +116,8 @@ class DeviceContext {
 
   /// True when the fault plan can drop, duplicate, or corrupt messages —
   /// i.e. when reliable protocols actually need their integrity machinery
-  /// (payload copies for retransmission, frame checksums). Fault-free runs
-  /// skip that overhead.
+  /// (a payload handle kept for retransmission, frame checksums).
+  /// Fault-free runs skip that overhead.
   bool unreliable_network() const;
 
   // Wire-traffic counters (used by communication-volume invariant tests).
@@ -247,6 +254,8 @@ class Cluster {
 
   /// Applies drop/duplicate/corrupt faults, then delivers. Returns false if
   /// the message was dropped. `send_time` is the sender's clock at send.
+  /// Corruption flips bits in a private clone of the payload, so the
+  /// sender's tensors never change; a duplicate shares the payload.
   bool post(int src, int dst, int tag, Message msg, double send_time);
   Message take(int src, int dst, int tag);
   /// Records a device failure at virtual time `fail_time_s` and aborts.

@@ -9,7 +9,10 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace burst::tensor {
@@ -49,24 +52,46 @@ struct ConstMatView {
 };
 
 /// Owning dense float32 tensor, rank 1 or 2, row-major, contiguous.
+///
+/// Storage is one malloc'd block. A zero-filled tensor of 32 MiB or more
+/// takes fresh, OS-zeroed pages from calloc, so it costs no page touches
+/// until it is written; smaller ones are cleared with memset, which is
+/// faster there. Copies allocate without zeroing and memcpy. A moved-from
+/// tensor is empty.
 class Tensor {
  public:
   /// Empty tensor (rank 0, no storage). Useful as "no payload" marker.
   Tensor() = default;
 
-  /// Zero-filled vector of length `n` (std::vector value-initializes).
+  /// Zero-filled vector of length `n`.
   explicit Tensor(std::int64_t n);
 
-  /// Zero-filled matrix of `rows x cols` (std::vector value-initializes).
+  /// Zero-filled matrix of `rows x cols`.
   Tensor(std::int64_t rows, std::int64_t cols);
+
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
+  Tensor(Tensor&& other) noexcept
+      : shape_(std::move(other.shape_)),
+        data_(std::move(other.data_)),
+        numel_(std::exchange(other.numel_, 0)) {
+    other.shape_.clear();
+  }
+  Tensor& operator=(Tensor&& other) noexcept {
+    shape_ = std::move(other.shape_);
+    other.shape_.clear();
+    data_ = std::move(other.data_);
+    numel_ = std::exchange(other.numel_, 0);
+    return *this;
+  }
 
   static Tensor zeros(std::int64_t n);
   static Tensor zeros(std::int64_t rows, std::int64_t cols);
   static Tensor full(std::int64_t rows, std::int64_t cols, float value);
 
-  bool empty() const { return data_.empty(); }
+  bool empty() const { return numel_ == 0; }
   int rank() const { return static_cast<int>(shape_.size()); }
-  std::int64_t numel() const { return static_cast<std::int64_t>(data_.size()); }
+  std::int64_t numel() const { return numel_; }
   std::int64_t size(int dim) const {
     assert(dim >= 0 && dim < rank());
     return shape_[static_cast<std::size_t>(dim)];
@@ -75,29 +100,29 @@ class Tensor {
   std::int64_t cols() const { return rank() == 2 ? shape_[1] : 1; }
   const std::vector<std::int64_t>& shape() const { return shape_; }
 
-  float* data() { return data_.data(); }
-  const float* data() const { return data_.data(); }
+  float* data() { return data_.get(); }
+  const float* data() const { return data_.get(); }
 
   /// Element access. 1-D.
   float& operator[](std::int64_t i) {
     assert(rank() == 1 && i >= 0 && i < numel());
-    return data_[static_cast<std::size_t>(i)];
+    return data_.get()[i];
   }
   float operator[](std::int64_t i) const {
     assert(rank() == 1 && i >= 0 && i < numel());
-    return data_[static_cast<std::size_t>(i)];
+    return data_.get()[i];
   }
 
   /// Element access. 2-D.
   float& operator()(std::int64_t r, std::int64_t c) {
     assert(rank() == 2);
     assert(r >= 0 && r < shape_[0] && c >= 0 && c < shape_[1]);
-    return data_[static_cast<std::size_t>(r * shape_[1] + c)];
+    return data_.get()[r * shape_[1] + c];
   }
   float operator()(std::int64_t r, std::int64_t c) const {
     assert(rank() == 2);
     assert(r >= 0 && r < shape_[0] && c >= 0 && c < shape_[1]);
-    return data_[static_cast<std::size_t>(r * shape_[1] + c)];
+    return data_.get()[r * shape_[1] + c];
   }
 
   /// Whole-tensor views (rank 2 required for view(); vectors use as_col()).
@@ -127,8 +152,16 @@ class Tensor {
   std::string shape_str() const;
 
  private:
+  struct FreeStorage {
+    void operator()(float* p) const noexcept { std::free(p); }
+  };
+  /// Allocates `shape`'s storage without initializing it, for callers that
+  /// overwrite every element.
+  static Tensor uninitialized(std::vector<std::int64_t> shape);
+
   std::vector<std::int64_t> shape_;
-  std::vector<float> data_;
+  std::unique_ptr<float[], FreeStorage> data_;
+  std::int64_t numel_ = 0;
 };
 
 }  // namespace burst::tensor

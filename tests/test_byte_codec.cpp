@@ -3,7 +3,9 @@
 //
 // CodecFormatPin hashes each encoding of a fixed input with FNV-1a 64 and
 // compares it with a pinned constant. A mismatch means old snapshots stop
-// loading or socket peers of different builds stop interoperating.
+// loading or socket peers of different builds stop interoperating. The
+// fixed frame sets every typed control-plane field (a sequence number past
+// 2^24 included), so the pin and the mutation test cover the frame header.
 //
 // CodecMutation feeds seeded bit flips, truncations and extreme length
 // fields over valid encodings to each decoder. Every input must either
@@ -53,15 +55,16 @@ Tensor ramp(std::int64_t rows, std::int64_t cols, float start) {
 }
 
 comm::Frame fixed_frame() {
-  comm::Frame f;
-  f.tensors.push_back(ramp(2, 3, 1.0f));
   Tensor v(4);
   for (std::int64_t i = 0; i < 4; ++i) {
     v[i] = -2.0f + static_cast<float>(i);
   }
-  f.tensors.push_back(v);
-  f.tensors.push_back(Tensor());
+  comm::Frame f;
+  f.payload = tensor::SharedTensors({ramp(2, 3, 1.0f), v, Tensor()});
   f.wire_bytes = 96;
+  f.seq = (std::uint64_t{1} << 40) + 3;
+  f.checksum = 0x9e3779b9u;
+  f.origin = 5;
   return f;
 }
 
@@ -147,9 +150,32 @@ Bytes encoded_checkpoint() {
 
 TEST(CodecFormatPin, FrameBytes) {
   const Bytes bytes = encoded_frame();
-  EXPECT_EQ(fnv(bytes), 0xafc3701cdee19a6bull);
+  EXPECT_EQ(fnv(bytes), 0xa2085af1b8e8bb7eull);
   const comm::Frame back = comm::deserialize_frame(bytes.data(), bytes.size());
   EXPECT_EQ(comm::serialize_frame(back), bytes);
+}
+
+// The control plane is typed integers: sequence numbers past a float's 2^24
+// exact range and negative origins survive the byte boundary exactly.
+TEST(CodecFormatPin, FrameControlPlaneRoundTripsExactly) {
+  for (const std::uint64_t seq :
+       {(std::uint64_t{1} << 24) + 1, (std::uint64_t{1} << 40) + 1,
+        ~std::uint64_t{0}}) {
+    for (const std::int32_t origin : {-1, 0, 7}) {
+      comm::Frame f = fixed_frame();
+      f.seq = seq;
+      f.origin = origin;
+      f.checksum = 0xfffffffeu;
+      const Bytes bytes = comm::serialize_frame(f);
+      const comm::Frame back =
+          comm::deserialize_frame(bytes.data(), bytes.size());
+      EXPECT_EQ(back.seq, seq);
+      EXPECT_EQ(back.origin, origin);
+      EXPECT_EQ(back.checksum, 0xfffffffeu);
+      EXPECT_EQ(back.wire_bytes, 96u);
+      EXPECT_EQ(back.payload->size(), 3u);
+    }
+  }
 }
 
 TEST(CodecFormatPin, TrainingSnapshotPayloadBytes) {

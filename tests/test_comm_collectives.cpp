@@ -145,6 +145,30 @@ TEST(CollectivesFixed, BroadcastFromNonzeroRoot) {
   }
 }
 
+// Point-to-point payloads are handed over, not copied: on SimTransport a
+// moved-in vector arrives holding the sender's storage.
+TEST(CollectivesFixed, SendOfMovedVectorArrivesWithSendersStorage) {
+  Cluster cluster({Topology::single_node(2)});
+  const float* sent = nullptr;  // set by rank 0 before its send
+  int received = 0;
+  cluster.run([&](DeviceContext& ctx) {
+    comm::SimTransport comm_tp(ctx);
+    Communicator comm(comm_tp);
+    if (ctx.rank() == 0) {
+      std::vector<Tensor> payload;
+      payload.push_back(Tensor::full(4, 4, 5.0f));
+      sent = payload[0].data();
+      comm.send(1, 9, std::move(payload));
+    } else {
+      const std::vector<Tensor> got = comm.recv(0, 9);
+      EXPECT_EQ(got.at(0).data(), sent);
+      EXPECT_FLOAT_EQ(got[0](3, 3), 5.0f);
+      ++received;
+    }
+  });
+  EXPECT_EQ(received, 1);
+}
+
 TEST(CollectivesFixed, WireBytesUsesConfiguredWidth) {
   Cluster cluster({Topology::single_node(1)});
   cluster.run([&](DeviceContext& ctx) {

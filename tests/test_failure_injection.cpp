@@ -5,10 +5,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "comm/communicator.hpp"
+#include "comm/ring.hpp"
 #include "comm/sim_transport.hpp"
+#include "core/sweep.hpp"
 #include "model/dist_model.hpp"
 #include "model/transformer.hpp"
 #include "sim/cluster.hpp"
@@ -291,6 +294,43 @@ TEST(FaultPlan, CorruptedFrameRejectedByChecksum) {
                comm::CommCorruptionError);
   EXPECT_EQ(cluster.fault_stats().messages_corrupted, 1u);
   EXPECT_EQ(cluster.last_failure_rank(), 1);  // detected at the receiver
+}
+
+// Copy-on-corrupt: bit rot injected into an activation-sweep hop damages
+// the frame on the wire, never the shard the sender shares with it. The
+// receiver rejects the hop; the sender's own visit, which runs after the
+// corrupted send, still reads its shard bitwise intact.
+TEST(FaultPlan, CorruptedSweepHopLeavesSenderShardIntact) {
+  Cluster::Config cc;
+  cc.topo = Topology::single_node(2);
+  sim::FaultPlan::CorruptMessages corrupt;
+  corrupt.src = 0;
+  corrupt.dst = 1;
+  corrupt.count = 1;
+  cc.faults.corruptions.push_back(corrupt);
+  Cluster cluster(cc);
+
+  const Tensor shard = Rng(11).gaussian(4, 4, 1.0f);
+  Tensor sender_view;  // rank 0's visit of its own shard
+  EXPECT_THROW(cluster.run([&](DeviceContext& ctx) {
+    comm::SimTransport comm_tp(ctx);
+    comm::Communicator comm(comm_tp);
+    core::ring_sweep_activation(
+        comm, core::SweepRoute::flat(comm::flat_ring(2)), core::SweepOptions{},
+        {shard}, [&](const std::vector<Tensor>& ts, int origin) {
+          if (ctx.rank() == 0 && origin == 0) {
+            sender_view = ts[0];
+          }
+        });
+  }),
+               comm::CommCorruptionError);
+  EXPECT_EQ(cluster.fault_stats().messages_corrupted, 1u);
+  EXPECT_EQ(cluster.last_failure_rank(), 1);  // detected at the receiver
+  ASSERT_EQ(sender_view.numel(), shard.numel());
+  EXPECT_EQ(std::memcmp(sender_view.data(), shard.data(),
+                        static_cast<std::size_t>(shard.numel()) *
+                            sizeof(float)),
+            0);
 }
 
 // A degraded link (10% bandwidth) stretches the transfer and the makespan.

@@ -2,11 +2,16 @@
 // discrete-event simulator's measured sweep times must agree with the
 // closed-form communication model when both are given identical link
 // parameters. This pins the Table 1 formulas to the executable schedules.
+// Every case also checks its peak host RSS against a budget.
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "comm/communicator.hpp"
 #include "comm/sim_transport.hpp"
 #include "core/sweep.hpp"
+#include "obs/report.hpp"
 #include "perfmodel/comm_model.hpp"
 #include "sim/cluster.hpp"
 #include "tensor/tensor.hpp"
@@ -31,6 +36,13 @@ HardwareModel hw_from(const Topology& topo) {
   return hw;
 }
 
+// Host-memory budget of one case (the process peak, via getrusage). Every
+// hop shares its rank's 128 MB shard, so the 16-rank cases hold at most
+// 2 GB even where calloc writes the pages it hands out (glibc leaves large
+// blocks untouched: measured ~10 MB). One deep copy per hop would hold at
+// least two shards per rank, 4 GB, and fail.
+constexpr double kHostRssBudgetMb = 3.0 * 1024.0;
+
 double simulate_activation_sweep(const Topology& topo, double shard_bytes,
                                  bool topo_aware) {
   Cluster cluster({topo});
@@ -40,10 +52,14 @@ double simulate_activation_sweep(const Topology& topo, double shard_bytes,
     const auto route =
         topo_aware ? core::SweepRoute::double_ring(topo)
                    : core::SweepRoute::flat(comm::flat_ring(topo.world_size()));
-    Tensor own(static_cast<std::int64_t>(shard_bytes / 8), 8);
-    core::ring_sweep_activation(comm, route, core::SweepOptions{}, {own},
+    // Built in place: a braced {own} would copy the shard twice.
+    std::vector<Tensor> own;
+    own.emplace_back(static_cast<std::int64_t>(shard_bytes / 8), 8);
+    core::ring_sweep_activation(comm, route, core::SweepOptions{},
+                                std::move(own),
                                 [](const std::vector<Tensor>&, int) {});
   });
+  EXPECT_LE(obs::host_peak_rss_mb(), kHostRssBudgetMb);
   return cluster.makespan();
 }
 

@@ -114,14 +114,14 @@ TEST(Cluster, PointToPointDeliversPayloadAndTime) {
       m.bytes = 1000;  // 1 ms serialization
       tensor::Tensor payload(2, 2);
       payload.fill(3.0f);
-      m.tensors.push_back(payload);
+      m.payload = tensor::SharedTensors({payload});
       ctx.send(1, 7, std::move(m), kIntraComm);
       // Sender's stream advanced by serialization only.
       EXPECT_NEAR(ctx.clock().now(kIntraComm), 1e-3, 1e-12);
     } else {
       Message m = ctx.recv(0, 7, kIntraComm);
-      EXPECT_EQ(m.tensors.size(), 1u);
-      EXPECT_FLOAT_EQ(m.tensors[0](1, 1), 3.0f);
+      EXPECT_EQ(m.payload->size(), 1u);
+      EXPECT_FLOAT_EQ(m.payload->at(0)(1, 1), 3.0f);
       recv_time = ctx.clock().now(kIntraComm);
     }
   });

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <mutex>
 #include <set>
 #include <vector>
@@ -199,6 +200,64 @@ TEST(GradientSweep, SingleDevice) {
         });
     EXPECT_FLOAT_EQ(returned[0](0, 0), 7.0f);
   });
+}
+
+// --- zero-copy payloads ------------------------------------------------------
+
+// On SimTransport a sweep hop shares its bundle instead of copying it: every
+// rank's visit of origin r's shard reads the very storage rank r built (the
+// activation sweep's bundles, or the gradient sweep's immutable part).
+void expect_visits_share_origin_storage(bool gradient) {
+  const Topology topo = Topology::multi_node(2, 2);
+  const int g = topo.world_size();
+  const SweepRoute route = SweepRoute::double_ring(topo);
+  Cluster cluster({topo});
+  // own[r][i]: data() of rank r's i-th shard tensor, set before its sweep
+  // starts (so before any peer can receive the shard).
+  std::vector<std::vector<const float*>> own(static_cast<std::size_t>(g));
+  std::atomic<int> visits{0};
+  std::atomic<int> copied{0};
+  cluster.run([&](DeviceContext& ctx) {
+    comm::SimTransport comm_tp(ctx);
+    Communicator comm(comm_tp);
+    const float r = static_cast<float>(ctx.rank());
+    std::vector<Tensor> shard;
+    shard.push_back(Tensor::full(4, 2, r));
+    shard.push_back(Tensor::full(1, 3, r));
+    for (const Tensor& t : shard) {
+      own[static_cast<std::size_t>(ctx.rank())].push_back(t.data());
+    }
+    const auto check = [&](const std::vector<Tensor>& ts, int origin) {
+      visits.fetch_add(1);
+      const auto& want = own[static_cast<std::size_t>(origin)];
+      for (std::size_t i = 0; i < ts.size(); ++i) {
+        if (ts[i].data() != want.at(i)) {
+          copied.fetch_add(1);
+        }
+      }
+    };
+    if (gradient) {
+      ring_sweep_gradient(comm, route, SweepOptions{}, std::move(shard),
+                          {Tensor::zeros(1, 1)},
+                          [&](const std::vector<Tensor>& ts, int origin) {
+                            check(ts, origin);
+                            return std::vector<Tensor>{Tensor::zeros(1, 1)};
+                          });
+    } else {
+      ring_sweep_activation(comm, route, SweepOptions{}, std::move(shard),
+                            check);
+    }
+  });
+  EXPECT_EQ(visits.load(), g * g);
+  EXPECT_EQ(copied.load(), 0) << "a hop copied its payload";
+}
+
+TEST(ZeroCopySweep, ActivationHopsShareOriginStorage) {
+  expect_visits_share_origin_storage(/*gradient=*/false);
+}
+
+TEST(ZeroCopySweep, GradientImmutableHopsShareOriginStorage) {
+  expect_visits_share_origin_storage(/*gradient=*/true);
 }
 
 // --- timing properties -------------------------------------------------------

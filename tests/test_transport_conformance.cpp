@@ -155,10 +155,14 @@ class FaultDecorator final : public Transport {
         }
         break;
       case Fault::kCorruptOnce:
-        if (!fired_ && !frame.tensors.empty() &&
-            frame.tensors.front().numel() > 0) {
+        if (!fired_ && !frame.payload->empty() &&
+            frame.payload->front().numel() > 0) {
           fired_ = true;
-          frame.tensors.front().data()[0] += 1024.0f;  // flip payload bits
+          // Flip bits in a private copy: the payload is shared with the
+          // sender, whose tensors must never change.
+          std::vector<Tensor> rotted = *frame.payload;
+          rotted.front().data()[0] += 1024.0f;
+          frame.payload = tensor::SharedTensors(std::move(rotted));
         }
         break;
       case Fault::kNone:
@@ -499,24 +503,24 @@ TEST(FrameCodec, RoundTripsMixedRankTensors) {
   v[0] = 1.0f;
   v[1] = -2.5f;
   v[2] = 1024.0f;
-  in.tensors.push_back(v);
-  in.tensors.push_back(Tensor::full(2, 2, 7.0f));
+  in.payload = tensor::SharedTensors({v, Tensor::full(2, 2, 7.0f)});
   in.wire_bytes = 42;
   const auto bytes = serialize_frame(in);
   Frame out = deserialize_frame(bytes.data(), bytes.size());
-  ASSERT_EQ(out.tensors.size(), 2u);
+  const std::vector<Tensor>& ts = *out.payload;
+  ASSERT_EQ(ts.size(), 2u);
   EXPECT_EQ(out.wire_bytes, 42u);
-  EXPECT_EQ(out.tensors[0].rank(), 1);
+  EXPECT_EQ(ts[0].rank(), 1);
   // burst-lint: allow(no-naked-float-eq) the codec round-trip is byte-exact by contract
-  EXPECT_EQ(out.tensors[0][1], -2.5f);
-  EXPECT_EQ(out.tensors[1].rank(), 2);
+  EXPECT_EQ(ts[0][1], -2.5f);
+  EXPECT_EQ(ts[1].rank(), 2);
   // burst-lint: allow(no-naked-float-eq) the codec round-trip is byte-exact by contract
-  EXPECT_EQ(out.tensors[1](1, 1), 7.0f);
+  EXPECT_EQ(ts[1](1, 1), 7.0f);
 }
 
 TEST(FrameCodec, RejectsBadMagic) {
   Frame in;
-  in.tensors.push_back(Tensor::full(1, 1, 0.0f));
+  in.payload = tensor::SharedTensors({Tensor::full(1, 1, 0.0f)});
   auto bytes = serialize_frame(in);
   bytes[0] ^= 0xFF;
   EXPECT_THROW(deserialize_frame(bytes.data(), bytes.size()), CommError);
@@ -524,7 +528,7 @@ TEST(FrameCodec, RejectsBadMagic) {
 
 TEST(FrameCodec, RejectsTruncationAndTrailingBytes) {
   Frame in;
-  in.tensors.push_back(Tensor::full(2, 3, 1.0f));
+  in.payload = tensor::SharedTensors({Tensor::full(2, 3, 1.0f)});
   auto bytes = serialize_frame(in);
   EXPECT_THROW(deserialize_frame(bytes.data(), bytes.size() - 1), CommError);
   bytes.push_back(0);
