@@ -149,8 +149,8 @@ class Communicator {
 
   /// All-to-all restricted to `group` (this rank must be a member; all
   /// members must call with the same group vector). `send` and the result
-  /// are indexed by *group position*, not global rank. Used by head
-  /// parallelism (DeepSpeed-Ulysses) and the Ulysses stage of USP.
+  /// are indexed by *group position*, not global rank. Used by USP's
+  /// head-group exchange (DeepSpeed-Ulysses is its one-group case).
   std::vector<tensor::Tensor> all_to_all_group(const std::vector<int>& group,
                                                std::vector<tensor::Tensor> send);
 

@@ -173,8 +173,11 @@ std::vector<Tensor> ring_sweep_gradient(
     // Forward the accumulator along the edge its shard took when leaving us
     // (the hop after visit s); it carries our freshly-computed contribution,
     // so the send waits on compute — this is the one delayed dependency of
-    // the gradient pipeline (Figure 5, bottom).
-    {
+    // the gradient pipeline (Figure 5, bottom). A one-member route has no
+    // link: its accumulator is already home and stays local.
+    if (steps == 1) {
+      own_accum = std::move(acc);
+    } else {
       const int dst = route.hop_target(me, s);
       const int stream = comm.stream_for(dst);
       tp.wait(stream, computed);
@@ -203,6 +206,9 @@ std::vector<Tensor> ring_sweep_gradient(
     }
   }
 
+  if (steps == 1) {
+    return own_accum;
+  }
   // Our own accumulator comes home after its final hop.
   const int src = route.hop_source(me, steps - 1);
   const int stream = comm.stream_for(src);

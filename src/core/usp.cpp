@@ -3,9 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "core/head_exchange.hpp"
-#include "core/ulysses.hpp"
-
 namespace burst::core {
 
 using comm::Communicator;
@@ -56,6 +53,84 @@ DistAttnConfig ring_cfg(const UspConfig& cfg) {
   rc.overlap = cfg.overlap;
   rc.seq_len = cfg.seq_len;
   return rc;
+}
+
+// Head-group all-to-all packing. A device holds per-head tensors of shape
+// [n_local, dh]. Before the exchange, heads are packed heads-major per
+// destination; after it, each owned head's full segment is assembled by
+// concatenating source shards in group order.
+
+// For each of `g` destinations, stacks the local shard of every head that
+// destination owns (`heads_per_dev` heads, heads-major).
+std::vector<Tensor> pack_by_owner(const std::vector<Tensor>& per_head, int g,
+                                  int heads_per_dev) {
+  const std::int64_t n_local = per_head.front().rows();
+  const std::int64_t dh = per_head.front().cols();
+  std::vector<Tensor> send;
+  send.reserve(static_cast<std::size_t>(g));
+  for (int dst = 0; dst < g; ++dst) {
+    Tensor buf(heads_per_dev * n_local, dh);
+    for (int t = 0; t < heads_per_dev; ++t) {
+      buf.set_rows(t * n_local,
+                   per_head[static_cast<std::size_t>(dst * heads_per_dev + t)]);
+    }
+    send.push_back(std::move(buf));
+  }
+  return send;
+}
+
+// Receive-side inverse: per owned head, concatenates all `g` source shards
+// (each `n_local` rows) into the full segment.
+std::vector<Tensor> assemble_full_seq(const std::vector<Tensor>& recv, int g,
+                                      int heads_per_dev,
+                                      std::int64_t n_local) {
+  const std::int64_t dh = recv.front().cols();
+  std::vector<Tensor> full;
+  full.reserve(static_cast<std::size_t>(heads_per_dev));
+  for (int t = 0; t < heads_per_dev; ++t) {
+    Tensor f(g * n_local, dh);
+    for (int src = 0; src < g; ++src) {
+      f.set_rows(src * n_local,
+                 recv[static_cast<std::size_t>(src)].copy_rows(t * n_local,
+                                                               n_local));
+    }
+    full.push_back(std::move(f));
+  }
+  return full;
+}
+
+// Head-sharded full segments -> per-destination packed buffers (sending
+// outputs/gradients back to sequence sharding).
+std::vector<Tensor> pack_by_shard(const std::vector<Tensor>& full, int g,
+                                  std::int64_t n_local) {
+  const int heads_per_dev = static_cast<int>(full.size());
+  const std::int64_t dh = full.front().cols();
+  std::vector<Tensor> send;
+  send.reserve(static_cast<std::size_t>(g));
+  for (int dst = 0; dst < g; ++dst) {
+    Tensor buf(heads_per_dev * n_local, dh);
+    for (int t = 0; t < heads_per_dev; ++t) {
+      buf.set_rows(t * n_local,
+                   full[static_cast<std::size_t>(t)].copy_rows(dst * n_local,
+                                                               n_local));
+    }
+    send.push_back(std::move(buf));
+  }
+  return send;
+}
+
+// Receive-side inverse of pack_by_shard: per-head local shards indexed by
+// global head (source at group position s owns heads [s*hpd, (s+1)*hpd)).
+std::vector<Tensor> unpack_to_heads(const std::vector<Tensor>& recv, int g,
+                                    int heads_per_dev, std::int64_t n_local) {
+  std::vector<Tensor> heads(static_cast<std::size_t>(g * heads_per_dev));
+  for (int src = 0; src < g; ++src) {
+    for (int t = 0; t < heads_per_dev; ++t) {
+      heads[static_cast<std::size_t>(src * heads_per_dev + t)] =
+          recv[static_cast<std::size_t>(src)].copy_rows(t * n_local, n_local);
+    }
+  }
+  return heads;
 }
 
 }  // namespace

@@ -10,6 +10,14 @@
 // devices per owned head; (3) the reverse all-to-all restores sequence
 // sharding. Backward mirrors the pipeline.
 //
+// DeepSpeed-Ulysses (Section 4.1) is the grid's Gh = G corner: one head
+// group spanning the world, rings of one member, contiguous shards. Its
+// per-device volume is O(N·d_model/G) per all-to-all — cheap — but the
+// all-to-all cannot overlap with computation (the paper's explanation for
+// Ulysses trailing LoongTrain/BurstEngine), and head parallelism requires
+// heads % Gh == 0 (why Ulysses is inapplicable to the 40-head 14B model on
+// 32/64 GPUs, Figure 14).
+//
 // Workload balance applies at the ring level: ring shard `m` is
 // device_index_map(balance, N, Gr, m); within a head group, member hp holds
 // rows [hp*N/G, (hp+1)*N/G) of that shard (use usp_local_index_map to
@@ -17,6 +25,8 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -27,6 +37,17 @@
 #include "tensor/tensor.hpp"
 
 namespace burst::core {
+
+/// Thrown when the head count is not divisible by the head-group size — the
+/// structural limitation of head parallelism.
+class UlyssesConfigError : public std::invalid_argument {
+ public:
+  explicit UlyssesConfigError(int heads, int g)
+      : std::invalid_argument("Ulysses head parallelism needs heads % G == 0 "
+                              "(heads=" +
+                              std::to_string(heads) +
+                              ", G=" + std::to_string(g) + ")") {}
+};
 
 struct UspConfig {
   kernels::MaskSpec mask = kernels::MaskSpec::causal();

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/sweep.hpp"
-#include "core/ulysses.hpp"
 #include "core/usp.hpp"
 #include "kernels/flash_attention.hpp"
 #include "kernels/lm_head.hpp"
@@ -43,22 +42,33 @@ namespace {
 // Model dimensions enter the simulated-FLOP arithmetic as doubles.
 inline double fd(std::int64_t v) { return static_cast<double>(v); }
 
+bool is_head_parallel(const DistTrainConfig& cfg) {
+  return cfg.impl == AttnImpl::kUlysses || cfg.impl == AttnImpl::kUsp;
+}
+
+// The USP grid a head-parallel impl runs on. Ulysses is its corner with one
+// head group spanning the world: rings of one member, contiguous shards.
+core::UspConfig usp_config(const DistTrainConfig& cfg, std::int64_t n,
+                           int world_size) {
+  core::UspConfig uc;
+  uc.mask = cfg.mask;
+  uc.seq_len = n;
+  uc.num_heads = static_cast<int>(cfg.model.heads);
+  uc.head_parallel = head_group_size(cfg, world_size);
+  uc.balance = cfg.impl == AttnImpl::kUlysses ? Balance::kContiguous
+                                              : cfg.balance;
+  uc.backward = core::BackwardComm::kRing;
+  uc.overlap = cfg.overlap;
+  return uc;
+}
+
 IndexMap index_map_for(const DistTrainConfig& cfg, std::int64_t n,
                        int world_size, int rank) {
-  switch (cfg.impl) {
-    case AttnImpl::kUlysses:
-      return core::device_index_map(Balance::kContiguous, n, world_size, rank);
-    case AttnImpl::kUsp: {
-      core::UspConfig uc;
-      uc.seq_len = n;
-      uc.num_heads = static_cast<int>(cfg.model.heads);
-      uc.head_parallel = cfg.usp_head_parallel;
-      uc.balance = cfg.balance;
-      return core::usp_local_index_map(uc, world_size, rank);
-    }
-    default:
-      return core::device_index_map(cfg.balance, n, world_size, rank);
+  if (is_head_parallel(cfg)) {
+    return core::usp_local_index_map(usp_config(cfg, n, world_size),
+                                     world_size, rank);
   }
+  return core::device_index_map(cfg.balance, n, world_size, rank);
 }
 
 // Approximate "as-if bf16" byte count for memory accounting.
@@ -84,7 +94,6 @@ struct LayerCache {
   std::vector<Tensor> o_stored, lse_stored;
   std::vector<std::int64_t> stored_rows;  // local row indices kept
   // Ulysses / USP saved state (these impls manage their own full cache).
-  core::UlyssesSaved ulysses;
   core::UspSaved usp;
   std::uint64_t charged_bytes = 0;  // what we alloc'd on the MemoryTracker
 };
@@ -109,25 +118,9 @@ struct DeviceState {
     return ac;
   }
 
-  core::UlyssesConfig ulysses_cfg() const {
-    core::UlyssesConfig uc;
-    uc.mask = cfg->mask;
-    uc.scale = scale;
-    uc.seq_len = n_global;
-    uc.num_heads = static_cast<int>(cfg->model.heads);
-    return uc;
-  }
-
   core::UspConfig usp_cfg() const {
-    core::UspConfig uc;
-    uc.mask = cfg->mask;
+    core::UspConfig uc = usp_config(*cfg, n_global, comm->world_size());
     uc.scale = scale;
-    uc.seq_len = n_global;
-    uc.num_heads = static_cast<int>(cfg->model.heads);
-    uc.head_parallel = cfg->usp_head_parallel;
-    uc.balance = cfg->balance;
-    uc.backward = core::BackwardComm::kRing;
-    uc.overlap = cfg->overlap;
     return uc;
   }
 };
@@ -166,8 +159,7 @@ void attention_forward(DeviceState& st, const std::vector<Tensor>& q,
                        std::vector<Tensor>* o_out,
                        std::vector<Tensor>* lse_out) {
   const auto& cfg = *st.cfg;
-  if (cfg.model.num_kv_heads() != cfg.model.heads &&
-      (cfg.impl == AttnImpl::kUlysses || cfg.impl == AttnImpl::kUsp)) {
+  if (cfg.model.num_kv_heads() != cfg.model.heads && is_head_parallel(cfg)) {
     // Head parallelism would have to replicate shared K/V heads across the
     // query-head owners; unsupported here (the same constraint limits
     // DeepSpeed-Ulysses degrees to the KV head count on real GQA models).
@@ -187,17 +179,10 @@ void attention_forward(DeviceState& st, const std::vector<Tensor>& q,
       }
       break;
     }
-    case AttnImpl::kUlysses: {
-      auto o_local =
-          ulysses_forward(*st.comm, st.ulysses_cfg(), q, k, v, &cache.ulysses);
-      *o_out = std::move(o_local);
-      lse_out->clear();  // lse lives inside cache.ulysses
-      break;
-    }
+    case AttnImpl::kUlysses:
     case AttnImpl::kUsp: {
-      auto o_local = usp_forward(*st.comm, st.usp_cfg(), q, k, v, &cache.usp);
-      *o_out = std::move(o_local);
-      lse_out->clear();
+      *o_out = usp_forward(*st.comm, st.usp_cfg(), q, k, v, &cache.usp);
+      lse_out->clear();  // lse lives inside cache.usp
       break;
     }
   }
@@ -289,14 +274,10 @@ Tensor dist_layer_forward(DeviceState& st, const LayerWeights& w,
                           2.0 * fd(m.d_model) * fd(m.d_ff)));
 
   // --- what survives until backward ----------------------------------------
-  const bool external_cache = st.cfg->impl == AttnImpl::kUlysses ||
-                              st.cfg->impl == AttnImpl::kUsp;
-  if (external_cache) {
+  if (is_head_parallel(*st.cfg)) {
     // Ulysses/USP keep their own full-sequence per-head state; account it.
-    const auto& saved_o =
-        st.cfg->impl == AttnImpl::kUlysses ? cache.ulysses.o : cache.usp.o;
-    for (const auto& t : saved_o) {
-      charge(st, cache, t, "ulysses saved");
+    for (const auto& t : cache.usp.o) {
+      charge(st, cache, t, "head-parallel saved");
     }
     cache.full = false;
     return y;
@@ -423,14 +404,10 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
     acts = block_hidden(w, x, [&](const Tensor& q_all, const Tensor& k_all,
                                   const Tensor& v_all) {
       hd = split_qkv(st, q_all, k_all, v_all);
-      if (st.cfg->impl == AttnImpl::kUlysses) {
+      if (is_head_parallel(*st.cfg)) {
         // Ulysses/USP local O is recomputed by a fresh forward on scratch
         // state (outputs equal the stored ones); backward reads the saved
         // head-sharded state.
-        core::UlyssesSaved scratch;
-        o = ulysses_forward(*st.comm, st.ulysses_cfg(), hd.q, hd.k, hd.v,
-                            &scratch);
-      } else if (st.cfg->impl == AttnImpl::kUsp) {
         core::UspSaved scratch;
         o = usp_forward(*st.comm, st.usp_cfg(), hd.q, hd.k, hd.v, &scratch);
       } else {
@@ -453,20 +430,16 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
   Tensor dq_all(x.rows(), m.d_model);
   Tensor dk_all(x.rows(), m.d_kv());
   Tensor dv_all(x.rows(), m.d_kv());
-  // The head-parallel impls return every head's gradients for local rows.
-  const auto set_heads = [&](const auto& grads) {
+  if (is_head_parallel(*st.cfg)) {
+    // The head-parallel impls return every head's gradients for local rows.
+    const core::UspGrads grads =
+        usp_backward(*st.comm, st.usp_cfg(), cache.usp, d_o_heads);
     for (std::int64_t h = 0; h < m.heads; ++h) {
       const std::size_t hi = static_cast<std::size_t>(h);
       tensor::set_cols(dq_all, h * dh, grads.dq[hi]);
       tensor::set_cols(dk_all, h * dh, grads.dk[hi]);
       tensor::set_cols(dv_all, h * dh, grads.dv[hi]);
     }
-  };
-  if (st.cfg->impl == AttnImpl::kUlysses) {
-    set_heads(ulysses_backward(*st.comm, st.ulysses_cfg(), cache.ulysses,
-                               d_o_heads));
-  } else if (st.cfg->impl == AttnImpl::kUsp) {
-    set_heads(usp_backward(*st.comm, st.usp_cfg(), cache.usp, d_o_heads));
   } else {
     const std::int64_t group = m.group_size();
     dk_all.fill(0.0f);
@@ -503,6 +476,17 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
 }
 
 }  // namespace
+
+int head_group_size(const DistTrainConfig& cfg, int world_size) {
+  switch (cfg.impl) {
+    case AttnImpl::kUlysses:
+      return world_size;
+    case AttnImpl::kUsp:
+      return cfg.usp_head_parallel;
+    default:
+      return 1;
+  }
+}
 
 IndexMap dist_index_map(const DistTrainConfig& cfg, std::int64_t seq_len,
                         int world_size, int rank) {

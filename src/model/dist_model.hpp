@@ -3,7 +3,8 @@
 //
 //   * sequence sharding with any workload balance (zigzag/striped/...);
 //   * distributed attention per layer via BurstAttention, RingAttention,
-//     DeepSpeed-Ulysses, or LoongTrain-USP;
+//     DeepSpeed-Ulysses, or LoongTrain-USP (Ulysses runs as USP with one
+//     head group spanning the world);
 //   * gradient checkpointing (none / full / selective++ / sequence-level
 //     selective, Section 3.2) with *real* recomputation — including the
 //     distributed ring re-execution sequence-level checkpointing needs for
@@ -31,7 +32,7 @@ namespace burst::model {
 enum class AttnImpl {
   kBurst,    // BurstAttention (Algorithm 2 backward)
   kRing,     // RingAttention baseline (Algorithm 1 backward)
-  kUlysses,  // head parallelism
+  kUlysses,  // head parallelism: USP with one head group
   kUsp,      // hybrid head+context
 };
 
@@ -66,6 +67,12 @@ DistStepResult dist_train_step(comm::Communicator& comm,
                                const DistTrainConfig& cfg,
                                const ModelWeights& weights,
                                const tensor::Tensor& tokens);
+
+/// Ranks per head group of the USP grid `cfg` runs on over `world_size`
+/// ranks: the whole world for Ulysses (USP with one head group),
+/// `usp_head_parallel` for USP, and 1 for the context-parallel impls. Must
+/// divide both `world_size` and the head count.
+int head_group_size(const DistTrainConfig& cfg, int world_size);
 
 /// The sequence shard (global positions) owned by `rank` under `cfg` for a
 /// global sequence of `seq_len` tokens.

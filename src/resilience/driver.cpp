@@ -40,9 +40,9 @@ int feasible_world_size(const model::DistTrainConfig& cfg,
     if (seq_len % chunk != 0) {
       continue;
     }
-    if ((cfg.impl == model::AttnImpl::kUlysses ||
-         cfg.impl == model::AttnImpl::kUsp) &&
-        cfg.model.heads % g != 0) {
+    // Head parallelism: the head group must tile the world and the heads.
+    const int gh = model::head_group_size(cfg, g);
+    if (g % gh != 0 || cfg.model.heads % gh != 0) {
       continue;
     }
     return g;

@@ -113,7 +113,8 @@ tensor::Tensor make_markov_sequence(tensor::Rng& rng, std::int64_t n,
 
 /// Largest world size g <= max_g that satisfies the divisibility rules of
 /// `cfg` for sequences of `seq_len` tokens (zigzag needs 2g | N, the other
-/// balances g | N; Ulysses/USP additionally need g | heads).
+/// balances g | N; head-parallel impls additionally need their head-group
+/// size, model::head_group_size(cfg, g), to divide both g and heads).
 int feasible_world_size(const model::DistTrainConfig& cfg,
                         std::int64_t seq_len, int max_g);
 

@@ -1,6 +1,8 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 
 #include "sim/clock.hpp"
 
@@ -36,14 +38,23 @@ std::string json_escape(const std::string& s) {
 }  // namespace
 
 void TraceRecorder::write_chrome_trace(std::ostream& os) const {
-  std::lock_guard lock(mu_);
+  // Devices record from their own threads, so events_ is in arrival order.
+  // Sorting makes identical runs write byte-identical JSON.
+  std::vector<TraceEvent> events = this->events();
+  const auto key = [](const TraceEvent& e) {
+    return std::tie(e.rank, e.stream, e.begin_s, e.end_s, e.name);
+  };
+  std::sort(events.begin(), events.end(),
+            [&](const TraceEvent& a, const TraceEvent& b) {
+              return key(a) < key(b);
+            });
   os << "{\"traceEvents\":[\n";
   bool first = true;
-  // Thread-name metadata makes the streams readable in the viewer.
+  // Thread-name metadata makes the streams readable in the viewer; the
+  // sorted events yield each (pid, tid) pair in order.
   std::vector<std::pair<int, int>> named;
-  for (const auto& e : events_) {
-    if (std::find(named.begin(), named.end(),
-                  std::make_pair(e.rank, e.stream)) == named.end()) {
+  for (const auto& e : events) {
+    if (named.empty() || named.back() != std::make_pair(e.rank, e.stream)) {
       named.emplace_back(e.rank, e.stream);
     }
   }
@@ -56,7 +67,7 @@ void TraceRecorder::write_chrome_trace(std::ostream& os) const {
        << ",\"tid\":" << stream << ",\"args\":{\"name\":\""
        << stream_name(stream) << "\"}}";
   }
-  for (const auto& e : events_) {
+  for (const auto& e : events) {
     if (!first) {
       os << ",\n";
     }

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <tuple>
+#include <vector>
 
 #include "comm/communicator.hpp"
 #include "comm/sim_transport.hpp"
@@ -113,6 +116,114 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(AttnImpl::kUlysses, AttnImpl::kUsp),
                        ::testing::Values(Balance::kContiguous),
                        ::testing::Values(CkptStrategy::kSelectivePP)));
+
+// FNV-1a over the raw bits of every gradient tensor, in a fixed order.
+std::uint64_t grads_fnv(const ModelGrads& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&](const Tensor& t) {
+    for (std::int64_t i = 0; i < t.numel(); ++i) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, t.data() + i, sizeof bits);
+      for (int b = 0; b < 4; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffU;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  };
+  for (const auto& l : g.layers) {
+    for (const Tensor* t : {&l.wq, &l.wk, &l.wv, &l.wo, &l.w1, &l.w2}) {
+      mix(*t);
+    }
+  }
+  mix(g.w_embed);
+  mix(g.w_head);
+  return h;
+}
+
+struct PinnedRank {
+  double elapsed_s;
+  std::uint64_t bytes_sent, messages_sent, peak_mem_bytes;
+};
+
+struct UlyssesPin {
+  Topology topo;
+  double loss;
+  std::uint64_t grads_fnv;
+  std::vector<PinnedRank> ranks;
+};
+
+// Ulysses is USP with one head group spanning the world. These values were
+// captured from the standalone Ulysses implementation that path replaced;
+// the loss and gradients must stay bitwise, and every rank's virtual clock,
+// traffic and peak memory must stay identical.
+TEST(DistModelUlysses, MatchesPinnedParentBitwise) {
+  Fixture fx;
+  const std::vector<UlyssesPin> pins = {
+      {Topology::single_node(4),
+       0x1.093ce4p+2,
+       0x3cc30d8e9b51c5f6ULL,
+       {{0x1.6e132bf55cfeap-13, 119814, 117, 3072},
+        {0x1.6e1e2ab54dbb5p-13, 119814, 117, 3072},
+        {0x1.6e2929753e78p-13, 119814, 117, 3072},
+        {0x1.6e2929753e78p-13, 119814, 117, 3072}}},
+      {Topology::multi_node(2, 2),
+       0x1.093ce4p+2,
+       0x3cc30d8e9b51c5f6ULL,
+       {{0x1.cb70171b7adcfp-12, 119814, 117, 3072},
+        {0x1.cb9c121b3dcfcp-12, 119814, 117, 3072},
+        {0x1.cb70171b7adcfp-12, 119814, 117, 3072},
+        {0x1.cb9c121b3dcfcp-12, 119814, 117, 3072}}},
+  };
+  for (const auto& pin : pins) {
+    DistTrainConfig cfg;
+    cfg.model = fx.cfg;
+    cfg.impl = AttnImpl::kUlysses;
+    cfg.ckpt = CkptConfig{CkptStrategy::kSelectivePP, 0.5};
+    Cluster cluster({pin.topo});
+    DistStepResult result;
+    std::mutex mu;
+    cluster.run([&](DeviceContext& ctx) {
+      comm::SimTransport comm_tp(ctx);
+      comm::Communicator comm(comm_tp);
+      DistStepResult r = dist_train_step(comm, cfg, fx.weights, fx.tokens);
+      if (ctx.rank() == 0) {
+        std::lock_guard lock(mu);
+        result = std::move(r);
+      }
+    });
+    EXPECT_EQ(result.loss, pin.loss);
+    EXPECT_EQ(grads_fnv(result.grads), pin.grads_fnv);
+    const auto& stats = cluster.stats();
+    ASSERT_EQ(stats.size(), pin.ranks.size());
+    for (std::size_t r = 0; r < stats.size(); ++r) {
+      EXPECT_EQ(stats[r].elapsed_s, pin.ranks[r].elapsed_s) << "rank " << r;
+      EXPECT_EQ(stats[r].bytes_sent, pin.ranks[r].bytes_sent) << "rank " << r;
+      EXPECT_EQ(stats[r].messages_sent, pin.ranks[r].messages_sent)
+          << "rank " << r;
+      EXPECT_EQ(stats[r].peak_mem_bytes, pin.ranks[r].peak_mem_bytes)
+          << "rank " << r;
+    }
+  }
+}
+
+// Ulysses shards the sequence contiguously whatever balance is asked for.
+TEST(DistModelUlysses, IndexMapIsContiguousUnderEveryBalance) {
+  Fixture fx;
+  for (Balance b : {Balance::kContiguous, Balance::kZigzag, Balance::kStriped}) {
+    DistTrainConfig cfg;
+    cfg.model = fx.cfg;
+    cfg.impl = AttnImpl::kUlysses;
+    cfg.balance = b;
+    for (int r = 0; r < 4; ++r) {
+      const auto got = dist_index_map(cfg, kSeq, 4, r);
+      const auto want = core::device_index_map(Balance::kContiguous, kSeq, 4, r);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::int64_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got.global(i), want.global(i)) << "rank " << r << " row " << i;
+      }
+    }
+  }
+}
 
 TEST(DistModelTopo, DoubleRingMultiNodeMatchesSerial) {
   Fixture fx;

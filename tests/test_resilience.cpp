@@ -188,6 +188,13 @@ TEST_F(ResilienceTest, FeasibleWorldSizeRespectsDivisibility) {
   dc.impl = model::AttnImpl::kUlysses;
   dc.balance = core::Balance::kContiguous;
   EXPECT_EQ(resilience::feasible_world_size(dc, 32, 3), 2);
+  // USP's grid needs usp_head_parallel | g and usp_head_parallel | heads:
+  // g=3 divides 6 heads but cannot hold head groups of 2.
+  dc.model.heads = 6;
+  dc.impl = model::AttnImpl::kUsp;
+  dc.usp_head_parallel = 2;
+  dc.balance = core::Balance::kZigzag;
+  EXPECT_EQ(resilience::feasible_world_size(dc, 48, 3), 2);
 }
 
 // When faults outpace the recovery budget the driver gives up and

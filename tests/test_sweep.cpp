@@ -202,6 +202,28 @@ TEST(GradientSweep, SingleDevice) {
   });
 }
 
+// A one-member ring has no link: the accumulator never leaves its rank, so
+// the sweep returns own_accum plus the one contribution and sends nothing.
+TEST(GradientSweep, OneMemberRingSendsNothing) {
+  Cluster cluster({Topology::single_node(2)});
+  cluster.run([&](DeviceContext& ctx) {
+    comm::SimTransport comm_tp(ctx);
+    Communicator comm(comm_tp);
+    const int r = ctx.rank();
+    auto returned = ring_sweep_gradient(
+        comm, SweepRoute::flat(RingOrder({r})), SweepOptions{},
+        {Tensor::zeros(1, 1)}, {Tensor::full(1, 1, 5.0f)},
+        [&](const std::vector<Tensor>&, int origin) {
+          EXPECT_EQ(origin, r);
+          return std::vector<Tensor>{Tensor::full(1, 1, 7.0f)};
+        });
+    EXPECT_FLOAT_EQ(returned[0](0, 0), 12.0f);
+  });
+  for (const auto& s : cluster.stats()) {
+    EXPECT_EQ(s.messages_sent, 0u);
+  }
+}
+
 // --- zero-copy payloads ------------------------------------------------------
 
 // On SimTransport a sweep hop shares its bundle instead of copying it: every

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/cluster.hpp"
 
@@ -73,6 +75,32 @@ TEST(Trace, ChromeJsonIsWellFormedish) {
   // Balanced braces at the ends.
   EXPECT_EQ(s.front(), '{');
   EXPECT_EQ(s[s.size() - 2], '}');
+}
+
+// Devices record from their own threads, so arrival order varies run to
+// run; the written JSON must not.
+TEST(Trace, ChromeJsonIsIndependentOfArrivalOrder) {
+  const std::vector<TraceEvent> events = {
+      {1, kInterComm, "send", 2.0, 3.0}, {0, kCompute, "b", 1.0, 2.0},
+      {0, kCompute, "a", 1.0, 2.0},      {1, kCompute, "c", 0.0, 4.0},
+      {0, kIntraComm, "recv", 0.5, 1.5}, {0, kCompute, "a", 1.0, 1.5},
+  };
+  const auto write = [](const std::vector<TraceEvent>& order) {
+    TraceRecorder trace;
+    for (const auto& e : order) {
+      trace.record(e.rank, e.stream, e.name, e.begin_s, e.end_s);
+    }
+    std::ostringstream os;
+    trace.write_chrome_trace(os);
+    return os.str();
+  };
+  const std::vector<TraceEvent> reversed(events.rbegin(), events.rend());
+  const std::string forward_json = write(events);
+  EXPECT_EQ(forward_json, write(reversed));
+  // Metadata for rank 0 precedes rank 1, and spans follow (ts, end, name).
+  EXPECT_LT(forward_json.find("\"pid\":0"), forward_json.find("\"pid\":1"));
+  EXPECT_LT(forward_json.find("\"name\":\"a\""),
+            forward_json.find("\"name\":\"b\""));
 }
 
 TEST(Trace, OverlapFractionExtremes) {

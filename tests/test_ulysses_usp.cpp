@@ -1,6 +1,7 @@
 // Head parallelism (DeepSpeed-Ulysses) and hybrid USP baselines versus the
-// single-device multi-head reference.
-#include "core/ulysses.hpp"
+// single-device multi-head reference. Ulysses is USP with one head group
+// (head_parallel = G, contiguous shards), so the Ulysses tests below drive
+// usp_forward/usp_backward at that corner of the grid.
 #include "core/usp.hpp"
 
 #include <gtest/gtest.h>
@@ -101,18 +102,19 @@ TEST(Ulysses, ForwardBackwardMatchReference) {
   cluster.run([&](DeviceContext& ctx) {
     comm::SimTransport comm_tp(ctx);
     Communicator comm(comm_tp);
-    UlyssesConfig cfg;
+    UspConfig cfg;
     cfg.mask = mask;
     cfg.scale = p.scale;
     cfg.seq_len = p.n;
     cfg.num_heads = p.heads;
+    cfg.head_parallel = g;
     const IndexMap map =
         device_index_map(Balance::kContiguous, p.n, g, ctx.rank());
-    UlyssesSaved saved;
-    auto o_local = ulysses_forward(comm, cfg, shard_heads(p.q, map),
-                                   shard_heads(p.k, map),
-                                   shard_heads(p.v, map), &saved);
-    auto grads = ulysses_backward(comm, cfg, saved, shard_heads(p.d_out, map));
+    UspSaved saved;
+    auto o_local = usp_forward(comm, cfg, shard_heads(p.q, map),
+                               shard_heads(p.k, map), shard_heads(p.v, map),
+                               &saved);
+    auto grads = usp_backward(comm, cfg, saved, shard_heads(p.d_out, map));
     std::lock_guard lock(mu);
     for (int h = 0; h < p.heads; ++h) {
       const std::size_t hi = static_cast<std::size_t>(h);
@@ -141,17 +143,18 @@ TEST(Ulysses, MultipleHeadsPerDevice) {
   cluster.run([&](DeviceContext& ctx) {
     comm::SimTransport comm_tp(ctx);
     Communicator comm(comm_tp);
-    UlyssesConfig cfg;
+    UspConfig cfg;
     cfg.mask = MaskSpec::full();
     cfg.scale = p.scale;
     cfg.seq_len = p.n;
     cfg.num_heads = p.heads;
+    cfg.head_parallel = g;
     const IndexMap map =
         device_index_map(Balance::kContiguous, p.n, g, ctx.rank());
-    UlyssesSaved saved;
-    auto o_local = ulysses_forward(comm, cfg, shard_heads(p.q, map),
-                                   shard_heads(p.k, map),
-                                   shard_heads(p.v, map), &saved);
+    UspSaved saved;
+    auto o_local = usp_forward(comm, cfg, shard_heads(p.q, map),
+                               shard_heads(p.k, map), shard_heads(p.v, map),
+                               &saved);
     float e = 0.0f;
     for (int h = 0; h < p.heads; ++h) {
       Tensor expected = shard_rows(ref.o[static_cast<std::size_t>(h)], map);
@@ -174,11 +177,12 @@ TEST(Ulysses, IndivisibleHeadCountThrows) {
       cluster.run([&](DeviceContext& ctx) {
         comm::SimTransport comm_tp(ctx);
         Communicator comm(comm_tp);
-        UlyssesConfig cfg;
+        UspConfig cfg;
         cfg.seq_len = 8 * g;
         cfg.num_heads = 5;  // 5 % 4 != 0
+        cfg.head_parallel = g;
         std::vector<Tensor> qkv(5, Tensor::zeros(8, 4));
-        ulysses_forward(comm, cfg, qkv, qkv, qkv, nullptr);
+        usp_forward(comm, cfg, qkv, qkv, qkv, nullptr);
       }),
       UlyssesConfigError);
 }
