@@ -606,7 +606,7 @@ def no_naked_float_eq(sf):
     "(quantize_block_q*/dequantize_q*), the panel-layout helpers "
     "(b_chunk_bytes/b_panel_stride_bytes/pack_b_dt), and PackedB's raw "
     "cache_block() stream. Everything else consumes quantized weights "
-    "through PackedB / gemm_packed* / gemm_dt, so the block format can "
+    "through PackedB / gemm_packed, so the block format can "
     "change without a treewide audit",
     applies=lambda p: _in_dir(p, "src") and not _in_dir(p, "tensor"),
 )
@@ -620,7 +620,7 @@ def quantized_hotpath(sf):
     for line, m in _code_matches(sf, pat):
         yield line, (
             f"quantized block-layout access `{m.group(0).strip()}` outside "
-            "src/tensor/; go through PackedB / gemm_packed* / gemm_dt "
+            "src/tensor/; go through PackedB / gemm_packed "
             "(tensor/gemm.hpp) instead of reinterpreting the packed stream"
         )
 
@@ -1082,6 +1082,7 @@ class ProgramModel:
         self.mutex_owners = {}
         self.error_family = set()
         self.catches = []  # [CatchSite] (src/ files)
+        self._usage = None  # [SourceFile] under USAGE_DIRS, on first use
         self._build(sources)
 
     # include resolution: repo includes are quoted src-rooted paths.
@@ -1192,6 +1193,18 @@ class ProgramModel:
         for sf in sources:
             if sf.path.replace("\\", "/").startswith("src/"):
                 self.catches.extend(_extract_catches(sf))
+
+    def usage_sources(self):
+        """Every source under root's USAGE_DIRS (the linted files plus
+        read-only trees such as perfbench/), parsed once and cached."""
+        if self._usage is None:
+            self._usage = []
+            for path in collect_files(self.root, [
+                    os.path.join(self.root, d) for d in USAGE_DIRS
+                    if os.path.isdir(os.path.join(self.root, d))]):
+                sf = parse_source(path, self.root)
+                self._usage.append(self.files.get(sf.path, sf))
+        return self._usage
 
     def function(self, qualified):
         for f in self.functions:
@@ -1477,6 +1490,159 @@ def error_flow(model):
             "exception; handle it or suppress with a reason explaining "
             "why dropping is correct",
             key=f"swallow:{c.path}:{c.type_name}")
+
+
+# -- orphan declarations ----------------------------------------------------
+
+# Statements at namespace scope that never declare a free function.
+_NON_FUNCTION_LEADS = frozenset(
+    ["class", "struct", "union", "enum", "using", "typedef", "namespace",
+     "static_assert", "friend", "concept"])
+
+
+def _strip_template_prefix(stmt):
+    """Drops leading `template <...>` clauses and `[[attributes]]`."""
+    while True:
+        stmt = stmt.lstrip()
+        if stmt.startswith("[["):
+            close = stmt.find("]]")
+            if close < 0:
+                return stmt
+            stmt = stmt[close + 2:]
+            continue
+        m = re.match(r"template\s*<", stmt)
+        if not m:
+            return stmt
+        end = _match_balanced(stmt, m.end() - 1, "<>")
+        if end < 0:
+            return stmt
+        stmt = stmt[end:]
+
+
+def _free_function_name(stmt):
+    """The unqualified name `stmt` (one namespace-scope statement, up to its
+    ';' or body '{') declares as a free function, or None."""
+    stmt = _strip_template_prefix(stmt)
+    lead = _IDENT_RE.match(stmt)
+    if not lead or lead.group(0) in _NON_FUNCTION_LEADS:
+        return None
+    paren = stmt.find("(")
+    if paren < 0:
+        return None
+    head = stmt[:paren]
+    if "=" in head or "operator" in _IDENT_RE.findall(head):
+        return None  # a variable initializer or an operator overload
+    m = re.search(r"(?:^|[^\w:])([A-Za-z_]\w*)\s*$", head)
+    if not m or m.group(1) in _CPP_KEYWORDS:
+        return None
+    if not head[:m.start(1)].strip():
+        return None  # no return type: a macro invocation
+    return m.group(1)
+
+
+def _namespace_scope_functions(sf):
+    """Yields (name, start, end) for every free function declared (or
+    defined inline) at namespace scope in sf; [start, end) spans the whole
+    declaration, body included."""
+    text = "\n".join(
+        " " * len(line) if line.lstrip().startswith("#") else line
+        for line in sf.code_lines)
+    stmt_start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == ";":
+            name = _free_function_name(text[stmt_start:i])
+            if name:
+                yield name, stmt_start, i + 1
+            stmt_start = i + 1
+        elif c == "}":  # closes a namespace: other blocks are skipped whole
+            stmt_start = i + 1
+        elif c == "{":
+            stmt = text[stmt_start:i]
+            if re.match(r"\s*(?:inline\s+)?namespace\b[\w:\s]*$", stmt):
+                stmt_start = i + 1
+            else:
+                close = _match_balanced(text, i, "{}")
+                if close < 0:
+                    return
+                name = _free_function_name(stmt)
+                if name:
+                    yield name, stmt_start, close
+                    stmt_start = close
+                i = close
+                continue
+        i += 1
+
+
+def _definition_end(text, pos, name):
+    """When the `name` token at text[pos] heads a function definition,
+    returns the index just past its body; otherwise -1."""
+    i = pos + len(name)
+    while i < len(text) and text[i].isspace():
+        i += 1
+    if i >= len(text) or text[i] != "(":
+        return -1
+    params_end = _match_balanced(text, i)
+    if params_end < 0:
+        return -1
+    body = _find_body(text, params_end)
+    if body < 0:
+        return -1
+    return _match_balanced(text, body, "{}")
+
+
+# Trees whose code counts as a use. perfbench/ is read here but never linted.
+USAGE_DIRS = ("src", "tests", "bench", "examples", "perfbench")
+
+
+@analysis(
+    "orphan-decl",
+    "no dead code: a free function declared at namespace scope in a src/ "
+    "header must be named somewhere in src/, tests/, bench/, examples/ or "
+    "perfbench/ outside its own declaration and definition; test-only "
+    "helpers and reference implementations count as used",
+)
+def orphan_decl(model):
+    decls = {}  # name -> [(path, start, end)]
+    for path in sorted(model.files):
+        if not (path.startswith("src/") and path.endswith((".hpp", ".h"))):
+            continue
+        for name, start, end in _namespace_scope_functions(model.files[path]):
+            decls.setdefault(name, []).append((path, start, end))
+    if not decls:
+        return
+
+    used = set()
+    for sf in model.usage_sources():
+        text = "\n".join(sf.code_lines)
+        skip_until = {}  # name -> end of the definition being skipped
+        for m in _IDENT_RE.finditer(text):
+            name = m.group(0)
+            if name not in decls or name in used:
+                continue
+            pos = m.start()
+            if pos < skip_until.get(name, -1):
+                continue
+            if any(p == sf.path and a <= pos < b for p, a, b in decls[name]):
+                continue
+            end = _definition_end(text, pos, name)
+            if end >= 0:
+                skip_until[name] = end
+                continue
+            used.add(name)
+
+    for name in sorted(set(decls) - used):
+        path, start, _ = decls[name][0]
+        text = "\n".join(model.files[path].code_lines)
+        line = _line_of(text, text.index(name, start))
+        yield Finding(
+            "orphan-decl", path, line,
+            f"free function `{name}` is named nowhere in "
+            + ", ".join(f"{d}/" for d in USAGE_DIRS)
+            + " outside its own declaration and definition; delete it",
+            key=f"orphan:{name}")
 
 
 # -- baseline ---------------------------------------------------------------

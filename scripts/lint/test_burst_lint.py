@@ -88,6 +88,11 @@ class TestRuleDetection(unittest.TestCase):
         self.assert_rule_fires(
             "src/model/bad_quant.cpp", "quantized-hotpath", 3)
 
+    def test_orphan_decl(self):
+        # One declared-and-defined function nobody calls, one inline
+        # function named only inside its own body.
+        self.assert_rule_fires("src/sim/bad_orphan.hpp", "orphan-decl", 2)
+
     def test_malformed_directives(self):
         self.assert_rule_fires("src/sim/bad_directive.cpp", "lint-directive", 2)
 
@@ -178,6 +183,17 @@ class TestSuppressionAndNoise(unittest.TestCase):
                     f.write(body)
                 rc, _, err = run_lint(["--root", tmp, path])
                 self.assertEqual(rc, 0, f"{'/'.join(rel)} flagged:\n{err}")
+
+    def test_orphan_decl_counts_every_tree_as_a_use(self):
+        # A function named only by tests/, only by bench/, or only by the
+        # read-only perfbench/ tree is used; members, constants and type
+        # aliases are never candidates.
+        rc, _, err = lint_fixture("src/sim/good_decls.hpp")
+        self.assertEqual(rc, 0, f"used declarations flagged:\n{err}")
+
+    def test_orphan_decl_reads_perfbench_without_linting_it(self):
+        self.assertIn("perfbench", burst_lint.USAGE_DIRS)
+        self.assertNotIn("perfbench", burst_lint.SCAN_DIRS)
 
     def test_hotpath_rule_off_without_tag(self):
         # The same allocations in an untagged file are fine.

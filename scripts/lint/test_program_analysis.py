@@ -103,7 +103,7 @@ class TestAnalysisFixtures(unittest.TestCase):
     def test_list_rules_shows_whole_program_tier(self):
         rc, out, _ = run_lint(["--list-rules"])
         self.assertEqual(rc, 0)
-        for name in ("layer-dag", "lock-order", "error-flow"):
+        for name in ("layer-dag", "lock-order", "error-flow", "orphan-decl"):
             self.assertIn(f"{name} [whole-program]:", out)
 
 

@@ -10,22 +10,4 @@ RingOrder flat_ring(int world_size) {
   return RingOrder(std::move(order));
 }
 
-RingOrder intra_node_ring(const sim::Topology& topo, int node) {
-  std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(topo.gpus_per_node));
-  for (int l = 0; l < topo.gpus_per_node; ++l) {
-    order.push_back(node * topo.gpus_per_node + l);
-  }
-  return RingOrder(std::move(order));
-}
-
-RingOrder inter_node_slot_ring(const sim::Topology& topo, int slot) {
-  std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(topo.num_nodes));
-  for (int n = 0; n < topo.num_nodes; ++n) {
-    order.push_back(n * topo.gpus_per_node + slot);
-  }
-  return RingOrder(std::move(order));
-}
-
 }  // namespace burst::comm

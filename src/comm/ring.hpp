@@ -1,16 +1,13 @@
 // Ring orderings over cluster ranks.
 //
-// Three rings matter in this reproduction (Figure 4 of the paper):
-//  * the flat global ring used by vanilla RingAttention,
-//  * per-node intra rings (NVLink) and
-//  * per-slot inter-node rings (one InfiniBand rail per local rank),
-// which together form the topology-aware double ring of BurstAttention and
-// LoongTrain's DoubleRingAttention.
+// RingOrder is an ordered cycle of ranks; flat_ring is the global ring of
+// vanilla RingAttention. The topology-aware double ring of Figure 4 (the
+// intra-node NVLink rings joined by one InfiniBand rail per local rank) is
+// core::SweepRoute::double_ring, which derives its hops from the grid.
 #pragma once
 
+#include <utility>
 #include <vector>
-
-#include "sim/topology.hpp"
 
 namespace burst::comm {
 
@@ -50,11 +47,5 @@ class RingOrder {
 
 /// The flat ring 0 -> 1 -> ... -> G-1 -> 0.
 RingOrder flat_ring(int world_size);
-
-/// Ring over the GPUs of one node (NVLink ring).
-RingOrder intra_node_ring(const sim::Topology& topo, int node);
-
-/// Ring over same-local-rank GPUs across nodes (one IB rail per slot).
-RingOrder inter_node_slot_ring(const sim::Topology& topo, int slot);
 
 }  // namespace burst::comm

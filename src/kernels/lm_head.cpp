@@ -218,106 +218,4 @@ LmHeadResult fused_lm_head_loss(const Tensor& h, const Tensor& w,
                             /*cache_strip=*/true);
 }
 
-QuantLmHead QuantLmHead::pack(const Tensor& w, tensor::DType dt) {
-  QuantLmHead q;
-  q.dtype = dt;
-  q.w_t = tensor::PackedB::pack(w.view(), Trans::Yes, dt);
-  q.w_rows = tensor::PackedB::pack(w.view(), Trans::No, dt);
-  return q;
-}
-
-LmHeadResult fused_lm_head_loss_q(const Tensor& h, const QuantLmHead& w,
-                                  const std::vector<std::int64_t>& targets,
-                                  std::int64_t block_s) {
-  const std::int64_t n = h.rows();
-  const std::int64_t d = h.cols();
-  const std::int64_t v = w.w_t.n();
-  assert(w.w_t.k() == d && w.w_rows.k() == v && w.w_rows.n() == d);
-  assert(static_cast<std::int64_t>(targets.size()) == n);
-  block_s = std::min(block_s, n);
-  // Vocab tiles ride the PackedB cache blocks: kGemmNC columns per forward
-  // window (of W^T) and an aligned K window (of W) in backward.
-  const std::int64_t block_v = tensor::kGemmNC;
-
-  LmHeadResult out;
-  out.dh = Tensor::zeros(n, d);
-  out.dw = Tensor::zeros(v, d);
-  const float inv_n = 1.0f / static_cast<float>(n);
-  double loss = 0.0;
-
-  Workspace& ws = Workspace::tls();
-  for (std::int64_t s0 = 0; s0 < n; s0 += block_s) {
-    const std::int64_t s1 = std::min(n, s0 + block_s);
-    const std::int64_t bs = s1 - s0;
-
-    Workspace::Scope scope(ws);
-    float* lse = ws.alloc_f32(static_cast<std::size_t>(bs));
-    std::fill(lse, lse + bs, kNegInf);
-    float* strip = ws.alloc_f32(static_cast<std::size_t>(bs * v));
-    std::uint64_t strip_bytes = 0;
-
-    // ---- forward over vocab tiles: online LSE per strip row --------------
-    for (std::int64_t j = 0; j < v; j += block_v) {
-      const std::int64_t j1 = std::min(v, j + block_v);
-      const std::int64_t bv = j1 - j;
-      float* tile = strip + bs * j;
-      MatView logits{tile, bs, bv, bv};
-      tensor::gemm_packed_window(h.row_block(s0, bs), Trans::No, w.w_t, j, bv,
-                                 0, d, logits);
-      out.flops += static_cast<std::uint64_t>(2) * bs * bv * d;
-      for (std::int64_t r = 0; r < bs; ++r) {
-        const float a = lse[r];
-        const float b = row_lse_raw(tile + r * bv, bv);
-        if (b == kNegInf) {
-          continue;
-        }
-        if (a == kNegInf) {
-          lse[r] = b;
-        } else {
-          const float mx = std::max(a, b);
-          lse[r] = mx + std::log(std::exp(a - mx) + std::exp(b - mx));
-        }
-      }
-      strip_bytes += static_cast<std::uint64_t>(bs) * bv * sizeof(float);
-    }
-    out.peak_scratch_bytes = std::max(out.peak_scratch_bytes, strip_bytes);
-
-    // ---- loss: -logit[target] + lse, target read from the cached strip so
-    // the loss is consistent with the quantized logits -----------------------
-    for (std::int64_t r = 0; r < bs; ++r) {
-      const std::int64_t t = targets[static_cast<std::size_t>(s0 + r)];
-      const std::int64_t j = (t / block_v) * block_v;
-      const std::int64_t bv = std::min(v, j + block_v) - j;
-      const float logit_t = strip[bs * j + r * bv + (t - j)];
-      loss += static_cast<double>(lse[r]) - static_cast<double>(logit_t);
-    }
-
-    // ---- backward immediately, per vocab tile -----------------------------
-    for (std::int64_t j = 0; j < v; j += block_v) {
-      const std::int64_t j1 = std::min(v, j + block_v);
-      const std::int64_t bv = j1 - j;
-      float* tile = strip + bs * j;
-      MatView dlogits{tile, bs, bv, bv};
-      for (std::int64_t r = 0; r < bs; ++r) {
-        float* drow = tile + r * bv;
-        softmax_grad_row(drow, bv, lse[r], inv_n);
-        const std::int64_t t = targets[static_cast<std::size_t>(s0 + r)];
-        if (t >= j && t < j1) {
-          drow[t - j] -= inv_n;
-        }
-      }
-      // dh += dlogits @ W[j:j1, :] — an aligned K window of the row pack.
-      tensor::gemm_packed_window(dlogits, Trans::No, w.w_rows, 0, d, j, bv,
-                                 out.dh.row_block(s0, bs), 1.0f, 1.0f);
-      // dw is exact fp32: W is not involved.
-      tensor::gemm(dlogits, Trans::Yes, h.row_block(s0, bs), Trans::No,
-                   out.dw.row_block(j, bv), 1.0f, 1.0f);
-      out.flops += static_cast<std::uint64_t>(4) * bs * bv * d;
-    }
-  }
-
-  out.loss = loss / static_cast<double>(n);
-  return out;
-}
-
 }  // namespace burst::kernels

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
 
 namespace burst::kernels {
@@ -53,37 +52,5 @@ LmHeadResult fused_lm_head_loss(const tensor::Tensor& h,
                                 const tensor::Tensor& w,
                                 const std::vector<std::int64_t>& targets,
                                 std::int64_t block_s, std::int64_t block_v);
-
-/// W_head [v, d] prepacked at a serving dtype for the vocab-tiled fused
-/// head (DESIGN.md section 16). Two packs because the head consumes W both
-/// ways: forward walks column windows of W^T for the logits tiles; backward
-/// walks row windows of W to form dh. The two packs quantize W with
-/// different block groupings (along d vs along v), so dh is the gradient of
-/// a slightly different dequantized W than the one that produced the loss —
-/// within one format quantization step, and documented as part of the
-/// error budget (quantized training stays an experiment; fp32 is the
-/// training path). dw never touches W and stays exact fp32.
-struct QuantLmHead {
-  tensor::PackedB w_t;     // op(B) = W^T [d, v]
-  tensor::PackedB w_rows;  // op(B) = W   [v, d]
-  tensor::DType dtype = tensor::DType::kF32;
-
-  static QuantLmHead pack(const tensor::Tensor& w, tensor::DType dt);
-  /// Packed bytes at the dtype, counting both packs (the price of walking
-  /// W in both orientations without repacking).
-  std::uint64_t model_bytes() const {
-    return w_t.model_bytes() + w_rows.model_bytes();
-  }
-};
-
-/// Algorithm 3 over a prepacked quantized head. Vocab tiles are fixed at
-/// tensor::kGemmNC columns so every tile is an aligned PackedB window (a
-/// vocab smaller than one tile is the single edge window). The target
-/// logit is read from the cached quantized strip — loss, lse, and gradients
-/// are all consistent with the *quantized* logits.
-LmHeadResult fused_lm_head_loss_q(const tensor::Tensor& h,
-                                  const QuantLmHead& w,
-                                  const std::vector<std::int64_t>& targets,
-                                  std::int64_t block_s);
 
 }  // namespace burst::kernels

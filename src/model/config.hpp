@@ -14,7 +14,7 @@ struct QuantSpec {
   /// Weight storage for serving/inference. kBf16 (the default) keeps the
   /// dense fp32 functional path with bf16 byte accounting — the pre-quant
   /// behavior. kF32/kQ8_0/kQ4_0 route the projection weights and the
-  /// vocab-tiled W_head through prepacked tensor::PackedB operands
+  /// W_head through prepacked tensor::PackedB operands
   /// (dequantize-inside-the-microkernel), with bf16 rounding at layer
   /// activation boundaries.
   tensor::DType weights = tensor::DType::kBf16;

@@ -23,20 +23,6 @@ using kernels::IndexMap;
 using kernels::MaskSpec;
 using tensor::Tensor;
 
-const char* attn_impl_name(AttnImpl impl) {
-  switch (impl) {
-    case AttnImpl::kBurst:
-      return "BurstAttention";
-    case AttnImpl::kRing:
-      return "RingAttention";
-    case AttnImpl::kUlysses:
-      return "Ulysses";
-    case AttnImpl::kUsp:
-      return "USP";
-  }
-  return "?";
-}
-
 namespace {
 
 // Model dimensions enter the simulated-FLOP arithmetic as doubles.

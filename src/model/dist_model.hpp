@@ -36,8 +36,6 @@ enum class AttnImpl {
   kUsp,      // hybrid head+context
 };
 
-const char* attn_impl_name(AttnImpl impl);
-
 struct DistTrainConfig {
   ModelConfig model;
   kernels::MaskSpec mask = kernels::MaskSpec::causal();

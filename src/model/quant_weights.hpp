@@ -80,12 +80,4 @@ tensor::Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
                               const kernels::MaskSpec& mask,
                               kernels::KernelStats* stats = nullptr);
 
-/// Single-sequence decode step over the packed set (the B = 1 batch):
-/// logits [vocab].
-tensor::Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
-                              const PackedWeights& pw, SequenceKvCache& cache,
-                              std::int64_t token,
-                              const kernels::MaskSpec& mask,
-                              kernels::KernelStats* stats = nullptr);
-
 }  // namespace burst::model

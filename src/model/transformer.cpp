@@ -585,12 +585,4 @@ Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
   return logits_row(forward_decode(cfg, w, {&cache}, {token}, mask, stats), 0);
 }
 
-Tensor forward_decode(const ModelConfig& cfg, const ModelWeights& w,
-                      const PackedWeights& pw, SequenceKvCache& cache,
-                      std::int64_t token, const MaskSpec& mask,
-                      kernels::KernelStats* stats) {
-  return logits_row(forward_decode(cfg, w, pw, {&cache}, {token}, mask, stats),
-                    0);
-}
-
 }  // namespace burst::model

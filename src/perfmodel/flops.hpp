@@ -28,7 +28,6 @@ struct FlopsBreakdown {
     return linear_fwd + linear_bwd + attn_fwd + attn_bwd + lm_head_fwd +
            lm_head_bwd;
   }
-  double executed_total() const { return model_total() + recompute; }
 };
 
 /// Unmasked attention pairs for a causal mask over `n` tokens.

@@ -29,9 +29,6 @@ class KvBlockPool {
   std::int64_t used_blocks() const { return used_blocks_; }
   std::int64_t free_blocks() const { return max_blocks_ - used_blocks_; }
   std::uint64_t bytes_per_block() const { return bytes_per_block_; }
-  std::uint64_t used_bytes() const {
-    return static_cast<std::uint64_t>(used_blocks_) * bytes_per_block_;
-  }
 
   /// Takes `blocks` from the pool, charging the device tracker. Returns
   /// false (no charge) when the pool budget would be exceeded — the

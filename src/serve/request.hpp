@@ -28,8 +28,6 @@ enum class RequestState {
   kCancelled,  // terminated early (timeout / load shed / breaker); KV evicted
 };
 
-const char* request_state_name(RequestState s);
-
 /// The exactly-one terminal outcome every request resolves to — the chaos
 /// harness's core invariant. The HTTP mapping is what the API front door
 /// delivers (outcome_http_status).

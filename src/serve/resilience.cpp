@@ -51,11 +51,11 @@ sim::FaultPlan restrict_to_world(sim::FaultPlan plan, int world) {
   return plan;
 }
 
-/// Deterministic replacement for sim::advance_plan in the prefill retry
-/// loop. The failed cluster's fired-fault counters are real-time racy near
-/// an abort — a sender may or may not post one more (droppable/corruptible)
-/// message before it observes the stop — so a retry plan built from them
-/// does not replay bit-identically. Instead the plan advances on facts the
+/// Advances the fault plan in the prefill retry loop. The failed cluster's
+/// fired-fault counters are real-time racy near an abort — a sender may or
+/// may not post one more (droppable/corruptible) message before it observes
+/// the stop — so a retry plan built from them would not replay
+/// bit-identically. Instead the plan advances on facts the
 /// simulator reports deterministically: the root cause's rank and virtual
 /// failure time. A crash-rooted failure consumes the one crash entry
 /// attributable to it; every message-fault entry armed at or before the

@@ -18,7 +18,7 @@
 // Message-level faults (drops, corruption) surface as typed comm errors
 // from the reliable Communicator; crashes abort the ring. The supervisor
 // retries with bounded exponential backoff on a fresh cluster, advancing
-// the fault plan past what already fired (sim::advance_plan); after a
+// the fault plan past the failure it just saw; after a
 // crash it shrinks the ring to the survivors (the largest prompt-divisor
 // world that excludes the dead rank's slot). The retried result is
 // bit-identical to a fault-free prefill at the same final world size.

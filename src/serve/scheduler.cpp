@@ -9,24 +9,6 @@
 
 namespace burst::serve {
 
-const char* request_state_name(RequestState s) {
-  switch (s) {
-    case RequestState::kQueued:
-      return "queued";
-    case RequestState::kPrefill:
-      return "prefill";
-    case RequestState::kDecode:
-      return "decode";
-    case RequestState::kDone:
-      return "done";
-    case RequestState::kRejected:
-      return "rejected";
-    case RequestState::kCancelled:
-      return "cancelled";
-  }
-  return "?";
-}
-
 const char* outcome_name(Outcome o) {
   switch (o) {
     case Outcome::kPending:
@@ -72,18 +54,6 @@ const char* reject_reason_name(RejectReason r) {
       return "queue_tokens";
     case RejectReason::kKvInfeasible:
       return "kv_infeasible";
-  }
-  return "?";
-}
-
-const char* batch_policy_name(BatchPolicy p) {
-  switch (p) {
-    case BatchPolicy::kFcfs:
-      return "fcfs";
-    case BatchPolicy::kContinuous:
-      return "continuous";
-    case BatchPolicy::kSlo:
-      return "slo";
   }
   return "?";
 }

@@ -43,8 +43,6 @@ enum class BatchPolicy {
   kSlo,
 };
 
-const char* batch_policy_name(BatchPolicy p);
-
 struct SchedulerConfig {
   BatchPolicy policy = BatchPolicy::kContinuous;
   /// Max forward rows (prefill tokens + decode tokens) per iteration.

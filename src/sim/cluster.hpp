@@ -236,10 +236,6 @@ class Cluster {
   /// (sim.faults.* counters) — the registry is the source of truth.
   FaultStats fault_stats() const;
 
-  /// The cluster's always-on internal registry: fault counters live here
-  /// (and are mirrored into Config::metrics when one is attached).
-  const obs::Registry& internal_metrics() const { return internal_metrics_; }
-
   /// Re-arms one-shot crash faults and zeroes fault counters.
   void reset_faults();
 

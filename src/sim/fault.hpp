@@ -167,47 +167,4 @@ struct FaultStats {
   std::uint64_t messages_corrupted = 0;
 };
 
-/// Returns `plan` with the faults that already fired (per `fired`) consumed:
-/// crash entries are removed in declaration order (`failed_rank`, when >= 0,
-/// pins which entry a firing is attributed to first) and drop/duplicate/
-/// corrupt counts are decremented in declaration order. A supervisor that
-/// retries on a *fresh* Cluster — whose per-message counters and crash flags
-/// would otherwise re-arm — passes the failed cluster's fault_stats()
-/// through this so one-shot faults and consumed message budgets do not
-/// simply re-fire and wedge every retry.
-inline FaultPlan advance_plan(FaultPlan plan, const FaultStats& fired,
-                              int failed_rank = -1) {
-  auto consume = [](auto& entries, std::uint64_t n) {
-    for (auto it = entries.begin(); it != entries.end() && n > 0;) {
-      const auto have = static_cast<std::uint64_t>(it->count);
-      if (have <= n) {
-        n -= have;
-        it = entries.erase(it);
-      } else {
-        it->count -= static_cast<int>(n);
-        n = 0;
-        ++it;
-      }
-    }
-  };
-  std::uint64_t crashes = fired.crashes_fired;
-  if (crashes > 0 && failed_rank >= 0) {
-    for (auto it = plan.crashes.begin(); it != plan.crashes.end(); ++it) {
-      if (it->rank == failed_rank || it->rank < 0) {
-        plan.crashes.erase(it);
-        --crashes;
-        break;
-      }
-    }
-  }
-  while (crashes > 0 && !plan.crashes.empty()) {
-    plan.crashes.erase(plan.crashes.begin());
-    --crashes;
-  }
-  consume(plan.drops, fired.messages_dropped);
-  consume(plan.duplicates, fired.messages_duplicated);
-  consume(plan.corruptions, fired.messages_corrupted);
-  return plan;
-}
-
 }  // namespace burst::sim

@@ -37,8 +37,6 @@ class MemoryTracker {
                              std::numeric_limits<std::uint64_t>::max())
       : rank_(rank), capacity_(capacity_bytes) {}
 
-  void set_capacity(std::uint64_t bytes) { capacity_ = bytes; }
-
   void alloc(std::uint64_t bytes, const std::string& tag = "") {
     if (used_ + bytes > capacity_) {
       throw DeviceOomError(rank_, bytes, used_, capacity_, tag);
@@ -59,8 +57,6 @@ class MemoryTracker {
   std::uint64_t used() const { return used_; }
   std::uint64_t peak() const { return peak_; }
   std::uint64_t capacity() const { return capacity_; }
-
-  void reset_peak() { peak_ = used_; }
 
  private:
   int rank_ = 0;

@@ -20,11 +20,10 @@ using pack::kNR;
 
 // Cache-blocking sizes: an A block (kMC x kKC floats = 64KB) stays L2
 // resident per task; a B panel (kKC x kNC = 512KB) is packed once per
-// (jc, pc) step and shared read-only by every row task. The values are
-// exported as kGemmMC/kGemmKC/kGemmNC so PackedB consumers can align.
-constexpr std::int64_t kMC = kGemmMC;
-constexpr std::int64_t kKC = kGemmKC;
-constexpr std::int64_t kNC = kGemmNC;
+// (jc, pc) step and shared read-only by every row task.
+constexpr std::int64_t kMC = 64;
+constexpr std::int64_t kKC = 256;
+constexpr std::int64_t kNC = 512;
 
 // Observation-only metric handles (see attach_gemm_metrics): null unless a
 // registry is attached, so the detached hot path pays one pointer test.
@@ -204,8 +203,8 @@ constexpr std::int64_t kMinTaskFlops = std::int64_t{1} << 20;
 // jc/pc cache-block loops, and per cache block one parallel_for over a grid
 // of kMC row blocks x groups of kNR column panels, each task packing its own
 // A block. `panel_for(ws, jc, nc, pc, kc)` supplies the packed B stream for
-// one cache block: a workspace pack made on the caller (gemm, gemm_dt) or a
-// borrowed PackedB block (gemm_packed*). `kKern` consumes it at its dtype.
+// one cache block: a workspace pack made on the caller (gemm) or a
+// borrowed PackedB block (gemm_packed). `kKern` consumes it at its dtype.
 //
 // Column groups are formed only when the row blocks alone leave ways of the
 // pool idle (small m, e.g. batched decode) and each task still carries at
@@ -426,67 +425,23 @@ PackedB PackedB::pack(ConstMatView b, Trans tb, DType dt) {
 }
 // burst-lint: allow-end(no-hotpath-alloc)
 
-void gemm_packed_window(ConstMatView a, Trans ta, const PackedB& b,
-                        std::int64_t j0, std::int64_t nw, std::int64_t k0,
-                        std::int64_t kw, MatView c, float alpha, float beta) {
-  const std::int64_t m = (ta == Trans::No) ? a.rows : a.cols;
-  const std::int64_t ka = (ta == Trans::No) ? a.cols : a.rows;
-  assert(ka == kw);
-  (void)ka;
-  assert(j0 >= 0 && nw >= 0 && j0 + nw <= b.n());
-  assert(k0 >= 0 && kw >= 0 && k0 + kw <= b.k());
-  // Windows ride the packed cache blocks: they must start on a block
-  // boundary and end on one (or at the matrix edge).
-  assert(j0 % kNC == 0);
-  assert(j0 + nw == b.n() || (j0 + nw) % kNC == 0);
-  assert(k0 % kKC == 0);
-  assert(k0 + kw == b.k() || (k0 + kw) % kKC == 0);
-  gemm_dt_driver(a, ta, m, kw, nw, b.dtype(), c, alpha, beta,
-                 [&](Workspace& /*ws*/, std::int64_t jc, std::int64_t /*nc*/,
-                     std::int64_t pc, std::int64_t /*kc*/) {
-                   return b.cache_block((j0 + jc) / kNC, (k0 + pc) / kKC);
-                 });
-}
-
 void gemm_packed(ConstMatView a, Trans ta, const PackedB& b, MatView c,
                  float alpha, float beta) {
-  gemm_packed_window(a, ta, b, 0, b.n(), 0, b.k(), c, alpha, beta);
+  const std::int64_t m = (ta == Trans::No) ? a.rows : a.cols;
+  const std::int64_t ka = (ta == Trans::No) ? a.cols : a.rows;
+  assert(ka == b.k());
+  (void)ka;
+  gemm_dt_driver(a, ta, m, b.k(), b.n(), b.dtype(), c, alpha, beta,
+                 [&](Workspace& /*ws*/, std::int64_t jc, std::int64_t /*nc*/,
+                     std::int64_t pc, std::int64_t /*kc*/) {
+                   return b.cache_block(jc / kNC, pc / kKC);
+                 });
 }
 
 Tensor packed_matmul(const Tensor& a, const PackedB& b) {
   Tensor c(a.rows(), b.n());
   gemm_packed(a.view(), Trans::No, b, c.view());
   return c;
-}
-
-void gemm_dt(ConstMatView a, Trans ta, ConstMatView b, Trans tb, MatView c,
-             DType dt, float alpha, float beta) {
-  if (dt == DType::kF32) {
-    gemm(a, ta, b, tb, c, alpha, beta);
-    return;
-  }
-  const std::int64_t m = (ta == Trans::No) ? a.rows : a.cols;
-  const std::int64_t k = (ta == Trans::No) ? a.cols : a.rows;
-  const std::int64_t kb = (tb == Trans::No) ? b.rows : b.cols;
-  const std::int64_t n = (tb == Trans::No) ? b.cols : b.rows;
-  assert(k == kb);
-  (void)kb;
-  gemm_dt_driver(
-      a, ta, m, k, n, dt, c, alpha, beta,
-      [&](Workspace& ws, std::int64_t jc, std::int64_t nc, std::int64_t pc,
-          std::int64_t kc) -> const std::uint8_t* {
-        float* scratch = ws.alloc_f32(
-            static_cast<std::size_t>(pack::b_panel_floats(nc, kc)));
-        const std::int64_t bytes = pack::b_panel_bytes(dt, nc, kc);
-        auto* dst = reinterpret_cast<std::uint8_t*>(
-            ws.alloc_f32(static_cast<std::size_t>((bytes + 3) / 4)));
-        const std::int64_t bpanels =
-            pack::pack_b_dt(b, tb, pc, kc, jc, nc, dt, scratch, dst);
-        if (g_metrics.b_panels != nullptr) {
-          g_metrics.b_panels->add(static_cast<std::uint64_t>(bpanels));
-        }
-        return dst;
-      });
 }
 
 void attach_gemm_metrics(obs::Registry* registry) {

@@ -13,8 +13,7 @@
 // tensor/dtype.hpp DType. PackedB quantizes + panelizes op(B) once (weights
 // are static), then gemm_packed streams the quantized panels through
 // dequantize-in-microkernel variants — the fp32 path is bit-identical to
-// gemm() on the same operands. gemm_dt quantizes at B-pack time per call
-// for drop-in use on non-static operands.
+// gemm() on the same operands.
 #pragma once
 
 #include <cstdint>
@@ -30,15 +29,6 @@ class Registry;
 namespace burst::tensor {
 
 enum class Trans { No, Yes };
-
-/// Cache-blocking sizes of the packed GEMM driver (one A block of
-/// kGemmMC x kGemmKC floats stays L2-resident per task; a B panel of
-/// kGemmKC x kGemmNC is shared read-only by every row task). Exposed so
-/// consumers that tile over a PackedB (the vocab-tiled LM head) can align
-/// their windows to the packing.
-inline constexpr std::int64_t kGemmMC = 64;
-inline constexpr std::int64_t kGemmKC = 256;
-inline constexpr std::int64_t kGemmNC = 512;
 
 /// C = alpha * op(A) @ op(B) + beta * C, where op is identity or transpose.
 /// Shapes are validated with assertions: op(A) is MxK, op(B) is KxN, C MxN.
@@ -109,26 +99,8 @@ class PackedB {
 void gemm_packed(ConstMatView a, Trans ta, const PackedB& b, MatView c,
                  float alpha = 1.0f, float beta = 0.0f);
 
-/// Windowed variant over B[k0:k0+kw, j0:j0+nw] (op(A) is M x kw, C is
-/// M x nw). Windows must align to the packed cache blocks: j0 % kGemmNC and
-/// k0 % kGemmKC are 0, and each window either ends at the matrix edge or on
-/// a block boundary. This is what the vocab-tiled LM head uses to walk a
-/// quantized W_head one tile at a time (forward: column windows of W^T;
-/// backward: row windows of W with beta = 1 accumulation).
-void gemm_packed_window(ConstMatView a, Trans ta, const PackedB& b,
-                        std::int64_t j0, std::int64_t nw, std::int64_t k0,
-                        std::int64_t kw, MatView c, float alpha = 1.0f,
-                        float beta = 0.0f);
-
 /// Returns A @ B over a prepacked operand.
 Tensor packed_matmul(const Tensor& a, const PackedB& b);
-
-/// Drop-in dtype-dispatched gemm for operands that are not prepacked: op(B)
-/// is packed + quantized per cache block into the thread-local workspace at
-/// `dt`, then streamed through the same dequantizing microkernels. kF32
-/// routes to gemm() (bit-identical); kBf16 rounds B to bf16 at pack time.
-void gemm_dt(ConstMatView a, Trans ta, ConstMatView b, Trans tb, MatView c,
-             DType dt, float alpha = 1.0f, float beta = 0.0f);
 
 /// Observation-only counters (PR 3 discipline: attached metrics never change
 /// results). Wires `tensor.gemm.calls`, `tensor.gemm.a_panels_packed`,

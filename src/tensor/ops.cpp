@@ -52,15 +52,6 @@ Tensor sub(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor hadamard(const Tensor& a, const Tensor& b) {
-  assert(a.numel() == b.numel());
-  Tensor out = a;
-  for (std::int64_t i = 0; i < out.numel(); ++i) {
-    out.data()[i] *= b.data()[i];
-  }
-  return out;
-}
-
 Tensor rowsum_product(const Tensor& a, const Tensor& b) {
   assert(a.rank() == 2 && a.rows() == b.rows() && a.cols() == b.cols());
   Tensor out(a.rows());

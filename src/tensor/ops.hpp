@@ -28,9 +28,6 @@ Tensor add(const Tensor& a, const Tensor& b);
 /// Returns a - b.
 Tensor sub(const Tensor& a, const Tensor& b);
 
-/// Returns element-wise a * b (Hadamard).
-Tensor hadamard(const Tensor& a, const Tensor& b);
-
 /// Row-wise sum of A ∘ B: out[i] = sum_j A(i,j) * B(i,j).
 /// This is the `D = rowsum(∇O ∘ O)` quantity from Algorithms 1–2.
 Tensor rowsum_product(const Tensor& a, const Tensor& b);

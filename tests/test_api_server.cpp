@@ -66,6 +66,50 @@ TEST(ApiParser, RejectsMalformedBodiesWithTyped400) {
   }
 }
 
+// The documented ranges are inclusive at both ends: max_tokens in [1, 2^20].
+TEST(ApiParser, MaxTokensBoundsAreInclusive) {
+  constexpr std::int64_t kMax = std::int64_t{1} << 20;
+  for (const std::int64_t v : {std::int64_t{1}, kMax}) {
+    const std::string body =
+        R"({"prompt": [1], "max_tokens": )" + std::to_string(v) + "}";
+    CompletionRequest req;
+    ApiError err;
+    ASSERT_TRUE(parse_completion_request(body, &req, &err)) << body;
+    EXPECT_EQ(req.max_tokens, v);
+  }
+  for (const std::int64_t v : {std::int64_t{-1}, std::int64_t{0}, kMax + 1}) {
+    const std::string body =
+        R"({"prompt": [1], "max_tokens": )" + std::to_string(v) + "}";
+    CompletionRequest req;
+    ApiError err;
+    EXPECT_FALSE(parse_completion_request(body, &req, &err)) << body;
+    EXPECT_EQ(err.status, 400) << body;
+    EXPECT_EQ(err.code, burst::ErrorCode::kInvalidRequest) << body;
+  }
+}
+
+// Tenant names are 1..64 characters, both ends included.
+TEST(ApiParser, TenantLengthBoundsAreInclusive) {
+  for (const std::size_t len : {std::size_t{1}, std::size_t{64}}) {
+    const std::string tenant(len, 't');
+    const std::string body =
+        R"({"prompt": [1], "tenant": ")" + tenant + "\"}";
+    CompletionRequest req;
+    ApiError err;
+    ASSERT_TRUE(parse_completion_request(body, &req, &err)) << len;
+    EXPECT_EQ(req.tenant, tenant);
+  }
+  for (const std::size_t len : {std::size_t{0}, std::size_t{65}}) {
+    const std::string body =
+        R"({"prompt": [1], "tenant": ")" + std::string(len, 't') + "\"}";
+    CompletionRequest req;
+    ApiError err;
+    EXPECT_FALSE(parse_completion_request(body, &req, &err)) << len;
+    EXPECT_EQ(err.status, 400) << len;
+    EXPECT_EQ(err.code, burst::ErrorCode::kInvalidRequest) << len;
+  }
+}
+
 TEST(ApiParser, PriorityNamesRoundTrip) {
   for (const Priority p :
        {Priority::kBatch, Priority::kStandard, Priority::kInteractive}) {

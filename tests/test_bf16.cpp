@@ -14,6 +14,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <tuple>
 
 #include "comm/sim_transport.hpp"
 #include "core/dist_attention.hpp"
@@ -120,8 +122,8 @@ TEST(Bf16, BurstAttentionStableUnderQuantizedInputs) {
 
 // Quantize one kQuantBlock-column of `src` (column j, rows [k0, k0+n)) and
 // dequantize it back, mirroring the packed-panel grouping: blocks run along
-// K per column, restarting at each kGemmKC slice (a no-op for the global
-// 32-block grid since kGemmKC % 32 == 0, except that a short K edge makes a
+// K per column, restarting at each 256-row KC slice (a no-op for the global
+// 32-block grid since 256 % 32 == 0, except that a short K edge makes a
 // short final block).
 Tensor dequantize_reference(const Tensor& b, DType dt) {
   Tensor out(b.rows(), b.cols());
@@ -315,67 +317,50 @@ TEST(QuantGemm, PackedBf16BitwiseEqualsGemmOverRoundedB) {
   EXPECT_FLOAT_EQ(tensor::max_abs_diff(got, want), 0.0f);
 }
 
-// gemm_dt (pack-on-the-fly) must agree bitwise with the PackedB path: same
-// codecs, same panel layout, same driver.
-TEST(QuantGemm, GemmDtBitwiseEqualsPackedPath) {
-  Rng rng(34);
-  const std::int64_t m = 12;
-  const std::int64_t k = 96;
-  const std::int64_t n = 33;
-  Tensor a = rng.gaussian(m, k, 1.0f);
-  Tensor b = rng.gaussian(k, n, 1.0f);
-  for (const DType dt : {DType::kBf16, DType::kQ8_0, DType::kQ4_0}) {
-    const PackedB pb = PackedB::pack(b.view(), Trans::No, dt);
-    Tensor want(m, n);
-    tensor::gemm_packed(a.view(), Trans::No, pb, want.view());
-    Tensor got(m, n);
-    tensor::gemm_dt(a.view(), Trans::No, b.view(), Trans::No, got.view(), dt);
-    EXPECT_FLOAT_EQ(tensor::max_abs_diff(got, want), 0.0f)
-        << tensor::dtype_name(dt);
-  }
-}
+// gemm_packed reads the pack one (jc, pc) cache block at a time. A grid of
+// 2 x 2 blocks with a short edge on both axes must still equal the f32 GEMM
+// over the operand the pack encodes, bitwise, with beta = 1 accumulation,
+// for every dtype and for a B stored either way round.
+class QuantGemmBlockGrid
+    : public ::testing::TestWithParam<std::tuple<DType, Trans>> {};
 
-// Block-aligned windows over a PackedB (what the vocab-tiled LM head walks)
-// must equal the full-operand product on the corresponding slices,
-// including beta = 1 accumulation over row windows.
-TEST(QuantGemm, PackedWindowMatchesSlicedOperand) {
-  Rng rng(35);
+TEST_P(QuantGemmBlockGrid, PackedEqualsGemmOverEncodedOperand) {
+  const auto [dt, tb] = GetParam();
+  Rng rng(38);
   const std::int64_t m = 9;
-  const std::int64_t k = tensor::kGemmKC + 100;  // 2 pc blocks, short edge
-  const std::int64_t n = tensor::kGemmNC + 200;  // 2 jc blocks, short edge
-  Tensor a = rng.gaussian(m, k, 0.8f);
-  Tensor b = rng.gaussian(k, n, 0.8f);
-  const PackedB pb = PackedB::pack(b.view(), Trans::No, DType::kQ8_0);
+  const std::int64_t k = 256 + 100;  // two 256-deep KC blocks, short edge
+  const std::int64_t n = 512 + 200;  // two 512-wide NC blocks, short edge
+  const Tensor a = rng.gaussian(m, k, 0.8f);
+  const Tensor b = rng.gaussian(k, n, 0.8f);
+  const Tensor c0 = rng.gaussian(m, n, 1.0f);
+  const Tensor stored = tb == Trans::No ? b : tensor::transpose(b);
+  const PackedB pb = PackedB::pack(stored.view(), tb, dt);
+  ASSERT_EQ(pb.k(), k);
+  ASSERT_EQ(pb.n(), n);
 
-  // Column window: second jc block.
-  const std::int64_t j0 = tensor::kGemmNC;
-  const std::int64_t nw = n - j0;
-  Tensor got_cols(m, nw);
-  tensor::gemm_packed_window(a.view(), Trans::No, pb, j0, nw, 0, k,
-                             got_cols.view());
-  Tensor full(m, n);
-  tensor::gemm_packed(a.view(), Trans::No, pb, full.view());
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < nw; ++j) {
-      EXPECT_EQ(got_cols(i, j), full(i, j0 + j));
-    }
+  Tensor encoded = b;
+  if (dt == DType::kBf16) {
+    tensor::round_bf16_inplace(encoded);
+  } else if (tensor::dtype_is_quantized(dt)) {
+    encoded = dequantize_reference(b, dt);
   }
-
-  // Row (K) windows with beta = 1 accumulate back to the full product.
-  Tensor acc = Tensor::zeros(m, n);
-  for (const std::int64_t k0 : {std::int64_t{0}, tensor::kGemmKC}) {
-    const std::int64_t kw = std::min(tensor::kGemmKC, k - k0);
-    Tensor a_slice(m, kw);
-    for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t kk = 0; kk < kw; ++kk) {
-        a_slice(i, kk) = a(i, k0 + kk);
-      }
-    }
-    tensor::gemm_packed_window(a_slice.view(), Trans::No, pb, 0, n, k0, kw,
-                               acc.view(), 1.0f, 1.0f);
-  }
-  EXPECT_LT(tensor::max_abs_diff(acc, full), 1e-4f);
+  Tensor want = c0;
+  tensor::gemm(a.view(), Trans::No, encoded.view(), Trans::No, want.view(),
+               0.7f, 1.0f);
+  Tensor got = c0;
+  tensor::gemm_packed(a.view(), Trans::No, pb, got.view(), 0.7f, 1.0f);
+  EXPECT_FLOAT_EQ(tensor::max_abs_diff(got, want), 0.0f);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, QuantGemmBlockGrid,
+    ::testing::Combine(::testing::Values(DType::kF32, DType::kBf16,
+                                         DType::kQ8_0, DType::kQ4_0),
+                       ::testing::Values(Trans::No, Trans::Yes)),
+    [](const ::testing::TestParamInfo<QuantGemmBlockGrid::ParamType>& p) {
+      return std::string(tensor::dtype_name(std::get<0>(p.param))) +
+             (std::get<1>(p.param) == Trans::No ? "_kn" : "_nk");
+    });
 
 // Per-dtype bitwise determinism across thread-pool sizes: the quantized
 // driver inherits gemm()'s deterministic row-block partitioning.

@@ -13,6 +13,11 @@
 // frames, SnapshotCorruptError for snapshots and checkpoints). Anything else
 // (bad_alloc, length_error, a sanitizer report) is a hole in the
 // hostile-input checks.
+//
+// The API front door is the fourth boundary: api::parse_completion_request
+// reports malformed bodies as data rather than throwing, so a mutated body
+// must either parse into a request inside the documented ranges or return
+// false with a 400 carrying kInvalidRequest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "api/parser.hpp"
 #include "comm/errors.hpp"
 #include "comm/transport.hpp"
 #include "resilience/snapshot.hpp"
@@ -311,6 +317,60 @@ TEST(CodecMutation, SnapshotFileLoadsOrThrowsTyped) {
   const Outcomes o = fuzz<SnapshotCorruptError>(read_file(path), 404, load);
   EXPECT_GT(o.rejected, kIterations / 2) << "last: " << o.last_rejection;
   fs::remove_all(dir);
+}
+
+TEST(CodecMutation, CompletionRequestParsesInRangeOrRejects400) {
+  const std::string valid =
+      "{\"tenant\": \"acme\", \"priority\": \"interactive\", "
+      "\"prompt\": [1, 2, 3, 40, 5], \"max_tokens\": 32, "
+      "\"ttft_slo_ms\": 250, \"timeout_ms\": 5000, \"tpot_slo_ms\": 40}";
+  api::CompletionRequest req;
+  api::ApiError err;
+  ASSERT_TRUE(api::parse_completion_request(valid, &req, &err)) << err.message;
+
+  Rng rng(505);
+  Outcomes o;
+  const auto size = static_cast<std::int64_t>(valid.size());
+  for (int i = 0; i < kIterations; ++i) {
+    std::string body = valid;
+    if (rng.next_index(2) == 0) {
+      const std::int64_t flips = 1 + rng.next_index(4);
+      for (std::int64_t f = 0; f < flips; ++f) {
+        const auto at = static_cast<std::size_t>(rng.next_index(size));
+        body[at] = static_cast<char>(body[at] ^ (1 << rng.next_index(8)));
+      }
+    } else {
+      body.resize(static_cast<std::size_t>(rng.next_index(size)));
+    }
+    req = api::CompletionRequest{};
+    err = api::ApiError{};
+    bool parsed = false;
+    try {
+      parsed = api::parse_completion_request(body, &req, &err);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << i << " threw: " << e.what();
+      continue;
+    }
+    if (parsed) {
+      ++o.decoded;
+      EXPECT_FALSE(req.prompt.empty()) << "iteration " << i;
+      for (const std::int64_t tok : req.prompt) {
+        EXPECT_GE(tok, 0) << "iteration " << i;
+      }
+      EXPECT_GE(req.max_tokens, 1) << "iteration " << i;
+      EXPECT_LE(req.max_tokens, std::int64_t{1} << 20) << "iteration " << i;
+      EXPECT_GE(req.tenant.size(), 1u) << "iteration " << i;
+      EXPECT_LE(req.tenant.size(), 64u) << "iteration " << i;
+    } else {
+      ++o.rejected;
+      o.last_rejection = err.message;
+      EXPECT_EQ(err.status, 400) << "iteration " << i;
+      EXPECT_EQ(err.code, ErrorCode::kInvalidRequest) << "iteration " << i;
+      EXPECT_FALSE(err.message.empty()) << "iteration " << i;
+    }
+  }
+  EXPECT_GT(o.rejected, kIterations / 2) << "last: " << o.last_rejection;
+  EXPECT_GT(o.decoded, 0);
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 namespace burst::comm {
 namespace {
 
@@ -30,46 +28,6 @@ TEST(RingOrder, NonContiguousOrder) {
   EXPECT_EQ(r.next_of(2), 0);
   EXPECT_EQ(r.next_of(5), 2);
   EXPECT_EQ(r.prev_of(2), 5);
-}
-
-TEST(Rings, IntraNodeRingCoversOneNode) {
-  sim::Topology topo = sim::Topology::multi_node(2, 4);
-  RingOrder r = intra_node_ring(topo, 1);
-  EXPECT_EQ(r.size(), 4);
-  EXPECT_EQ(r.ranks(), (std::vector<int>{4, 5, 6, 7}));
-  for (int rank : r.ranks()) {
-    EXPECT_EQ(topo.node_of(rank), 1);
-  }
-}
-
-TEST(Rings, InterNodeSlotRingUsesOneRailPerSlot) {
-  sim::Topology topo = sim::Topology::multi_node(3, 4);
-  RingOrder r = inter_node_slot_ring(topo, 2);
-  EXPECT_EQ(r.size(), 3);
-  EXPECT_EQ(r.ranks(), (std::vector<int>{2, 6, 10}));
-  for (int rank : r.ranks()) {
-    EXPECT_EQ(topo.local_rank(rank), 2);
-  }
-}
-
-// Every rank appears in exactly one intra ring and one slot ring, and those
-// two rings intersect only at that rank — the structural property behind the
-// double-ring decomposition in Figure 4.
-TEST(Rings, DoubleRingDecompositionPartitionsCluster) {
-  sim::Topology topo = sim::Topology::multi_node(2, 4);
-  for (int rank = 0; rank < topo.world_size(); ++rank) {
-    RingOrder intra = intra_node_ring(topo, topo.node_of(rank));
-    RingOrder inter = inter_node_slot_ring(topo, topo.local_rank(rank));
-    EXPECT_TRUE(intra.contains(rank));
-    EXPECT_TRUE(inter.contains(rank));
-    std::set<int> intersection;
-    for (int a : intra.ranks()) {
-      if (inter.contains(a)) {
-        intersection.insert(a);
-      }
-    }
-    EXPECT_EQ(intersection, std::set<int>{rank});
-  }
 }
 
 }  // namespace

@@ -192,9 +192,9 @@ TEST(Gemm, ConvenienceWrappers) {
 
 // Batched decode rests on this: a C row's arithmetic does not depend on how
 // many other rows share the GEMM (one register accumulator chain per row,
-// k-blocking fixed by kGemmKC), so row i of a GEMM over m rows is bitwise
-// the GEMM of row i alone. k and n cross kGemmKC and kGemmNC; m crosses the
-// 4-row microkernel tile and the kGemmMC row block.
+// k-blocking fixed by the 256-deep KC block), so row i of a GEMM over m rows
+// is bitwise the GEMM of row i alone. k and n cross the KC and the 512-wide
+// NC blocks; m crosses the 4-row microkernel tile and the 64-row MC block.
 TEST(Gemm, RowResultIndependentOfBatchRows) {
   constexpr std::int64_t k = 300;
   constexpr std::int64_t n = 700;
@@ -213,14 +213,6 @@ TEST(Gemm, RowResultIndependentOfBatchRows) {
        }},
       {"gemm_nt", [&](const Tensor& a, Tensor& c) {
          gemm(a.view(), Trans::No, b_t.view(), Trans::Yes, c.view());
-       }},
-      {"gemm_dt_q8", [&](const Tensor& a, Tensor& c) {
-         gemm_dt(a.view(), Trans::No, b.view(), Trans::No, c.view(),
-                 DType::kQ8_0);
-       }},
-      {"gemm_dt_q4", [&](const Tensor& a, Tensor& c) {
-         gemm_dt(a.view(), Trans::No, b.view(), Trans::No, c.view(),
-                 DType::kQ4_0);
        }},
       {"gemm_packed_q8", [&](const Tensor& a, Tensor& c) {
          gemm_packed(a.view(), Trans::No, q8, c.view());
@@ -255,9 +247,8 @@ TEST(Gemm, RowResultIndependentOfBatchRows) {
 // depends on m, k and the pool size. Every C element must still see the same
 // arithmetic: results at pools 1, 2 and 4 are memcmp-equal, the last row
 // equals that row computed alone, and kF32 gemm_packed stays bitwise
-// gemm(). The quantized microkernels run through the Q8_0/Q4_0 packs (the
-// per-call quantizing gemm_dt feeds them the same panels, at a much higher
-// packing cost). One instance per (k, n), so ctest runs them in parallel.
+// gemm(). The quantized microkernels run through the Q8_0/Q4_0 packs. One
+// instance per (k, n), so ctest runs them in parallel.
 class GemmColumnSplit
     : public ::testing::TestWithParam<std::tuple<std::int64_t, std::int64_t>> {};
 
@@ -267,6 +258,7 @@ TEST_P(GemmColumnSplit, ResultIndependentOfGridAndPool) {
   const Tensor b = rng.gaussian(k, n, 1.0f);
   const Tensor b_t = rng.gaussian(n, k, 1.0f);
   const PackedB f32 = PackedB::pack(b.view(), Trans::No, DType::kF32);
+  const PackedB bf16 = PackedB::pack(b.view(), Trans::No, DType::kBf16);
   const PackedB q8 = PackedB::pack(b.view(), Trans::No, DType::kQ8_0);
   const PackedB q4 = PackedB::pack(b.view(), Trans::No, DType::kQ4_0);
   struct Variant {
@@ -280,9 +272,8 @@ TEST_P(GemmColumnSplit, ResultIndependentOfGridAndPool) {
       {"gemm_nt", [&](const Tensor& a, Tensor& c) {
          gemm(a.view(), Trans::No, b_t.view(), Trans::Yes, c.view());
        }},
-      {"gemm_dt_bf16", [&](const Tensor& a, Tensor& c) {
-         gemm_dt(a.view(), Trans::No, b.view(), Trans::No, c.view(),
-                 DType::kBf16);
+      {"gemm_packed_bf16", [&](const Tensor& a, Tensor& c) {
+         gemm_packed(a.view(), Trans::No, bf16, c.view());
        }},
       {"gemm_packed_f32", [&](const Tensor& a, Tensor& c) {
          gemm_packed(a.view(), Trans::No, f32, c.view());

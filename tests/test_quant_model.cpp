@@ -1,5 +1,5 @@
 // Quantized serving path (DESIGN.md section 16): prepacked Q8_0/Q4_0
-// weights through prefill/decode and the fused LM head. The quantized
+// weights through prefill/decode and the LM head. The quantized
 // forward must be exactly self-consistent (chunked == one-shot, bitwise,
 // per dtype) and track the fp32 functional path within the format's error
 // budget; the engine must serve a quantized QuantSpec end to end with a
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "decode_parity.hpp"
-#include "kernels/lm_head.hpp"
 #include "kernels/mask.hpp"
 #include "model/kv_cache.hpp"
 #include "model/quant_weights.hpp"
@@ -78,8 +77,10 @@ TEST(QuantModel, ChunkedPrefillBitwiseMatchesOneShot) {
       }
     }
     // And decode continues identically from both caches.
-    const Tensor l_one = model::forward_decode(cfg, w, qw, one, 3, mask);
-    const Tensor l_two = model::forward_decode(cfg, w, qw, two, 3, mask);
+    const Tensor l_one = model::logits_row(
+        model::forward_decode(cfg, w, qw, {&one}, {3}, mask), 0);
+    const Tensor l_two = model::logits_row(
+        model::forward_decode(cfg, w, qw, {&two}, {3}, mask), 0);
     EXPECT_FLOAT_EQ(tensor::max_abs_diff(l_one, l_two), 0.0f)
         << tensor::dtype_name(dt);
   }
@@ -108,7 +109,9 @@ TEST(QuantModel, BatchedDecodeBitwiseEqualsPerRequest) {
       },
       [&](SequenceKvCache& cache, std::int64_t token,
           kernels::KernelStats* stats) {
-        return model::forward_decode(cfg, w, qw, cache, token, mask, stats);
+        return model::logits_row(
+            model::forward_decode(cfg, w, qw, {&cache}, {token}, mask, stats),
+            0);
       });
 }
 
@@ -167,38 +170,6 @@ TEST(QuantModel, PackedBytesShrinkWithFormat) {
               0.03);
   EXPECT_NEAR(static_cast<double>(q4) / static_cast<double>(f32), 20.0 / 128,
               0.03);
-}
-
-// The quantized fused LM head: kF32 pack must match the dense Algorithm 3
-// numerically; quantized packs stay within the format budget; dw is exact
-// for kF32 (W never enters dw, and dlogits agree to fp32 rounding).
-TEST(QuantLmHead, MatchesDenseAlgorithm3) {
-  Rng rng(41);
-  const std::int64_t n = 24;
-  const std::int64_t d = 32;
-  const std::int64_t v = 64;
-  const Tensor h = rng.gaussian(n, d, 0.8f);
-  const Tensor w = rng.gaussian(v, d, 0.3f);
-  std::vector<std::int64_t> targets(static_cast<std::size_t>(n));
-  for (auto& t : targets) {
-    t = rng.next_index(v);
-  }
-
-  const auto dense = kernels::fused_lm_head_loss(h, w, targets, 8, 64);
-
-  const auto qf32 = kernels::QuantLmHead::pack(w, DType::kF32);
-  const auto got32 = kernels::fused_lm_head_loss_q(h, qf32, targets, 8);
-  EXPECT_NEAR(got32.loss, dense.loss, 1e-5);
-  EXPECT_LT(tensor::max_abs_diff(got32.dh, dense.dh), 1e-5f);
-  EXPECT_LT(tensor::max_abs_diff(got32.dw, dense.dw), 1e-5f);
-
-  const auto q8 = kernels::QuantLmHead::pack(w, DType::kQ8_0);
-  const auto got8 = kernels::fused_lm_head_loss_q(h, q8, targets, 8);
-  EXPECT_NEAR(got8.loss, dense.loss, 0.02);
-  EXPECT_LT(tensor::max_abs_diff(got8.dh, dense.dh), 0.02f);
-  EXPECT_LT(tensor::max_abs_diff(got8.dw, dense.dw), 0.02f);
-  EXPECT_GT(q8.model_bytes(), 0u);
-  EXPECT_LT(q8.model_bytes(), qf32.model_bytes());
 }
 
 // End to end: the engine serves a Q4_0 QuantSpec to completion, reports the

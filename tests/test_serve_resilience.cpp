@@ -612,7 +612,7 @@ TEST(ResilientPrefill, MessageLossRetriesWithoutShrinking) {
   cc.topo = sim::Topology::single_node(4);
   // Four consecutive drops on one link exhaust the communicator's send
   // attempts, surfacing CommTimeoutError; the retry consumes the budget via
-  // advance_plan and succeeds at the same world size.
+  // advance_plan_after_failure and succeeds at the same world size.
   sim::FaultPlan::DropMessages drop;
   drop.src = 1;
   drop.dst = 2;

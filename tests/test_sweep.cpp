@@ -5,6 +5,7 @@
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "comm/sim_transport.hpp"
@@ -73,6 +74,96 @@ TEST(SweepRoute, DoubleRingIsPermutationAndClosed) {
       EXPECT_EQ(pos, start) << "walk from " << start << " not closed";
       EXPECT_EQ(visited.size(), static_cast<std::size_t>(g))
           << "walk from " << start << " not Hamiltonian";
+    }
+  }
+}
+
+// The grids below have two levels (nodes > 1 and gpus > 1); a hop after
+// visit s is inter-node exactly when (s + 1) % gpus == 0.
+const std::vector<std::pair<int, int>> kTwoLevelGrids = {
+    {2, 2}, {2, 4}, {4, 2}, {3, 3}};
+
+// Figure 4's intra-node ring, read off the route: every other hop stays on
+// the sender's node, and one round of L - 1 of them walks a bundle over all
+// L GPUs of that node once.
+TEST(SweepRoute, DoubleRingIntraRoundCoversOneNode) {
+  for (auto [nodes, gpus] : kTwoLevelGrids) {
+    Topology topo = Topology::multi_node(nodes, gpus);
+    SweepRoute r = SweepRoute::double_ring(topo);
+    for (int round = 0; round < nodes; ++round) {
+      for (int start = 0; start < topo.world_size(); ++start) {
+        std::set<int> walked{start};
+        int pos = start;
+        for (int s = round * gpus; s < round * gpus + gpus - 1; ++s) {
+          pos = r.hop_target(pos, s);
+          EXPECT_TRUE(topo.same_node(pos, start))
+              << nodes << "x" << gpus << " step " << s << " from " << start;
+          walked.insert(pos);
+        }
+        EXPECT_EQ(walked.size(), static_cast<std::size_t>(gpus))
+            << nodes << "x" << gpus << " round " << round << " from "
+            << start;
+      }
+    }
+  }
+}
+
+// Figure 4's inter-node level: in an inter hop every GPU of a node sends to
+// the next node, and the L bundles land on L distinct local slots, so all
+// of a node's rails carry one bundle each at the same time.
+TEST(SweepRoute, DoubleRingInterHopUsesEveryRailOnce) {
+  for (auto [nodes, gpus] : kTwoLevelGrids) {
+    Topology topo = Topology::multi_node(nodes, gpus);
+    SweepRoute r = SweepRoute::double_ring(topo);
+    for (int s = gpus - 1; s < r.steps(); s += gpus) {
+      for (int node = 0; node < nodes; ++node) {
+        std::set<int> slots;
+        for (int slot = 0; slot < gpus; ++slot) {
+          const int target = r.hop_target(node * gpus + slot, s);
+          EXPECT_EQ(topo.node_of(target), (node + 1) % nodes)
+              << nodes << "x" << gpus << " step " << s;
+          slots.insert(topo.local_rank(target));
+        }
+        EXPECT_EQ(slots.size(), static_cast<std::size_t>(gpus))
+            << nodes << "x" << gpus << " step " << s << " node " << node;
+      }
+    }
+  }
+}
+
+// A closed walk of G = N * L hops crosses a node boundary exactly N times,
+// once per round; the other N * (L - 1) hops stay on NVLink.
+TEST(SweepRoute, DoubleRingCrossesNodesOncePerRound) {
+  for (auto [nodes, gpus] : kTwoLevelGrids) {
+    Topology topo = Topology::multi_node(nodes, gpus);
+    SweepRoute r = SweepRoute::double_ring(topo);
+    for (int start = 0; start < topo.world_size(); ++start) {
+      int crossings = 0;
+      int pos = start;
+      for (int s = 0; s < r.steps(); ++s) {
+        const int next = r.hop_target(pos, s);
+        crossings += topo.same_node(pos, next) ? 0 : 1;
+        pos = next;
+      }
+      EXPECT_EQ(crossings, nodes) << nodes << "x" << gpus << " from " << start;
+    }
+  }
+}
+
+// Grids with one level (a single node, or one GPU per node) have no inner
+// ring to join: the route is the flat ring 0 -> 1 -> ... -> G-1 -> 0.
+TEST(SweepRoute, DoubleRingOnOneLevelGridIsFlatRing) {
+  for (const Topology& topo :
+       {Topology::single_node(4), Topology::multi_node(1, 4),
+        Topology::multi_node(4, 1)}) {
+    SweepRoute r = SweepRoute::double_ring(topo);
+    const int g = topo.world_size();
+    EXPECT_EQ(r.steps(), g);
+    for (int s = 0; s < r.steps(); ++s) {
+      for (int rank = 0; rank < g; ++rank) {
+        EXPECT_EQ(r.hop_target(rank, s), (rank + 1) % g);
+        EXPECT_EQ(r.hop_source(rank, s), (rank + g - 1) % g);
+      }
     }
   }
 }
