@@ -13,8 +13,10 @@ Two tiers (DESIGN.md sections 12 and 17 have the full invariant tables):
      run over the model: ``layer-dag`` (architecture layering against
      scripts/lint/layers.json, include cycles, IWYU-lite unused includes),
      ``lock-order`` (global lock-acquisition-order cycles = potential
-     deadlock, cv.wait without predicate), and ``error-flow`` (catch
-     clauses that silently swallow a burst::Error).
+     deadlock, cv.wait without predicate), ``error-flow`` (catch
+     clauses that silently swallow a burst::Error), ``orphan-decl`` (free
+     functions nothing names) and ``unset-option`` (option-struct members
+     nothing outside their own module writes).
 
 Violations are reported as human-readable diagnostics and a versioned JSON
 report in the same ``burst.run_report`` shape the benches emit, so
@@ -391,7 +393,7 @@ def no_hotpath_alloc(sf):
 _RECV_STMT = re.compile(
     r"^\s*"
     r"(?:[A-Za-z_]\w*(?:\[[^\]]*\])?\s*(?:\.|->|::)\s*)*"
-    r"(?P<fn>recv|recv_on|recv_bundle|recv_frame)\s*\("
+    r"(?P<fn>recv|recv_bundle|recv_frame)\s*\("
 )
 
 
@@ -1540,13 +1542,18 @@ def _free_function_name(stmt):
     return m.group(1)
 
 
+def _code_text(sf):
+    """sf's code with preprocessor lines blanked (offsets preserved)."""
+    return "\n".join(
+        " " * len(line) if line.lstrip().startswith("#") else line
+        for line in sf.code_lines)
+
+
 def _namespace_scope_functions(sf):
     """Yields (name, start, end) for every free function declared (or
     defined inline) at namespace scope in sf; [start, end) spans the whole
     declaration, body included."""
-    text = "\n".join(
-        " " * len(line) if line.lstrip().startswith("#") else line
-        for line in sf.code_lines)
+    text = _code_text(sf)
     stmt_start = 0
     i = 0
     n = len(text)
@@ -1643,6 +1650,177 @@ def orphan_decl(model):
             + ", ".join(f"{d}/" for d in USAGE_DIRS)
             + " outside its own declaration and definition; delete it",
             key=f"orphan:{name}")
+
+
+# -- unset options ----------------------------------------------------------
+
+# Option structs: every struct whose name ends in one of these suffixes, plus
+# comm::Reliability.
+_OPTION_SUFFIXES = ("Config", "Spec", "Options", "Inputs")
+_OPTION_EXTRA = frozenset(["Reliability"])
+_STRUCT_HEAD_RE = re.compile(r"\bstruct\s+([A-Za-z_]\w*)\s*(?:final\s*)?\{")
+_ACCESS_RE = re.compile(r"^\s*(?:(?:public|private|protected)\s*:\s*)+")
+_TYPE_LEADS = frozenset(["struct", "class", "enum", "union"])
+_NON_MEMBER_LEADS = _TYPE_LEADS | frozenset(
+    ["static", "using", "typedef", "friend", "template", "static_assert"])
+# A member write: `.f =` / `->f =` / `.f +=` (any compound assignment),
+# `.f.<member> =`, `.f.<method>(`, or `.f[`.
+_ASSIGN = r"(?:(?:[-+*/%&|^]|<<|>>)?=(?!=))"
+_FIELD_WRITE_RE = re.compile(
+    r"(?:\.|->)\s*([A-Za-z_]\w*)(?=\s*(?:" + _ASSIGN +
+    r"|\[|\.\s*[A-Za-z_]\w*\s*(?:" + _ASSIGN + r"|\()))")
+
+
+def _strip_angle_args(decl):
+    """Drops every balanced `<...>` template-argument list from decl."""
+    out = []
+    depth = 0
+    for ch in decl:
+        if ch == "<":
+            depth += 1
+        elif ch == ">" and depth > 0:
+            depth -= 1
+        elif depth == 0:
+            out.append(ch)
+    return "".join(out)
+
+
+def _member_names(stmt):
+    """(name, offset in stmt) for each data member one struct-body
+    statement declares; [] for functions, types, aliases and statics."""
+    stmt = _ACCESS_RE.sub(lambda m: " " * len(m.group(0)), stmt)
+    lead = _IDENT_RE.match(stmt.lstrip())
+    if not lead or lead.group(0) in _NON_MEMBER_LEADS:
+        return []
+    if "operator" in _IDENT_RE.findall(stmt):
+        return []
+    names = []
+    for decl in _split_top_level_args(_strip_angle_args(stmt) + ")") or ():
+        decl = decl.split("=", 1)[0]
+        if "(" in decl:
+            return []  # a member function (or constructor) declaration
+        idents = _IDENT_RE.findall(re.sub(r"\[[^\]]*\]", "", decl))
+        if idents and idents[-1] not in _CPP_KEYWORDS:
+            names.append(idents[-1])
+    out = []
+    for name in names:
+        m = re.search(r"\b" + name + r"\b(?=[\s\[]*(?:[=,]|$))", stmt)
+        out.append((name, m.start() if m else 0))
+    return out
+
+
+def _opens_scope(head):
+    """True when the `{` after statement head `head` opens a member-function
+    body or a nested type rather than a brace initializer."""
+    head = _ACCESS_RE.sub("", head).lstrip()
+    lead = _IDENT_RE.match(head)
+    if lead and lead.group(0) in _TYPE_LEADS:
+        return True
+    return "(" in _strip_angle_args(head).split("=", 1)[0]
+
+
+def _struct_members(text, body_start, body_end):
+    """Yields (name, pos) for each non-static data member declared at the
+    top level of the struct body text[body_start:body_end]."""
+    # Blank every brace block; a function body or nested type also ends its
+    # statement, since neither takes a ';'.
+    body = list(text[body_start:body_end])
+    stmt_start = 0
+    i = 0
+    while i < len(body):
+        if body[i] == ";":
+            stmt_start = i + 1
+        elif body[i] == "{":
+            close = _match_balanced(text, body_start + i, "{}") - body_start
+            if close <= i:
+                return
+            scope = _opens_scope("".join(body[stmt_start:i]))
+            body[i:close] = " " * (close - i)
+            if scope:
+                body[close - 1] = ";"
+                stmt_start = close
+            i = close
+            continue
+        i += 1
+    offset = body_start
+    for stmt in "".join(body).split(";"):
+        for name, at in _member_names(stmt):
+            yield name, offset + at
+        offset += len(stmt) + 1
+
+
+def _option_structs(model):
+    """Yields (struct name, header path, [(member, pos)], text) for every
+    option struct declared in a src/ header."""
+    for path in sorted(model.files):
+        if not (path.startswith("src/") and path.endswith((".hpp", ".h"))):
+            continue
+        text = _code_text(model.files[path])
+        for m in _STRUCT_HEAD_RE.finditer(text):
+            name = m.group(1)
+            if not (name.endswith(_OPTION_SUFFIXES) or name in _OPTION_EXTRA):
+                continue
+            end = _match_balanced(text, m.end() - 1, "{}")
+            if end < 0:
+                continue
+            members = list(_struct_members(text, m.end(), end - 1))
+            yield name, path, members, text
+
+
+def _positional_writes(text, struct_names):
+    """Yields (struct name, argument count) for each positional aggregate
+    initializer `Type{a, b}` or `Type var{a, b}` of a named struct in text.
+    Designated initializers (`.f = x`) are left to _FIELD_WRITE_RE."""
+    rx = re.compile(
+        r"\b(" + "|".join(sorted(map(re.escape, struct_names))) +
+        r")\s*(?:[A-Za-z_]\w*\s*)?\{")
+    for m in rx.finditer(text):
+        args = _split_top_level_args(text[m.end():])
+        if args is None:
+            continue
+        args = [a for a in args if a]
+        if args and not args[0].startswith("."):
+            yield m.group(1), len(args)
+
+
+@analysis(
+    "unset-option",
+    "no dead options: every non-static data member of a src/ struct named "
+    "*Config, *Spec, *Options or *Inputs (and comm::Reliability) must be "
+    "written somewhere in src/, tests/, bench/, examples/ or perfbench/ "
+    "outside its declaring header and that header's same-stem .cpp; a "
+    "member nobody sets is a constant",
+)
+def unset_option(model):
+    structs = list(_option_structs(model))
+    if not structs:
+        return
+    names = {name for name, _, _, _ in structs}
+
+    written = {}  # member name -> {path}
+    positional = {}  # (struct name, index) -> {path}
+    for sf in model.usage_sources():
+        text = _code_text(sf)
+        for m in _FIELD_WRITE_RE.finditer(text):
+            written.setdefault(m.group(1), set()).add(sf.path)
+        for name, n in _positional_writes(text, names):
+            for k in range(n):
+                positional.setdefault((name, k), set()).add(sf.path)
+
+    for name, path, members, text in structs:
+        own = {path, os.path.splitext(path)[0] + ".cpp"}
+        for k, (member, pos) in enumerate(members):
+            if written.get(member, set()) - own:
+                continue
+            if positional.get((name, k), set()) - own:
+                continue
+            yield Finding(
+                "unset-option", path, _line_of(text, pos),
+                f"option `{name}::{member}` is written nowhere in "
+                + ", ".join(f"{d}/" for d in USAGE_DIRS)
+                + " outside its own header and .cpp; make it a constant "
+                "where it is read",
+                key=f"unset:{name}::{member}")
 
 
 # -- baseline ---------------------------------------------------------------

@@ -93,6 +93,11 @@ class TestRuleDetection(unittest.TestCase):
         # function named only inside its own body.
         self.assert_rule_fires("src/sim/bad_orphan.hpp", "orphan-decl", 2)
 
+    def test_unset_option(self):
+        # A member written nowhere, one written only by the declaring
+        # module's .cpp, one only read elsewhere, and Reliability's.
+        self.assert_rule_fires("src/sim/bad_options.hpp", "unset-option", 4)
+
     def test_malformed_directives(self):
         self.assert_rule_fires("src/sim/bad_directive.cpp", "lint-directive", 2)
 
@@ -190,6 +195,14 @@ class TestSuppressionAndNoise(unittest.TestCase):
         # aliases are never candidates.
         rc, _, err = lint_fixture("src/sim/good_decls.hpp")
         self.assertEqual(rc, 0, f"used declarations flagged:\n{err}")
+
+    def test_unset_option_counts_every_write_form(self):
+        # Assignment, ->, compound assignment, a nested member's assignment,
+        # a method call, indexing, a designated initializer (in perfbench/)
+        # and a positional aggregate initializer (in bench/) all set an
+        # option; statics and member functions are never candidates.
+        rc, _, err = lint_fixture("src/sim/good_options.hpp")
+        self.assertEqual(rc, 0, f"set options flagged:\n{err}")
 
     def test_orphan_decl_reads_perfbench_without_linting_it(self):
         self.assertIn("perfbench", burst_lint.USAGE_DIRS)

@@ -103,7 +103,8 @@ class TestAnalysisFixtures(unittest.TestCase):
     def test_list_rules_shows_whole_program_tier(self):
         rc, out, _ = run_lint(["--list-rules"])
         self.assertEqual(rc, 0)
-        for name in ("layer-dag", "lock-order", "error-flow", "orphan-decl"):
+        for name in ("layer-dag", "lock-order", "error-flow", "orphan-decl",
+                     "unset-option"):
             self.assertIn(f"{name} [whole-program]:", out)
 
 

@@ -10,6 +10,11 @@ namespace burst::api {
 
 namespace {
 
+/// Per-arrival probability of leaving the burst state.
+constexpr double kBurstExitProb = 0.25;
+/// Zipf exponent of tenant identity: p(k) ~ 1 / (k+1)^s.
+constexpr double kTenantZipfS = 1.1;
+
 std::int64_t clamped_lognormal(tensor::Rng& rng, double log_mean,
                                double log_sigma, std::int64_t lo,
                                std::int64_t hi) {
@@ -33,11 +38,11 @@ LoadGen::LoadGen(LoadGenConfig cfg) : cfg_(cfg) {
       cfg_.p_interactive + cfg_.p_batch > 1.0) {
     throw std::invalid_argument("LoadGenConfig: bad priority mix");
   }
-  // Zipf CDF over tenant ids: p(k) ~ 1 / (k+1)^s.
+  // Zipf CDF over tenant ids.
   tenant_cdf_.resize(static_cast<std::size_t>(cfg_.tenants));
   double total = 0.0;
   for (std::size_t k = 0; k < tenant_cdf_.size(); ++k) {
-    total += 1.0 / std::pow(static_cast<double>(k + 1), cfg_.tenant_zipf_s);
+    total += 1.0 / std::pow(static_cast<double>(k + 1), kTenantZipfS);
     tenant_cdf_[k] = total;
   }
   for (auto& c : tenant_cdf_) {
@@ -60,7 +65,7 @@ std::vector<GeneratedRequest> LoadGen::generate() const {
     // Inverse-CDF exponential; 1 - u keeps the argument in (0, 1].
     now += -std::log(1.0 - rng.next_uniform()) / rate;
     const double flip = rng.next_uniform();
-    bursting = bursting ? (flip >= cfg_.burst_exit_prob)
+    bursting = bursting ? (flip >= kBurstExitProb)
                         : (flip < cfg_.burst_start_prob);
 
     GeneratedRequest r;
@@ -81,8 +86,7 @@ std::vector<GeneratedRequest> LoadGen::generate() const {
       r.priority = Priority::kInteractive;
       r.ttft_slo_s = cfg_.ttft_slo_interactive_s;
     } else if (pu < cfg_.p_interactive + cfg_.p_batch) {
-      r.priority = Priority::kBatch;
-      r.ttft_slo_s = cfg_.ttft_slo_batch_s;
+      r.priority = Priority::kBatch;  // no TTFT target
     } else {
       r.priority = Priority::kStandard;
       r.ttft_slo_s = cfg_.ttft_slo_standard_s;

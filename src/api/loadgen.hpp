@@ -35,12 +35,11 @@ struct LoadGenConfig {
   double rate_rps = 100.0;
   /// Burst state arrival rate = rate_rps * burst_rate_multiplier.
   double burst_rate_multiplier = 8.0;
-  /// Per-arrival probability of entering / leaving the burst state.
+  /// Per-arrival probability of entering the burst state (a burst ends
+  /// with probability 0.25 per arrival).
   double burst_start_prob = 0.05;
-  double burst_exit_prob = 0.25;
-  /// Number of simulated tenants; identity ~ Zipf(tenant_zipf_s).
+  /// Number of simulated tenants; identity ~ Zipf(s = 1.1).
   std::int64_t tenants = 1000;
-  double tenant_zipf_s = 1.1;
   /// Lognormal prompt length: exp(N(log_mean, log_sigma^2)), clamped.
   double prompt_log_mean = 3.7;  // median ~40 tokens
   double prompt_log_sigma = 0.6;
@@ -54,10 +53,10 @@ struct LoadGenConfig {
   /// Priority mix; the remainder is kStandard.
   double p_interactive = 0.2;
   double p_batch = 0.3;
-  /// TTFT SLO attached per priority class; <= 0 means no target.
+  /// TTFT SLO attached per priority class; <= 0 means no target. Batch
+  /// requests never carry one.
   double ttft_slo_interactive_s = 0.0;
   double ttft_slo_standard_s = 0.0;
-  double ttft_slo_batch_s = 0.0;
 };
 
 /// One generated request, pre-tokenization: the prompt is materialized

@@ -14,6 +14,11 @@ using tensor::Tensor;
 
 namespace {
 
+/// Backoff before retry k (0-based) is kBackoffBaseS * kBackoffMult^k,
+/// charged to the sending stream (visible in traces as "retry-backoff").
+constexpr double kBackoffBaseS = 20e-6;
+constexpr double kBackoffMult = 2.0;
+
 /// FNV-1a (32-bit) over the frame's bundle origin and the raw bytes of
 /// every payload tensor. Cheap, deterministic, and sensitive to any
 /// in-flight bit flip in what the receiver consumes.
@@ -66,7 +71,7 @@ void Communicator::send_frame(int dst, int tag, tensor::SharedTensors payload,
     if (tp_.send_frame(Endpoint::of(dst), tag, std::move(sent), stream)) {
       return;
     }
-    if (attempt + 1 >= rel_.max_send_attempts) {
+    if (attempt + 1 >= kMaxSendAttempts) {
       throw CommTimeoutError(
           dst, "frame " + std::to_string(seq) + " lost after " +
                    std::to_string(attempt + 1) + " attempts");
@@ -78,8 +83,8 @@ void Communicator::send_frame(int dst, int tag, tensor::SharedTensors payload,
                                 {{"rank", std::to_string(tp_.rank())}}))
           .add(1);
     }
-    tp_.busy(rel_.backoff_base_s * std::pow(rel_.backoff_mult, attempt),
-             stream, "retry-backoff");
+    tp_.busy(kBackoffBaseS * std::pow(kBackoffMult, attempt), stream,
+             "retry-backoff");
   }
 }
 
@@ -116,22 +121,13 @@ Frame Communicator::recv_frame(int src, int tag, int stream) {
 }
 
 void Communicator::send(int dst, int tag, std::vector<Tensor> tensors) {
-  send_on(dst, tag, std::move(tensors), stream_for(dst));
-}
-
-void Communicator::send_on(int dst, int tag, std::vector<Tensor> tensors,
-                           int stream) {
   const std::uint64_t bytes = wire_bytes(tensors);
   send_frame(dst, tag, tensor::SharedTensors(std::move(tensors)), bytes,
-             /*origin=*/-1, stream);
+             /*origin=*/-1, stream_for(dst));
 }
 
 std::vector<Tensor> Communicator::recv(int src, int tag) {
-  return recv_on(src, tag, stream_for(src));
-}
-
-std::vector<Tensor> Communicator::recv_on(int src, int tag, int stream) {
-  return std::move(recv_frame(src, tag, stream).payload).take();
+  return std::move(recv_frame(src, tag, stream_for(src)).payload).take();
 }
 
 void Communicator::send_bundle(int dst, int tag, Bundle bundle, int stream) {
@@ -251,18 +247,25 @@ void Communicator::all_reduce_group_inplace(const std::vector<int>& group,
     }
   }
   assert(pos >= 0);
-  // Flat exchange: everyone sends to everyone, sums locally. O(G^2) traffic
-  // but only used for small subgroups / toy validation.
+  // Flat exchange: everyone sends to everyone, then every member sums the
+  // contributions in group-position order (position 0's tensor first), so
+  // all members hold the same bits.
   for (int i = 0; i < gm; ++i) {
     if (i != pos) {
       send(group[static_cast<std::size_t>(i)], base + pos, {t});
     }
   }
-  Tensor acc = t;
+  Tensor acc;
   for (int i = 0; i < gm; ++i) {
+    Tensor got;
     if (i != pos) {
-      auto got = recv(group[static_cast<std::size_t>(i)], base + i);
-      tensor::add_inplace(acc, got.at(0));
+      got = std::move(recv(group[static_cast<std::size_t>(i)], base + i).at(0));
+    }
+    const Tensor& part = i == pos ? t : got;
+    if (i == 0) {
+      acc = part;
+    } else {
+      tensor::add_inplace(acc, part);
     }
   }
   t = std::move(acc);

@@ -27,9 +27,9 @@
 // Reliability: every frame carries a typed control plane (Frame::seq,
 // Frame::checksum, Frame::origin). Sends observe link-level drops
 // (sim::FaultPlan) and retry with exponential backoff up to
-// Reliability::max_send_attempts, charging the backoff to the sending
-// stream; a retransmission resends the same payload handle. Receives
-// discard duplicate frames by sequence number, reject corrupted frames
+// kMaxSendAttempts, charging the backoff to the sending stream; a
+// retransmission resends the same payload handle. Receives discard
+// duplicate frames by sequence number, reject corrupted frames
 // (CommCorruptionError), and enforce a per-recv deadline against the
 // transport clock (CommTimeoutError). The control plane is excluded from
 // wire-byte accounting. When the transport cannot damage messages
@@ -48,20 +48,17 @@
 
 namespace burst::comm {
 
-/// Per-communicator reliability knobs. The defaults absorb transient link
+/// Total transmission attempts per frame (1 initial + retries) before a
+/// send gives up with CommTimeoutError. Retries absorb transient link
 /// faults transparently; a fault-free run takes the first-attempt path with
 /// zero overhead.
+inline constexpr int kMaxSendAttempts = 4;
+
+/// Per-communicator reliability knobs.
 struct Reliability {
   /// Sentinel for recv_timeout_s: defer to the transport's default deadline.
   static constexpr double kTransportDefault = -1.0;
 
-  /// Total transmission attempts per frame (1 initial + retries) before a
-  /// send gives up with CommTimeoutError.
-  int max_send_attempts = 4;
-  /// Backoff before retry k (0-based) is backoff_base_s * backoff_mult^k,
-  /// charged to the sending stream (visible in traces as "retry-backoff").
-  double backoff_base_s = 20e-6;
-  double backoff_mult = 2.0;
   /// Per-recv deadline on the transport clock: a message whose ready time is
   /// later than recv-begin + recv_timeout_s raises CommTimeoutError.
   ///
@@ -89,7 +86,6 @@ class Communicator {
   int world_size() const { return tp_.world_size(); }
 
   void set_reliability(const Reliability& r) { rel_ = r; }
-  const Reliability& reliability() const { return rel_; }
 
   /// The recv deadline actually in force: rel_.recv_timeout_s when
   /// non-negative, else the transport's default.
@@ -113,10 +109,7 @@ class Communicator {
 
   // --- point to point ------------------------------------------------------
   void send(int dst, int tag, std::vector<tensor::Tensor> tensors);
-  void send_on(int dst, int tag, std::vector<tensor::Tensor> tensors,
-               int stream);
   std::vector<tensor::Tensor> recv(int src, int tag);
-  std::vector<tensor::Tensor> recv_on(int src, int tag, int stream);
 
   /// A bundle in flight around a ring: the shared payload plus the *origin
   /// rank* of the shard, so receivers can reconstruct its IndexMap. The
@@ -154,7 +147,9 @@ class Communicator {
   std::vector<tensor::Tensor> all_to_all_group(const std::vector<int>& group,
                                                std::vector<tensor::Tensor> send);
 
-  /// All-reduce over a rank subgroup (flat exchange; fine for small groups).
+  /// All-reduce over a rank subgroup: a flat exchange (O(G^2) messages),
+  /// summed in group-position order so every member gets the same bits.
+  /// dist_train_step syncs its loss and gradients through it.
   void all_reduce_group_inplace(const std::vector<int>& group,
                                 tensor::Tensor& t);
 
@@ -166,8 +161,8 @@ class Communicator {
   int fresh_tag_block();
 
   /// Framed transmission with bounded retry: stamps the sequence number,
-  /// checksum and `origin`, attempts delivery up to rel_.max_send_attempts
-  /// times with exponential backoff between attempts. `bytes` is the
+  /// checksum and `origin`, attempts delivery up to kMaxSendAttempts times
+  /// with exponential backoff between attempts. `bytes` is the
   /// payload's wire charge (control plane excluded).
   void send_frame(int dst, int tag, tensor::SharedTensors payload,
                   std::uint64_t bytes, int origin, int stream);

@@ -35,6 +35,12 @@ constexpr std::uint64_t kMaxPayloadBytes = 1ull << 30;
 // are non-negative).
 constexpr int kBarrierArriveTag = -2;
 constexpr int kBarrierReleaseTag = -3;
+/// How long workers keep re-dialing a not-yet-listening peer, for the
+/// rendezvous and for the mesh build.
+constexpr double kConnectTimeoutS = 10.0;
+/// Barrier rendezvous deadline (peers may be mid-compute, so it is more
+/// generous than a plain recv).
+constexpr double kBarrierTimeoutS = 60.0;
 
 double steady_seconds() {
   return std::chrono::duration<double>(
@@ -240,9 +246,7 @@ SocketTransport::SocketTransport(SocketTransportConfig cfg)
                     std::to_string(cfg_.rank) + " / world_size " +
                     std::to_string(cfg_.world_size));
   }
-  if (!cfg_.topo_set || cfg_.topo.world_size() != cfg_.world_size) {
-    cfg_.topo = sim::Topology::single_node(cfg_.world_size);
-  }
+  topo_ = sim::Topology::single_node(cfg_.world_size);
   start_time_ = steady_seconds();
   peer_fd_.assign(static_cast<std::size_t>(cfg_.world_size), -1);
   table_.assign(static_cast<std::size_t>(cfg_.world_size), PeerAddr{});
@@ -294,7 +298,7 @@ void SocketTransport::rendezvous(std::uint16_t data_port) {
     }
     return;
   }
-  const double deadline = steady_seconds() + cfg_.connect_timeout_s;
+  const double deadline = steady_seconds() + kConnectTimeoutS;
 
   if (cfg_.rank == 0) {
     const int rfd = cfg_.rendezvous_listen_fd >= 0
@@ -350,7 +354,7 @@ void SocketTransport::rendezvous(std::uint16_t data_port) {
   }
 
   // Worker: register with the root, receive the table.
-  const int c = dial(cfg_.root.ipv4, cfg_.root.port, cfg_.connect_timeout_s,
+  const int c = dial(cfg_.root.ipv4, cfg_.root.port, kConnectTimeoutS,
                      /*peer=*/0);
   try {
     RegMsg reg{kRegMagic, cfg_.rank, 0, data_port};
@@ -380,7 +384,7 @@ void SocketTransport::build_mesh() {
   const int me = cfg_.rank;
   const int world = cfg_.world_size;
   const int inbound = world - 1 - me;  // every rank j > me dials us
-  const double deadline = steady_seconds() + cfg_.connect_timeout_s;
+  const double deadline = steady_seconds() + kConnectTimeoutS;
 
   // The acceptor thread and the dialing main thread write disjoint,
   // pre-sized slots of peer_fd_ (j > me vs p < me), so the only
@@ -417,7 +421,7 @@ void SocketTransport::build_mesh() {
   try {
     for (int p = 0; p < me; ++p) {
       const PeerAddr& a = table_[static_cast<std::size_t>(p)];
-      const int c = dial(a.ipv4, a.port, cfg_.connect_timeout_s, p);
+      const int c = dial(a.ipv4, a.port, kConnectTimeoutS, p);
       const auto hello = static_cast<std::uint32_t>(me);
       try {
         write_all(c, &hello, sizeof(hello), p);
@@ -463,7 +467,7 @@ void SocketTransport::account_send(int dst, std::uint64_t wire_bytes) {
   if (cfg_.metrics == nullptr) {
     return;
   }
-  const bool intra = cfg_.topo.same_node(cfg_.rank, dst);
+  const bool intra = topo_.same_node(cfg_.rank, dst);
   (intra ? obs_bytes_intra_ : obs_bytes_inter_)->add(wire_bytes);
   (intra ? obs_msgs_intra_ : obs_msgs_inter_)->add(1);
 }
@@ -561,7 +565,7 @@ void SocketTransport::barrier() {
     for (int r = 1; r < world; ++r) {
       const std::vector<std::uint8_t> arrive = recv_bytes(
           Endpoint::of(r), kBarrierArriveTag, sim::kIntraComm,
-          cfg_.barrier_timeout_s);
+          kBarrierTimeoutS);
       (void)arrive;
     }
     for (int r = 1; r < world; ++r) {
@@ -572,7 +576,7 @@ void SocketTransport::barrier() {
     send_bytes(Endpoint::of(0), kBarrierArriveTag, {}, 0, sim::kIntraComm);
     const std::vector<std::uint8_t> release = recv_bytes(
         Endpoint::of(0), kBarrierReleaseTag, sim::kIntraComm,
-        cfg_.barrier_timeout_s);
+        kBarrierTimeoutS);
     (void)release;
   }
 }

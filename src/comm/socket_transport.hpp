@@ -51,23 +51,10 @@ struct SocketTransportConfig {
   /// hand both to the ranks — no bind/dial race. Ownership transfers to the
   /// transport.
   int rendezvous_listen_fd = -1;
-  /// How long workers keep re-dialing a not-yet-listening peer.
-  double connect_timeout_s = 10.0;
   /// Default per-recv deadline (Reliability::recv_timeout_s resolves to
   /// this when left at Reliability::kTransportDefault). Finite: a hung or
   /// dead peer must surface as CommTimeoutError, not a forever block.
   double recv_timeout_s = 15.0;
-  /// Barrier rendezvous deadline (peers may be mid-compute, so it is more
-  /// generous than a plain recv).
-  double barrier_timeout_s = 60.0;
-  /// Keep the protocol layer's frame checksums on. TCP already guarantees
-  /// in-order reliable delivery, but the end-to-end checksum also catches
-  /// cross-process encode/truncation bugs; set false to shed the pass.
-  bool verify_checksums = true;
-  /// Logical topology for stream classification (intra vs inter rails).
-  /// Defaults to a flat single node of world_size ranks.
-  sim::Topology topo;
-  bool topo_set = false;
   /// Optional metrics registry (not owned); byte/message counters are
   /// published per link class and rank, like the simulator's.
   obs::Registry* metrics = nullptr;
@@ -76,8 +63,8 @@ struct SocketTransportConfig {
 class SocketTransport final : public Transport {
  public:
   /// Builds the full mesh; blocks until every rank is connected. Throws
-  /// CommTimeoutError when rendezvous or mesh build exceeds
-  /// connect_timeout_s, sim::PeerFailedError when a peer dies mid-build.
+  /// CommTimeoutError when rendezvous or mesh build exceeds the 10 s connect
+  /// deadline, sim::PeerFailedError when a peer dies mid-build.
   explicit SocketTransport(SocketTransportConfig cfg);
   ~SocketTransport() override;
 
@@ -94,7 +81,9 @@ class SocketTransport final : public Transport {
 
   int rank() const override { return cfg_.rank; }
   int world_size() const override { return cfg_.world_size; }
-  const sim::Topology& topo() const override { return cfg_.topo; }
+  /// A flat single node of world_size ranks: every link rides the
+  /// intra-node stream.
+  const sim::Topology& topo() const override { return topo_; }
 
   double now(int stream) const override;
   double elapsed() const override;
@@ -121,7 +110,10 @@ class SocketTransport final : public Transport {
                                        int stream, double timeout_s) override;
 
   void barrier() override;
-  bool unreliable_network() const override { return cfg_.verify_checksums; }
+  /// TCP already guarantees in-order reliable delivery, but the protocol
+  /// layer's end-to-end frame checksum also catches cross-process
+  /// encode/truncation bugs, so sockets always verify it.
+  bool unreliable_network() const override { return true; }
   double default_recv_timeout_s() const override { return cfg_.recv_timeout_s; }
 
  private:
@@ -138,6 +130,7 @@ class SocketTransport final : public Transport {
   void account_send(int dst, std::uint64_t wire_bytes);
 
   SocketTransportConfig cfg_;
+  sim::Topology topo_;
   double start_time_ = 0.0;  // steady-clock origin, seconds
   sim::MemoryTracker mem_;
   int listen_fd_ = -1;

@@ -7,9 +7,8 @@
 
 namespace burst::model {
 
-/// Storage dtypes for the quantized / mixed-precision path (DESIGN.md
-/// section 16). Byte accounting always follows these enums — a config can
-/// no longer claim bf16 KV while charging fp32 bytes.
+/// Storage dtype for the quantized serving path (DESIGN.md section 16).
+/// Weight byte accounting always follows this enum.
 struct QuantSpec {
   /// Weight storage for serving/inference. kBf16 (the default) keeps the
   /// dense fp32 functional path with bf16 byte accounting — the pre-quant
@@ -18,9 +17,6 @@ struct QuantSpec {
   /// (dequantize-inside-the-microkernel), with bf16 rounding at layer
   /// activation boundaries.
   tensor::DType weights = tensor::DType::kBf16;
-  /// KV-cache storage dtype (drives paged-KV byte accounting; bf16 matches
-  /// the paper's setup).
-  tensor::DType kv = tensor::DType::kBf16;
 };
 
 struct ModelConfig {
@@ -35,23 +31,22 @@ struct ModelConfig {
   std::int64_t kv_heads = 0;
   std::int64_t vocab = 256;
   std::int64_t d_ff = 172;  // LLaMA uses ~2.7x d_model
-  /// Training dtype on device (bf16 in the paper).
-  tensor::DType train_dtype = tensor::DType::kBf16;
-  /// Weight / KV storage dtypes for serving (see QuantSpec).
+  /// Weight storage dtype for serving (see QuantSpec).
   QuantSpec quant;
   /// Apply rotary position embeddings to Q/K (LLaMA-style). Under context
   /// parallelism the rotation uses *global* token positions from the
   /// shard's IndexMap.
   bool use_rope = false;
 
-  /// Storage bytes per element of the training dtype (what activations,
-  /// gradients, and wire transfers charge).
+  /// Storage bytes per element of the training dtype, bf16 as in the paper
+  /// (what activations, gradients, and wire transfers charge).
   double bytes_per_el() const {
-    return tensor::dtype_bytes_per_el(train_dtype);
+    return tensor::dtype_bytes_per_el(tensor::DType::kBf16);
   }
-  /// Storage bytes per element of the KV-cache dtype.
+  /// Storage bytes per element of the KV cache, bf16 as in the paper's
+  /// setup (drives paged-KV byte accounting).
   double kv_bytes_per_el() const {
-    return tensor::dtype_bytes_per_el(quant.kv);
+    return tensor::dtype_bytes_per_el(tensor::DType::kBf16);
   }
   /// Average storage bytes per weight element at the serving dtype
   /// (quantized dtypes amortize per-block scales).

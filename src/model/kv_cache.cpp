@@ -27,8 +27,6 @@ std::uint64_t SequenceKvCache::block_bytes(const ModelConfig& cfg,
                             static_cast<std::uint64_t>(cfg.layers) *
                             static_cast<std::uint64_t>(cfg.num_kv_heads()) *
                             static_cast<std::uint64_t>(cfg.head_dim()) * 2;
-  // Charged at the KV dtype from QuantSpec, so the accounting can never
-  // disagree with the configured storage format.
   return static_cast<std::uint64_t>(static_cast<double>(els) *
                                     cfg.kv_bytes_per_el());
 }

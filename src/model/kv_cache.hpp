@@ -30,7 +30,7 @@ class SequenceKvCache {
                                 std::int64_t block_tokens);
 
   /// Simulated bytes of one block: K + V rows for every layer and kv head at
-  /// the `cfg.quant.kv` dtype (bf16 in the paper's setup).
+  /// the KV-cache dtype (bf16, as in the paper's setup).
   static std::uint64_t block_bytes(const ModelConfig& cfg,
                                    std::int64_t block_tokens);
 

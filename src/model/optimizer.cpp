@@ -8,6 +8,11 @@ namespace burst::model {
 
 namespace {
 
+// Adam's moment decay rates and denominator guard (the usual defaults).
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEps = 1e-8f;
+
 // Visits every parameter tensor of the model in a fixed order so the
 // optimizer state layout is stable.
 template <typename W, typename Fn>
@@ -51,16 +56,16 @@ AdamOptimizer::~AdamOptimizer() {
 void AdamOptimizer::update_tensor(tensor::Tensor& w, const tensor::Tensor& g,
                                   std::size_t state_offset) {
   assert(w.numel() == g.numel());
-  const float bc1 = 1.0f - std::pow(cfg_.beta1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(cfg_.beta2, static_cast<float>(t_));
+  const float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
+  const float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
   for (std::int64_t i = 0; i < w.numel(); ++i) {
     const std::size_t s = state_offset + static_cast<std::size_t>(i);
     const float grad = g.data()[i];
-    m_[s] = cfg_.beta1 * m_[s] + (1.0f - cfg_.beta1) * grad;
-    v_[s] = cfg_.beta2 * v_[s] + (1.0f - cfg_.beta2) * grad * grad;
+    m_[s] = kBeta1 * m_[s] + (1.0f - kBeta1) * grad;
+    v_[s] = kBeta2 * v_[s] + (1.0f - kBeta2) * grad * grad;
     const float mhat = m_[s] / bc1;
     const float vhat = v_[s] / bc2;
-    w.data()[i] -= cfg_.lr * mhat / (std::sqrt(vhat) + cfg_.eps);
+    w.data()[i] -= cfg_.lr * mhat / (std::sqrt(vhat) + kEps);
   }
 }
 

@@ -18,9 +18,6 @@ namespace burst::model {
 
 struct AdamConfig {
   float lr = 1e-3f;
-  float beta1 = 0.9f;
-  float beta2 = 0.999f;
-  float eps = 1e-8f;
   /// Keep state off-device (not charged to the MemoryTracker).
   bool offload = false;
 };

@@ -27,6 +27,8 @@ double lm_head_logits_bytes(double tokens, double vocab, double bytes_per_el) {
 }
 
 MemoryBreakdown peak_memory(const MemoryInputs& in, const HardwareModel& hw) {
+  // Sequence-block rows of the fused LM head tile (Algorithm 3's Bs).
+  constexpr double kFusedBlockRows = 1024;
   const auto& m = in.model;
   const double p = static_cast<double>(m.param_count());
   const double b = m.bytes_per_el();
@@ -49,7 +51,7 @@ MemoryBreakdown peak_memory(const MemoryInputs& in, const HardwareModel& hw) {
 
   out.lm_head =
       in.fused_lm_head
-          ? lm_head_logits_bytes(in.fused_block_rows, vocab, b)
+          ? lm_head_logits_bytes(kFusedBlockRows, vocab, b)
           : lm_head_logits_bytes(in.tokens_per_gpu, vocab, b);
 
   // Triple-buffered (compute / intra / inter) K,V bundles.

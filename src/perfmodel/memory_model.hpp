@@ -34,8 +34,6 @@ struct MemoryInputs {
   bool optimizer_offload = false;
   core::CkptConfig ckpt{core::CkptStrategy::kFull, 0.5};
   bool fused_lm_head = false;
-  /// Sequence-block rows of the fused LM head tile (Algorithm 3's Bs).
-  double fused_block_rows = 1024;
 };
 
 struct MemoryBreakdown {

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "comm/communicator.hpp"
 #include "comm/sim_transport.hpp"
 #include "obs/metrics.hpp"
 
@@ -52,6 +53,13 @@ int feasible_world_size(const model::DistTrainConfig& cfg,
 
 namespace {
 
+/// Snapshots retained on disk (older ones are pruned).
+constexpr int kKeepLast = 3;
+/// Seed of the synthetic training stream.
+constexpr std::uint64_t kDataSeed = 1234;
+/// Models snapshot save/restore I/O time on the virtual clock.
+constexpr double kDiskBandwidthBytesPerS = 2e9;
+
 /// Supervisor-track events (pid one past the last device rank).
 void trace_event(const ResilienceConfig& cfg, const std::string& name,
                  double begin_s, double end_s) {
@@ -71,8 +79,8 @@ ResilienceReport resilient_train_loop(const ResilienceConfig& cfg,
 
   ModelWeights weights = init;
   AdamOptimizer opt(weights, cfg.adam);
-  Rng data_rng(cfg.data_seed);
-  SnapshotManager snaps(cfg.snapshot_dir, cfg.keep_last);
+  Rng data_rng(kDataSeed);
+  SnapshotManager snaps(cfg.snapshot_dir, kKeepLast);
   auto cluster = std::make_unique<Cluster>(cfg.cluster);
   std::vector<int> dead_ranks;
 
@@ -91,8 +99,7 @@ ResilienceReport resilient_train_loop(const ResilienceConfig& cfg,
     snap.weights = weights;
     snap.adam = opt.export_state();
     const std::uint64_t bytes = snaps.save(snap);
-    const double io =
-        static_cast<double>(bytes) / cfg.disk_bandwidth_bytes_per_s;
+    const double io = static_cast<double>(bytes) / kDiskBandwidthBytesPerS;
     trace_event(cfg, "snapshot:save(step=" + std::to_string(step) + ")",
                 t_virtual, t_virtual + io);
     t_virtual += io;
@@ -117,7 +124,6 @@ ResilienceReport resilient_train_loop(const ResilienceConfig& cfg,
         ctx.begin_step(static_cast<std::int64_t>(step));
         comm::SimTransport comm_tp(ctx);
         comm::Communicator comm(comm_tp);
-        comm.set_reliability(cfg.reliability);
         auto r = model::dist_train_step(comm, cfg.dist, weights, tokens);
         if (ctx.rank() == 0) {
           std::lock_guard lock(mu);
@@ -153,7 +159,7 @@ ResilienceReport resilient_train_loop(const ResilienceConfig& cfg,
       // Restore the latest valid snapshot.
       TrainSnapshot snap = snaps.load_latest();
       const double restore = static_cast<double>(snapshot_bytes(snap)) /
-                             cfg.disk_bandwidth_bytes_per_s;
+                             kDiskBandwidthBytesPerS;
       trace_event(cfg,
                   "recovery:restore(from=" + std::to_string(snap.step) + ")",
                   t_virtual, t_virtual + restore);

@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "comm/communicator.hpp"
 #include "model/dist_model.hpp"
 #include "model/optimizer.hpp"
 #include "obs/report.hpp"
@@ -47,21 +46,16 @@ struct ResilienceConfig {
   /// Cluster to train on, including the FaultPlan under test and an
   /// optional trace sink.
   sim::Cluster::Config cluster;
-  /// Reliability knobs applied to every rank's communicator.
-  comm::Reliability reliability;
 
   int total_steps = 8;
   /// Snapshot after every `snapshot_interval` committed steps (plus one at
   /// step 0 so recovery always has a floor). <= 0 means step-0 only.
   int snapshot_interval = 2;
-  /// Snapshots retained on disk (older ones are pruned).
-  int keep_last = 3;
   std::string snapshot_dir;
 
   /// Tokens per training step (the sequence is seq_len + 1 ids). Must
   /// satisfy the balance divisibility rules for the cluster's world size.
   std::int64_t seq_len = 32;
-  std::uint64_t data_seed = 1234;
 
   /// Give up (rethrow the last failure) after this many recoveries.
   int max_recoveries = 8;
@@ -70,8 +64,6 @@ struct ResilienceConfig {
   /// one. Changes gradient summation order, so recovered weights are no
   /// longer bitwise comparable to the fault-free run.
   bool remap_on_failure = false;
-  /// Models snapshot save/restore I/O time on the virtual clock.
-  double disk_bandwidth_bytes_per_s = 2e9;
 };
 
 struct RecoveryEvent {

@@ -144,7 +144,7 @@ std::int64_t Engine::add_request(Request r) {
 }
 
 void Engine::add_breaker_window(double open_s, double close_s) {
-  cfg_.breaker_windows.emplace_back(open_s, close_s);
+  breaker_windows_.emplace_back(open_s, close_s);
 }
 
 ServeReport Engine::run(sim::DeviceContext& ctx) {
@@ -280,7 +280,7 @@ ServeReport Engine::run(sim::DeviceContext& ctx, const RunOptions& opts) {
   };
 
   const auto in_breaker = [&](double t) {
-    for (const auto& w : cfg_.breaker_windows) {
+    for (const auto& w : breaker_windows_) {
       if (t >= w.first && t < w.second) {
         return true;
       }

@@ -71,12 +71,6 @@ struct EngineConfig {
   /// shed_high when shed_low <= 0). 0 disables shedding.
   std::int64_t shed_high = 0;
   std::int64_t shed_low = 0;
-  /// Circuit-breaker windows [open_s, close_s): requests *arriving* inside
-  /// any window fail fast with Outcome::kFailedFast (HTTP 503,
-  /// recovery_in_progress) instead of queueing behind a recovery. The
-  /// recovery supervisor (serve/resilience.hpp) installs one window per
-  /// crash via Engine::add_breaker_window.
-  std::vector<std::pair<double, double>> breaker_windows;
   kernels::MaskSpec mask = kernels::MaskSpec::causal();
   /// Optional sink for per-iteration and per-request trace events.
   sim::TraceRecorder* trace = nullptr;
@@ -162,8 +156,11 @@ class Engine {
   /// re-execute. Requests must be the same set that produced the checkpoint.
   ServeReport run(sim::DeviceContext& ctx, const RunOptions& opts);
 
-  /// Installs a circuit-breaker window [open_s, close_s); see
-  /// EngineConfig::breaker_windows.
+  /// Installs a circuit-breaker window [open_s, close_s): requests
+  /// *arriving* inside any window fail fast with Outcome::kFailedFast (HTTP
+  /// 503, recovery_in_progress) instead of queueing behind a recovery. The
+  /// recovery supervisor (serve/resilience.hpp) installs one window per
+  /// crash.
   void add_breaker_window(double open_s, double close_s);
 
   const EngineConfig& config() const { return cfg_; }
@@ -183,6 +180,8 @@ class Engine {
   /// QuantSpec; every prefill, decode and LM-head GEMM streams its panels.
   model::PackedWeights packed_;
   EngineConfig cfg_;
+  /// Circuit-breaker windows [open_s, close_s), see add_breaker_window.
+  std::vector<std::pair<double, double>> breaker_windows_;
   std::vector<Request> pending_;
 };
 

@@ -12,6 +12,16 @@ namespace burst::serve {
 
 namespace {
 
+/// Durable checkpoints retained in ServeResilienceConfig::snapshot_dir.
+constexpr int kKeepLast = 2;
+/// Models checkpoint save/restore I/O time (bytes / bandwidth charged to
+/// the virtual clock).
+constexpr double kDiskBandwidthBytesPerS = 2e9;
+/// Prefill retry backoff: kBackoffBaseS before the first retry, growing by
+/// kBackoffMultiplier per attempt, charged as wasted virtual time.
+constexpr double kBackoffBaseS = 1e-3;
+constexpr double kBackoffMultiplier = 2.0;
+
 /// Failures a supervisor can retry past: injected crashes and the comm-layer
 /// errors they (or message faults) produce. Everything else — OOM, stalls,
 /// invariant violations — would deterministically recur on replay.
@@ -101,7 +111,7 @@ ResilientServeReport serve_with_recovery(Engine& engine,
 
   std::optional<ServeSnapshotManager> mgr;
   if (!cfg.snapshot_dir.empty()) {
-    mgr.emplace(cfg.snapshot_dir, cfg.keep_last);
+    mgr.emplace(cfg.snapshot_dir, kKeepLast);
   }
   std::vector<unsigned char> mem_blob;  // diskless latest checkpoint
 
@@ -128,8 +138,7 @@ ResilientServeReport serve_with_recovery(Engine& engine,
             const std::vector<unsigned char> payload = serialize_checkpoint(ck);
             const std::uint64_t bytes =
                 payload.size() + resilience::kBlobHeaderBytes;
-            cctx.busy(static_cast<double>(bytes) /
-                          cfg.disk_bandwidth_bytes_per_s,
+            cctx.busy(static_cast<double>(bytes) / kDiskBandwidthBytesPerS,
                       sim::kCompute, "serve:ckpt");
             if (mgr) {
               mgr->save(ck);
@@ -171,7 +180,7 @@ ResilientServeReport serve_with_recovery(Engine& engine,
       const std::uint64_t restore_bytes =
           have_ck ? checkpoint_bytes(resume_ck) : 0;
       ev.restore_s =
-          static_cast<double>(restore_bytes) / cfg.disk_bandwidth_bytes_per_s;
+          static_cast<double>(restore_bytes) / kDiskBandwidthBytesPerS;
       ev.resumed_iteration = have_ck ? resume_ck.iteration : 0;
       ev.lost_s = fail_time - (have_ck ? resume_ck.time_s : 0.0) + ev.restore_s;
       resume_time = fail_time + ev.restore_s;
@@ -192,7 +201,7 @@ ResilientPrefillResult resilient_distributed_prefill(
     const PrefillRetryConfig& retry) {
   sim::Cluster::Config cc = base;
   const auto plen = static_cast<std::int64_t>(prompt.size());
-  double backoff = retry.backoff_base_s;
+  double backoff = kBackoffBaseS;
   ResilientPrefillResult out;
   for (int attempt = 1;; ++attempt) {
     sim::Cluster cluster(cc);
@@ -231,7 +240,7 @@ ResilientPrefillResult resilient_distributed_prefill(
         plan = restrict_to_world(std::move(plan), shrunk);
       }
       cc.faults = std::move(plan);
-      backoff *= retry.backoff_multiplier;
+      backoff *= kBackoffMultiplier;
     }
   }
 }

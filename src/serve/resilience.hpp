@@ -47,15 +47,12 @@ struct ServeResilienceConfig {
   /// Checkpoint cadence in engine iterations; 0 disables checkpoints (a
   /// crash then restarts the run from scratch).
   std::int64_t checkpoint_every = 0;
-  /// Durable checkpoint directory. Empty = keep the latest serialized
-  /// checkpoint in memory only (same bytes, no filesystem).
+  /// Durable checkpoint directory (the newest two are retained). Empty =
+  /// keep the latest serialized checkpoint in memory only (same bytes, no
+  /// filesystem).
   std::string snapshot_dir;
-  int keep_last = 2;
   /// Give up and rethrow after this many recoveries.
   int max_recoveries = 8;
-  /// Models checkpoint save/restore I/O time (bytes / bandwidth charged to
-  /// the virtual clock).
-  double disk_bandwidth_bytes_per_s = 2e9;
   /// Extra breaker-open time after the restore completes.
   double breaker_cooldown_s = 0.0;
   /// Optional execution-trace sink for the serving cluster.
@@ -92,10 +89,9 @@ ResilientServeReport serve_with_recovery(Engine& engine,
                                          const ServeResilienceConfig& cfg);
 
 struct PrefillRetryConfig {
+  /// Attempts before the last failure is rethrown. Each retry first waits
+  /// an exponential backoff (1 ms, doubling) charged as wasted virtual time.
   int max_attempts = 4;
-  /// Exponential backoff charged (as wasted virtual time) between attempts.
-  double backoff_base_s = 1e-3;
-  double backoff_multiplier = 2.0;
 };
 
 struct ResilientPrefillResult {

@@ -163,8 +163,8 @@ IterationPlan Scheduler::plan(double now_s,
 //
 //   1. Urgent prefills — TTFT deadline within urgency_window_s — reserve
 //      budget first, ordered by (priority desc, deadline asc). They may take
-//      at most urgent_budget_frac of the budget while decodes want the rest
-//      (the whole budget otherwise); what they take is what preempts.
+//      at most half of the budget (kUrgentBudgetFrac) while decodes want the
+//      rest (the whole budget otherwise); what they take is what preempts.
 //   2. Decodes, ordered by (priority desc, weighted-fair share asc). Ones
 //      that lose their slot to phase 1 are reported as preempted.
 //   3. Remaining budget to non-urgent prefills in the same weighted-fair
@@ -255,13 +255,14 @@ IterationPlan Scheduler::plan_slo(double now_s,
   std::sort(decodes.begin(), decodes.end(), by_decode_order);
   std::sort(waiting.begin(), waiting.end(), by_priority_share);
 
-  // Phase 1: urgent prefills reserve budget ahead of decodes, capped so
-  // running decodes keep at least (1 - urgent_budget_frac) of the budget.
+  // Phase 1: urgent prefills reserve budget ahead of decodes. While decodes
+  // are running they may take at most half of it (the whole budget when no
+  // decode wants it), so TTFT rescue cannot starve TPOT entirely.
+  constexpr double kUrgentBudgetFrac = 0.5;
   std::int64_t urgent_cap = budget;
   if (!decodes.empty()) {
-    const double frac = std::min(std::max(cfg_.urgent_budget_frac, 0.0), 1.0);
     urgent_cap = static_cast<std::int64_t>(
-        std::ceil(static_cast<double>(budget) * frac));
+        std::ceil(static_cast<double>(budget) * kUrgentBudgetFrac));
   }
   std::int64_t urgent_spent = 0;
   for (const SchedEntry* e : urgent) {

@@ -61,10 +61,6 @@ struct SchedulerConfig {
   /// becomes urgent and may preempt decode budget. <= 0 lets the engine pick
   /// a default of a few iteration times.
   double urgency_window_s = 0.0;
-  /// kSlo only: cap on the fraction of the token budget urgent prefills may
-  /// reserve while decodes are running (they take the whole budget when no
-  /// decode wants it). Keeps TTFT rescue from starving TPOT entirely.
-  double urgent_budget_frac = 0.5;
 };
 
 /// Scheduler-visible snapshot of one request (engine owns the full state).

@@ -9,9 +9,10 @@
 // sweeps seeds and asserts the same seed always produces byte-identical
 // behaviour.
 //
-// Single-device worlds only draw crashes and stragglers (there are no links
-// to degrade and the serving engine never sends); multi-rank worlds get the
-// full taxonomy.
+// Each category's inclusion probability and count bound is a constant in
+// chaos.cpp. Single-device worlds only draw crashes and stragglers (there
+// are no links to degrade and the serving engine never sends); multi-rank
+// worlds get the full taxonomy.
 #pragma once
 
 #include <cstdint>
@@ -25,16 +26,6 @@ struct ChaosSpec {
   /// Fault times are drawn uniformly from [0, horizon_s). Pick roughly the
   /// fault-free makespan of the workload so faults actually land inside it.
   double horizon_s = 1.0;
-  /// Per-category inclusion probabilities.
-  double crash_prob = 0.5;
-  double straggler_prob = 0.5;
-  double degrade_prob = 0.5;   // world > 1 only
-  double drop_prob = 0.35;     // world > 1 only
-  double corrupt_prob = 0.35;  // world > 1 only
-  /// Upper bounds per category (draw count is uniform in [1, max]).
-  int max_crashes = 2;
-  double max_straggler_slowdown = 4.0;
-  int max_message_faults = 3;
 };
 
 /// Deterministically expands `seed` into a fault plan under `spec`.

@@ -153,7 +153,7 @@ bool DeviceContext::try_send(int dst, int tag, Message msg, int stream) {
   clock_.advance(stream, serialize);
   const bool intra = cluster_.cfg_.topo.same_node(rank_, dst);
   (intra ? bytes_intra_ : bytes_inter_) += msg.bytes;
-  ++(intra ? msgs_intra_ : msgs_inter_);
+  ++msgs_;
   if (const LinkCounters& oc = intra ? obs_intra_ : obs_inter_;
       oc.bytes != nullptr) {
     oc.bytes->add(msg.bytes);
@@ -316,8 +316,6 @@ void Cluster::run(const std::function<void(DeviceContext&)>& fn) {
       s.messages_sent = ctx.messages_sent();
       s.bytes_sent_intra = ctx.bytes_sent_intra();
       s.bytes_sent_inter = ctx.bytes_sent_inter();
-      s.messages_sent_intra = ctx.messages_sent_intra();
-      s.messages_sent_inter = ctx.messages_sent_inter();
     });
   }
   for (auto& t : threads) {

@@ -124,11 +124,9 @@ class DeviceContext {
   // Split by link class: intra-node (NVLink) vs inter-node (IB) — the axis
   // Table 1's topology-aware comparison turns on.
   std::uint64_t bytes_sent() const { return bytes_intra_ + bytes_inter_; }
-  std::uint64_t messages_sent() const { return msgs_intra_ + msgs_inter_; }
+  std::uint64_t messages_sent() const { return msgs_; }
   std::uint64_t bytes_sent_intra() const { return bytes_intra_; }
   std::uint64_t bytes_sent_inter() const { return bytes_inter_; }
-  std::uint64_t messages_sent_intra() const { return msgs_intra_; }
-  std::uint64_t messages_sent_inter() const { return msgs_inter_; }
 
   /// Registry attached via Cluster::Config::metrics; null when observability
   /// is off (callers must guard — that null check IS the zero-cost path).
@@ -147,8 +145,7 @@ class DeviceContext {
   MemoryTracker mem_;
   std::uint64_t bytes_intra_ = 0;
   std::uint64_t bytes_inter_ = 0;
-  std::uint64_t msgs_intra_ = 0;
-  std::uint64_t msgs_inter_ = 0;
+  std::uint64_t msgs_ = 0;
   // Pre-resolved registry handles (one map lookup each at construction, one
   // relaxed atomic add per send after that). All null when no registry is
   // attached — the hot path then does nothing beyond the plain counters.
@@ -170,11 +167,9 @@ struct DeviceStats {
   std::uint64_t peak_mem_bytes = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t messages_sent = 0;
-  // Per-link-class split of the totals above.
+  // Per-link-class split of bytes_sent.
   std::uint64_t bytes_sent_intra = 0;
   std::uint64_t bytes_sent_inter = 0;
-  std::uint64_t messages_sent_intra = 0;
-  std::uint64_t messages_sent_inter = 0;
 };
 
 class Cluster {

@@ -45,7 +45,6 @@ TEST(SloScheduler, UrgentPrefillPreemptsLowestPriorityDecodes) {
   cfg.token_budget = 4;
   cfg.chunk_tokens = 8;
   cfg.urgency_window_s = 1.0;
-  cfg.urgent_budget_frac = 0.5;
   Scheduler sched(cfg);
 
   std::vector<SchedEntry> entries;
@@ -304,7 +303,6 @@ TEST(SloScheduler, UrgencyWindowBoundaryIsInclusive) {
   cfg.token_budget = 4;
   cfg.chunk_tokens = 8;
   cfg.urgency_window_s = 1.0;
-  cfg.urgent_budget_frac = 0.5;
   Scheduler sched(cfg);
 
   const double now = 2.0;

@@ -140,6 +140,39 @@ std::uint64_t grads_fnv(const ModelGrads& g) {
   return h;
 }
 
+// The step's loss and gradients are documented as identical on all ranks:
+// every rank must hold the same bits, not merely close values, on one node
+// and across two.
+TEST_F(DistModel, AllRanksHoldBitwiseIdenticalGrads) {
+  Fixture fx;
+  for (const Topology& topo :
+       {Topology::single_node(4), Topology::multi_node(2, 2)}) {
+    for (AttnImpl impl : {AttnImpl::kBurst, AttnImpl::kRing}) {
+      DistTrainConfig cfg;
+      cfg.model = fx.cfg;
+      cfg.impl = impl;
+      Cluster cluster({topo});
+      std::vector<double> losses(static_cast<std::size_t>(topo.world_size()));
+      std::vector<std::uint64_t> hashes(losses.size());
+      cluster.run([&](DeviceContext& ctx) {
+        comm::SimTransport comm_tp(ctx);
+        comm::Communicator comm(comm_tp);
+        const DistStepResult r =
+            dist_train_step(comm, cfg, fx.weights, fx.tokens);
+        const auto rank = static_cast<std::size_t>(ctx.rank());
+        losses[rank] = r.loss;
+        hashes[rank] = grads_fnv(r.grads);
+      });
+      for (std::size_t r = 1; r < losses.size(); ++r) {
+        EXPECT_EQ(losses[r], losses[0])
+            << "rank " << r << ", impl " << static_cast<int>(impl);
+        EXPECT_EQ(hashes[r], hashes[0])
+            << "rank " << r << ", impl " << static_cast<int>(impl);
+      }
+    }
+  }
+}
+
 struct PinnedRank {
   double elapsed_s;
   std::uint64_t bytes_sent, messages_sent, peak_mem_bytes;

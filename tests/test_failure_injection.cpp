@@ -412,7 +412,7 @@ TEST(FaultPlan, RetryBudgetExhaustionRaisesTimeout) {
                comm::CommTimeoutError);
   EXPECT_EQ(cluster.last_failure_rank(), 0);  // the sender gave up
   EXPECT_EQ(cluster.fault_stats().messages_dropped,
-            static_cast<std::uint64_t>(comm::Reliability{}.max_send_attempts));
+            static_cast<std::uint64_t>(comm::kMaxSendAttempts));
 }
 
 // A planned device crash surfaces as InjectedFaultError on the dead rank

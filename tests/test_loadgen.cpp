@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -131,7 +132,7 @@ TEST(LoadGen, PriorityMixAndSlosMatchConfig) {
       EXPECT_EQ(r.ttft_slo_s, cfg.ttft_slo_interactive_s);
     } else if (r.priority == Priority::kBatch) {
       n_batch += 1.0;
-      EXPECT_EQ(r.ttft_slo_s, cfg.ttft_slo_batch_s);
+      EXPECT_LE(r.ttft_slo_s, 0.0);  // batch requests carry no TTFT target
     } else {
       EXPECT_EQ(r.ttft_slo_s, cfg.ttft_slo_standard_s);
     }
@@ -175,6 +176,47 @@ TEST(JainIndex, KnownValues) {
   const double mid = jain_fairness_index({2.0, 1.0});
   EXPECT_GT(mid, 0.25);
   EXPECT_LT(mid, 1.0);
+}
+
+// FNV-1a 64 over every field of every generated request, in trace order.
+std::uint64_t trace_fnv(const std::vector<GeneratedRequest>& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const auto& v) {
+    unsigned char bytes[sizeof(v)];
+    std::memcpy(bytes, &v, sizeof(v));
+    for (const unsigned char b : bytes) {
+      h = (h ^ b) * 0x100000001b3ULL;
+    }
+  };
+  for (const auto& r : trace) {
+    mix(r.arrival_s);
+    mix(r.tenant);
+    mix(static_cast<int>(r.priority));
+    mix(r.prompt_len);
+    mix(r.max_tokens);
+    mix(r.ttft_slo_s);
+    mix(r.prompt_seed);
+  }
+  return h;
+}
+
+// The burst-exit probability, the tenant Zipf exponent and the batch class's
+// missing TTFT target are constants of the generator. These hashes pin the
+// default trace and a bursty, many-tenant one with per-class targets, so
+// changing any of those constants, or the draw order, fails here.
+TEST(LoadGen, TracesMatchPinnedHashes) {
+  EXPECT_EQ(trace_fnv(LoadGen(LoadGenConfig{}).generate()),
+            0x67e135e0911b6997ULL);
+
+  LoadGenConfig bursty;
+  bursty.seed = 11;
+  bursty.requests = 2000;
+  bursty.burst_rate_multiplier = 16.0;
+  bursty.burst_start_prob = 0.2;
+  bursty.tenants = 50;
+  bursty.ttft_slo_interactive_s = 0.1;
+  bursty.ttft_slo_standard_s = 0.5;
+  EXPECT_EQ(trace_fnv(LoadGen(bursty).generate()), 0x2930559644454042ULL);
 }
 
 }  // namespace

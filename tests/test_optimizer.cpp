@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "sim/memory.hpp"
 #include "tensor/ops.hpp"
@@ -30,7 +32,7 @@ TEST(Adam, SingleParamMatchesHandComputation) {
   AdamOptimizer opt(w, ac);
   opt.step(w, g);
   // Step 1: mhat = grad, vhat = grad^2 -> update ~= -lr * sign(grad).
-  EXPECT_NEAR(w.w_head(0, 0), -0.1f * 0.5f / (0.5f + ac.eps), 1e-5);
+  EXPECT_NEAR(w.w_head(0, 0), -0.1f * 0.5f / (0.5f + 1e-8f), 1e-5);
   EXPECT_EQ(opt.steps_taken(), 1);
 
   const float after_one = w.w_head(0, 0);
@@ -104,6 +106,60 @@ TEST(Adam, ParamCountMatchesTensors) {
                           2 * cfg.d_model * cfg.d_kv() +
                           2 * cfg.d_model * cfg.d_ff);
   EXPECT_EQ(opt.num_params(), expect);
+}
+
+// FNV-1a 64 over the raw bits of a float sequence, chained through `h`.
+void fnv_mix_floats(std::uint64_t& h, const float* data, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, data + i, sizeof bits);
+    for (int b = 0; b < 4; ++b) {
+      h = (h ^ ((bits >> (8 * b)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  }
+}
+
+// beta1, beta2 and eps are constants of the optimizer. This hash pins the
+// weights and the exported moments after three steps over seeded gradients,
+// so changing any of those constants fails here.
+TEST(Adam, ThreeStepsMatchPinnedHash) {
+  ModelConfig cfg = ModelConfig::toy();
+  ModelWeights w = ModelWeights::init(cfg, 17);
+  AdamOptimizer opt(w, {});
+  Rng rng(19);
+  for (int step = 0; step < 3; ++step) {
+    ModelGrads g = ModelGrads::zeros(cfg);
+    const auto fill = [&rng](Tensor& t) {
+      for (std::int64_t i = 0; i < t.numel(); ++i) {
+        t.data()[i] = static_cast<float>(rng.next_gaussian());
+      }
+    };
+    for (auto& l : g.layers) {
+      for (Tensor* t : {&l.wq, &l.wk, &l.wv, &l.wo, &l.w1, &l.w2}) {
+        fill(*t);
+      }
+    }
+    fill(g.w_embed);
+    fill(g.w_head);
+    opt.step(w, g);
+  }
+
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const Tensor& t) {
+    fnv_mix_floats(h, t.data(), t.numel());
+  };
+  for (const auto& l : w.layers) {
+    for (const Tensor* t : {&l.wq, &l.wk, &l.wv, &l.wo, &l.w1, &l.w2}) {
+      mix(*t);
+    }
+  }
+  mix(w.w_embed);
+  mix(w.w_head);
+  const AdamState st = opt.export_state();
+  EXPECT_EQ(st.t, 3);
+  fnv_mix_floats(h, st.m.data(), static_cast<std::int64_t>(st.m.size()));
+  fnv_mix_floats(h, st.v.data(), static_cast<std::int64_t>(st.v.size()));
+  EXPECT_EQ(h, 0x68e439cc25229b58ULL);
 }
 
 }  // namespace

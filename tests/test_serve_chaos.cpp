@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -279,6 +280,80 @@ TEST(ServeChaos, DistPrefillSweepSurvivesFullTaxonomy) {
     EXPECT_EQ(again.result.first_token, out.result.first_token) << tag;
   }
   EXPECT_GT(total_retries, 0);  // the taxonomy actually bit
+}
+
+// FNV-1a 64 over a value's bytes, chained through `h`.
+template <typename T>
+void fnv_mix(std::uint64_t& h, const T& v) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &v, sizeof(T));
+  for (const unsigned char b : bytes) {
+    h = (h ^ b) * 0x100000001b3ULL;
+  }
+}
+
+// Every field of every fault in `plan`, in declaration order.
+void fnv_mix_plan(std::uint64_t& h, const sim::FaultPlan& plan) {
+  fnv_mix(h, plan.crashes.size());
+  for (const auto& c : plan.crashes) {
+    fnv_mix(h, c.rank);
+    fnv_mix(h, c.at_time_s);
+    fnv_mix(h, c.at_step);
+  }
+  fnv_mix(h, plan.stragglers.size());
+  for (const auto& s : plan.stragglers) {
+    fnv_mix(h, s.rank);
+    fnv_mix(h, s.slowdown);
+    fnv_mix(h, s.from_time_s);
+  }
+  fnv_mix(h, plan.degradations.size());
+  for (const auto& d : plan.degradations) {
+    fnv_mix(h, d.src);
+    fnv_mix(h, d.dst);
+    fnv_mix(h, d.from_time_s);
+    fnv_mix(h, d.until_time_s);
+    fnv_mix(h, d.bandwidth_factor);
+    fnv_mix(h, d.extra_latency_s);
+  }
+  const auto mix_budgets = [&h](const auto& faults) {
+    fnv_mix(h, faults.size());
+    for (const auto& f : faults) {
+      fnv_mix(h, f.src);
+      fnv_mix(h, f.dst);
+      fnv_mix(h, f.count);
+      fnv_mix(h, f.from_time_s);
+    }
+  };
+  mix_budgets(plan.drops);
+  mix_budgets(plan.duplicates);
+  mix_budgets(plan.corruptions);
+}
+
+// make_chaos_plan's inclusion probabilities and per-category bounds are
+// constants of the generator. These hashes pin its output for seeds 0-15 on
+// one device and on four, plus a 1024-seed sweep on four: sixteen draws
+// rarely land between a probability's old and new value, a thousand do. So
+// changing any of those constants, or the draw order, fails here.
+TEST(ChaosPlan, SeedsMatchPinnedHashes) {
+  struct Pin {
+    int world;
+    std::uint64_t seeds;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {{1, 16, 0x32e499e6a815fd7bULL},
+                      {4, 16, 0x56d00eb0ce433011ULL},
+                      {4, 1024, 0xb3791a5adfe41d8eULL}};
+  for (const Pin& pin : pins) {
+    sim::ChaosSpec spec;
+    spec.world = pin.world;
+    spec.horizon_s = 0.25;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint64_t seed = 0; seed < pin.seeds; ++seed) {
+      fnv_mix_plan(h, sim::make_chaos_plan(seed, spec));
+    }
+    EXPECT_EQ(h, pin.hash) << "world " << pin.world << ", " << pin.seeds
+                           << " seeds";
+  }
 }
 
 }  // namespace

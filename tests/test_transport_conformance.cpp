@@ -415,7 +415,7 @@ TEST_P(TransportConformance, SendGivesUpAfterMaxAttempts) {
       } catch (const CommTimeoutError& e) {
         threw = e.peer() == 1;
       }
-      const auto attempts = comm.reliability().max_send_attempts;
+      const auto attempts = kMaxSendAttempts;
       ok[0] = (threw &&
                comm.retries() == static_cast<std::uint64_t>(attempts - 1))
                   ? 1
