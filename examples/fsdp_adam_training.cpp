@@ -7,7 +7,7 @@
 // gathered on the fly; gradients are reduce-scattered; Adam updates the
 // local shard only. Compare the printed per-device memory to what the
 // replicated setup would hold.
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <mutex>
 
@@ -19,64 +19,6 @@
 #include "obs/metrics.hpp"
 #include "sim/cluster.hpp"
 #include "tensor/rng.hpp"
-
-namespace {
-
-// Shard-only Adam: moments sized to the local shard tensors.
-class ShardAdam {
- public:
-  ShardAdam(const burst::model::FsdpShards& shards, float lr) : lr_(lr) {
-    visit(shards, [this](const burst::tensor::Tensor& t) {
-      m_.emplace_back(static_cast<std::size_t>(t.numel()), 0.0f);
-      v_.emplace_back(static_cast<std::size_t>(t.numel()), 0.0f);
-    });
-  }
-
-  void step(burst::model::FsdpShards& w,
-            const burst::model::FsdpShards& g) {
-    ++t_;
-    std::size_t idx = 0;
-    std::vector<burst::tensor::Tensor*> wt;
-    std::vector<const burst::tensor::Tensor*> gt;
-    visit(w, [&](burst::tensor::Tensor& t) { wt.push_back(&t); });
-    visit(g, [&](const burst::tensor::Tensor& t) { gt.push_back(&t); });
-    const float bc1 = 1.0f - std::pow(0.9f, static_cast<float>(t_));
-    const float bc2 = 1.0f - std::pow(0.999f, static_cast<float>(t_));
-    for (; idx < wt.size(); ++idx) {
-      auto& m = m_[idx];
-      auto& v = v_[idx];
-      for (std::int64_t i = 0; i < wt[idx]->numel(); ++i) {
-        const float grad = gt[idx]->data()[i];
-        const std::size_t si = static_cast<std::size_t>(i);
-        m[si] = 0.9f * m[si] + 0.1f * grad;
-        v[si] = 0.999f * v[si] + 0.001f * grad * grad;
-        wt[idx]->data()[i] -=
-            lr_ * (m[si] / bc1) / (std::sqrt(v[si] / bc2) + 1e-8f);
-      }
-    }
-  }
-
- private:
-  template <typename W, typename Fn>
-  static void visit(W& shards, Fn&& fn) {
-    for (auto& l : shards.layers) {
-      fn(l.wq);
-      fn(l.wk);
-      fn(l.wv);
-      fn(l.wo);
-      fn(l.w1);
-      fn(l.w2);
-    }
-    fn(shards.w_embed);
-    fn(shards.w_head);
-  }
-
-  float lr_;
-  int t_ = 0;
-  std::vector<std::vector<float>> m_, v_;
-};
-
-}  // namespace
 
 int main() {
   using namespace burst;
@@ -111,9 +53,9 @@ int main() {
   cluster.run([&](sim::DeviceContext& ctx) {
     comm::SimTransport comm_tp(ctx);
     comm::Communicator comm(comm_tp);
-    model::FsdpShards shards =
-        model::FsdpShards::shard(cfg, init, g, ctx.rank());
-    ShardAdam adam(shards, 0.02f);
+    model::FsdpShards shards = model::fsdp_shard(init, g, ctx.rank());
+    // Adam state sized to the local shards, held off-device.
+    model::AdamOptimizer adam(shards, {0.02f, /*offload=*/true}, &ctx.mem());
     for (int step = 0; step < 10; ++step) {
       auto r = model::fsdp_train_step(comm, dc, shards, tokens);
       adam.step(shards, r.grad_shards);
@@ -124,7 +66,8 @@ int main() {
     }
     if (ctx.rank() == 0) {
       std::lock_guard lock(mu);
-      shard_bytes = shards.shard_bytes();
+      shard_bytes =
+          2 * static_cast<std::uint64_t>(model::param_count(shards));
     }
   });
 

@@ -627,6 +627,36 @@ def quantized_hotpath(sf):
         )
 
 
+_LAYER_PARAM_RE = re.compile(r"(?:\.|->)\s*(wq|wk|wv|wo|w1|w2)\b")
+_LAYER_PARAMS = frozenset(["wq", "wk", "wv", "wo", "w1", "w2"])
+_PARAM_LIST_OWNERS = ("src/model/transformer.hpp", "src/model/transformer.cpp")
+
+
+@rule(
+    "one-param-list",
+    "one parameter list (DESIGN.md section 2): the model's parameter order "
+    "(per layer wq, wk, wv, wo, w1, w2, then w_embed, w_head) fixes the "
+    "Adam state layout, the training-snapshot bytes and the gradient "
+    "all-reduce sequence, so model/transformer.hpp states it once, in "
+    "for_each_param / for_each_layer_param; a function elsewhere in src/, "
+    "bench/ or examples/ that touches all six layer parameters restates it",
+    applies=lambda p: (
+        p.replace("\\", "/").split("/")[0] in ("src", "bench", "examples")
+        and not p.replace("\\", "/").endswith(_PARAM_LIST_OWNERS)
+    ),
+)
+def one_param_list(sf):
+    text = "\n".join(sf.code_lines)
+    for name, start, end, line in extract_functions(sf):
+        seen = {m.group(1) for m in _LAYER_PARAM_RE.finditer(text, start, end)}
+        if seen >= _LAYER_PARAMS:
+            yield line, (
+                f"`{name}` spells out the parameter list (.wq .wk .wv .wo "
+                ".w1 .w2); walk it with model::for_each_param or "
+                "for_each_layer_param (model/transformer.hpp)"
+            )
+
+
 # ==========================================================================
 # Tier 2: whole-program analyses over a ProgramModel
 # ==========================================================================

@@ -98,6 +98,12 @@ class TestRuleDetection(unittest.TestCase):
         # module's .cpp, one only read elsewhere, and Reliability's.
         self.assert_rule_fires("src/sim/bad_options.hpp", "unset-option", 4)
 
+    def test_one_param_list(self):
+        # All six layer parameters through `.`, through `->`, and in a
+        # member function defined inside its class.
+        self.assert_rule_fires(
+            "src/model/bad_param_list.cpp", "one-param-list", 3)
+
     def test_malformed_directives(self):
         self.assert_rule_fires("src/sim/bad_directive.cpp", "lint-directive", 2)
 
@@ -188,6 +194,39 @@ class TestSuppressionAndNoise(unittest.TestCase):
                     f.write(body)
                 rc, _, err = run_lint(["--root", tmp, path])
                 self.assertEqual(rc, 0, f"{'/'.join(rel)} flagged:\n{err}")
+
+    def test_one_param_list_spares_split_lists(self):
+        # Lists split across functions, names in comments and strings,
+        # lookalike members and the visitor itself are all clean.
+        rc, _, err = lint_fixture("src/model/good_param_list.cpp")
+        self.assertEqual(rc, 0, f"clean parameter walks flagged:\n{err}")
+
+    def test_one_param_list_scoped_to_non_owners(self):
+        # transformer.{hpp,cpp} own the list and tests/ may spell it out;
+        # the same body anywhere else in src/, bench/ or examples/ fires.
+        with open(os.path.join(FIXTURES, "src", "model",
+                               "bad_param_list.cpp")) as f:
+            body = f.read()
+        for rel, expect_rc in (
+                (("src", "model", "transformer.cpp"), 0),
+                (("src", "model", "transformer.hpp"), 0),
+                (("tests", "test_params.cpp"), 0),
+                (("src", "resilience", "codec.cpp"), 1),
+                (("bench", "bench_params.cpp"), 1),
+                (("examples", "params.cpp"), 1)):
+            with tempfile.TemporaryDirectory() as tmp:
+                d = os.path.join(tmp, *rel[:-1])
+                os.makedirs(d)
+                path = os.path.join(d, rel[-1])
+                with open(path, "w") as f:
+                    f.write(body)
+                # Per-file tier only: in a header, orphan-decl would flag
+                # the fixture's uncalled functions.
+                rc, _, err = run_lint(
+                    ["--root", tmp, "--no-analyses", path])
+                self.assertEqual(rc, expect_rc, f"{'/'.join(rel)}:\n{err}")
+                if expect_rc:
+                    self.assertIn("[one-param-list]", err)
 
     def test_orphan_decl_counts_every_tree_as_a_use(self):
         # A function named only by tests/, only by bench/, or only by the

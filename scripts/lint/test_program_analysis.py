@@ -106,6 +106,8 @@ class TestAnalysisFixtures(unittest.TestCase):
         for name in ("layer-dag", "lock-order", "error-flow", "orphan-decl",
                      "unset-option"):
             self.assertIn(f"{name} [whole-program]:", out)
+        # Per-file rules print without the tier marker.
+        self.assertIn("\none-param-list: ", out)
 
 
 class TestSuppression(unittest.TestCase):

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -532,18 +533,12 @@ DistStepResult dist_train_step(comm::Communicator& comm,
   // average of local means; gradient scale follows.
   DistStepResult out;
   out.grads = ModelGrads::zeros(m);
+  std::vector<int> world(static_cast<std::size_t>(g));
+  std::iota(world.begin(), world.end(), 0);
   const float inv_g = 1.0f / static_cast<float>(g);
   Tensor loss_t(1, 1);
   loss_t(0, 0) = static_cast<float>(lm.loss) * inv_g;
-  comm.all_reduce_group_inplace(
-      [&] {
-        std::vector<int> world(static_cast<std::size_t>(g));
-        for (int r = 0; r < g; ++r) {
-          world[static_cast<std::size_t>(r)] = r;
-        }
-        return world;
-      }(),
-      loss_t);
+  comm.all_reduce_group_inplace(world, loss_t);
   out.loss = loss_t(0, 0);
 
   out.grads.w_head = std::move(lm.dw);
@@ -564,20 +559,9 @@ DistStepResult dist_train_step(comm::Communicator& comm,
   if (!cfg.sync_grads) {
     return out;  // caller reduce-scatters (FSDP)
   }
-  std::vector<int> world(static_cast<std::size_t>(g));
-  for (int r = 0; r < g; ++r) {
-    world[static_cast<std::size_t>(r)] = r;
-  }
-  for (auto& lg : out.grads.layers) {
-    comm.all_reduce_group_inplace(world, lg.wq);
-    comm.all_reduce_group_inplace(world, lg.wk);
-    comm.all_reduce_group_inplace(world, lg.wv);
-    comm.all_reduce_group_inplace(world, lg.wo);
-    comm.all_reduce_group_inplace(world, lg.w1);
-    comm.all_reduce_group_inplace(world, lg.w2);
-  }
-  comm.all_reduce_group_inplace(world, out.grads.w_embed);
-  comm.all_reduce_group_inplace(world, out.grads.w_head);
+  for_each_param(
+      [&](Tensor& grad) { comm.all_reduce_group_inplace(world, grad); },
+      out.grads);
   return out;
 }
 

@@ -1,10 +1,9 @@
 #include "model/fsdp.hpp"
 
-#include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "sim/phase_metrics.hpp"
-#include "tensor/ops.hpp"
 
 namespace burst::model {
 
@@ -24,103 +23,28 @@ Tensor shard_of(const Tensor& full, int world, int rank) {
 
 }  // namespace
 
-FsdpShards FsdpShards::shard(const ModelConfig& cfg, const ModelWeights& full,
-                             int world, int rank) {
-  (void)cfg;
+FsdpShards fsdp_shard(const ModelWeights& full, int world, int rank) {
   FsdpShards s;
-  for (const auto& l : full.layers) {
-    LayerWeights lw;
-    lw.wq = shard_of(l.wq, world, rank);
-    lw.wk = shard_of(l.wk, world, rank);
-    lw.wv = shard_of(l.wv, world, rank);
-    lw.wo = shard_of(l.wo, world, rank);
-    lw.w1 = shard_of(l.w1, world, rank);
-    lw.w2 = shard_of(l.w2, world, rank);
-    s.layers.push_back(std::move(lw));
-  }
-  s.w_embed = shard_of(full.w_embed, world, rank);
-  s.w_head = shard_of(full.w_head, world, rank);
+  s.layers.resize(full.layers.size());
+  for_each_param(
+      [world, rank](Tensor& shard, const Tensor& t) {
+        shard = shard_of(t, world, rank);
+      },
+      s, full);
   return s;
 }
 
-std::uint64_t FsdpShards::shard_bytes() const {
-  std::uint64_t total = 0;
-  const auto add = [&total](const Tensor& t) {
-    total += static_cast<std::uint64_t>(t.numel()) * 2;
-  };
-  for (const auto& l : layers) {
-    add(l.wq);
-    add(l.wk);
-    add(l.wv);
-    add(l.wo);
-    add(l.w1);
-    add(l.w2);
-  }
-  add(w_embed);
-  add(w_head);
-  return total;
-}
-
-LayerWeights fsdp_gather_layer(comm::Communicator& comm,
-                               const FsdpShards& shards, std::int64_t layer) {
-  sim::ScopedPhaseMetrics phase(comm.transport(), "fsdp.gather");
-  const auto& l = shards.layers[static_cast<std::size_t>(layer)];
-  LayerWeights full;
-  full.wq = comm.all_gather_rows(l.wq);
-  full.wk = comm.all_gather_rows(l.wk);
-  full.wv = comm.all_gather_rows(l.wv);
-  full.wo = comm.all_gather_rows(l.wo);
-  full.w1 = comm.all_gather_rows(l.w1);
-  full.w2 = comm.all_gather_rows(l.w2);
-  return full;
-}
-
-Tensor fsdp_gather_embed(comm::Communicator& comm, const FsdpShards& shards) {
-  sim::ScopedPhaseMetrics phase(comm.transport(), "fsdp.gather");
-  return comm.all_gather_rows(shards.w_embed);
-}
-
-Tensor fsdp_gather_head(comm::Communicator& comm, const FsdpShards& shards) {
-  sim::ScopedPhaseMetrics phase(comm.transport(), "fsdp.gather");
-  return comm.all_gather_rows(shards.w_head);
-}
-
 FsdpShards fsdp_reduce_scatter_grads(comm::Communicator& comm,
-                                     const ModelConfig& cfg,
                                      const ModelGrads& full) {
-  (void)cfg;
   sim::ScopedPhaseMetrics phase(comm.transport(), "fsdp.reduce_scatter");
   FsdpShards out;
-  for (const auto& l : full.layers) {
-    LayerWeights lw;
-    lw.wq = comm.reduce_scatter_rows(l.wq);
-    lw.wk = comm.reduce_scatter_rows(l.wk);
-    lw.wv = comm.reduce_scatter_rows(l.wv);
-    lw.wo = comm.reduce_scatter_rows(l.wo);
-    lw.w1 = comm.reduce_scatter_rows(l.w1);
-    lw.w2 = comm.reduce_scatter_rows(l.w2);
-    out.layers.push_back(std::move(lw));
-  }
-  out.w_embed = comm.reduce_scatter_rows(full.w_embed);
-  out.w_head = comm.reduce_scatter_rows(full.w_head);
+  out.layers.resize(full.layers.size());
+  for_each_param(
+      [&comm](Tensor& shard, const Tensor& g) {
+        shard = comm.reduce_scatter_rows(g);
+      },
+      out, full);
   return out;
-}
-
-void fsdp_apply_sgd(FsdpShards& shards, const FsdpShards& grad_shards,
-                    float lr) {
-  const auto step = [lr](Tensor& w, const Tensor& g) {
-    tensor::axpy(-lr, g, w);
-  };
-  for (std::size_t l = 0; l < shards.layers.size(); ++l) {
-    step(shards.layers[l].wq, grad_shards.layers[l].wq);
-    step(shards.layers[l].wk, grad_shards.layers[l].wk);
-    step(shards.layers[l].wv, grad_shards.layers[l].wv);
-    step(shards.layers[l].wo, grad_shards.layers[l].wo);
-    step(shards.layers[l].w1, grad_shards.layers[l].w1);
-    step(shards.layers[l].w2, grad_shards.layers[l].w2);
-  }
-  step(shards.w_embed, grad_shards.w_embed);
-  step(shards.w_head, grad_shards.w_head);
 }
 
 FsdpStepResult fsdp_train_step(comm::Communicator& comm, DistTrainConfig cfg,
@@ -135,19 +59,31 @@ FsdpStepResult fsdp_train_step(comm::Communicator& comm, DistTrainConfig cfg,
   DistStepResult r = dist_train_step(comm, cfg, gathered, tokens);
   FsdpStepResult out;
   out.loss = r.loss;
-  out.grad_shards = fsdp_reduce_scatter_grads(comm, cfg.model, r.grads);
+  out.grad_shards = fsdp_reduce_scatter_grads(comm, r.grads);
   return out;
 }
 
 ModelWeights fsdp_gather_all(comm::Communicator& comm,
                              const FsdpShards& shards) {
+  // One fsdp.gather phase per block (BMTrain's granularity), one for the
+  // embedding and one for the LM head.
+  const auto gather = [&comm](Tensor& full, const Tensor& shard) {
+    full = comm.all_gather_rows(shard);
+  };
   ModelWeights full;
+  full.layers.resize(shards.layers.size());
   for (std::size_t l = 0; l < shards.layers.size(); ++l) {
-    full.layers.push_back(
-        fsdp_gather_layer(comm, shards, static_cast<std::int64_t>(l)));
+    sim::ScopedPhaseMetrics phase(comm.transport(), "fsdp.gather");
+    for_each_layer_param(gather, full.layers[l], shards.layers[l]);
   }
-  full.w_embed = fsdp_gather_embed(comm, shards);
-  full.w_head = fsdp_gather_head(comm, shards);
+  {
+    sim::ScopedPhaseMetrics phase(comm.transport(), "fsdp.gather");
+    gather(full.w_embed, shards.w_embed);
+  }
+  {
+    sim::ScopedPhaseMetrics phase(comm.transport(), "fsdp.gather");
+    gather(full.w_head, shards.w_head);
+  }
   return full;
 }
 

@@ -14,46 +14,24 @@
 #pragma once
 
 #include "comm/communicator.hpp"
-#include "model/config.hpp"
 #include "model/dist_model.hpp"
 #include "model/transformer.hpp"
 
 namespace burst::model {
 
 /// This device's row-shards of every parameter tensor.
-struct FsdpShards {
-  std::vector<LayerWeights> layers;  // row-sharded tensors
-  tensor::Tensor w_embed;
-  tensor::Tensor w_head;
+using FsdpShards = ModelWeights;
 
-  /// Slices `full` into this rank's shards (every rank calls with identical
-  /// `full`, e.g. from a shared initialization seed).
-  static FsdpShards shard(const ModelConfig& cfg, const ModelWeights& full,
-                          int world, int rank);
-
-  /// Bytes this device holds permanently (as-if bf16).
-  std::uint64_t shard_bytes() const;
-};
-
-/// Materializes one layer's full weights via all-gather (block-level FSDP).
-LayerWeights fsdp_gather_layer(comm::Communicator& comm,
-                               const FsdpShards& shards, std::int64_t layer);
-
-/// Materializes the embedding / LM-head weights.
-tensor::Tensor fsdp_gather_embed(comm::Communicator& comm,
-                                 const FsdpShards& shards);
-tensor::Tensor fsdp_gather_head(comm::Communicator& comm,
-                                const FsdpShards& shards);
+/// Slices `full` into this rank's shards (every rank calls with identical
+/// `full`, e.g. from a shared initialization seed). Throws
+/// std::invalid_argument when a tensor's rows do not divide by `world`.
+/// The shards permanently take 2 * param_count(shards) bytes (as-if bf16).
+FsdpShards fsdp_shard(const ModelWeights& full, int world, int rank);
 
 /// Reduce-scatters full gradients; returns this rank's gradient shards
-/// (summed over devices, same layout as FsdpShards).
+/// (summed over devices).
 FsdpShards fsdp_reduce_scatter_grads(comm::Communicator& comm,
-                                     const ModelConfig& cfg,
                                      const ModelGrads& full);
-
-/// SGD on the local shards: shard -= lr * grad_shard.
-void fsdp_apply_sgd(FsdpShards& shards, const FsdpShards& grad_shards,
-                    float lr);
 
 /// Rebuilds the full replicated weights (for evaluation / tests).
 ModelWeights fsdp_gather_all(comm::Communicator& comm,
@@ -65,8 +43,8 @@ struct FsdpStepResult {
 };
 
 /// One FSDP training step: gather parameters, run the distributed step with
-/// gradient synchronization disabled, reduce-scatter the gradients. Combine
-/// with fsdp_apply_sgd (or a sharded optimizer) to update the local shards.
+/// gradient synchronization disabled, reduce-scatter the gradients. Update
+/// the local shards with apply_sgd or an AdamOptimizer built on them.
 FsdpStepResult fsdp_train_step(comm::Communicator& comm,
                                DistTrainConfig cfg, const FsdpShards& shards,
                                const tensor::Tensor& tokens);

@@ -13,31 +13,11 @@ constexpr float kBeta1 = 0.9f;
 constexpr float kBeta2 = 0.999f;
 constexpr float kEps = 1e-8f;
 
-// Visits every parameter tensor of the model in a fixed order so the
-// optimizer state layout is stable.
-template <typename W, typename Fn>
-void for_each_tensor(W& weights, Fn&& fn) {
-  for (auto& l : weights.layers) {
-    fn(l.wq);
-    fn(l.wk);
-    fn(l.wv);
-    fn(l.wo);
-    fn(l.w1);
-    fn(l.w2);
-  }
-  fn(weights.w_embed);
-  fn(weights.w_head);
-}
-
 }  // namespace
 
 AdamOptimizer::AdamOptimizer(const ModelWeights& weights,
                              const AdamConfig& cfg, sim::MemoryTracker* mem)
-    : cfg_(cfg), mem_(mem) {
-  num_params_ = 0;
-  for_each_tensor(weights, [this](const tensor::Tensor& t) {
-    num_params_ += t.numel();
-  });
+    : cfg_(cfg), num_params_(param_count(weights)), mem_(mem) {
   m_.assign(static_cast<std::size_t>(num_params_), 0.0f);
   v_.assign(static_cast<std::size_t>(num_params_), 0.0f);
   if (mem_ != nullptr && !cfg_.offload) {
@@ -85,16 +65,12 @@ void AdamOptimizer::restore_state(const AdamState& s) {
 void AdamOptimizer::step(ModelWeights& w, const ModelGrads& g) {
   ++t_;
   std::size_t offset = 0;
-  std::size_t gi = 0;
-  std::vector<tensor::Tensor*> wt;
-  std::vector<const tensor::Tensor*> gt;
-  for_each_tensor(w, [&](tensor::Tensor& t) { wt.push_back(&t); });
-  for_each_tensor(g, [&](const tensor::Tensor& t) { gt.push_back(&t); });
-  assert(wt.size() == gt.size());
-  for (; gi < wt.size(); ++gi) {
-    update_tensor(*wt[gi], *gt[gi], offset);
-    offset += static_cast<std::size_t>(wt[gi]->numel());
-  }
+  for_each_param(
+      [&](tensor::Tensor& wt, const tensor::Tensor& gt) {
+        update_tensor(wt, gt, offset);
+        offset += static_cast<std::size_t>(wt.numel());
+      },
+      w, g);
   assert(offset == static_cast<std::size_t>(num_params_));
 }
 

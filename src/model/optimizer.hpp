@@ -23,9 +23,10 @@ struct AdamConfig {
 };
 
 /// Complete serializable optimizer state: the step counter and both moment
-/// vectors in the fixed for-each-tensor layout. Snapshot/restore support
-/// for fault-tolerant training (src/resilience/snapshot.hpp) — restoring
-/// makes subsequent steps bitwise identical to an uninterrupted run.
+/// vectors in for_each_param order (model/transformer.hpp). Snapshot/restore
+/// support for fault-tolerant training (src/resilience/snapshot.hpp) —
+/// restoring makes subsequent steps bitwise identical to an uninterrupted
+/// run.
 struct AdamState {
   int t = 0;
   std::vector<float> m;

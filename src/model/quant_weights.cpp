@@ -16,12 +16,11 @@ PackedWeights PackedWeights::pack(const ModelConfig& cfg,
   for (const LayerWeights& lw : w.layers) {
     Layer l;
     // Every projection is consumed as x @ W, so op(B) = W (no transpose).
-    l.wq = PackedB::pack(lw.wq.view(), Trans::No, dt);
-    l.wk = PackedB::pack(lw.wk.view(), Trans::No, dt);
-    l.wv = PackedB::pack(lw.wv.view(), Trans::No, dt);
-    l.wo = PackedB::pack(lw.wo.view(), Trans::No, dt);
-    l.w1 = PackedB::pack(lw.w1.view(), Trans::No, dt);
-    l.w2 = PackedB::pack(lw.w2.view(), Trans::No, dt);
+    for_each_layer_param(
+        [dt](PackedB& p, const tensor::Tensor& t) {
+          p = PackedB::pack(t.view(), Trans::No, dt);
+        },
+        l, lw);
     q.layers.push_back(std::move(l));
   }
   // The head is consumed as h @ W_head^T: resolving the transpose at pack
@@ -35,8 +34,8 @@ PackedWeights PackedWeights::pack(const ModelConfig& cfg,
 std::uint64_t PackedWeights::model_bytes() const {
   std::uint64_t total = w_head_t.model_bytes();
   for (const Layer& l : layers) {
-    total += l.wq.model_bytes() + l.wk.model_bytes() + l.wv.model_bytes() +
-             l.wo.model_bytes() + l.w1.model_bytes() + l.w2.model_bytes();
+    for_each_layer_param(
+        [&total](const PackedB& p) { total += p.model_bytes(); }, l);
   }
   return total;
 }

@@ -44,75 +44,51 @@ ModelWeights ModelWeights::init(const ModelConfig& cfg, std::uint64_t seed) {
   return w;
 }
 
-LayerGrads LayerGrads::zeros(const ModelConfig& cfg) {
-  LayerGrads g;
-  g.wq = Tensor::zeros(cfg.d_model, cfg.d_model);
-  g.wk = Tensor::zeros(cfg.d_model, cfg.d_kv());
-  g.wv = Tensor::zeros(cfg.d_model, cfg.d_kv());
-  g.wo = Tensor::zeros(cfg.d_model, cfg.d_model);
-  g.w1 = Tensor::zeros(cfg.d_model, cfg.d_ff);
-  g.w2 = Tensor::zeros(cfg.d_ff, cfg.d_model);
-  return g;
-}
-
-ModelGrads ModelGrads::zeros(const ModelConfig& cfg) {
-  ModelGrads g;
+ModelWeights ModelWeights::zeros(const ModelConfig& cfg) {
+  ModelWeights g;
   for (std::int64_t l = 0; l < cfg.layers; ++l) {
-    g.layers.push_back(LayerGrads::zeros(cfg));
+    LayerWeights lg;
+    lg.wq = Tensor::zeros(cfg.d_model, cfg.d_model);
+    lg.wk = Tensor::zeros(cfg.d_model, cfg.d_kv());
+    lg.wv = Tensor::zeros(cfg.d_model, cfg.d_kv());
+    lg.wo = Tensor::zeros(cfg.d_model, cfg.d_model);
+    lg.w1 = Tensor::zeros(cfg.d_model, cfg.d_ff);
+    lg.w2 = Tensor::zeros(cfg.d_ff, cfg.d_model);
+    g.layers.push_back(std::move(lg));
   }
   g.w_embed = Tensor::zeros(cfg.vocab, cfg.d_model);
   g.w_head = Tensor::zeros(cfg.vocab, cfg.d_model);
   return g;
 }
 
-void ModelGrads::add(const ModelGrads& other) {
-  assert(layers.size() == other.layers.size());
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    tensor::add_inplace(layers[l].wq, other.layers[l].wq);
-    tensor::add_inplace(layers[l].wk, other.layers[l].wk);
-    tensor::add_inplace(layers[l].wv, other.layers[l].wv);
-    tensor::add_inplace(layers[l].wo, other.layers[l].wo);
-    tensor::add_inplace(layers[l].w1, other.layers[l].w1);
-    tensor::add_inplace(layers[l].w2, other.layers[l].w2);
-  }
-  tensor::add_inplace(w_embed, other.w_embed);
-  tensor::add_inplace(w_head, other.w_head);
+void ModelWeights::add(const ModelWeights& other) {
+  for_each_param(
+      [](Tensor& t, const Tensor& o) { tensor::add_inplace(t, o); }, *this,
+      other);
 }
 
-float ModelGrads::max_abs() const {
+float ModelWeights::max_abs() const {
   float mx = 0.0f;
-  const auto upd = [&mx](const Tensor& t) {
-    for (std::int64_t i = 0; i < t.numel(); ++i) {
-      mx = std::max(mx, std::fabs(t.data()[i]));
-    }
-  };
-  for (const auto& l : layers) {
-    upd(l.wq);
-    upd(l.wk);
-    upd(l.wv);
-    upd(l.wo);
-    upd(l.w1);
-    upd(l.w2);
-  }
-  upd(w_embed);
-  upd(w_head);
+  for_each_param(
+      [&mx](const Tensor& t) {
+        for (std::int64_t i = 0; i < t.numel(); ++i) {
+          mx = std::max(mx, std::fabs(t.data()[i]));
+        }
+      },
+      *this);
   return mx;
 }
 
+std::int64_t param_count(const ModelWeights& w) {
+  std::int64_t n = 0;
+  for_each_param([&n](const Tensor& t) { n += t.numel(); }, w);
+  return n;
+}
+
 void apply_sgd(ModelWeights& w, const ModelGrads& g, float lr) {
-  const auto step = [lr](Tensor& t, const Tensor& grad) {
-    tensor::axpy(-lr, grad, t);
-  };
-  for (std::size_t l = 0; l < w.layers.size(); ++l) {
-    step(w.layers[l].wq, g.layers[l].wq);
-    step(w.layers[l].wk, g.layers[l].wk);
-    step(w.layers[l].wv, g.layers[l].wv);
-    step(w.layers[l].wo, g.layers[l].wo);
-    step(w.layers[l].w1, g.layers[l].w1);
-    step(w.layers[l].w2, g.layers[l].w2);
-  }
-  step(w.w_embed, g.w_embed);
-  step(w.w_head, g.w_head);
+  for_each_param(
+      [lr](Tensor& t, const Tensor& grad) { tensor::axpy(-lr, grad, t); }, w,
+      g);
 }
 
 namespace {

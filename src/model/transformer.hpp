@@ -10,6 +10,8 @@
 // training example.
 #pragma once
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -27,29 +29,54 @@ struct LayerWeights {
   tensor::Tensor w2;              // [d_ff, d]
 };
 
+/// The model's parameters. Gradients and FSDP shards (model/fsdp.hpp) hold
+/// one tensor per parameter too, so they are the same type.
 struct ModelWeights {
   std::vector<LayerWeights> layers;
   tensor::Tensor w_embed;  // [vocab, d]
   tensor::Tensor w_head;   // [vocab, d]
 
   static ModelWeights init(const ModelConfig& cfg, std::uint64_t seed);
-};
-
-struct LayerGrads {
-  tensor::Tensor wq, wk, wv, wo, w1, w2;
-  static LayerGrads zeros(const ModelConfig& cfg);
-};
-
-struct ModelGrads {
-  std::vector<LayerGrads> layers;
-  tensor::Tensor w_embed;
-  tensor::Tensor w_head;
-
-  static ModelGrads zeros(const ModelConfig& cfg);
-  void add(const ModelGrads& other);
-  /// Largest |g| across all parameters (for comparisons / step sanity).
+  /// Every parameter shaped for `cfg`, all zero (a gradient accumulator).
+  static ModelWeights zeros(const ModelConfig& cfg);
+  void add(const ModelWeights& other);
+  /// Largest |x| across all parameters (for comparisons / step sanity).
   float max_abs() const;
 };
+
+using LayerGrads = LayerWeights;
+using ModelGrads = ModelWeights;
+
+/// The parameter order, stated once: per layer wq, wk, wv, wo, w1, w2, then
+/// w_embed, then w_head. It fixes the Adam state layout, the training
+/// snapshot bytes and the gradient all-reduce sequence, so every
+/// per-parameter loop walks through these two visitors. Each call passes
+/// the same parameter of `l` and of every `ls` (which may be any struct
+/// with the six layer members, e.g. PackedWeights::Layer).
+template <typename Fn, typename L, typename... Ls>
+void for_each_layer_param(Fn&& fn, L& l, Ls&... ls) {
+  fn(l.wq, ls.wq...);
+  fn(l.wk, ls.wk...);
+  fn(l.wv, ls.wv...);
+  fn(l.wo, ls.wo...);
+  fn(l.w1, ls.w1...);
+  fn(l.w2, ls.w2...);
+}
+
+/// Every layer's parameters in order, then w_embed, then w_head. All
+/// models must have the same number of layers.
+template <typename Fn, typename W, typename... Ws>
+void for_each_param(Fn&& fn, W& w, Ws&... ws) {
+  assert(((ws.layers.size() == w.layers.size()) && ...));
+  for (std::size_t l = 0; l < w.layers.size(); ++l) {
+    for_each_layer_param(fn, w.layers[l], ws.layers[l]...);
+  }
+  fn(w.w_embed, ws.w_embed...);
+  fn(w.w_head, ws.w_head...);
+}
+
+/// Number of scalar parameters in `w`.
+std::int64_t param_count(const ModelWeights& w);
 
 /// SGD update: w -= lr * g.
 void apply_sgd(ModelWeights& w, const ModelGrads& g, float lr);

@@ -81,6 +81,7 @@ ResilienceReport resilient_train_loop(const ResilienceConfig& cfg,
   AdamOptimizer opt(weights, cfg.adam);
   Rng data_rng(kDataSeed);
   SnapshotManager snaps(cfg.snapshot_dir, kKeepLast);
+  snaps.require_empty();
   auto cluster = std::make_unique<Cluster>(cfg.cluster);
   std::vector<int> dead_ranks;
 

@@ -113,25 +113,19 @@ std::vector<unsigned char> read_checked_blob(const std::string& path) {
 
 bool bitwise_equal(const model::ModelWeights& a,
                    const model::ModelWeights& b) {
-  const auto tensor_eq = [](const tensor::Tensor& x, const tensor::Tensor& y) {
-    return x.shape() == y.shape() &&
-           std::memcmp(x.data(), y.data(),
-                       static_cast<std::size_t>(x.numel()) * sizeof(float)) ==
-               0;
-  };
   if (a.layers.size() != b.layers.size()) {
     return false;
   }
-  for (std::size_t i = 0; i < a.layers.size(); ++i) {
-    const auto& la = a.layers[i];
-    const auto& lb = b.layers[i];
-    if (!tensor_eq(la.wq, lb.wq) || !tensor_eq(la.wk, lb.wk) ||
-        !tensor_eq(la.wv, lb.wv) || !tensor_eq(la.wo, lb.wo) ||
-        !tensor_eq(la.w1, lb.w1) || !tensor_eq(la.w2, lb.w2)) {
-      return false;
-    }
-  }
-  return tensor_eq(a.w_embed, b.w_embed) && tensor_eq(a.w_head, b.w_head);
+  bool equal = true;
+  model::for_each_param(
+      [&equal](const tensor::Tensor& x, const tensor::Tensor& y) {
+        equal = equal && x.shape() == y.shape() &&
+                std::memcmp(x.data(), y.data(),
+                            static_cast<std::size_t>(x.numel()) *
+                                sizeof(float)) == 0;
+      },
+      a, b);
+  return equal;
 }
 
 std::vector<unsigned char> TrainSnapshotCodec::encode(
@@ -147,16 +141,8 @@ std::vector<unsigned char> TrainSnapshotCodec::encode(
   w.f32s(snap.adam.m.data(), snap.adam.m.size());
   w.f32s(snap.adam.v.data(), snap.adam.v.size());
   w.u64(snap.weights.layers.size());
-  for (const auto& l : snap.weights.layers) {
-    w.tensor(l.wq);
-    w.tensor(l.wk);
-    w.tensor(l.wv);
-    w.tensor(l.wo);
-    w.tensor(l.w1);
-    w.tensor(l.w2);
-  }
-  w.tensor(snap.weights.w_embed);
-  w.tensor(snap.weights.w_head);
+  model::for_each_param([&w](const tensor::Tensor& t) { w.tensor(t); },
+                        snap.weights);
   return w.take();
 }
 
@@ -178,16 +164,8 @@ TrainSnapshot TrainSnapshotCodec::decode(
   r.f32s(snap.adam.m.data(), n);
   r.f32s(snap.adam.v.data(), n);
   snap.weights.layers.resize(r.count(6 * tensor::kMinTensorBytes));
-  for (auto& l : snap.weights.layers) {
-    l.wq = r.tensor();
-    l.wk = r.tensor();
-    l.wv = r.tensor();
-    l.wo = r.tensor();
-    l.w1 = r.tensor();
-    l.w2 = r.tensor();
-  }
-  snap.weights.w_embed = r.tensor();
-  snap.weights.w_head = r.tensor();
+  model::for_each_param([&r](tensor::Tensor& t) { t = r.tensor(); },
+                        snap.weights);
   r.finish();
   return snap;
 }
@@ -234,6 +212,15 @@ std::vector<std::string> SnapshotDir::list() const {
     paths.push_back(std::move(path));
   }
   return paths;
+}
+
+void SnapshotDir::require_empty() const {
+  const std::vector<std::string> stale = list();
+  if (!stale.empty()) {
+    throw SnapshotIoError("snapshot directory " + dir_ +
+                          " already holds " + stale.front() +
+                          " from another run; start from an empty directory");
+  }
 }
 
 }  // namespace burst::resilience

@@ -111,6 +111,12 @@ class SnapshotDir {
   /// Snapshot file paths in the directory, oldest first.
   std::vector<std::string> list() const;
 
+  /// Throws SnapshotIoError naming the oldest snapshot file when the
+  /// directory already holds one. A supervisor calls this before its first
+  /// save: retention would prune its own fresh snapshots in favour of
+  /// another run's higher-numbered ones, and a recovery would restore them.
+  void require_empty() const;
+
  protected:
   /// Atomically writes <prefix><sequence>.bin, then prunes the oldest files
   /// beyond keep_last. Returns the bytes written.

@@ -112,6 +112,7 @@ ResilientServeReport serve_with_recovery(Engine& engine,
   std::optional<ServeSnapshotManager> mgr;
   if (!cfg.snapshot_dir.empty()) {
     mgr.emplace(cfg.snapshot_dir, kKeepLast);
+    mgr->require_empty();
   }
   std::vector<unsigned char> mem_blob;  // diskless latest checkpoint
 

@@ -31,7 +31,7 @@ TEST(Fsdp, ShardGatherRoundTrip) {
   cluster.run([&](DeviceContext& ctx) {
     comm::SimTransport comm_tp(ctx);
     comm::Communicator comm(comm_tp);
-    FsdpShards shards = FsdpShards::shard(cfg, full, g, ctx.rank());
+    FsdpShards shards = fsdp_shard(full, g, ctx.rank());
     ModelWeights rebuilt = fsdp_gather_all(comm, shards);
     float e = tensor::max_abs_diff(rebuilt.layers[0].wq, full.layers[0].wq);
     e = std::max(e, tensor::max_abs_diff(rebuilt.w_head, full.w_head));
@@ -48,7 +48,7 @@ TEST(Fsdp, ShardBytesAreOneGth) {
   ModelConfig cfg = ModelConfig::toy();
   ModelWeights full = ModelWeights::init(cfg, 7);
   const int g = 4;
-  FsdpShards s0 = FsdpShards::shard(cfg, full, g, 0);
+  FsdpShards s0 = fsdp_shard(full, g, 0);
   std::uint64_t full_bytes = 0;
   for (const auto& l : full.layers) {
     full_bytes += static_cast<std::uint64_t>(
@@ -59,14 +59,14 @@ TEST(Fsdp, ShardBytesAreOneGth) {
   full_bytes +=
       static_cast<std::uint64_t>(full.w_embed.numel() + full.w_head.numel()) *
       2;
-  EXPECT_EQ(s0.shard_bytes(), full_bytes / g);
+  EXPECT_EQ(2 * static_cast<std::uint64_t>(param_count(s0)), full_bytes / g);
 }
 
 TEST(Fsdp, IndivisibleRowsThrow) {
   ModelConfig cfg = ModelConfig::toy();
   cfg.vocab = 63;  // not divisible by 4
   ModelWeights full = ModelWeights::init(cfg, 9);
-  EXPECT_THROW(FsdpShards::shard(cfg, full, 4, 0), std::invalid_argument);
+  EXPECT_THROW(fsdp_shard(full, 4, 0), std::invalid_argument);
 }
 
 // The flagship: multi-step FSDP training tracks replicated training exactly.
@@ -108,10 +108,10 @@ TEST(Fsdp, TrainingTrajectoryMatchesReplicated) {
   cluster.run([&](DeviceContext& ctx) {
     comm::SimTransport comm_tp(ctx);
     comm::Communicator comm(comm_tp);
-    FsdpShards shards = FsdpShards::shard(cfg, init, g, ctx.rank());
+    FsdpShards shards = fsdp_shard(init, g, ctx.rank());
     for (int step = 0; step < 3; ++step) {
       auto r = fsdp_train_step(comm, dc, shards, tokens);
-      fsdp_apply_sgd(shards, r.grad_shards, lr);
+      apply_sgd(shards, r.grad_shards, lr);
       if (ctx.rank() == 0) {
         std::lock_guard lock(mu);
         fsdp_losses.push_back(r.loss);
@@ -168,7 +168,7 @@ TEST(Fsdp, GradShardsSumAcrossDevices) {
   cluster.run([&](DeviceContext& ctx) {
     comm::SimTransport comm_tp(ctx);
     comm::Communicator comm(comm_tp);
-    FsdpShards shards = FsdpShards::shard(cfg, w, g, ctx.rank());
+    FsdpShards shards = fsdp_shard(w, g, ctx.rank());
     auto r = fsdp_train_step(comm, dc, shards, tokens);
     const std::int64_t m = ref.layers[0].wq.rows() / g;
     Tensor expected = ref.layers[0].wq.copy_rows(ctx.rank() * m, m);

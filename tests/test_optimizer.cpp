@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
+#include "model/fsdp.hpp"
 #include "sim/memory.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
@@ -160,6 +162,55 @@ TEST(Adam, ThreeStepsMatchPinnedHash) {
   fnv_mix_floats(h, st.m.data(), static_cast<std::int64_t>(st.m.size()));
   fnv_mix_floats(h, st.v.data(), static_cast<std::int64_t>(st.v.size()));
   EXPECT_EQ(h, 0x68e439cc25229b58ULL);
+}
+
+// FSDP runs Adam on each rank's row-shards. Adam is elementwise, so three
+// steps on rank r's shards of the weights and gradients must equal rank r's
+// shard of three steps on the full model, bit for bit.
+TEST(Adam, ShardedStepsEqualSlicesOfFullSteps) {
+  const ModelConfig cfg = ModelConfig::toy();
+  const ModelWeights init = ModelWeights::init(cfg, 23);
+  Rng rng(29);
+  std::vector<ModelGrads> grads;
+  for (int step = 0; step < 3; ++step) {
+    ModelGrads g = ModelGrads::zeros(cfg);
+    for_each_param(
+        [&rng](Tensor& t) {
+          for (std::int64_t i = 0; i < t.numel(); ++i) {
+            t.data()[i] = static_cast<float>(rng.next_gaussian());
+          }
+        },
+        g);
+    grads.push_back(std::move(g));
+  }
+  const AdamConfig ac{0.02f, /*offload=*/true};
+  ModelWeights full = init;
+  AdamOptimizer full_opt(full, ac);
+  for (const ModelGrads& g : grads) {
+    full_opt.step(full, g);
+  }
+
+  const int world = 4;
+  for (int rank = 0; rank < world; ++rank) {
+    FsdpShards shards = fsdp_shard(init, world, rank);
+    AdamOptimizer opt(shards, ac);
+    for (const ModelGrads& g : grads) {
+      opt.step(shards, fsdp_shard(g, world, rank));
+    }
+    const FsdpShards want = fsdp_shard(full, world, rank);
+    int mismatched = 0;
+    for_each_param(
+        [&mismatched](const Tensor& got, const Tensor& ref) {
+          const bool same =
+              got.shape() == ref.shape() &&
+              std::memcmp(got.data(), ref.data(),
+                          static_cast<std::size_t>(got.numel()) *
+                              sizeof(float)) == 0;
+          mismatched += same ? 0 : 1;
+        },
+        shards, want);
+    EXPECT_EQ(mismatched, 0) << "rank " << rank;
+  }
 }
 
 }  // namespace

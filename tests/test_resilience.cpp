@@ -9,6 +9,7 @@
 #include <cmath>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "resilience/driver.hpp"
 #include "resilience/snapshot.hpp"
@@ -213,6 +214,34 @@ TEST_F(ResilienceTest, RecoveryBudgetExhaustedRethrows) {
 
   EXPECT_THROW(resilience::resilient_train_loop(faulty, init),
                sim::InjectedFaultError);
+}
+
+// A run must not recover from another run's snapshots. Retention prunes by
+// step number, so in a reused directory a new run's own step-0 snapshot is
+// pruned at once and a recovery restores the older run's newest one. The
+// supervisor refuses to start instead, names the stale file and deletes
+// nothing.
+TEST_F(ResilienceTest, RejectsSnapshotDirFromAnotherRun) {
+  const ModelWeights init = ModelWeights::init(ModelConfig::toy(), 21);
+  const ResilienceConfig first = base_config("shared");
+  ASSERT_EQ(resilience::resilient_train_loop(first, init).steps_completed, 8);
+  const std::vector<std::string> before =
+      resilience::SnapshotManager(first.snapshot_dir).list();
+  ASSERT_FALSE(before.empty());
+
+  ResilienceConfig second = base_config("shared");
+  sim::FaultPlan::CrashDevice crash;
+  crash.rank = 2;
+  crash.at_step = 3;
+  second.cluster.faults.crashes.push_back(crash);
+  try {
+    resilience::resilient_train_loop(second, init);
+    ADD_FAILURE() << "a run started on another run's snapshot directory";
+  } catch (const resilience::SnapshotIoError& e) {
+    EXPECT_NE(std::string(e.what()).find(before.front()), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(resilience::SnapshotManager(first.snapshot_dir).list(), before);
 }
 
 }  // namespace

@@ -389,6 +389,44 @@ TEST(ServeResilience, DurableCheckpointsSurviveOnDisk) {
   fs::remove_all(dir);
 }
 
+// The serving counterpart of ResilienceTest.RejectsSnapshotDirFromAnotherRun:
+// a crash must not resume from another run's checkpoints left in a reused
+// directory. The supervisor refuses to start, names the stale file and
+// deletes nothing.
+TEST(ServeResilience, RejectsSnapshotDirFromAnotherRun) {
+  const fs::path dir = fs::temp_directory_path() / "burst-serve-stale-test";
+  fs::remove_all(dir);
+  const ServeReport want = fault_free_baseline();
+
+  ServeResilienceConfig rc;
+  rc.checkpoint_every = 2;
+  rc.snapshot_dir = dir.string();
+  {
+    Engine engine(serve_toy(), toy_weights(), small_engine_config());
+    add_workload(engine);
+    ASSERT_TRUE(serve_with_recovery(engine, rc).recoveries.empty());
+  }
+  const std::vector<std::string> before =
+      ServeSnapshotManager(dir.string()).list();
+  ASSERT_FALSE(before.empty());
+
+  Engine engine(serve_toy(), toy_weights(), small_engine_config());
+  add_workload(engine);
+  sim::FaultPlan::CrashDevice crash;
+  crash.rank = 0;
+  crash.at_time_s = 0.5 * want.metrics.makespan_s;
+  rc.faults.crashes.push_back(crash);
+  try {
+    serve_with_recovery(engine, rc);
+    ADD_FAILURE() << "a run started on another run's checkpoint directory";
+  } catch (const resilience::SnapshotIoError& e) {
+    EXPECT_NE(std::string(e.what()).find(before.front()), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(ServeSnapshotManager(dir.string()).list(), before);
+  fs::remove_all(dir);
+}
+
 TEST(ServeResilience, BreakerFailsFastDuringRecovery) {
   const ServeReport base = fault_free_baseline();
   const double makespan = base.metrics.makespan_s;
