@@ -10,12 +10,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <utility>
 
 #include "kernels/flash_attention.hpp"
 #include "kernels/lm_head.hpp"
 #include "kernels/reference_attention.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/workspace.hpp"
 
@@ -170,33 +172,73 @@ void BM_LmHead(benchmark::State& state) {
 }
 BENCHMARK(BM_LmHead)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
-// Useful GFLOP/s of a single-thread causal forward over a 512-row shard:
-// the best of five timed batches of ten calls.
-double causal_forward_gflops(int map_kind) {
-  const std::int64_t n = 512;
-  const std::int64_t d = 32;
-  Rng rng(5);
-  Tensor q = rng.gaussian(n, d, 1.0f);
-  Tensor k = rng.gaussian(n, d, 1.0f);
-  Tensor v = rng.gaussian(n, d, 1.0f);
-  const IndexMap map = map_for(map_kind, n);
-  kernels::KernelStats stats;
-  // Warm-up grows the workspace and counts the useful FLOPs of one call.
-  kernels::flash_forward(q, map, k, v, map, MaskSpec::causal(), 0.2f, &stats);
-  constexpr int kCalls = 10;
-  double best = 1e30;
-  for (int rep = 0; rep < 5; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int c = 0; c < kCalls; ++c) {
-      auto r = kernels::flash_forward(q, map, k, v, map, MaskSpec::causal(),
-                                      0.2f);
-      benchmark::DoNotOptimize(r.o.data());
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+// Seconds for `calls` back-to-back runs of `fn`.
+template <typename Fn>
+double batch_seconds(int calls, Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int c = 0; c < calls; ++c) {
+    fn();
   }
-  return static_cast<double>(stats.flops) * kCalls / best / 1e9;
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(t1 - t0).count();
 }
+
+// A single-thread causal attention problem over a 512-row shard (d = 32),
+// timed in batches of ten forward or backward calls. Construction runs one
+// forward and one backward, which grows the workspace and counts the useful
+// FLOPs of one call of each.
+class CausalShard {
+ public:
+  static constexpr std::int64_t kN = 512;
+  static constexpr std::int64_t kD = 32;
+  static constexpr int kCalls = 10;
+
+  explicit CausalShard(int map_kind) : map_(map_for(map_kind, kN)) {
+    Rng rng(5);
+    q_ = rng.gaussian(kN, kD, 1.0f);
+    k_ = rng.gaussian(kN, kD, 1.0f);
+    v_ = rng.gaussian(kN, kD, 1.0f);
+    d_out_ = rng.gaussian(kN, kD, 1.0f);
+    kernels::KernelStats fwd_stats;
+    auto fwd = kernels::flash_forward(q_, map_, k_, v_, map_,
+                                      MaskSpec::causal(), 0.2f, &fwd_stats);
+    fwd_flops_ = static_cast<double>(fwd_stats.flops);
+    lse_ = std::move(fwd.lse);
+    dvec_ = kernels::attention_dvec(d_out_, fwd.o);
+    kernels::KernelStats bwd_stats;
+    backward(&bwd_stats);
+    bwd_flops_ = static_cast<double>(bwd_stats.flops);
+  }
+
+  double forward_batch() const {
+    return batch_seconds(kCalls, [&] {
+      auto r = kernels::flash_forward(q_, map_, k_, v_, map_,
+                                      MaskSpec::causal(), 0.2f);
+      benchmark::DoNotOptimize(r.o.data());
+    });
+  }
+  double backward_batch() const {
+    return batch_seconds(kCalls, [&] { backward(nullptr); });
+  }
+  double fwd_flops_per_batch() const { return fwd_flops_ * kCalls; }
+  double bwd_flops_per_batch() const { return bwd_flops_ * kCalls; }
+
+ private:
+  void backward(kernels::KernelStats* stats) const {
+    Tensor dq = Tensor::zeros(kN, kD);
+    Tensor dk = Tensor::zeros(kN, kD);
+    Tensor dv = Tensor::zeros(kN, kD);
+    kernels::flash_backward_partial(q_, map_, k_, v_, map_, MaskSpec::causal(),
+                                    0.2f, d_out_, lse_, dvec_, dq, dk, dv,
+                                    stats);
+    benchmark::DoNotOptimize(dq.data());
+  }
+
+  IndexMap map_;
+  Tensor q_, k_, v_, d_out_, lse_, dvec_;
+  double fwd_flops_ = 0.0;
+  double bwd_flops_ = 0.0;
+};
 
 }  // namespace
 
@@ -218,26 +260,67 @@ int main(int argc, char** argv) {
   rep.measurement("benchmarks_run", static_cast<double>(ran));
   rep.check(ran > 0, "at least one benchmark ran");
 
-  // ---- regression-gate section: single-thread causal forward at n = 512,
-  // zigzag shard vs contiguous range. The ratio is machine-portable: a
-  // classification or masking slow path on non-contiguous maps shows up
-  // here however fast the host is.
+  // ---- regression-gate section: single-thread causal attention at
+  // n = 512 and a single-thread 512^3 GEMM, timed alternately (best of
+  // ten batches each) so host noise hits every side alike. Two ratios are
+  // machine-portable: zigzag over contiguous forward (a classification or
+  // masking slow path on non-contiguous maps shows up however fast the
+  // host is), and contiguous forward over the GEMM (attention tiles that
+  // fall off the packed GEMM kernel's speed show up).
   {
     burst::parallel::ThreadPool::reset_global(1);
-    const double range_gflops = causal_forward_gflops(kRangeMap);
-    const double zigzag_gflops = causal_forward_gflops(kZigzagMap);
+    const CausalShard range(kRangeMap);
+    const CausalShard zigzag(kZigzagMap);
+    // The attention kernels' scratch, read before the GEMM's panels land in
+    // the same arena.
+    rep.measurement(
+        "attn_workspace_high_water_bytes",
+        static_cast<double>(
+            burst::tensor::Workspace::tls().high_water_bytes()),
+        burst::obs::RunReport::kNoPaperValue, "bytes");
+    constexpr std::int64_t kGemmN = 512;
+    constexpr int kGemmCalls = 4;
+    Rng grng(6);
+    const Tensor ga = grng.gaussian(kGemmN, kGemmN, 1.0f);
+    const Tensor gb = grng.gaussian(kGemmN, kGemmN, 1.0f);
+    Tensor gc(kGemmN, kGemmN);
+    const auto gemm_batch = [&] {
+      return batch_seconds(kGemmCalls, [&] {
+        tensor::gemm(ga.view(), tensor::Trans::No, gb.view(),
+                     tensor::Trans::No, gc.view());
+        benchmark::DoNotOptimize(gc.data());
+      });
+    };
+    gemm_batch();  // warm-up grows the workspace
+    double range_s = 1e30;
+    double zigzag_s = 1e30;
+    double bwd_s = 1e30;
+    double gemm_s = 1e30;
+    for (int rep_i = 0; rep_i < 10; ++rep_i) {
+      range_s = std::min(range_s, range.forward_batch());
+      gemm_s = std::min(gemm_s, gemm_batch());
+      zigzag_s = std::min(zigzag_s, zigzag.forward_batch());
+      bwd_s = std::min(bwd_s, range.backward_batch());
+    }
+    const double range_gflops = range.fwd_flops_per_batch() / range_s / 1e9;
+    const double zigzag_gflops = zigzag.fwd_flops_per_batch() / zigzag_s / 1e9;
+    const double bwd_gflops = range.bwd_flops_per_batch() / bwd_s / 1e9;
+    const double gemm_gflops =
+        2.0 * static_cast<double>(kGemmN * kGemmN * kGemmN) * kGemmCalls /
+        gemm_s / 1e9;
     rep.measurement("attn_fwd_causal_512_st_gflops", range_gflops,
                     burst::obs::RunReport::kNoPaperValue, "GFLOP/s");
     rep.measurement("attn_fwd_zigzag_512_st_gflops", zigzag_gflops,
                     burst::obs::RunReport::kNoPaperValue, "GFLOP/s");
+    rep.measurement("attn_bwd_causal_512_st_gflops", bwd_gflops,
+                    burst::obs::RunReport::kNoPaperValue, "GFLOP/s");
+    rep.measurement("gemm_512_st_gflops", gemm_gflops,
+                    burst::obs::RunReport::kNoPaperValue, "GFLOP/s");
     rep.measurement("attn_fwd_zigzag_over_range",
                     zigzag_gflops / range_gflops);
+    rep.measurement("attn_fwd_over_gemm_st", range_gflops / gemm_gflops);
     burst::parallel::ThreadPool::reset_global();
   }
-  rep.measurement(
-      "attn_workspace_high_water_bytes",
-      static_cast<double>(burst::tensor::Workspace::tls().high_water_bytes()),
-      burst::obs::RunReport::kNoPaperValue, "bytes");
   rep.check(registry.counter("kernels.attn.tiles_computed").value() > 0,
             "attention kernels reported tile counters");
   rep.attach_registry(registry);

@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/pack.hpp"
 #include "tensor/softmax.hpp"
 #include "tensor/workspace.hpp"
 
@@ -27,6 +28,12 @@ constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 // the skip logic.
 constexpr std::int64_t kTileQ = 32;
 constexpr std::int64_t kTileK = 32;
+// Keys per packed K/V block. A partition longer than this is packed one
+// block at a time, so the packed panels take at most a few kKeyBlock x d
+// floats of Workspace whatever the context length. A multiple of kTileK,
+// so no tile straddles two blocks.
+constexpr std::int64_t kKeyBlock = 512;
+static_assert(kKeyBlock % kTileK == 0 && kTileK % tensor::pack::kNR == 0);
 
 // Observation-only metric handles (see attach_attention_metrics).
 struct AttnMetrics {
@@ -94,11 +101,121 @@ inline float dot_lanes(const float* a, const float* b, std::int64_t n) {
          ((acc[1] + acc[5]) + (acc[3] + acc[7]));
 }
 
-// Rows [r0, r0+n) of a view, sharing storage.
-ConstMatView sub_rows(ConstMatView m, std::int64_t r0, std::int64_t n) {
-  assert(r0 >= 0 && r0 + n <= m.rows);
-  return ConstMatView(m.data + r0 * m.stride, n, m.cols, m.stride);
+// ---- prepacked tile products ----------------------------------------------
+// The tiles run tensor::pack::gemm_block over operands packed once where
+// they stop changing: K/V per key block, Q and dO per query tile. The
+// per-tile operands P and dS are read in place. Each product keeps the
+// per-element arithmetic tensor::gemm() would use (its alpha placement,
+// its beta = 0 clearing, its kKC depth slices for products as deep as the
+// head dim d), so results are bitwise gemm()'s.
+
+using tensor::pack::a_panel_floats;
+using tensor::pack::b_panel_floats;
+using tensor::pack::gemm_block;
+using tensor::pack::kKC;
+using tensor::pack::kNR;
+
+// A panels of alpha * x[r0:r0+n, :], d-deep, one kKC slice after another.
+float* pack_rows_a(Workspace& ws, ConstMatView x, std::int64_t r0,
+                   std::int64_t n, float alpha) {
+  const std::int64_t d = x.cols;
+  float* out = ws.alloc_f32(static_cast<std::size_t>(a_panel_floats(n, d)));
+  for (std::int64_t pc = 0; pc < d; pc += kKC) {
+    tensor::pack::pack_a(x, Trans::No, r0, n, pc, std::min(kKC, d - pc),
+                         alpha, out + a_panel_floats(n, pc));
+  }
+  return out;
 }
+
+// B panels of x[r0:r0+n, :]^T (d-deep, one column per row of x) in kKC
+// slices, written into `out` (b_panel_floats(n, d) floats).
+void pack_rows_bt(ConstMatView x, std::int64_t r0, std::int64_t n,
+                  float* out) {
+  const std::int64_t d = x.cols;
+  for (std::int64_t pc = 0; pc < d; pc += kKC) {
+    tensor::pack::pack_b(x, Trans::Yes, pc, std::min(kKC, d - pc), r0, n,
+                         out + b_panel_floats(n, pc));
+  }
+}
+
+// C += A B^T over the head dim: A from pack_rows_a over c.rows rows, B the
+// columns [j0, j0 + c.cols) of a pack_rows_bt over `width` rows.
+void gemm_depth_d(const float* ap, const float* bp, std::int64_t width,
+                  std::int64_t j0, std::int64_t d, MatView c) {
+  for (std::int64_t pc = 0; pc < d; pc += kKC) {
+    const std::int64_t kc = std::min(kKC, d - pc);
+    gemm_block(ap + a_panel_floats(c.rows, pc),
+               bp + b_panel_floats(width, pc) + j0 / kNR * kc * kNR,
+               kc * kNR, kc, c);
+  }
+}
+
+// Panels of one block of at most kKeyBlock keys, packed when a computed
+// tile first needs them: Kᵀ (d-deep, one column per key) for S = Q Kᵀ, and
+// V (key-deep, d columns) for the forward's P V, or Vᵀ for the backward's
+// dP = dO Vᵀ and K (key-deep) for its dS K.
+class KeyBlockPanels {
+ public:
+  enum class Pass { kForward, kBackward };
+
+  KeyBlockPanels(Workspace& ws, ConstMatView k, ConstMatView v, Pass pass)
+      : k_(k), v_(v) {
+    const std::int64_t keys = std::min(k.rows, kKeyBlock);
+    const std::int64_t d = k.cols;
+    const auto deep_d = static_cast<std::size_t>(b_panel_floats(keys, d));
+    const auto deep_keys = static_cast<std::size_t>(b_panel_floats(d, keys));
+    kt_ = ws.alloc_f32(deep_d);
+    if (pass == Pass::kForward) {
+      v_panels_ = ws.alloc_f32(deep_keys);
+    } else {
+      vt_ = ws.alloc_f32(deep_d);
+      k_panels_ = ws.alloc_f32(deep_keys);
+    }
+  }
+
+  // Makes the block holding key `k0` resident.
+  void visit(std::int64_t k0) {
+    const std::int64_t b0 = k0 / kKeyBlock * kKeyBlock;
+    if (b0 == b0_) {
+      return;
+    }
+    b0_ = b0;
+    keys_ = std::min(kKeyBlock, k_.rows - b0);
+    const std::int64_t d = k_.cols;
+    pack_rows_bt(k_, b0, keys_, kt_);
+    if (v_panels_ != nullptr) {
+      tensor::pack::pack_b(v_, Trans::No, b0, keys_, 0, d, v_panels_);
+    } else {
+      pack_rows_bt(v_, b0, keys_, vt_);
+      tensor::pack::pack_b(k_, Trans::No, b0, keys_, 0, d, k_panels_);
+    }
+  }
+
+  // C += A Kᵀ or C += A Vᵀ over keys [k0, k0 + c.cols); A from
+  // pack_rows_a.
+  void times_kt(const float* ap, std::int64_t k0, MatView c) const {
+    gemm_depth_d(ap, kt_, keys_, k0 - b0_, k_.cols, c);
+  }
+  void times_vt(const float* ap, std::int64_t k0, MatView c) const {
+    gemm_depth_d(ap, vt_, keys_, k0 - b0_, k_.cols, c);
+  }
+  // C += op(A) X[k0 : k0 + depth] for X = V or K, op(A) read in place.
+  void times_v(ConstMatView a, Trans ta, std::int64_t k0, MatView c) const {
+    gemm_block(a, ta, v_panels_ + (k0 - b0_) * kNR, keys_ * kNR, c);
+  }
+  void times_k(ConstMatView a, Trans ta, std::int64_t k0, MatView c) const {
+    gemm_block(a, ta, k_panels_ + (k0 - b0_) * kNR, keys_ * kNR, c);
+  }
+
+ private:
+  ConstMatView k_, v_;
+  float* kt_ = nullptr;
+  float* v_panels_ = nullptr;
+  float* vt_ = nullptr;
+  float* k_panels_ = nullptr;
+  std::int64_t b0_ = -1;
+  std::int64_t keys_ = 0;
+};
 
 }  // namespace
 
@@ -123,13 +240,15 @@ void flash_forward_partial(ConstMatView q, const IndexMap& qmap,
   assert(qmap.size() == nq && kmap.size() == nk);
   assert(o_acc.rows == nq && o_acc.cols == d && lse_acc.numel() == nq);
 
+  // All scratch is borrowed from the thread-local arena: zero heap
+  // allocations in steady state (asserted by test_workspace.cpp).
   Workspace& ws = Workspace::tls();
+  Workspace::Scope call_scope(ws);
+  KeyBlockPanels kv(ws, k, v, KeyBlockPanels::Pass::kForward);
   for (std::int64_t q0 = 0; q0 < nq; q0 += kTileQ) {
     const std::int64_t q1 = std::min(nq, q0 + kTileQ);
     const std::int64_t bq = q1 - q0;
 
-    // All per-tile scratch is borrowed from the thread-local arena: zero
-    // heap allocations in steady state (asserted by test_workspace.cpp).
     Workspace::Scope scope(ws);
     float* m = ws.alloc_f32(static_cast<std::size_t>(bq));
     float* l = ws.alloc_f32(static_cast<std::size_t>(bq));
@@ -145,6 +264,7 @@ void flash_forward_partial(ConstMatView q, const IndexMap& qmap,
       qg[i] = qmap.global(q0 + i);
     }
     const MatView oview{o_tile, bq, d, d};
+    const float* q_panels = nullptr;  // scale * Q tile, packed on first use
 
     for (std::int64_t k0 = 0; k0 < nk; k0 += kTileK) {
       const std::int64_t k1 = std::min(nk, k0 + kTileK);
@@ -154,10 +274,15 @@ void flash_forward_partial(ConstMatView q, const IndexMap& qmap,
         note_tile_skipped(stats);
         continue;
       }
+      if (q_panels == nullptr) {
+        q_panels = pack_rows_a(ws, q, q0, bq, scale);
+      }
+      kv.visit(k0);
 
-      MatView sview{s, bq, bk, bk};
-      tensor::gemm(sub_rows(q, q0, bq), Trans::No, sub_rows(k, k0, bk),
-                   Trans::Yes, sview, scale, 0.0f);
+      // S = scale Q Kᵀ, cleared first as gemm()'s beta = 0 does.
+      const MatView sview{s, bq, bk, bk};
+      std::fill(s, s + bq * bk, 0.0f);
+      kv.times_kt(q_panels, k0, sview);
       if (cls == MaskSpec::TileClass::kPartial) {
         mask_partial_tile(mask, qg, bq, kmap, k0, bk, kg, s);
       }
@@ -186,8 +311,7 @@ void flash_forward_partial(ConstMatView q, const IndexMap& qmap,
           orow[c] *= corr[i];
         }
       }
-      tensor::gemm(sview, Trans::No, sub_rows(v, k0, bk), Trans::No, oview,
-                   1.0f, 1.0f);
+      kv.times_v(sview, Trans::No, k0, oview);
 
       note_tile_computed(
           stats, attention_pair_flops(static_cast<std::uint64_t>(bq) *
@@ -310,6 +434,8 @@ void flash_backward_partial(const Tensor& q, const IndexMap& qmap,
   assert(dq_acc.rows() == nq && dk_acc.rows() == nk && dv_acc.rows() == nk);
 
   Workspace& ws = Workspace::tls();
+  Workspace::Scope call_scope(ws);
+  KeyBlockPanels kv(ws, k.view(), v.view(), KeyBlockPanels::Pass::kBackward);
   for (std::int64_t q0 = 0; q0 < nq; q0 += kTileQ) {
     const std::int64_t q1 = std::min(nq, q0 + kTileQ);
     const std::int64_t bq = q1 - q0;
@@ -322,6 +448,14 @@ void flash_backward_partial(const Tensor& q, const IndexMap& qmap,
     for (std::int64_t i = 0; i < bq; ++i) {
       qg[i] = qmap.global(q0 + i);
     }
+    // The query tile's operands, packed on first use: scale Q and dO as
+    // d-deep A panels (for S and dP), dO and Q as bq-deep B panels (for
+    // dV += Pᵀ dO and dK += dSᵀ Q).
+    const float* q_panels = nullptr;
+    const float* dout_panels = nullptr;
+    float* dout_rows = nullptr;
+    float* q_rows = nullptr;
+    const MatView dq_tile = dq_acc.row_block(q0, bq);
 
     for (std::int64_t k0 = 0; k0 < nk; k0 += kTileK) {
       const std::int64_t k1 = std::min(nk, k0 + kTileK);
@@ -331,13 +465,24 @@ void flash_backward_partial(const Tensor& q, const IndexMap& qmap,
         note_tile_skipped(stats);
         continue;
       }
+      if (q_panels == nullptr) {
+        q_panels = pack_rows_a(ws, q.view(), q0, bq, scale);
+        dout_panels = pack_rows_a(ws, d_out.view(), q0, bq, 1.0f);
+        const auto rows_floats =
+            static_cast<std::size_t>(b_panel_floats(d, bq));
+        dout_rows = ws.alloc_f32(rows_floats);
+        q_rows = ws.alloc_f32(rows_floats);
+        tensor::pack::pack_b(d_out.view(), Trans::No, q0, bq, 0, d, dout_rows);
+        tensor::pack::pack_b(q.view(), Trans::No, q0, bq, 0, d, q_rows);
+      }
+      kv.visit(k0);
 
       // P = exp(S - lse): masked entries are set to -inf first and come out
       // of the shared exp as exactly 0. Rows with lse == -inf are fully
       // masked globally.
-      MatView pview{p, bq, bk, bk};
-      tensor::gemm(q.row_block(q0, bq), Trans::No, k.row_block(k0, bk),
-                   Trans::Yes, pview, scale, 0.0f);
+      const MatView pview{p, bq, bk, bk};
+      std::fill(p, p + bq * bk, 0.0f);
+      kv.times_kt(q_panels, k0, pview);
       if (cls == MaskSpec::TileClass::kPartial) {
         mask_partial_tile(mask, qg, bq, kmap, k0, bk, kg, p);
       }
@@ -351,28 +496,29 @@ void flash_backward_partial(const Tensor& q, const IndexMap& qmap,
         }
       }
 
-      // dV[k0:k1] += P^T dO.
-      tensor::gemm(pview, Trans::Yes, d_out.row_block(q0, bq), Trans::No,
-                   dv_acc.row_block(k0, bk), 1.0f, 1.0f);
+      // dV[k0:k1] += Pᵀ dO.
+      gemm_block(pview, Trans::Yes, dout_rows, bq * kNR,
+                 dv_acc.row_block(k0, bk));
 
-      // dP = dO V^T; dS = P ∘ (dP - D).
-      MatView dsview{ds, bq, bk, bk};
-      tensor::gemm(d_out.row_block(q0, bq), Trans::No, v.row_block(k0, bk),
-                   Trans::Yes, dsview, 1.0f, 0.0f);
+      // dP = dO Vᵀ; dS = P ∘ (dP - D), stored times `scale`: the value a
+      // pack with alpha = scale would hold, rounded the same way.
+      const MatView dsview{ds, bq, bk, bk};
+      std::fill(ds, ds + bq * bk, 0.0f);
+      kv.times_vt(dout_panels, k0, dsview);
       for (std::int64_t i = 0; i < bq; ++i) {
         const float di = dvec[q0 + i];
         const float* prow = p + i * bk;
         float* dsrow = ds + i * bk;
         for (std::int64_t j = 0; j < bk; ++j) {
-          dsrow[j] = prow[j] * (dsrow[j] - di);
+          const float dsij = prow[j] * (dsrow[j] - di);
+          dsrow[j] = scale * dsij;
         }
       }
 
-      // dK[k0:k1] += dS^T Q * scale; dQ[q0:q1] += dS K * scale.
-      tensor::gemm(dsview, Trans::Yes, q.row_block(q0, bq), Trans::No,
-                   dk_acc.row_block(k0, bk), scale, 1.0f);
-      tensor::gemm(dsview, Trans::No, k.row_block(k0, bk), Trans::No,
-                   dq_acc.row_block(q0, bq), scale, 1.0f);
+      // dK[k0:k1] += dSᵀ Q * scale; dQ[q0:q1] += dS K * scale.
+      gemm_block(dsview, Trans::Yes, q_rows, bq * kNR,
+                 dk_acc.row_block(k0, bk));
+      kv.times_k(dsview, Trans::No, k0, dq_tile);
 
       // Backward does ~2.5x the forward tile work (5 GEMMs vs 2).
       note_tile_computed(

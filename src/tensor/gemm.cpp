@@ -2,8 +2,10 @@
 // burst-lint: hotpath
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -15,6 +17,7 @@ namespace burst::tensor {
 
 namespace {
 
+using pack::kKC;
 using pack::kMR;
 using pack::kNR;
 
@@ -22,7 +25,6 @@ using pack::kNR;
 // resident per task; a B panel (kKC x kNC = 512KB) is packed once per
 // (jc, pc) step and shared read-only by every row task.
 constexpr std::int64_t kMC = 64;
-constexpr std::int64_t kKC = 256;
 constexpr std::int64_t kNC = 512;
 
 // Observation-only metric handles (see attach_gemm_metrics): null unless a
@@ -35,127 +37,109 @@ struct GemmMetrics {
 };
 GemmMetrics g_metrics;
 
-// 4x16 microkernel over packed panels: acc += Ap @ Bp. The accumulator rows
-// live in registers (explicit arrays so the compiler keeps one SIMD vector
-// chain per row instead of spilling a 2-D array); the k-loop is a pure FMA
-// stream with unit-stride loads and no branches.
-inline void micro_kernel(const float* __restrict__ ap,
-                         const float* __restrict__ bp, std::int64_t kc,
-                         float* __restrict__ acc) {
-  float a0[kNR] = {0.0f};
-  float a1[kNR] = {0.0f};
-  float a2[kNR] = {0.0f};
-  float a3[kNR] = {0.0f};
-  for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const float* a = ap + kk * kMR;
-    const float* b = bp + kk * kNR;
-    const float x0 = a[0];
-    const float x1 = a[1];
-    const float x2 = a[2];
-    const float x3 = a[3];
-    for (std::int64_t c = 0; c < kNR; ++c) {
-      const float bc = b[c];
-      a0[c] += x0 * bc;
-      a1[c] += x1 * bc;
-      a2[c] += x2 * bc;
-      a3[c] += x3 * bc;
-    }
+// ---- microkernel ------------------------------------------------------------
+// One register tile: kRows (1..kMR) rows x kNR columns of C, one kNR-float
+// accumulator vector per row, so a full kMR-row tile keeps kMR vectors
+// live. The k-loop broadcasts one A value per row against one kNR row of
+// B: a pure FMA stream with no branches. Each accumulator starts at zero
+// and is added once into C, so a C element is its k-ordered sum over the
+// block whatever the tile height or operand layout; short last A panels
+// run the kernel of their own height rather than padding.
+//
+// The body is shared by every operand source. A values come from pack_a
+// panels (the GEMM driver, with alpha folded in) or are read in place from
+// a strided view (small attention tiles, where a pack would cost as much
+// as the product). B rows come from a source that hands out up to kBlock
+// k-steps at a time: f32/bf16 panels are plain floats read in place (bf16
+// is rounded at pack time), while q8_0/q4_0 panels dequantize each
+// kQuantBlock-row block into an L1-resident staging tile with
+// `bc = scale[c] * (float)q` — exactly the dequantize_q*_0 expression — so
+// a quantized GEMM is bitwise-equal to the fp32 GEMM over the
+// pre-dequantized panel. Splitting convert from FMA keeps both loops
+// trivially vectorizable; per micro-panel the kernel streams 16 (q8) or 8
+// (q4) B bytes per k-step from memory instead of 64 — the bandwidth win
+// that pays for the convert.
+
+using Vec = float __attribute__((vector_size(kNR * sizeof(float))));
+
+// A sources: the tile whose first row is `ir` reads element (r, kk) at
+// tile(ir)[r * row_step<kRows>() + kk * k_step<kRows>()].
+struct PackedA {  // pack_a panels: k-major, kRows floats per k-step
+  const float* data;
+  std::int64_t kc;
+  const float* tile(std::int64_t ir) const { return data + ir * kc; }
+  template <int kRows>
+  std::int64_t row_step() const {
+    return 1;
   }
-  for (std::int64_t c = 0; c < kNR; ++c) {
-    acc[0 * kNR + c] = a0[c];
-    acc[1 * kNR + c] = a1[c];
-    acc[2 * kNR + c] = a2[c];
-    acc[3 * kNR + c] = a3[c];
+  template <int kRows>
+  std::int64_t k_step() const {
+    return kRows;
   }
-}
+};
 
-// ---- dequantizing microkernel variants ------------------------------------
-// Same 4x16 register tile as micro_kernel, but the B panel is the quantized
-// block stream from pack::pack_b_dt. Each 32-row block is dequantized into
-// an L1-resident staging tile with `bc = scale[c] * (float)q` — exactly the
-// dequantize_q*_0 expression — and then fed through the same FMA loop as
-// micro_kernel, so a quantized GEMM is bitwise-equal to running the fp32
-// GEMM over the pre-dequantized panel (per-accumulator addition order is
-// the k order either way). Splitting convert from FMA keeps both loops
-// trivially vectorizable; per micro-panel the kernel streams 16 (q8) or
-// 8 (q4) B bytes per k-step from memory instead of 64 — the bandwidth win
-// that pays for the int->float convert.
+struct ViewA {  // op(A) read in place
+  const float* data;
+  std::int64_t rs;  // float step between rows of op(A)
+  std::int64_t ks;  // float step between k-steps of op(A)
+  const float* tile(std::int64_t ir) const { return data + ir * rs; }
+  template <int kRows>
+  std::int64_t row_step() const {
+    return rs;
+  }
+  template <int kRows>
+  std::int64_t k_step() const {
+    return ks;
+  }
+};
 
-using QKernel = void (*)(const float* __restrict__, const std::uint8_t*,
-                         std::int64_t, float* __restrict__);
+struct F32Rows {
+  static constexpr std::int64_t kBlock = kKC;
+  static constexpr std::int64_t kStage = 1;  // rows are read in place
+  static const float* rows(const std::uint8_t* bp, std::int64_t kk0,
+                           std::int64_t /*rows*/, float* /*stage*/) {
+    // Offsets within an f32 panel stream are multiples of 4 bytes.
+    return reinterpret_cast<const float*>(bp) + kk0 * kNR;
+  }
+};
 
-void micro_kernel_f32p(const float* __restrict__ ap, const std::uint8_t* bp,
-                       std::int64_t kc, float* __restrict__ acc) {
-  // f32/bf16 panels are plain packed floats (bf16 rounded at pack time);
-  // offsets within the panel stream are multiples of 4 bytes by layout.
-  micro_kernel(ap, reinterpret_cast<const float*>(bp), kc, acc);
-}
-
-void micro_kernel_q8(const float* __restrict__ ap, const std::uint8_t* bp,
-                     std::int64_t kc, float* __restrict__ acc) {
-  constexpr std::int64_t kChunk = kNR * 4 + kQuantBlock * kNR;
-  float a0[kNR] = {0.0f};
-  float a1[kNR] = {0.0f};
-  float a2[kNR] = {0.0f};
-  float a3[kNR] = {0.0f};
-  float bf[kQuantBlock * kNR];
-  for (std::int64_t kk0 = 0; kk0 < kc; kk0 += kQuantBlock) {
-    const std::uint8_t* chunk = bp + (kk0 / kQuantBlock) * kChunk;
+struct Q8Rows {
+  static constexpr std::int64_t kBlock = kQuantBlock;
+  static constexpr std::int64_t kStage = kQuantBlock * kNR;
+  static const float* rows(const std::uint8_t* bp, std::int64_t kk0,
+                           std::int64_t rows, float* stage) {
+    const std::uint8_t* chunk =
+        bp + (kk0 / kQuantBlock) * pack::b_chunk_bytes(DType::kQ8_0);
     float scales[kNR];
     std::memcpy(scales, chunk, sizeof(scales));
     const auto* qs = reinterpret_cast<const std::int8_t*>(chunk + kNR * 4);
-    const std::int64_t rows = std::min(kQuantBlock, kc - kk0);
     for (std::int64_t kk = 0; kk < rows; ++kk) {
       const std::int8_t* q = qs + kk * kNR;
-      float* b = bf + kk * kNR;
+      float* b = stage + kk * kNR;
       for (std::int64_t c = 0; c < kNR; ++c) {
         b[c] = scales[c] * static_cast<float>(q[c]);
       }
     }
-    for (std::int64_t kk = 0; kk < rows; ++kk) {
-      const float* a = ap + (kk0 + kk) * kMR;
-      const float* b = bf + kk * kNR;
-      const float x0 = a[0];
-      const float x1 = a[1];
-      const float x2 = a[2];
-      const float x3 = a[3];
-      for (std::int64_t c = 0; c < kNR; ++c) {
-        const float bc = b[c];
-        a0[c] += x0 * bc;
-        a1[c] += x1 * bc;
-        a2[c] += x2 * bc;
-        a3[c] += x3 * bc;
-      }
-    }
+    return stage;
   }
-  for (std::int64_t c = 0; c < kNR; ++c) {
-    acc[0 * kNR + c] = a0[c];
-    acc[1 * kNR + c] = a1[c];
-    acc[2 * kNR + c] = a2[c];
-    acc[3 * kNR + c] = a3[c];
-  }
-}
+};
 
-void micro_kernel_q4(const float* __restrict__ ap, const std::uint8_t* bp,
-                     std::int64_t kc, float* __restrict__ acc) {
-  constexpr std::int64_t kChunk = kNR * 4 + kQuantBlock / 2 * kNR;
-  float a0[kNR] = {0.0f};
-  float a1[kNR] = {0.0f};
-  float a2[kNR] = {0.0f};
-  float a3[kNR] = {0.0f};
-  float bf[kQuantBlock * kNR];
-  for (std::int64_t kk0 = 0; kk0 < kc; kk0 += kQuantBlock) {
-    const std::uint8_t* chunk = bp + (kk0 / kQuantBlock) * kChunk;
+struct Q4Rows {
+  static constexpr std::int64_t kBlock = kQuantBlock;
+  static constexpr std::int64_t kStage = kQuantBlock * kNR;
+  static const float* rows(const std::uint8_t* bp, std::int64_t kk0,
+                           std::int64_t rows, float* stage) {
+    const std::uint8_t* chunk =
+        bp + (kk0 / kQuantBlock) * pack::b_chunk_bytes(DType::kQ4_0);
     float scales[kNR];
     std::memcpy(scales, chunk, sizeof(scales));
     const std::uint8_t* codes = chunk + kNR * 4;
-    const std::int64_t rows = std::min(kQuantBlock, kc - kk0);
     // Each payload byte packs two consecutive k-rows (low nibble = even
     // row); a short block's odd last row uses only the low nibble.
     const std::int64_t pairs = rows / 2;
     for (std::int64_t j = 0; j < pairs; ++j) {
       const std::uint8_t* qb = codes + j * kNR;
-      float* blo = bf + 2 * j * kNR;
+      float* blo = stage + 2 * j * kNR;
       float* bhi = blo + kNR;
       for (std::int64_t c = 0; c < kNR; ++c) {
         const int byte = qb[c];
@@ -165,32 +149,85 @@ void micro_kernel_q4(const float* __restrict__ ap, const std::uint8_t* bp,
     }
     if ((rows & 1) != 0) {
       const std::uint8_t* qb = codes + pairs * kNR;
-      float* b = bf + 2 * pairs * kNR;
+      float* b = stage + 2 * pairs * kNR;
       for (std::int64_t c = 0; c < kNR; ++c) {
         b[c] = scales[c] * static_cast<float>((qb[c] & 0x0F) - 8);
       }
     }
+    return stage;
+  }
+};
+
+// C[0:kRows, 0:nr] += A[ir : ir + kRows] @ Bp over kc k-steps (ldc = C
+// row pitch).
+template <int kRows, typename ASrc, typename Src>
+void micro_tile(const ASrc& asrc, std::int64_t ir, const std::uint8_t* bp,
+                std::int64_t kc, float* c, std::int64_t ldc, std::int64_t nr) {
+  const float* __restrict__ ap = asrc.tile(ir);
+  const std::int64_t rs = asrc.template row_step<kRows>();
+  const std::int64_t ks = asrc.template k_step<kRows>();
+  Vec acc[kRows];
+#pragma GCC unroll 16
+  for (int r = 0; r < kRows; ++r) {
+    acc[r] = Vec{};
+  }
+  alignas(64) float stage[Src::kStage];
+  for (std::int64_t kk0 = 0; kk0 < kc; kk0 += Src::kBlock) {
+    const std::int64_t rows = std::min(Src::kBlock, kc - kk0);
+    const float* __restrict__ b = Src::rows(bp, kk0, rows, stage);
     for (std::int64_t kk = 0; kk < rows; ++kk) {
-      const float* a = ap + (kk0 + kk) * kMR;
-      const float* b = bf + kk * kNR;
-      const float x0 = a[0];
-      const float x1 = a[1];
-      const float x2 = a[2];
-      const float x3 = a[3];
-      for (std::int64_t c = 0; c < kNR; ++c) {
-        const float bc = b[c];
-        a0[c] += x0 * bc;
-        a1[c] += x1 * bc;
-        a2[c] += x2 * bc;
-        a3[c] += x3 * bc;
+      Vec bv;
+      std::memcpy(&bv, b + kk * kNR, sizeof(bv));
+      const float* __restrict__ a = ap + (kk0 + kk) * ks;
+#pragma GCC unroll 16
+      for (int r = 0; r < kRows; ++r) {
+        acc[r] += a[r * rs] * bv;
       }
     }
   }
-  for (std::int64_t c = 0; c < kNR; ++c) {
-    acc[0 * kNR + c] = a0[c];
-    acc[1 * kNR + c] = a1[c];
-    acc[2 * kNR + c] = a2[c];
-    acc[3 * kNR + c] = a3[c];
+#pragma GCC unroll 16
+  for (int r = 0; r < kRows; ++r) {
+    float* crow = c + r * ldc;
+    if (nr == kNR) {
+      Vec cv;
+      std::memcpy(&cv, crow, sizeof(cv));
+      cv += acc[r];
+      std::memcpy(crow, &cv, sizeof(cv));
+    } else {
+      float t[kNR];
+      std::memcpy(t, &acc[r], sizeof(t));
+      for (std::int64_t cc = 0; cc < nr; ++cc) {
+        crow[cc] += t[cc];
+      }
+    }
+  }
+}
+
+template <typename ASrc>
+using TileFn = void (*)(const ASrc&, std::int64_t, const std::uint8_t*,
+                        std::int64_t, float*, std::int64_t, std::int64_t);
+
+// micro_tile<1..kMR, ASrc, Src>, indexed by row count - 1.
+template <typename ASrc, typename Src, std::size_t... kR>
+constexpr std::array<TileFn<ASrc>, kMR> tiles_for(std::index_sequence<kR...>) {
+  return {&micro_tile<static_cast<int>(kR) + 1, ASrc, Src>...};
+}
+template <typename ASrc, typename Src>
+constexpr std::array<TileFn<ASrc>, kMR> kTiles =
+    tiles_for<ASrc, Src>(std::make_index_sequence<kMR>{});
+
+// The one block routine: C += A @ Bp over kc k-steps, tile by tile.
+template <typename ASrc, typename Src>
+void run_block(const ASrc& a, const std::uint8_t* bp, std::int64_t b_stride,
+               std::int64_t kc, MatView c) {
+  for (std::int64_t jr = 0; jr < c.cols; jr += kNR) {
+    const std::int64_t nr = std::min(kNR, c.cols - jr);
+    const std::uint8_t* b = bp + (jr / kNR) * b_stride;
+    for (std::int64_t ir = 0; ir < c.rows; ir += kMR) {
+      const std::int64_t mr = std::min(kMR, c.rows - ir);
+      kTiles<ASrc, Src>[static_cast<std::size_t>(mr - 1)](
+          a, ir, b, kc, c.data + ir * c.stride + jr, c.stride, nr);
+    }
   }
 }
 
@@ -202,18 +239,19 @@ constexpr std::int64_t kMinTaskFlops = std::int64_t{1} << 20;
 // The blocked driver behind every GEMM entry point: beta pre-scale, then
 // jc/pc cache-block loops, and per cache block one parallel_for over a grid
 // of kMC row blocks x groups of kNR column panels, each task packing its own
-// A block. `panel_for(ws, jc, nc, pc, kc)` supplies the packed B stream for
-// one cache block: a workspace pack made on the caller (gemm) or a
-// borrowed PackedB block (gemm_packed). `kKern` consumes it at its dtype.
+// A block and running gemm_block over it. `panel_for(ws, jc, nc, pc, kc)`
+// supplies the packed B stream at dtype `dt` for one cache block: a
+// workspace pack made on the caller (gemm) or a borrowed PackedB block
+// (gemm_packed).
 //
 // Column groups are formed only when the row blocks alone leave ways of the
 // pool idle (small m, e.g. batched decode) and each task still carries at
 // least kMinTaskFlops. Every C element is written by exactly one task, with
-// the same kernel call over the same packed panels in the same pc order, so
+// the same kernel over the same packed panels in the same pc order, so
 // results are bitwise identical for any grid and any pool size, and
 // gemm_packed over a kF32 PackedB (the same panels gemm() packs per call)
 // reproduces gemm() bit for bit.
-template <QKernel kKern, typename PanelFn>
+template <typename PanelFn>
 void gemm_blocked(ConstMatView a, Trans ta, std::int64_t m, std::int64_t k,
                   std::int64_t n, DType dt, MatView c, float alpha,
                   float beta, PanelFn&& panel_for) {
@@ -277,24 +315,10 @@ void gemm_blocked(ConstMatView a, Trans ta, std::int64_t m, std::int64_t k,
               if (g_metrics.a_panels != nullptr) {
                 g_metrics.a_panels->add(static_cast<std::uint64_t>(apanels));
               }
-              float acc[kMR * kNR];
-              for (std::int64_t jr = jr0; jr < jr1; jr += kNR) {
-                const std::int64_t nr = std::min(kNR, nc - jr);
-                const std::uint8_t* bp = bpack + (jr / kNR) * bstride;
-                for (std::int64_t ir = 0; ir < mc; ir += kMR) {
-                  const std::int64_t mr = std::min(kMR, mc - ir);
-                  const float* ap = apack + (ir / kMR) * kc * kMR;
-                  kKern(ap, bp, kc, acc);
-                  for (std::int64_t r = 0; r < mr; ++r) {
-                    float* crow =
-                        c.data + (ic + ir + r) * c.stride + jc + jr;
-                    const float* arow = acc + r * kNR;
-                    for (std::int64_t cc = 0; cc < nr; ++cc) {
-                      crow[cc] += arow[cc];
-                    }
-                  }
-                }
-              }
+              pack::gemm_block(
+                  apack, bpack + (jr0 / kNR) * bstride, bstride, dt, kc,
+                  MatView{c.data + ic * c.stride + jc + jr0, mc, jr1 - jr0,
+                          c.stride});
             }
           });
     }
@@ -306,29 +330,35 @@ void gemm_blocked(ConstMatView a, Trans ta, std::int64_t m, std::int64_t k,
   }
 }
 
-// gemm_blocked over `dt`'s microkernel.
-template <typename PanelFn>
-void gemm_dt_driver(ConstMatView a, Trans ta, std::int64_t m, std::int64_t k,
-                    std::int64_t n, DType dt, MatView c, float alpha,
-                    float beta, PanelFn&& panel_for) {
+}  // namespace
+
+void pack::gemm_block(const float* ap, const std::uint8_t* bp,
+                      std::int64_t b_stride, DType dt, std::int64_t kc,
+                      MatView c) {
+  const PackedA a{ap, kc};
   switch (dt) {
     case DType::kQ8_0:
-      gemm_blocked<micro_kernel_q8>(a, ta, m, k, n, dt, c, alpha, beta,
-                                    panel_for);
+      run_block<PackedA, Q8Rows>(a, bp, b_stride, kc, c);
       return;
     case DType::kQ4_0:
-      gemm_blocked<micro_kernel_q4>(a, ta, m, k, n, dt, c, alpha, beta,
-                                    panel_for);
+      run_block<PackedA, Q4Rows>(a, bp, b_stride, kc, c);
       return;
     case DType::kF32:
     case DType::kBf16:
-      gemm_blocked<micro_kernel_f32p>(a, ta, m, k, n, dt, c, alpha, beta,
-                                      panel_for);
+      run_block<PackedA, F32Rows>(a, bp, b_stride, kc, c);
       return;
   }
 }
 
-}  // namespace
+void pack::gemm_block(ConstMatView a, Trans ta, const float* bp,
+                      std::int64_t b_stride, MatView c) {
+  const bool no = ta == Trans::No;
+  assert(c.rows == (no ? a.rows : a.cols));
+  run_block<ViewA, F32Rows>(
+      ViewA{a.data, no ? a.stride : 1, no ? 1 : a.stride},
+      reinterpret_cast<const std::uint8_t*>(bp), b_stride * 4,
+      no ? a.cols : a.rows, c);
+}
 
 void gemm(ConstMatView a, Trans ta, ConstMatView b, Trans tb, MatView c,
           float alpha, float beta) {
@@ -338,7 +368,7 @@ void gemm(ConstMatView a, Trans ta, ConstMatView b, Trans tb, MatView c,
   const std::int64_t n = (tb == Trans::No) ? b.cols : b.rows;
   assert(k == kb);
   (void)kb;
-  gemm_blocked<micro_kernel_f32p>(
+  gemm_blocked(
       a, ta, m, k, n, DType::kF32, c, alpha, beta,
       [&](Workspace& ws, std::int64_t jc, std::int64_t nc, std::int64_t pc,
           std::int64_t kc) {
@@ -353,20 +383,21 @@ void gemm(ConstMatView a, Trans ta, ConstMatView b, Trans tb, MatView c,
       });
 }
 
+// The outputs below start uninitialized: gemm's beta = 0 pass clears them.
 Tensor matmul(const Tensor& a, const Tensor& b) {
-  Tensor c(a.rows(), b.cols());
+  Tensor c = Tensor::uninitialized({a.rows(), b.cols()});
   gemm(a.view(), Trans::No, b.view(), Trans::No, c.view());
   return c;
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  Tensor c(a.rows(), b.rows());
+  Tensor c = Tensor::uninitialized({a.rows(), b.rows()});
   gemm(a.view(), Trans::No, b.view(), Trans::Yes, c.view());
   return c;
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  Tensor c(a.cols(), b.cols());
+  Tensor c = Tensor::uninitialized({a.cols(), b.cols()});
   gemm(a.view(), Trans::Yes, b.view(), Trans::No, c.view());
   return c;
 }
@@ -431,15 +462,15 @@ void gemm_packed(ConstMatView a, Trans ta, const PackedB& b, MatView c,
   const std::int64_t ka = (ta == Trans::No) ? a.cols : a.rows;
   assert(ka == b.k());
   (void)ka;
-  gemm_dt_driver(a, ta, m, b.k(), b.n(), b.dtype(), c, alpha, beta,
-                 [&](Workspace& /*ws*/, std::int64_t jc, std::int64_t /*nc*/,
-                     std::int64_t pc, std::int64_t /*kc*/) {
-                   return b.cache_block(jc / kNC, pc / kKC);
-                 });
+  gemm_blocked(a, ta, m, b.k(), b.n(), b.dtype(), c, alpha, beta,
+               [&](Workspace& /*ws*/, std::int64_t jc, std::int64_t /*nc*/,
+                   std::int64_t pc, std::int64_t /*kc*/) {
+                 return b.cache_block(jc / kNC, pc / kKC);
+               });
 }
 
 Tensor packed_matmul(const Tensor& a, const PackedB& b) {
-  Tensor c(a.rows(), b.n());
+  Tensor c = Tensor::uninitialized({a.rows(), b.n()});
   gemm_packed(a.view(), Trans::No, b, c.view());
   return c;
 }

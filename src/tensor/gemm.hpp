@@ -4,8 +4,8 @@
 //
 // Implementation (DESIGN.md §11): operands are packed per cache block into
 // contiguous, transpose-resolved panels (tensor/pack.hpp) borrowed from the
-// thread-local Workspace, then a branch-free 4x16 register-accumulator
-// microkernel runs over the packed panels. Row blocks — and, when m is too
+// thread-local Workspace, then a branch-free register-tile microkernel (up
+// to 16 rows x 16 columns of accumulators) runs over the packed panels. Row blocks — and, when m is too
 // small to fill the pool, groups of column panels — are dispatched over
 // parallel::ThreadPool with deterministic partitioning, so results are
 // bitwise identical for any pool size (including BURST_THREADS overrides).

@@ -1,21 +1,29 @@
 // Panel packing for the blocked GEMM (BLIS-style).
 // burst-lint: hotpath
 //
-// The microkernel in gemm.cpp multiplies a kMR x kc sliver of op(A) by a
-// kc x kNR sliver of op(B). Packing copies those slivers once into
-// contiguous, transpose-resolved buffers so the microkernel's inner loop is
-// branch-free and unit-stride regardless of the operand's Trans flag or row
-// stride:
+// The microkernels in gemm.cpp multiply an mr x kc sliver of op(A)
+// (mr <= kMR) by a kc x kNR sliver of op(B). Packing copies those slivers
+// once into contiguous, transpose-resolved buffers so the microkernel's
+// inner loop is branch-free and unit-stride regardless of the operand's
+// Trans flag or row stride:
 //
-//   A block (mc x kc)  ->  ceil(mc/kMR) micro-panels, each stored K-major:
-//       dst[p*kc*kMR + kk*kMR + r] = alpha * op(A)(ic + p*kMR + r, pc + kk)
+//   A block (mc x kc)  ->  ceil(mc/kMR) micro-panels of h = min(kMR,
+//       mc - p*kMR) rows, each stored K-major and dense:
+//       dst[p*kc*kMR + kk*h + r] = alpha * op(A)(ic + p*kMR + r, pc + kk)
 //   B panel (kc x nc)  ->  ceil(nc/kNR) micro-panels, each stored K-major:
 //       dst[p*kc*kNR + kk*kNR + c] = op(B)(pc + kk, jc + p*kNR + c)
 //
-// Remainder rows/columns are zero-padded to the full kMR/kNR so the
-// microkernel never branches on tile edges; the GEMM driver writes back only
-// the valid part of the accumulator. alpha is folded into the A pack so the
-// microkernel is a pure FMA loop.
+// A short last A panel is run by the microkernel of its own height, so A
+// needs no padding and a block takes exactly mc*kc floats. Remainder B
+// columns are zero-padded to the full kNR so every kernel loads whole
+// kNR-float rows; the kernels write back only the valid columns.
+// alpha is folded into the A pack so the microkernel is a pure FMA loop.
+//
+// gemm_block (below) runs the register-tile loop of one cache block over
+// panels packed this way, or over an A operand read in place. The GEMM
+// driver and the attention kernels both call it, so every product in the
+// functional path takes the same per-element arithmetic: a k-ordered FMA
+// chain per C element within a block, added once into C.
 //
 // Quantized B panels (DESIGN.md section 16): pack_b_dt quantizes op(B) once
 // at pack time into a per-micro-panel block stream the dequantizing
@@ -44,12 +52,18 @@
 
 namespace burst::tensor::pack {
 
-/// Microkernel register block: kMR rows x kNR columns of C.
-inline constexpr std::int64_t kMR = 4;
+/// Microkernel register block: up to kMR rows x kNR columns of C, one
+/// kNR-float accumulator vector per row.
+inline constexpr std::int64_t kMR = 16;
 inline constexpr std::int64_t kNR = 16;
 
+/// Depth of one GEMM cache block: products are summed kKC k-steps at a
+/// time and each block's sum is added once into C, so a caller that packs
+/// its own panels splits a deeper product at the same boundaries.
+inline constexpr std::int64_t kKC = 256;
+
 inline std::int64_t a_panel_floats(std::int64_t mc, std::int64_t kc) {
-  return ((mc + kMR - 1) / kMR) * kc * kMR;
+  return mc * kc;
 }
 
 inline std::int64_t b_panel_floats(std::int64_t nc, std::int64_t kc) {
@@ -71,7 +85,7 @@ inline std::int64_t pack_a(ConstMatView a, Trans ta, std::int64_t ic,
       for (std::int64_t r = 0; r < rows; ++r) {
         const float* arow = a.data + (ic + r0 + r) * a.stride + pc;
         for (std::int64_t kk = 0; kk < kc; ++kk) {
-          out[kk * kMR + r] = alpha * arow[kk];
+          out[kk * rows + r] = alpha * arow[kk];
         }
       }
     } else {
@@ -79,14 +93,7 @@ inline std::int64_t pack_a(ConstMatView a, Trans ta, std::int64_t ic,
       for (std::int64_t kk = 0; kk < kc; ++kk) {
         const float* arow = a.data + (pc + kk) * a.stride + ic + r0;
         for (std::int64_t r = 0; r < rows; ++r) {
-          out[kk * kMR + r] = alpha * arow[r];
-        }
-      }
-    }
-    if (rows < kMR) {
-      for (std::int64_t kk = 0; kk < kc; ++kk) {
-        for (std::int64_t r = rows; r < kMR; ++r) {
-          out[kk * kMR + r] = 0.0f;
+          out[kk * rows + r] = alpha * arow[r];
         }
       }
     }
@@ -220,5 +227,28 @@ inline std::int64_t pack_b_dt(ConstMatView b, Trans tb, std::int64_t pc,
   }
   return panels;
 }
+
+/// C += Ap @ Bp over one packed cache block: the jr/ir register-tile loop.
+/// `ap` holds ceil(c.rows/kMR) A micro-panels packed with depth `kc`
+/// (pack_a); `bp` holds ceil(c.cols/kNR) B micro-panels at dtype `dt`,
+/// `b_stride` bytes apart, each starting at this block's first k-step.
+/// Every C element gets its k-ordered sum over the kc steps added once.
+void gemm_block(const float* ap, const std::uint8_t* bp, std::int64_t b_stride,
+                DType dt, std::int64_t kc, MatView c);
+
+/// gemm_block over fp32 B panels `b_stride` floats apart.
+inline void gemm_block(const float* ap, const float* bp, std::int64_t b_stride,
+                       std::int64_t kc, MatView c) {
+  gemm_block(ap, reinterpret_cast<const std::uint8_t*>(bp), b_stride * 4,
+             DType::kF32, kc, c);
+}
+
+/// gemm_block with op(A) read in place instead of from pack_a panels (no
+/// alpha): C += op(A) @ Bp over fp32 B panels `b_stride` floats apart. For
+/// operands used once and small enough to stay in L1, where packing would
+/// cost as much as the product. Same per-element arithmetic as packing A
+/// with alpha = 1.
+void gemm_block(ConstMatView a, Trans ta, const float* bp,
+                std::int64_t b_stride, MatView c);
 
 }  // namespace burst::tensor::pack

@@ -151,13 +151,14 @@ class Tensor {
 
   std::string shape_str() const;
 
+  /// Allocates `shape`'s storage without initializing it, for callers that
+  /// overwrite every element.
+  static Tensor uninitialized(std::vector<std::int64_t> shape);
+
  private:
   struct FreeStorage {
     void operator()(float* p) const noexcept { std::free(p); }
   };
-  /// Allocates `shape`'s storage without initializing it, for callers that
-  /// overwrite every element.
-  static Tensor uninitialized(std::vector<std::int64_t> shape);
 
   std::vector<std::int64_t> shape_;
   std::unique_ptr<float[], FreeStorage> data_;

@@ -194,7 +194,8 @@ TEST(Gemm, ConvenienceWrappers) {
 // many other rows share the GEMM (one register accumulator chain per row,
 // k-blocking fixed by the 256-deep KC block), so row i of a GEMM over m rows
 // is bitwise the GEMM of row i alone. k and n cross the KC and the 512-wide
-// NC blocks; m crosses the 4-row microkernel tile and the 64-row MC block.
+// NC blocks; m crosses the 16-row microkernel tile (short last panels run
+// their own smaller-row kernels) and the 64-row MC block.
 TEST(Gemm, RowResultIndependentOfBatchRows) {
   constexpr std::int64_t k = 300;
   constexpr std::int64_t n = 700;
@@ -223,7 +224,7 @@ TEST(Gemm, RowResultIndependentOfBatchRows) {
   };
   for (const std::size_t workers : {1u, 4u}) {
     parallel::ThreadPool::reset_global(workers);
-    for (const std::int64_t m : {1, 3, 4, 5, 17, 64, 65, 130}) {
+    for (const std::int64_t m : {1, 3, 4, 5, 15, 16, 17, 31, 33, 64, 65, 130}) {
       const Tensor a = rng.gaussian(m, k, 1.0f);
       for (const Variant& v : variants) {
         Tensor batched(m, n);
@@ -285,7 +286,7 @@ TEST_P(GemmColumnSplit, ResultIndependentOfGridAndPool) {
          gemm_packed(a.view(), Trans::No, q4, c.view());
        }},
   };
-  for (const std::int64_t m : {1, 3, 16, 64, 65}) {
+  for (const std::int64_t m : {1, 3, 15, 16, 17, 31, 33, 64, 65}) {
     const Tensor a = rng.gaussian(m, k, 1.0f);
     const auto bytes =
         static_cast<std::size_t>(m * n) * sizeof(float);

@@ -329,6 +329,34 @@ TEST(KernelPin, AttentionLongKeyRange) {
   expect_pins({{"long key range", 0x63fab0fd01ab3e00ULL}}, {h.h});
 }
 
+// A head dim deeper than one 256-deep GEMM K block: S = Q Kᵀ and dP = dO Vᵀ
+// are summed one K block at a time, each block's sum added once.
+TEST(KernelPin, AttentionHeadDimDeeperThanOneKBlock) {
+  Rng rng(43);
+  constexpr std::int64_t n = 40;
+  constexpr std::int64_t d = 300;
+  const IndexMap id = IndexMap::range(0, n);
+  Tensor q = rng.gaussian(n, d, 1.0f);
+  Tensor k = rng.gaussian(n, d, 1.0f);
+  Tensor v = rng.gaussian(n, d, 1.0f);
+  Tensor d_out = rng.gaussian(n, d, 1.0f);
+  KernelStats stats;
+  auto fwd = kernels::flash_forward(q, id, k, v, id, MaskSpec::causal(),
+                                    0.05f, &stats);
+  const Tensor dvec = kernels::attention_dvec(d_out, fwd.o);
+  Tensor dq = Tensor::zeros(n, d);
+  Tensor dk = Tensor::zeros(n, d);
+  Tensor dv = Tensor::zeros(n, d);
+  kernels::flash_backward_partial(q, id, k, v, id, MaskSpec::causal(), 0.05f,
+                                  d_out, fwd.lse, dvec, dq, dk, dv, &stats);
+  Fnv h;
+  for (const Tensor* t : {&fwd.o, &fwd.lse, &dq, &dk, &dv}) {
+    h.tensor(*t);
+  }
+  h.stats(stats);
+  expect_pins({{"head dim 300", 0xe882886a185d63b9ULL}}, {h.h});
+}
+
 // Chunked prefill reads Q, K and V in place from fused row buffers (row
 // pitch 3d and wider), and writes O into a strided accumulator.
 TEST(KernelPin, AttentionStridedKvCacheViews) {
