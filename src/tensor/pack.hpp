@@ -81,11 +81,12 @@ inline std::int64_t pack_a(ConstMatView a, Trans ta, std::int64_t ic,
     const std::int64_t r0 = p * kMR;
     const std::int64_t rows = std::min(kMR, mc - r0);
     if (ta == Trans::No) {
-      // op(A)(i, k) = A(i, k): each source row is contiguous over k.
-      for (std::int64_t r = 0; r < rows; ++r) {
-        const float* arow = a.data + (ic + r0 + r) * a.stride + pc;
-        for (std::int64_t kk = 0; kk < kc; ++kk) {
-          out[kk * rows + r] = alpha * arow[kk];
+      // op(A)(i, k) = A(i, k): gather one k column of the panel's rows per
+      // step, so the stores stay contiguous.
+      const float* a0 = a.data + (ic + r0) * a.stride + pc;
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        for (std::int64_t r = 0; r < rows; ++r) {
+          out[kk * rows + r] = alpha * a0[r * a.stride + kk];
         }
       }
     } else {
