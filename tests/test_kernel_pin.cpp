@@ -15,7 +15,6 @@
 #include <cstring>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "kernels/flash_attention.hpp"
