@@ -11,9 +11,9 @@
 // bitwise identical for any pool size (including BURST_THREADS overrides).
 // Quantized weights (DESIGN.md §16): B operands can be stored in any
 // tensor/dtype.hpp DType. PackedB quantizes + panelizes op(B) once (weights
-// are static), then gemm_packed streams the quantized panels through
-// dequantize-in-microkernel variants — the fp32 path is bit-identical to
-// gemm() on the same operands.
+// are static), then gemm_packed streams the quantized panels through the
+// microkernel, which dequantizes them block by block — the fp32 path is
+// bit-identical to gemm() on the same operands.
 #pragma once
 
 #include <cstdint>
