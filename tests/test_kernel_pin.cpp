@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "kernels/flash_attention.hpp"
+#include "pin.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/rng.hpp"
 
@@ -36,41 +37,6 @@ using tensor::Tensor;
 using tensor::Trans;
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
-
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h = (h ^ b[i]) * 0x100000001b3ULL;
-    }
-  }
-  void tensor(const Tensor& t) {
-    bytes(t.data(), static_cast<std::size_t>(t.numel()) * sizeof(float));
-  }
-  void stats(const KernelStats& s) {
-    bytes(&s.flops, sizeof s.flops);
-    bytes(&s.tiles_computed, sizeof s.tiles_computed);
-    bytes(&s.tiles_skipped, sizeof s.tiles_skipped);
-  }
-};
-
-struct Pin {
-  std::string name;
-  std::uint64_t want;
-};
-
-// Checks every pin and, on a mismatch, prints the table row to paste.
-void expect_pins(const std::vector<Pin>& want,
-                 const std::vector<std::uint64_t>& got) {
-  ASSERT_EQ(want.size(), got.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i], want[i].want)
-        << want[i].name << ": got {\"" << want[i].name << "\", 0x" << std::hex
-        << got[i] << "ULL}";
-  }
-}
 
 // ---- GEMM ------------------------------------------------------------------
 
