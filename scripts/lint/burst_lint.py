@@ -657,6 +657,34 @@ def one_param_list(sf):
             )
 
 
+_LAYER_BACKWARD_OWNERS = ("src/model/dist_model.cpp", "src/model/block.hpp")
+
+
+@rule(
+    "one-layer-backward",
+    "one layer backward (DESIGN.md section 2): training runs one layer "
+    "forward/backward pair, the distributed step's in model/dist_model.cpp "
+    "(the one-device entry points run it on one rank), so the block's "
+    "backward halves block_backward_ffn / block_backward_qkv "
+    "(model/block.hpp) are called from nowhere else in src/; a second "
+    "caller is a second backward layer",
+    applies=lambda p: (
+        p.replace("\\", "/").split("/")[0] == "src"
+        and not p.replace("\\", "/").endswith(_LAYER_BACKWARD_OWNERS)
+    ),
+)
+def one_layer_backward(sf):
+    # Over the joined code lines, so a call split before its '(' still counts.
+    text = "\n".join(sf.code_lines)
+    for m in re.finditer(r"\bblock_backward_(ffn|qkv)\s*\(", text):
+        yield text.count("\n", 0, m.start()) + 1, (
+            f"call to `block_backward_{m.group(1)}` outside "
+            "model/dist_model.cpp; run the step through dist_train_step (or "
+            "serial_train_step on one device) instead of a second backward "
+            "layer"
+        )
+
+
 # ==========================================================================
 # Tier 2: whole-program analyses over a ProgramModel
 # ==========================================================================

@@ -104,6 +104,11 @@ class TestRuleDetection(unittest.TestCase):
         self.assert_rule_fires(
             "src/model/bad_param_list.cpp", "one-param-list", 3)
 
+    def test_one_layer_backward(self):
+        # Qualified, unqualified, and split before the '('.
+        self.assert_rule_fires(
+            "src/model/bad_layer_backward.cpp", "one-layer-backward", 3)
+
     def test_malformed_directives(self):
         self.assert_rule_fires("src/sim/bad_directive.cpp", "lint-directive", 2)
 
@@ -227,6 +232,37 @@ class TestSuppressionAndNoise(unittest.TestCase):
                 self.assertEqual(rc, expect_rc, f"{'/'.join(rel)}:\n{err}")
                 if expect_rc:
                     self.assertIn("[one-param-list]", err)
+
+    def test_one_layer_backward_spares_lookalikes(self):
+        # Names in comments and strings and lookalike functions are clean.
+        rc, _, err = lint_fixture("src/model/good_layer_backward.cpp")
+        self.assertEqual(rc, 0, f"clean layer code flagged:\n{err}")
+
+    def test_one_layer_backward_scoped_to_src(self):
+        # dist_model.cpp runs the one layer backward and block.hpp defines
+        # its halves; tests/ and bench/ may call them; anywhere else in src/
+        # fires.
+        with open(os.path.join(FIXTURES, "src", "model",
+                               "bad_layer_backward.cpp")) as f:
+            body = f.read()
+        for rel, expect_rc in (
+                (("src", "model", "dist_model.cpp"), 0),
+                (("src", "model", "block.hpp"), 0),
+                (("tests", "test_block.cpp"), 0),
+                (("bench", "bench_block.cpp"), 0),
+                (("src", "model", "transformer.cpp"), 1),
+                (("src", "serve", "engine.cpp"), 1)):
+            with tempfile.TemporaryDirectory() as tmp:
+                d = os.path.join(tmp, *rel[:-1])
+                os.makedirs(d)
+                path = os.path.join(d, rel[-1])
+                with open(path, "w") as f:
+                    f.write(body)
+                rc, _, err = run_lint(
+                    ["--root", tmp, "--no-analyses", path])
+                self.assertEqual(rc, expect_rc, f"{'/'.join(rel)}:\n{err}")
+                if expect_rc:
+                    self.assertIn("[one-layer-backward]", err)
 
     def test_orphan_decl_counts_every_tree_as_a_use(self):
         # A function named only by tests/, only by bench/, or only by the

@@ -2,8 +2,10 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/sweep.hpp"
@@ -12,6 +14,8 @@
 #include "kernels/lm_head.hpp"
 #include "kernels/rope.hpp"
 #include "model/block.hpp"
+#include "parallel/thread_pool.hpp"
+#include "sim/phase_metrics.hpp"
 #include "tensor/ops.hpp"
 
 namespace burst::model {
@@ -112,25 +116,23 @@ struct DeviceState {
   }
 };
 
+// Column blocks of `all`, one per head, each rotated at the device's
+// *global* positions when `rope` is given (the CP correctness trap the
+// kernels/rope.hpp header documents). One parallel_for chunk per head.
 std::vector<Tensor> split_heads(const Tensor& all, std::int64_t heads,
-                                std::int64_t dh) {
-  std::vector<Tensor> out;
-  out.reserve(static_cast<std::size_t>(heads));
-  for (std::int64_t h = 0; h < heads; ++h) {
-    out.push_back(tensor::copy_cols(all, h * dh, dh));
-  }
+                                std::int64_t dh,
+                                const IndexMap* rope = nullptr) {
+  std::vector<Tensor> out(static_cast<std::size_t>(heads));
+  parallel::parallel_for(0, out.size(), 1, [&](std::size_t h0,
+                                               std::size_t h1) {
+    for (std::size_t h = h0; h < h1; ++h) {
+      out[h] = tensor::copy_cols(all, static_cast<std::int64_t>(h) * dh, dh);
+      if (rope != nullptr) {
+        kernels::apply_rope_inplace(out[h], *rope);
+      }
+    }
+  });
   return out;
-}
-
-// RoPE over the device's *global* positions (the CP correctness trap the
-// kernels/rope.hpp header documents).
-void maybe_rope(const DeviceState& st, std::vector<Tensor>* heads) {
-  if (!st.cfg->model.use_rope) {
-    return;
-  }
-  for (auto& h : *heads) {
-    kernels::apply_rope_inplace(h, st.map);
-  }
 }
 
 void maybe_rope_inverse(const DeviceState& st, Tensor* grad_head) {
@@ -139,10 +141,75 @@ void maybe_rope_inverse(const DeviceState& st, Tensor* grad_head) {
   }
 }
 
+// On a one-member route a head's sweep sends nothing and reduces to its
+// local kernels, so the heads run those under the deterministic
+// parallel_for, one chunk per head. Each head's cost is charged after the
+// join, in head order, as its sweep charges it: inside the sweep's phase,
+// `pre_flops` (the backward's D, Algorithm 2 line 2) and then the kernel's.
+void charge_local_head(DeviceState& st, const char* phase, double pre_flops,
+                       const kernels::KernelStats& ks) {
+  comm::Transport& tp = st.comm->transport();
+  sim::ScopedPhaseMetrics scope(tp, phase);
+  if (pre_flops > 0.0) {
+    tp.compute(pre_flops);
+  }
+  tp.compute(static_cast<double>(ks.flops));
+}
+
+void local_attention_forward(DeviceState& st, const Heads& hd,
+                             std::vector<Tensor>* o, std::vector<Tensor>* lse) {
+  const std::size_t heads = hd.q.size();
+  const auto group = static_cast<std::size_t>(st.cfg->model.group_size());
+  o->resize(heads);
+  lse->resize(heads);
+  std::vector<kernels::KernelStats> stats(heads);
+  parallel::parallel_for(0, heads, 1, [&](std::size_t h0, std::size_t h1) {
+    for (std::size_t h = h0; h < h1; ++h) {
+      auto r = kernels::flash_forward(hd.q[h], st.map, hd.k[h / group],
+                                      hd.v[h / group], st.map, st.cfg->mask,
+                                      st.scale, &stats[h]);
+      (*o)[h] = std::move(r.o);
+      (*lse)[h] = std::move(r.lse);
+    }
+  });
+  for (const kernels::KernelStats& ks : stats) {
+    charge_local_head(st, "attn.forward", 0.0, ks);
+  }
+}
+
+// Per-head gradients w.r.t. pre-RoPE Q/K, and V, on a one-member route.
+std::vector<core::LocalGrads> local_attention_backward(
+    DeviceState& st, const Heads& hd, const std::vector<Tensor>& o,
+    const std::vector<Tensor>& lse, const std::vector<Tensor>& d_o) {
+  const std::size_t heads = hd.q.size();
+  const auto group = static_cast<std::size_t>(st.cfg->model.group_size());
+  const std::int64_t rows = st.map.size();
+  const std::int64_t dh = st.cfg->model.head_dim();
+  std::vector<core::LocalGrads> grads(heads);
+  std::vector<kernels::KernelStats> stats(heads);
+  parallel::parallel_for(0, heads, 1, [&](std::size_t h0, std::size_t h1) {
+    for (std::size_t h = h0; h < h1; ++h) {
+      core::LocalGrads& g = grads[h];
+      g.dq = Tensor::zeros(rows, dh);
+      g.dk = Tensor::zeros(rows, dh);
+      g.dv = Tensor::zeros(rows, dh);
+      kernels::flash_backward_partial(
+          hd.q[h], st.map, hd.k[h / group], hd.v[h / group], st.map,
+          st.cfg->mask, st.scale, d_o[h], lse[h],
+          kernels::attention_dvec(d_o[h], o[h]), g.dq, g.dk, g.dv, &stats[h]);
+      maybe_rope_inverse(st, &g.dq);
+      maybe_rope_inverse(st, &g.dk);
+    }
+  });
+  for (std::size_t h = 0; h < heads; ++h) {
+    charge_local_head(st, "attn.backward",
+                      static_cast<double>(2 * d_o[h].numel()), stats[h]);
+  }
+  return grads;
+}
+
 // Multi-head distributed attention forward; returns per-head (O, Lse).
-void attention_forward(DeviceState& st, const std::vector<Tensor>& q,
-                       const std::vector<Tensor>& k,
-                       const std::vector<Tensor>& v, LayerCache& cache,
+void attention_forward(DeviceState& st, const Heads& hd, LayerCache& cache,
                        std::vector<Tensor>* o_out,
                        std::vector<Tensor>* lse_out) {
   const auto& cfg = *st.cfg;
@@ -156,9 +223,13 @@ void attention_forward(DeviceState& st, const std::vector<Tensor>& q,
   switch (cfg.impl) {
     case AttnImpl::kBurst:
     case AttnImpl::kRing: {
+      if (st.route.size() == 1) {
+        local_attention_forward(st, hd, o_out, lse_out);
+        break;
+      }
       const std::size_t group = static_cast<std::size_t>(cfg.model.group_size());
-      for (std::size_t h = 0; h < q.size(); ++h) {
-        core::LocalQKV local{q[h], k[h / group], v[h / group]};
+      for (std::size_t h = 0; h < hd.q.size(); ++h) {
+        core::LocalQKV local{hd.q[h], hd.k[h / group], hd.v[h / group]};
         auto r = core::dist_attention_forward(*st.comm, st.route,
                                               st.attn_cfg(), local);
         o_out->push_back(std::move(r.o));
@@ -168,7 +239,8 @@ void attention_forward(DeviceState& st, const std::vector<Tensor>& q,
     }
     case AttnImpl::kUlysses:
     case AttnImpl::kUsp: {
-      *o_out = usp_forward(*st.comm, st.usp_cfg(), q, k, v, &cache.usp);
+      *o_out = usp_forward(*st.comm, st.usp_cfg(), hd.q, hd.k, hd.v,
+                           &cache.usp);
       lse_out->clear();  // lse lives inside cache.usp
       break;
     }
@@ -225,12 +297,10 @@ Heads split_qkv(DeviceState& st, const Tensor& q_all, const Tensor& k_all,
   st.comm->transport().compute(
       2.0 * static_cast<double>(q_all.rows()) *
       (fd(m.d_model) * fd(m.d_model) + 2.0 * fd(m.d_model) * fd(m.d_kv())));
-  Heads hd{split_heads(q_all, m.heads, dh),
-           split_heads(k_all, m.num_kv_heads(), dh),
-           split_heads(v_all, m.num_kv_heads(), dh)};
-  maybe_rope(st, &hd.q);
-  maybe_rope(st, &hd.k);
-  return hd;
+  const IndexMap* rope = m.use_rope ? &st.map : nullptr;
+  return Heads{split_heads(q_all, m.heads, dh, rope),
+               split_heads(k_all, m.num_kv_heads(), dh, rope),
+               split_heads(v_all, m.num_kv_heads(), dh)};
 }
 
 Tensor concat_heads(const std::vector<Tensor>& o, std::int64_t d_model) {
@@ -252,7 +322,7 @@ Tensor dist_layer_forward(DeviceState& st, const LayerWeights& w,
   BlockActs acts = block_hidden(
       w, x, [&](const Tensor& q_all, const Tensor& k_all, const Tensor& v_all) {
         hd = split_qkv(st, q_all, k_all, v_all);
-        attention_forward(st, hd.q, hd.k, hd.v, cache, &o, &lse);
+        attention_forward(st, hd, cache, &o, &lse);
         return concat_heads(o, m.d_model);
       });
   Tensor y = block_output(w, acts);
@@ -428,26 +498,32 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
       tensor::set_cols(dv_all, h * dh, grads.dv[hi]);
     }
   } else {
-    const std::int64_t group = m.group_size();
+    std::vector<core::LocalGrads> grads;
+    if (st.route.size() == 1) {
+      grads = local_attention_backward(st, hd, o, lse, d_o_heads);
+    } else {
+      const auto group = static_cast<std::size_t>(m.group_size());
+      for (std::size_t h = 0; h < d_o_heads.size(); ++h) {
+        core::LocalQKV local{hd.q[h], hd.k[h / group], hd.v[h / group]};
+        kernels::AttnResult fwd;
+        fwd.o = o[h];
+        fwd.lse = lse[h];
+        grads.push_back(core::dist_attention_backward(
+            *st.comm, st.route, st.attn_cfg(), local, fwd, d_o_heads[h]));
+        maybe_rope_inverse(st, &grads.back().dq);
+        maybe_rope_inverse(st, &grads.back().dk);
+      }
+    }
+    // Query heads of one group accumulate into their shared K/V head, in
+    // ascending head order.
     dk_all.fill(0.0f);
     dv_all.fill(0.0f);
     for (std::int64_t h = 0; h < m.heads; ++h) {
-      const std::size_t hi = static_cast<std::size_t>(h);
-      const std::size_t kvh = static_cast<std::size_t>(h / group);
-      core::LocalQKV local{hd.q[hi], hd.k[kvh], hd.v[kvh]};
-      kernels::AttnResult fwd;
-      fwd.o = o[hi];
-      fwd.lse = lse[hi];
-      auto grads = core::dist_attention_backward(
-          *st.comm, st.route, st.attn_cfg(), local, fwd, d_o_heads[hi]);
-      maybe_rope_inverse(st, &grads.dq);
-      maybe_rope_inverse(st, &grads.dk);
-      tensor::set_cols(dq_all, h * dh, grads.dq);
-      // Query heads of one group accumulate into their shared K/V head.
-      tensor::add_cols_inplace(dk_all,
-                               static_cast<std::int64_t>(kvh) * dh, grads.dk);
-      tensor::add_cols_inplace(dv_all,
-                               static_cast<std::int64_t>(kvh) * dh, grads.dv);
+      const core::LocalGrads& head = grads[static_cast<std::size_t>(h)];
+      const std::int64_t kv_col = h / m.group_size() * dh;
+      tensor::set_cols(dq_all, h * dh, head.dq);
+      tensor::add_cols_inplace(dk_all, kv_col, head.dk);
+      tensor::add_cols_inplace(dv_all, kv_col, head.dv);
     }
   }
 
@@ -460,6 +536,97 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
   st.comm->transport().mem().free(cache.charged_bytes);
   cache.charged_bytes = 0;
   return dx;
+}
+
+// Device state for a global sequence of `n` positions on this rank.
+DeviceState device_state(comm::Communicator& comm, const DistTrainConfig& cfg,
+                         std::int64_t n) {
+  DeviceState st;
+  st.cfg = &cfg;
+  st.comm = &comm;
+  st.n_global = n;
+  st.map = index_map_for(cfg, n, comm.world_size(), comm.rank());
+  st.scale = 1.0f / std::sqrt(static_cast<float>(cfg.model.head_dim()));
+  const bool multi = comm.transport().topo().num_nodes > 1;
+  st.route = (cfg.topo_aware && multi)
+                 ? SweepRoute::double_ring(comm.transport().topo())
+                 : SweepRoute::flat(comm::flat_ring(comm.world_size()));
+  return st;
+}
+
+// The step's token ids are float-encoded: N+1 of them, each in [0, vocab).
+// Checked before anything is allocated, since the embedding's own bounds
+// check is an assert.
+void check_tokens(const ModelConfig& m, const Tensor& tokens) {
+  if (tokens.numel() < 2) {
+    throw std::invalid_argument(
+        "train step: tokens must hold at least 2 ids (inputs plus the "
+        "shifted target), got " + std::to_string(tokens.numel()));
+  }
+  const auto vocab = static_cast<float>(m.vocab);
+  for (std::int64_t i = 0; i < tokens.numel(); ++i) {
+    if (!(tokens[i] >= 0.0f && tokens[i] < vocab)) {
+      throw std::invalid_argument(
+          "train step: token " + std::to_string(i) + " is " +
+          std::to_string(tokens[i]) + ", outside [0, " +
+          std::to_string(m.vocab) + ")");
+    }
+  }
+}
+
+// Row i's input id and its target, the next token, at this rank's positions.
+struct LocalTokens {
+  std::vector<std::int64_t> ids, targets;
+};
+
+LocalTokens local_tokens(const IndexMap& map, const Tensor& tokens) {
+  LocalTokens lt;
+  for (std::int64_t i = 0; i < map.size(); ++i) {
+    const std::int64_t pos = map.global(i);
+    lt.ids.push_back(static_cast<std::int64_t>(tokens[pos]));
+    lt.targets.push_back(static_cast<std::int64_t>(tokens[pos + 1]));
+  }
+  return lt;
+}
+
+std::vector<int> whole_world(int g) {
+  std::vector<int> world(static_cast<std::size_t>(g));
+  std::iota(world.begin(), world.end(), 0);
+  return world;
+}
+
+// LM head + loss over this rank's rows (sequence-parallel: local rows, full
+// vocabulary). Charges the head's FLOPs and its scratch high-water mark (fp32
+// actual -> as-if bf16); the caller frees the scratch. Every shard has N/G
+// rows, so the global mean loss is the all-reduced average of the local
+// means, reduced as a float; the returned result holds it.
+kernels::LmHeadResult lm_head_loss(DeviceState& st, const Tensor& x,
+                                   const Tensor& w_head,
+                                   const std::vector<std::int64_t>& targets) {
+  comm::Communicator& comm = *st.comm;
+  kernels::LmHeadResult lm =
+      st.cfg->fused_lm_head
+          ? kernels::fused_lm_head_loss(x, w_head, targets, 32, 64)
+          : kernels::naive_lm_head_loss(x, w_head, targets);
+  comm.transport().mem().alloc(lm.peak_scratch_bytes / 2, "lm head scratch");
+  comm.transport().compute(static_cast<double>(lm.flops));
+  Tensor loss_t(1, 1);
+  loss_t(0, 0) = static_cast<float>(lm.loss) *
+                 (1.0f / static_cast<float>(comm.world_size()));
+  comm.all_reduce_group_inplace(whole_world(comm.world_size()), loss_t);
+  lm.loss = loss_t(0, 0);
+  return lm;
+}
+
+// Forward only: each layer's cache, and its charge, is dropped as soon as
+// the layer's output exists.
+Tensor forward_only(DeviceState& st, const ModelWeights& w, Tensor x) {
+  for (const LayerWeights& lw : w.layers) {
+    LayerCache cache;
+    x = dist_layer_forward(st, lw, x, cache);
+    st.comm->transport().mem().free(cache.charged_bytes);
+  }
+  return x;
 }
 
 }  // namespace
@@ -484,63 +651,26 @@ DistStepResult dist_train_step(comm::Communicator& comm,
                                const DistTrainConfig& cfg,
                                const ModelWeights& weights,
                                const Tensor& tokens) {
+  check_tokens(cfg.model, tokens);
   const auto& m = cfg.model;
-  const int g = comm.world_size();
-  const std::int64_t n = tokens.numel() - 1;
+  DeviceState st = device_state(comm, cfg, tokens.numel() - 1);
 
-  DeviceState st;
-  st.cfg = &cfg;
-  st.comm = &comm;
-  st.n_global = n;
-  st.map = index_map_for(cfg, n, g, comm.rank());
-  st.scale = 1.0f / std::sqrt(static_cast<float>(m.head_dim()));
-  const bool multi = comm.transport().topo().num_nodes > 1;
-  st.route = (cfg.topo_aware && multi)
-                 ? SweepRoute::double_ring(comm.transport().topo())
-                 : SweepRoute::flat(comm::flat_ring(g));
-
-  // ---- embedding -------------------------------------------------------------
-  const std::int64_t n_loc = st.map.size();
-  std::vector<std::int64_t> ids(static_cast<std::size_t>(n_loc));
-  std::vector<std::int64_t> targets(static_cast<std::size_t>(n_loc));
-  for (std::int64_t i = 0; i < n_loc; ++i) {
-    const std::int64_t pos = st.map.global(i);
-    ids[static_cast<std::size_t>(i)] = static_cast<std::int64_t>(tokens[pos]);
-    targets[static_cast<std::size_t>(i)] =
-        static_cast<std::int64_t>(tokens[pos + 1]);
-  }
-  Tensor x = embed(weights, ids.data(), n_loc);
-
-  // ---- forward ----------------------------------------------------------------
+  // ---- embedding + forward ---------------------------------------------------
+  const LocalTokens lt = local_tokens(st.map, tokens);
+  Tensor x = embed(weights, lt.ids.data(), st.map.size());
   std::vector<LayerCache> caches(static_cast<std::size_t>(m.layers));
   for (std::int64_t l = 0; l < m.layers; ++l) {
     x = dist_layer_forward(st, weights.layers[static_cast<std::size_t>(l)], x,
                            caches[static_cast<std::size_t>(l)]);
   }
 
-  // ---- LM head + loss (sequence-parallel: local rows, full vocabulary) -------
-  kernels::LmHeadResult lm;
-  if (cfg.fused_lm_head) {
-    lm = kernels::fused_lm_head_loss(x, weights.w_head, targets, 32, 64);
-  } else {
-    lm = kernels::naive_lm_head_loss(x, weights.w_head, targets);
-  }
-  // Charge the LM-head scratch high-water mark (fp32 actual -> as-if bf16).
-  comm.transport().mem().alloc(lm.peak_scratch_bytes / 2, "lm head scratch");
-  comm.transport().compute(static_cast<double>(lm.flops));
-
-  // Global mean loss: every shard has N/G rows, so the global mean is the
-  // average of local means; gradient scale follows.
+  // ---- LM head + loss ----------------------------------------------------------
+  kernels::LmHeadResult lm = lm_head_loss(st, x, weights.w_head, lt.targets);
   DistStepResult out;
+  out.loss = lm.loss;
   out.grads = ModelGrads::zeros(m);
-  std::vector<int> world(static_cast<std::size_t>(g));
-  std::iota(world.begin(), world.end(), 0);
-  const float inv_g = 1.0f / static_cast<float>(g);
-  Tensor loss_t(1, 1);
-  loss_t(0, 0) = static_cast<float>(lm.loss) * inv_g;
-  comm.all_reduce_group_inplace(world, loss_t);
-  out.loss = loss_t(0, 0);
-
+  // The gradient of the global mean scales with 1/G.
+  const float inv_g = 1.0f / static_cast<float>(comm.world_size());
   out.grads.w_head = std::move(lm.dw);
   tensor::scale_inplace(out.grads.w_head, inv_g);
   Tensor dx = std::move(lm.dh);
@@ -553,16 +683,43 @@ DistStepResult dist_train_step(comm::Communicator& comm,
                              caches[static_cast<std::size_t>(l)], dx,
                              out.grads.layers[static_cast<std::size_t>(l)]);
   }
-  embed_backward(ids.data(), dx, out.grads.w_embed);
+  embed_backward(lt.ids.data(), dx, out.grads.w_embed);
 
   // ---- data-parallel gradient synchronization --------------------------------
   if (!cfg.sync_grads) {
     return out;  // caller reduce-scatters (FSDP)
   }
+  const std::vector<int> world = whole_world(comm.world_size());
   for_each_param(
       [&](Tensor& grad) { comm.all_reduce_group_inplace(world, grad); },
       out.grads);
   return out;
+}
+
+double dist_loss(comm::Communicator& comm, const DistTrainConfig& cfg,
+                 const ModelWeights& weights, const Tensor& tokens) {
+  check_tokens(cfg.model, tokens);
+  DeviceState st = device_state(comm, cfg, tokens.numel() - 1);
+  const LocalTokens lt = local_tokens(st.map, tokens);
+  const Tensor x =
+      forward_only(st, weights, embed(weights, lt.ids.data(), st.map.size()));
+  const kernels::LmHeadResult lm =
+      lm_head_loss(st, x, weights.w_head, lt.targets);
+  comm.transport().mem().free(lm.peak_scratch_bytes / 2);
+  return lm.loss;
+}
+
+Tensor dist_forward_hidden(comm::Communicator& comm,
+                           const DistTrainConfig& cfg,
+                           const ModelWeights& weights,
+                           const std::int64_t* ids, std::int64_t count) {
+  DeviceState st = device_state(comm, cfg, count);
+  std::vector<std::int64_t> local_ids;
+  for (std::int64_t i = 0; i < st.map.size(); ++i) {
+    local_ids.push_back(ids[st.map.global(i)]);
+  }
+  return forward_only(st, weights,
+                      embed(weights, local_ids.data(), st.map.size()));
 }
 
 }  // namespace burst::model

@@ -53,18 +53,33 @@ struct DistTrainConfig {
   bool sync_grads = true;
 };
 
-struct DistStepResult {
-  double loss = 0.0;   // global mean next-token CE (identical on all ranks)
-  ModelGrads grads;    // all-reduced: identical on all ranks
-};
+/// Loss and gradients are identical on all ranks (the gradients all-reduced
+/// unless `sync_grads` is off).
+using DistStepResult = TrainStepResult;
 
 /// One SPMD training step; call from within a Cluster::run functor. `tokens`
-/// holds the full global sequence (N+1 ids) — each device shards it locally
-/// by its index map.
+/// holds the full global sequence (N+1 float-encoded ids) — each device
+/// shards it locally by its index map. Throws std::invalid_argument, before
+/// allocating anything, when `tokens` holds fewer than 2 ids or an id
+/// outside [0, vocab). On a one-member route (one device) nothing is sent:
+/// the heads run their local attention kernels in parallel instead.
 DistStepResult dist_train_step(comm::Communicator& comm,
                                const DistTrainConfig& cfg,
                                const ModelWeights& weights,
                                const tensor::Tensor& tokens);
+
+/// Forward only: the loss dist_train_step reports for the same inputs, bit
+/// for bit. Validates `tokens` the same way.
+double dist_loss(comm::Communicator& comm, const DistTrainConfig& cfg,
+                 const ModelWeights& weights, const tensor::Tensor& tokens);
+
+/// Forward only: this rank's final-layer hidden states [local rows, d] for
+/// the global sequence `ids[0, count)`, sharded by dist_index_map. Ids must
+/// lie in [0, vocab).
+tensor::Tensor dist_forward_hidden(comm::Communicator& comm,
+                                   const DistTrainConfig& cfg,
+                                   const ModelWeights& weights,
+                                   const std::int64_t* ids, std::int64_t count);
 
 /// Ranks per head group of the USP grid `cfg` runs on over `world_size`
 /// ranks: the whole world for Ulysses (USP with one head group),

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "kernels/flash_attention.hpp"
-#include "kernels/lm_head.hpp"
 #include "kernels/rope.hpp"
 #include "model/block.hpp"
 #include "model/quant_weights.hpp"
@@ -89,206 +88,6 @@ void apply_sgd(ModelWeights& w, const ModelGrads& g, float lr) {
   for_each_param(
       [lr](Tensor& t, const Tensor& grad) { tensor::axpy(-lr, grad, t); }, w,
       g);
-}
-
-namespace {
-
-std::vector<std::int64_t> token_ids(const Tensor& tokens) {
-  std::vector<std::int64_t> ids(static_cast<std::size_t>(tokens.numel()));
-  for (std::int64_t i = 0; i < tokens.numel(); ++i) {
-    ids[static_cast<std::size_t>(i)] = static_cast<std::int64_t>(tokens[i]);
-  }
-  return ids;
-}
-
-struct LayerForwardCache {
-  Tensor x_in;                          // block input
-  std::vector<Tensor> q, k, v, o, lse;  // per head
-  BlockActs acts;
-};
-
-// The serial block: every head attends over the whole sequence.
-LayerForwardCache layer_forward(const ModelConfig& cfg, const LayerWeights& w,
-                                const Tensor& x, const MaskSpec& mask) {
-  LayerForwardCache c;
-  c.x_in = x;
-  const std::int64_t dh = cfg.head_dim();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  const IndexMap map = IndexMap::range(0, x.rows());
-  const auto group = static_cast<std::size_t>(cfg.group_size());
-  c.acts = block_hidden(w, x, [&](const Tensor& q_all, const Tensor& k_all,
-                                  const Tensor& v_all) {
-    Tensor attn = Tensor::zeros(x.rows(), cfg.d_model);
-    // One chunk per head: each writes only its own slots and its own column
-    // block of attn, so the result is the same for every pool size.
-    const auto kv_heads = static_cast<std::size_t>(cfg.num_kv_heads());
-    c.k.resize(kv_heads);
-    c.v.resize(kv_heads);
-    parallel::parallel_for(0, kv_heads, 1, [&](std::size_t h0, std::size_t h1) {
-      for (std::size_t kvh = h0; kvh < h1; ++kvh) {
-        const std::int64_t col = static_cast<std::int64_t>(kvh) * dh;
-        c.k[kvh] = tensor::copy_cols(k_all, col, dh);
-        if (cfg.use_rope) {
-          kernels::apply_rope_inplace(c.k[kvh], map);
-        }
-        c.v[kvh] = tensor::copy_cols(v_all, col, dh);
-      }
-    });
-    const auto heads = static_cast<std::size_t>(cfg.heads);
-    c.q.resize(heads);
-    c.o.resize(heads);
-    c.lse.resize(heads);
-    parallel::parallel_for(0, heads, 1, [&](std::size_t h0, std::size_t h1) {
-      for (std::size_t h = h0; h < h1; ++h) {
-        const std::int64_t col = static_cast<std::int64_t>(h) * dh;
-        c.q[h] = tensor::copy_cols(q_all, col, dh);
-        if (cfg.use_rope) {
-          kernels::apply_rope_inplace(c.q[h], map);
-        }
-        auto r = kernels::flash_forward(c.q[h], map, c.k[h / group],
-                                        c.v[h / group], map, mask, scale);
-        tensor::set_cols(attn, col, r.o);
-        c.o[h] = std::move(r.o);
-        c.lse[h] = std::move(r.lse);
-      }
-    });
-    return attn;
-  });
-  return c;
-}
-
-// Returns dX given dY; accumulates weight grads.
-Tensor layer_backward(const ModelConfig& cfg, const LayerWeights& w,
-                      const LayerForwardCache& c, const Tensor& d_y,
-                      const MaskSpec& mask, LayerGrads& g) {
-  const std::int64_t dh = cfg.head_dim();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  BlockFfnGrads ffn = block_backward_ffn(w, c.acts, d_y, g);
-
-  // Per-head attention backward, one chunk per head. Each head keeps its
-  // own dK/dV until the fixed-order GQA reduction after the join.
-  const std::int64_t rows = c.x_in.rows();
-  const IndexMap map = IndexMap::range(0, rows);
-  Tensor dq_all = Tensor::zeros(rows, cfg.d_model);
-  const auto group = static_cast<std::size_t>(cfg.group_size());
-  const auto heads = static_cast<std::size_t>(cfg.heads);
-  std::vector<Tensor> dk(heads);
-  std::vector<Tensor> dv(heads);
-  parallel::parallel_for(0, heads, 1, [&](std::size_t h0, std::size_t h1) {
-    for (std::size_t h = h0; h < h1; ++h) {
-      const std::size_t kvh = h / group;
-      const std::int64_t col = static_cast<std::int64_t>(h) * dh;
-      Tensor d_oh = tensor::copy_cols(ffn.d_attn, col, dh);
-      Tensor dvec = kernels::attention_dvec(d_oh, c.o[h]);
-      Tensor dq = Tensor::zeros(rows, dh);
-      dk[h] = Tensor::zeros(rows, dh);
-      dv[h] = Tensor::zeros(rows, dh);
-      kernels::flash_backward_partial(c.q[h], map, c.k[kvh], c.v[kvh], map,
-                                      mask, scale, d_oh, c.lse[h], dvec, dq,
-                                      dk[h], dv[h]);
-      if (cfg.use_rope) {
-        // Gradients w.r.t. pre-rotation Q/K: apply the inverse rotation.
-        kernels::apply_rope_inverse_inplace(dq, map);
-        kernels::apply_rope_inverse_inplace(dk[h], map);
-      }
-      tensor::set_cols(dq_all, col, dq);
-    }
-  });
-  // Query heads of one group accumulate into their shared K/V head, in
-  // ascending head order whatever the pool size.
-  Tensor dk_all = Tensor::zeros(rows, cfg.d_kv());
-  Tensor dv_all = Tensor::zeros(rows, cfg.d_kv());
-  for (std::size_t h = 0; h < heads; ++h) {
-    const std::int64_t col = static_cast<std::int64_t>(h / group) * dh;
-    tensor::add_cols_inplace(dk_all, col, dk[h]);
-    tensor::add_cols_inplace(dv_all, col, dv[h]);
-  }
-  return block_backward_qkv(w, c.x_in, std::move(ffn.d_h), dq_all, dk_all,
-                            dv_all, g);
-}
-
-// Final-layer hidden states of the serial forward over `count` ids.
-Tensor serial_hidden(const ModelConfig& cfg, const ModelWeights& w,
-                     const std::int64_t* ids, std::int64_t count,
-                     const MaskSpec& mask) {
-  Tensor x = embed(w, ids, count);
-  for (std::int64_t l = 0; l < cfg.layers; ++l) {
-    const LayerWeights& lw = w.layers[static_cast<std::size_t>(l)];
-    x = block_output(lw, layer_forward(cfg, lw, x, mask).acts);
-  }
-  return x;
-}
-
-}  // namespace
-
-TrainStepResult serial_train_step(const ModelConfig& cfg,
-                                  const ModelWeights& w, const Tensor& tokens,
-                                  const MaskSpec& mask) {
-  const std::int64_t n = tokens.numel() - 1;
-  assert(n > 0);
-  const std::vector<std::int64_t> ids = token_ids(tokens);
-
-  Tensor x = embed(w, ids.data(), n);
-  std::vector<LayerForwardCache> caches;
-  caches.reserve(static_cast<std::size_t>(cfg.layers));
-  for (std::int64_t l = 0; l < cfg.layers; ++l) {
-    const LayerWeights& lw = w.layers[static_cast<std::size_t>(l)];
-    caches.push_back(layer_forward(cfg, lw, x, mask));
-    x = block_output(lw, caches.back().acts);
-  }
-
-  auto lm = kernels::fused_lm_head_loss(
-      x, w.w_head, {ids.begin() + 1, ids.end()}, /*block_s=*/32,
-      /*block_v=*/64);
-
-  TrainStepResult out;
-  out.loss = lm.loss;
-  out.grads = ModelGrads::zeros(cfg);
-  out.grads.w_head = std::move(lm.dw);
-
-  Tensor dx = std::move(lm.dh);
-  for (std::int64_t l = cfg.layers - 1; l >= 0; --l) {
-    dx = layer_backward(cfg, w.layers[static_cast<std::size_t>(l)],
-                        caches[static_cast<std::size_t>(l)], dx, mask,
-                        out.grads.layers[static_cast<std::size_t>(l)]);
-  }
-  embed_backward(ids.data(), dx, out.grads.w_embed);
-  return out;
-}
-
-std::vector<double> serial_per_row_loss(const ModelConfig& cfg,
-                                        const ModelWeights& w,
-                                        const Tensor& tokens,
-                                        const MaskSpec& mask) {
-  const std::int64_t n = tokens.numel() - 1;
-  const std::vector<std::int64_t> ids = token_ids(tokens);
-  // Per-row CE: lse(logits_i) - logit_i[target_i].
-  const Tensor logits =
-      head_logits(w, serial_hidden(cfg, w, ids.data(), n, mask));
-  const Tensor lse = tensor::row_lse(logits);
-  std::vector<double> out(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        static_cast<double>(lse[i]) -
-        logits(i, ids[static_cast<std::size_t>(i + 1)]);
-  }
-  return out;
-}
-
-double serial_loss(const ModelConfig& cfg, const ModelWeights& w,
-                   const Tensor& tokens, const MaskSpec& mask) {
-  const std::int64_t n = tokens.numel() - 1;
-  const std::vector<std::int64_t> ids = token_ids(tokens);
-  return kernels::fused_lm_head_loss(serial_hidden(cfg, w, ids.data(), n, mask),
-                                     w.w_head, {ids.begin() + 1, ids.end()},
-                                     32, 64)
-      .loss;
-}
-
-Tensor serial_forward_logits(const ModelConfig& cfg, const ModelWeights& w,
-                             const std::int64_t* tokens, std::int64_t count,
-                             const MaskSpec& mask) {
-  return head_logits(w, serial_hidden(cfg, w, tokens, count, mask));
 }
 
 Tensor head_logits(const ModelWeights& w, const Tensor& h) {

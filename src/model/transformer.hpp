@@ -5,9 +5,8 @@
 // paper's Eq. 2 does not prescribe gating; FLOP formulas in perfmodel use
 // the gated LLaMA counts).
 //
-// The serial train step here is the ground truth that the distributed step
-// in dist_model.hpp is validated against, and the workhorse of the toy
-// training example.
+// Training runs one layer forward/backward, the distributed step's
+// (dist_model.hpp); the one-device entry points below run it on one rank.
 #pragma once
 
 #include <cassert>
@@ -82,18 +81,26 @@ std::int64_t param_count(const ModelWeights& w);
 void apply_sgd(ModelWeights& w, const ModelGrads& g, float lr);
 
 struct TrainStepResult {
-  double loss = 0.0;  // mean next-token cross-entropy
+  double loss = 0.0;  // global mean next-token cross-entropy
   ModelGrads grads;
 };
 
-/// Full serial forward+backward for next-token prediction. `tokens` holds
-/// N+1 token ids (float-encoded); rows 0..N-1 are inputs, 1..N targets.
+// The one-device entry points. Each runs the distributed step
+// (model/dist_model.hpp), or its forward-only pass, on a one-device
+// simulated cluster with contiguous rows, no recompute and the fused LM
+// head. On that one-member route nothing is sent and the heads run their
+// local attention kernels in parallel.
+
+/// Forward+backward for next-token prediction. `tokens` holds N+1 token ids
+/// (float-encoded); rows 0..N-1 are inputs, 1..N targets. Throws
+/// std::invalid_argument when `tokens` holds fewer than 2 ids or an id
+/// outside [0, vocab).
 TrainStepResult serial_train_step(const ModelConfig& cfg,
                                   const ModelWeights& w,
                                   const tensor::Tensor& tokens,
                                   const kernels::MaskSpec& mask);
 
-/// Forward-only mean loss (for quick evaluation in examples).
+/// Forward-only mean loss: serial_train_step's loss, bit for bit.
 double serial_loss(const ModelConfig& cfg, const ModelWeights& w,
                    const tensor::Tensor& tokens,
                    const kernels::MaskSpec& mask);
@@ -114,8 +121,8 @@ tensor::Tensor head_logits(const ModelWeights& w, const tensor::Tensor& h);
 /// Index of the largest entry of a rank-1 tensor (greedy decoding).
 std::int64_t argmax(const tensor::Tensor& logits);
 
-/// One-shot full forward over `count` token ids: [count, vocab] logits.
-/// The serving-path ground truth: chunked prefill + decode must reproduce
+/// One-shot full forward over `count` token ids on one device (like the
+/// entry points above): [count, vocab] logits. The serving-path ground truth: chunked prefill + decode must reproduce
 /// its rows (tests/test_serve_decode.cpp).
 tensor::Tensor serial_forward_logits(const ModelConfig& cfg,
                                      const ModelWeights& w,

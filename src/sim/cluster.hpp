@@ -199,7 +199,8 @@ class Cluster {
   const Config& config() const { return cfg_; }
   int world_size() const { return cfg_.topo.world_size(); }
 
-  /// Runs `fn(ctx)` on world_size() threads, one per rank. Blocks until all
+  /// Runs `fn(ctx)` on world_size() threads, one per rank (a one-device
+  /// cluster runs it on the calling thread). Blocks until all
   /// devices finish; rethrows the temporally-first root-cause exception
   /// (after all threads have unwound). May be called repeatedly; mailboxes
   /// must be empty at the end of each clean run (checked; duplicates

@@ -1,22 +1,26 @@
 // End-to-end integration: a full distributed training step (embedding ->
 // N transformer blocks with distributed attention -> fused LM head + loss ->
 // backward with checkpoint recomputation -> gradient all-reduce) must equal
-// the serial reference bit-for-bit up to fp32 reassociation, for every
-// attention implementation and every checkpointing strategy.
+// a serial reference up to fp32 reassociation, for every attention
+// implementation and every checkpointing strategy. The reference
+// (tests/reference_model.hpp) shares no attention or LM-head kernel with
+// the step.
 #include "model/dist_model.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "comm/communicator.hpp"
 #include "comm/sim_transport.hpp"
 #include "model/transformer.hpp"
+#include "pin.hpp"
+#include "reference_model.hpp"
 #include "sim/cluster.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
@@ -86,8 +90,9 @@ class DistModel : public ::testing::TestWithParam<ImplCase> {};
 TEST_P(DistModel, MatchesSerialReference) {
   const auto [impl, balance, ckpt] = GetParam();
   Fixture fx;
-  auto serial = serial_train_step(fx.cfg, fx.weights, fx.tokens,
-                                  MaskSpec::causal());
+  const auto serial = testing::reference_train_step(fx.cfg, fx.weights,
+                                                    fx.tokens,
+                                                    MaskSpec::causal());
 
   DistTrainConfig cfg;
   cfg.model = fx.cfg;
@@ -117,27 +122,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Balance::kContiguous),
                        ::testing::Values(CkptStrategy::kSelectivePP)));
 
-// FNV-1a over the raw bits of every gradient tensor, in a fixed order.
+// FNV-1a over the raw bits of every gradient tensor, in parameter order.
 std::uint64_t grads_fnv(const ModelGrads& g) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&](const Tensor& t) {
-    for (std::int64_t i = 0; i < t.numel(); ++i) {
-      std::uint32_t bits = 0;
-      std::memcpy(&bits, t.data() + i, sizeof bits);
-      for (int b = 0; b < 4; ++b) {
-        h ^= (bits >> (8 * b)) & 0xffU;
-        h *= 0x100000001b3ULL;
-      }
-    }
-  };
-  for (const auto& l : g.layers) {
-    for (const Tensor* t : {&l.wq, &l.wk, &l.wv, &l.wo, &l.w1, &l.w2}) {
-      mix(*t);
-    }
-  }
-  mix(g.w_embed);
-  mix(g.w_head);
-  return h;
+  Fnv h;
+  for_each_param([&h](const Tensor& t) { h.tensor(t); }, g);
+  return h.h;
 }
 
 // The step's loss and gradients are documented as identical on all ranks:
@@ -260,8 +249,8 @@ TEST(DistModelUlysses, IndexMapIsContiguousUnderEveryBalance) {
 
 TEST(DistModelTopo, DoubleRingMultiNodeMatchesSerial) {
   Fixture fx;
-  auto serial =
-      serial_train_step(fx.cfg, fx.weights, fx.tokens, MaskSpec::causal());
+  const auto serial = testing::reference_train_step(
+      fx.cfg, fx.weights, fx.tokens, MaskSpec::causal());
   DistTrainConfig cfg;
   cfg.model = fx.cfg;
   cfg.impl = AttnImpl::kBurst;
@@ -367,6 +356,65 @@ TEST(DistModelTraining, DistributedSgdConvergesLikeSerial) {
       }
     });
     EXPECT_NEAR(dist_loss, serial_final, 5e-3) << "iter " << iter;
+  }
+}
+
+// The one-rank step against the reference, for MHA and GQA with RoPE on,
+// under a causal and a document mask: through serial_train_step (contiguous
+// rows, no recompute) and through dist_train_step on a one-device cluster
+// with the default zigzag rows and selective++ recompute.
+TEST(DistModelOracle, OneRankStepMatchesReference) {
+  for (std::int64_t kv_heads : {0, 2}) {
+    ModelConfig m = ModelConfig::toy();
+    m.kv_heads = kv_heads;
+    m.use_rope = true;
+    Fixture fx;
+    fx.cfg = m;
+    fx.weights = ModelWeights::init(m, 47);
+    for (const MaskSpec& mask :
+         {MaskSpec::causal(), MaskSpec::document_from_lengths({12, 20})}) {
+      const auto ref =
+          testing::reference_train_step(m, fx.weights, fx.tokens, mask);
+      const auto one = serial_train_step(m, fx.weights, fx.tokens, mask);
+      EXPECT_NEAR(one.loss, ref.loss, 1e-4) << "kv_heads " << kv_heads;
+      expect_grads_close(one.grads, ref.grads, 2e-3f);
+
+      DistTrainConfig cfg;
+      cfg.model = m;
+      cfg.mask = mask;
+      const DistStepResult dist =
+          run_distributed(fx, cfg, Topology::single_node(1));
+      EXPECT_NEAR(dist.loss, ref.loss, 1e-4) << "kv_heads " << kv_heads;
+      expect_grads_close(dist.grads, ref.grads, 2e-3f);
+    }
+  }
+}
+
+// Bad token tensors are refused before anything runs, through the
+// distributed step on two ranks and through the one-device entry point.
+void expect_tokens_rejected(const Fixture& fx) {
+  DistTrainConfig cfg;
+  cfg.model = fx.cfg;
+  EXPECT_THROW(run_distributed(fx, cfg, Topology::single_node(2)),
+               std::invalid_argument);
+  EXPECT_THROW(
+      serial_train_step(fx.cfg, fx.weights, fx.tokens, MaskSpec::causal()),
+      std::invalid_argument);
+}
+
+TEST(DistModelTokens, RejectsFewerThanTwoIds) {
+  Fixture fx;
+  for (std::int64_t count : {0, 1}) {
+    fx.tokens = Tensor::zeros(count);
+    expect_tokens_rejected(fx);
+  }
+}
+
+TEST(DistModelTokens, RejectsIdOutsideVocab) {
+  for (float bad : {-1.0f, static_cast<float>(ModelConfig::toy().vocab)}) {
+    Fixture fx;
+    fx.tokens[kSeq / 2] = bad;
+    expect_tokens_rejected(fx);
   }
 }
 
