@@ -2,12 +2,12 @@
 
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "comm/sim_transport.hpp"
 #include "core/sweep.hpp"
 #include "core/usp.hpp"
 #include "kernels/flash_attention.hpp"
@@ -15,6 +15,8 @@
 #include "kernels/rope.hpp"
 #include "model/block.hpp"
 #include "parallel/thread_pool.hpp"
+// burst-lint: allow(no-direct-cluster) the one-device entry points host their cluster
+#include "sim/cluster.hpp"
 #include "sim/phase_metrics.hpp"
 #include "tensor/ops.hpp"
 
@@ -51,15 +53,6 @@ core::UspConfig usp_config(const DistTrainConfig& cfg, std::int64_t n,
   uc.backward = core::BackwardComm::kRing;
   uc.overlap = cfg.overlap;
   return uc;
-}
-
-IndexMap index_map_for(const DistTrainConfig& cfg, std::int64_t n,
-                       int world_size, int rank) {
-  if (is_head_parallel(cfg)) {
-    return core::usp_local_index_map(usp_config(cfg, n, world_size),
-                                     world_size, rank);
-  }
-  return core::device_index_map(cfg.balance, n, world_size, rank);
 }
 
 // Approximate "as-if bf16" byte count for memory accounting.
@@ -143,69 +136,19 @@ void maybe_rope_inverse(const DeviceState& st, Tensor* grad_head) {
 
 // On a one-member route a head's sweep sends nothing and reduces to its
 // local kernels, so the heads run those under the deterministic
-// parallel_for, one chunk per head. Each head's cost is charged after the
-// join, in head order, as its sweep charges it: inside the sweep's phase,
-// `pre_flops` (the backward's D, Algorithm 2 line 2) and then the kernel's.
-void charge_local_head(DeviceState& st, const char* phase, double pre_flops,
-                       const kernels::KernelStats& ks) {
+// parallel_for, one chunk per head. Their costs are charged after the join,
+// in head order, as each sweep charges its own: inside the sweep's phase,
+// `pre_flops` (the backward's D, Algorithm 2 line 2), then the kernel's.
+void charge_local_heads(DeviceState& st, const char* phase, double pre_flops,
+                        const std::vector<kernels::KernelStats>& stats) {
   comm::Transport& tp = st.comm->transport();
-  sim::ScopedPhaseMetrics scope(tp, phase);
-  if (pre_flops > 0.0) {
-    tp.compute(pre_flops);
-  }
-  tp.compute(static_cast<double>(ks.flops));
-}
-
-void local_attention_forward(DeviceState& st, const Heads& hd,
-                             std::vector<Tensor>* o, std::vector<Tensor>* lse) {
-  const std::size_t heads = hd.q.size();
-  const auto group = static_cast<std::size_t>(st.cfg->model.group_size());
-  o->resize(heads);
-  lse->resize(heads);
-  std::vector<kernels::KernelStats> stats(heads);
-  parallel::parallel_for(0, heads, 1, [&](std::size_t h0, std::size_t h1) {
-    for (std::size_t h = h0; h < h1; ++h) {
-      auto r = kernels::flash_forward(hd.q[h], st.map, hd.k[h / group],
-                                      hd.v[h / group], st.map, st.cfg->mask,
-                                      st.scale, &stats[h]);
-      (*o)[h] = std::move(r.o);
-      (*lse)[h] = std::move(r.lse);
-    }
-  });
   for (const kernels::KernelStats& ks : stats) {
-    charge_local_head(st, "attn.forward", 0.0, ks);
-  }
-}
-
-// Per-head gradients w.r.t. pre-RoPE Q/K, and V, on a one-member route.
-std::vector<core::LocalGrads> local_attention_backward(
-    DeviceState& st, const Heads& hd, const std::vector<Tensor>& o,
-    const std::vector<Tensor>& lse, const std::vector<Tensor>& d_o) {
-  const std::size_t heads = hd.q.size();
-  const auto group = static_cast<std::size_t>(st.cfg->model.group_size());
-  const std::int64_t rows = st.map.size();
-  const std::int64_t dh = st.cfg->model.head_dim();
-  std::vector<core::LocalGrads> grads(heads);
-  std::vector<kernels::KernelStats> stats(heads);
-  parallel::parallel_for(0, heads, 1, [&](std::size_t h0, std::size_t h1) {
-    for (std::size_t h = h0; h < h1; ++h) {
-      core::LocalGrads& g = grads[h];
-      g.dq = Tensor::zeros(rows, dh);
-      g.dk = Tensor::zeros(rows, dh);
-      g.dv = Tensor::zeros(rows, dh);
-      kernels::flash_backward_partial(
-          hd.q[h], st.map, hd.k[h / group], hd.v[h / group], st.map,
-          st.cfg->mask, st.scale, d_o[h], lse[h],
-          kernels::attention_dvec(d_o[h], o[h]), g.dq, g.dk, g.dv, &stats[h]);
-      maybe_rope_inverse(st, &g.dq);
-      maybe_rope_inverse(st, &g.dk);
+    sim::ScopedPhaseMetrics scope(tp, phase);
+    if (pre_flops > 0.0) {
+      tp.compute(pre_flops);
     }
-  });
-  for (std::size_t h = 0; h < heads; ++h) {
-    charge_local_head(st, "attn.backward",
-                      static_cast<double>(2 * d_o[h].numel()), stats[h]);
+    tp.compute(static_cast<double>(ks.flops));
   }
-  return grads;
 }
 
 // Multi-head distributed attention forward; returns per-head (O, Lse).
@@ -223,17 +166,31 @@ void attention_forward(DeviceState& st, const Heads& hd, LayerCache& cache,
   switch (cfg.impl) {
     case AttnImpl::kBurst:
     case AttnImpl::kRing: {
-      if (st.route.size() == 1) {
-        local_attention_forward(st, hd, o_out, lse_out);
-        break;
-      }
-      const std::size_t group = static_cast<std::size_t>(cfg.model.group_size());
-      for (std::size_t h = 0; h < hd.q.size(); ++h) {
-        core::LocalQKV local{hd.q[h], hd.k[h / group], hd.v[h / group]};
-        auto r = core::dist_attention_forward(*st.comm, st.route,
-                                              st.attn_cfg(), local);
-        o_out->push_back(std::move(r.o));
-        lse_out->push_back(std::move(r.lse));
+      const std::size_t heads = hd.q.size();
+      const auto group = static_cast<std::size_t>(cfg.model.group_size());
+      const bool local = st.route.size() == 1;
+      std::vector<kernels::KernelStats> stats(heads);
+      o_out->resize(heads);
+      lse_out->resize(heads);
+      const auto attend = [&](std::size_t h0, std::size_t h1) {
+        for (std::size_t h = h0; h < h1; ++h) {
+          const Tensor& k = hd.k[h / group];
+          const Tensor& v = hd.v[h / group];
+          kernels::AttnResult r =
+              local ? kernels::flash_forward(hd.q[h], st.map, k, v, st.map,
+                                             cfg.mask, st.scale, &stats[h])
+                    : core::dist_attention_forward(*st.comm, st.route,
+                                                   st.attn_cfg(),
+                                                   {hd.q[h], k, v});
+          (*o_out)[h] = std::move(r.o);
+          (*lse_out)[h] = std::move(r.lse);
+        }
+      };
+      if (local) {
+        parallel::parallel_for(0, heads, 1, attend);
+        charge_local_heads(st, "attn.forward", 0.0, stats);
+      } else {
+        attend(0, heads);
       }
       break;
     }
@@ -498,21 +455,40 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
       tensor::set_cols(dv_all, h * dh, grads.dv[hi]);
     }
   } else {
-    std::vector<core::LocalGrads> grads;
-    if (st.route.size() == 1) {
-      grads = local_attention_backward(st, hd, o, lse, d_o_heads);
-    } else {
-      const auto group = static_cast<std::size_t>(m.group_size());
-      for (std::size_t h = 0; h < d_o_heads.size(); ++h) {
-        core::LocalQKV local{hd.q[h], hd.k[h / group], hd.v[h / group]};
-        kernels::AttnResult fwd;
-        fwd.o = o[h];
-        fwd.lse = lse[h];
-        grads.push_back(core::dist_attention_backward(
-            *st.comm, st.route, st.attn_cfg(), local, fwd, d_o_heads[h]));
-        maybe_rope_inverse(st, &grads.back().dq);
-        maybe_rope_inverse(st, &grads.back().dk);
+    const auto heads = static_cast<std::size_t>(m.heads);
+    const auto group = static_cast<std::size_t>(m.group_size());
+    const bool local = st.route.size() == 1;
+    std::vector<kernels::KernelStats> stats(heads);
+    std::vector<core::LocalGrads> grads(heads);
+    const auto attend_backward = [&](std::size_t h0, std::size_t h1) {
+      for (std::size_t h = h0; h < h1; ++h) {
+        const Tensor& k = hd.k[h / group];
+        const Tensor& v = hd.v[h / group];
+        core::LocalGrads& hg = grads[h];
+        if (local) {
+          hg = {Tensor::zeros(x.rows(), dh), Tensor::zeros(x.rows(), dh),
+                Tensor::zeros(x.rows(), dh)};
+          kernels::flash_backward_partial(
+              hd.q[h], st.map, k, v, st.map, st.cfg->mask, st.scale,
+              d_o_heads[h], lse[h], kernels::attention_dvec(d_o_heads[h], o[h]),
+              hg.dq, hg.dk, hg.dv, &stats[h]);
+        } else {
+          hg = core::dist_attention_backward(*st.comm, st.route,
+                                             st.attn_cfg(), {hd.q[h], k, v},
+                                             {o[h], lse[h]}, d_o_heads[h]);
+        }
+        maybe_rope_inverse(st, &hg.dq);
+        maybe_rope_inverse(st, &hg.dk);
+        tensor::set_cols(dq_all, static_cast<std::int64_t>(h) * dh, hg.dq);
+        hg.dq = Tensor();
       }
+    };
+    if (local) {
+      parallel::parallel_for(0, heads, 1, attend_backward);
+      charge_local_heads(st, "attn.backward", 2.0 * fd(x.rows()) * fd(dh),
+                         stats);
+    } else {
+      attend_backward(0, heads);
     }
     // Query heads of one group accumulate into their shared K/V head, in
     // ascending head order.
@@ -521,7 +497,6 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
     for (std::int64_t h = 0; h < m.heads; ++h) {
       const core::LocalGrads& head = grads[static_cast<std::size_t>(h)];
       const std::int64_t kv_col = h / m.group_size() * dh;
-      tensor::set_cols(dq_all, h * dh, head.dq);
       tensor::add_cols_inplace(dk_all, kv_col, head.dk);
       tensor::add_cols_inplace(dv_all, kv_col, head.dv);
     }
@@ -545,7 +520,7 @@ DeviceState device_state(comm::Communicator& comm, const DistTrainConfig& cfg,
   st.cfg = &cfg;
   st.comm = &comm;
   st.n_global = n;
-  st.map = index_map_for(cfg, n, comm.world_size(), comm.rank());
+  st.map = dist_index_map(cfg, n, comm.world_size(), comm.rank());
   st.scale = 1.0f / std::sqrt(static_cast<float>(cfg.model.head_dim()));
   const bool multi = comm.transport().topo().num_nodes > 1;
   st.route = (cfg.topo_aware && multi)
@@ -554,22 +529,18 @@ DeviceState device_state(comm::Communicator& comm, const DistTrainConfig& cfg,
   return st;
 }
 
-// The step's token ids are float-encoded: N+1 of them, each in [0, vocab).
-// Checked before anything is allocated, since the embedding's own bounds
-// check is an assert.
+// The step's N+1 float-encoded ids, checked before anything is allocated:
+// the embedding's own bounds check is an assert.
 void check_tokens(const ModelConfig& m, const Tensor& tokens) {
   if (tokens.numel() < 2) {
-    throw std::invalid_argument(
-        "train step: tokens must hold at least 2 ids (inputs plus the "
-        "shifted target), got " + std::to_string(tokens.numel()));
+    throw std::invalid_argument("train step: tokens hold " +
+                                std::to_string(tokens.numel()) +
+                                " ids, fewer than 2");
   }
-  const auto vocab = static_cast<float>(m.vocab);
   for (std::int64_t i = 0; i < tokens.numel(); ++i) {
-    if (!(tokens[i] >= 0.0f && tokens[i] < vocab)) {
-      throw std::invalid_argument(
-          "train step: token " + std::to_string(i) + " is " +
-          std::to_string(tokens[i]) + ", outside [0, " +
-          std::to_string(m.vocab) + ")");
+    if (!(tokens[i] >= 0.0f && tokens[i] < static_cast<float>(m.vocab))) {
+      throw std::invalid_argument("train step: token " + std::to_string(i) +
+                                  " is outside [0, vocab)");
     }
   }
 }
@@ -644,7 +615,11 @@ int head_group_size(const DistTrainConfig& cfg, int world_size) {
 
 IndexMap dist_index_map(const DistTrainConfig& cfg, std::int64_t seq_len,
                         int world_size, int rank) {
-  return index_map_for(cfg, seq_len, world_size, rank);
+  if (is_head_parallel(cfg)) {
+    return core::usp_local_index_map(usp_config(cfg, seq_len, world_size),
+                                     world_size, rank);
+  }
+  return core::device_index_map(cfg.balance, seq_len, world_size, rank);
 }
 
 DistStepResult dist_train_step(comm::Communicator& comm,
@@ -696,30 +671,83 @@ DistStepResult dist_train_step(comm::Communicator& comm,
   return out;
 }
 
-double dist_loss(comm::Communicator& comm, const DistTrainConfig& cfg,
-                 const ModelWeights& weights, const Tensor& tokens) {
-  check_tokens(cfg.model, tokens);
-  DeviceState st = device_state(comm, cfg, tokens.numel() - 1);
-  const LocalTokens lt = local_tokens(st.map, tokens);
-  const Tensor x =
-      forward_only(st, weights, embed(weights, lt.ids.data(), st.map.size()));
-  const kernels::LmHeadResult lm =
-      lm_head_loss(st, x, weights.w_head, lt.targets);
-  comm.transport().mem().free(lm.peak_scratch_bytes / 2);
-  return lm.loss;
+namespace {
+
+// Runs `fn(comm, cfg)` for one rank: a one-device simulated cluster,
+// contiguous rows, every activation kept (no recompute), the fused LM head.
+template <class Fn>
+void on_one_device(const ModelConfig& m, const MaskSpec& mask, Fn&& fn) {
+  DistTrainConfig cfg;
+  cfg.model = m;
+  cfg.mask = mask;
+  cfg.balance = Balance::kContiguous;
+  cfg.ckpt = core::CkptConfig{CkptStrategy::kNone, 0.0};
+  // burst-lint: allow(no-direct-cluster) hosting boundary of the one-device entry points
+  sim::Cluster cluster({sim::Topology::single_node(1)});
+  // burst-lint: allow(no-direct-cluster) each rank wrapped in a SimTransport
+  cluster.run([&](sim::DeviceContext& ctx) {
+    comm::SimTransport tp(ctx);
+    comm::Communicator comm(tp);
+    fn(comm, cfg);
+  });
 }
 
-Tensor dist_forward_hidden(comm::Communicator& comm,
-                           const DistTrainConfig& cfg,
-                           const ModelWeights& weights,
-                           const std::int64_t* ids, std::int64_t count) {
-  DeviceState st = device_state(comm, cfg, count);
-  std::vector<std::int64_t> local_ids;
-  for (std::int64_t i = 0; i < st.map.size(); ++i) {
-    local_ids.push_back(ids[st.map.global(i)]);
+}  // namespace
+
+TrainStepResult serial_train_step(const ModelConfig& cfg,
+                                  const ModelWeights& w, const Tensor& tokens,
+                                  const MaskSpec& mask) {
+  TrainStepResult out;
+  on_one_device(cfg, mask, [&](comm::Communicator& comm,
+                               const DistTrainConfig& dc) {
+    out = dist_train_step(comm, dc, w, tokens);
+  });
+  return out;
+}
+
+double serial_loss(const ModelConfig& cfg, const ModelWeights& w,
+                   const Tensor& tokens, const MaskSpec& mask) {
+  check_tokens(cfg, tokens);
+  double loss = 0.0;
+  on_one_device(cfg, mask, [&](comm::Communicator& comm,
+                               const DistTrainConfig& dc) {
+    DeviceState st = device_state(comm, dc, tokens.numel() - 1);
+    const LocalTokens lt = local_tokens(st.map, tokens);
+    const Tensor x =
+        forward_only(st, w, embed(w, lt.ids.data(), st.map.size()));
+    loss = lm_head_loss(st, x, w.w_head, lt.targets).loss;
+  });
+  return loss;
+}
+
+Tensor serial_forward_logits(const ModelConfig& cfg, const ModelWeights& w,
+                             const std::int64_t* tokens, std::int64_t count,
+                             const MaskSpec& mask) {
+  Tensor h;
+  on_one_device(cfg, mask, [&](comm::Communicator& comm,
+                               const DistTrainConfig& dc) {
+    // One rank's rows are the whole sequence, in order.
+    DeviceState st = device_state(comm, dc, count);
+    h = forward_only(st, w, embed(w, tokens, count));
+  });
+  return head_logits(w, h);
+}
+
+std::vector<double> serial_per_row_loss(const ModelConfig& cfg,
+                                        const ModelWeights& w,
+                                        const Tensor& tokens,
+                                        const MaskSpec& mask) {
+  const std::int64_t n = tokens.numel() - 1;
+  const LocalTokens lt = local_tokens(IndexMap::range(0, n), tokens);
+  // Per-row CE: lse(logits_i) - logit_i[target_i].
+  const Tensor logits = serial_forward_logits(cfg, w, lt.ids.data(), n, mask);
+  const Tensor lse = tensor::row_lse(logits);
+  std::vector<double> out(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto row = static_cast<std::size_t>(i);
+    out[row] = static_cast<double>(lse[i]) - logits(i, lt.targets[row]);
   }
-  return forward_only(st, weights,
-                      embed(weights, local_ids.data(), st.map.size()));
+  return out;
 }
 
 }  // namespace burst::model

@@ -68,19 +68,6 @@ DistStepResult dist_train_step(comm::Communicator& comm,
                                const ModelWeights& weights,
                                const tensor::Tensor& tokens);
 
-/// Forward only: the loss dist_train_step reports for the same inputs, bit
-/// for bit. Validates `tokens` the same way.
-double dist_loss(comm::Communicator& comm, const DistTrainConfig& cfg,
-                 const ModelWeights& weights, const tensor::Tensor& tokens);
-
-/// Forward only: this rank's final-layer hidden states [local rows, d] for
-/// the global sequence `ids[0, count)`, sharded by dist_index_map. Ids must
-/// lie in [0, vocab).
-tensor::Tensor dist_forward_hidden(comm::Communicator& comm,
-                                   const DistTrainConfig& cfg,
-                                   const ModelWeights& weights,
-                                   const std::int64_t* ids, std::int64_t count);
-
 /// Ranks per head group of the USP grid `cfg` runs on over `world_size`
 /// ranks: the whole world for Ulysses (USP with one head group),
 /// `usp_head_parallel` for USP, and 1 for the context-parallel impls. Must

@@ -5,7 +5,7 @@
 // paper's Eq. 2 does not prescribe gating; FLOP formulas in perfmodel use
 // the gated LLaMA counts).
 //
-// Training runs one layer forward/backward, the distributed step's
+// Training has one layer forward/backward, the distributed step's
 // (dist_model.hpp); the one-device entry points below run it on one rank.
 #pragma once
 
@@ -85,16 +85,13 @@ struct TrainStepResult {
   ModelGrads grads;
 };
 
-// The one-device entry points. Each runs the distributed step
-// (model/dist_model.hpp), or its forward-only pass, on a one-device
-// simulated cluster with contiguous rows, no recompute and the fused LM
-// head. On that one-member route nothing is sent and the heads run their
-// local attention kernels in parallel.
+// The one-device entry points run the distributed step (dist_model.hpp),
+// or its forward-only pass, on one simulated device: contiguous rows, no
+// recompute, the fused LM head.
 
 /// Forward+backward for next-token prediction. `tokens` holds N+1 token ids
 /// (float-encoded); rows 0..N-1 are inputs, 1..N targets. Throws
-/// std::invalid_argument when `tokens` holds fewer than 2 ids or an id
-/// outside [0, vocab).
+/// std::invalid_argument as dist_train_step does.
 TrainStepResult serial_train_step(const ModelConfig& cfg,
                                   const ModelWeights& w,
                                   const tensor::Tensor& tokens,
@@ -121,9 +118,10 @@ tensor::Tensor head_logits(const ModelWeights& w, const tensor::Tensor& h);
 /// Index of the largest entry of a rank-1 tensor (greedy decoding).
 std::int64_t argmax(const tensor::Tensor& logits);
 
-/// One-shot full forward over `count` token ids on one device (like the
-/// entry points above): [count, vocab] logits. The serving-path ground truth: chunked prefill + decode must reproduce
-/// its rows (tests/test_serve_decode.cpp).
+/// One-shot full forward over `count` token ids on one device, like the
+/// entry points above: [count, vocab] logits. The serving-path ground truth:
+/// chunked prefill + decode must reproduce its rows
+/// (tests/test_serve_decode.cpp).
 tensor::Tensor serial_forward_logits(const ModelConfig& cfg,
                                      const ModelWeights& w,
                                      const std::int64_t* tokens,

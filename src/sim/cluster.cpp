@@ -314,19 +314,17 @@ void Cluster::run(const std::function<void(DeviceContext&)>& fn) {
     s.bytes_sent_intra = ctx.bytes_sent_intra();
     s.bytes_sent_inter = ctx.bytes_sent_inter();
   };
+  // One device has no peer to wait on: it runs on the calling thread, so a
+  // run per step spawns no thread (and no malloc arena of its own).
+  std::vector<std::thread> threads;
+  for (int r = 0; r < g && g > 1; ++r) {
+    threads.emplace_back(run_rank, r);
+  }
   if (g == 1) {
-    // One device has no peer to wait on: it runs on the calling thread, so
-    // a run per step spawns no thread (and no malloc arena of its own).
     run_rank(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(g));
-    for (int r = 0; r < g; ++r) {
-      threads.emplace_back(run_rank, r);
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
+  }
+  for (auto& t : threads) {
+    t.join();
   }
 
   std::exception_ptr error;
