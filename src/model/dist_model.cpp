@@ -675,6 +675,9 @@ namespace {
 
 // Runs `fn(comm, cfg)` for one rank: a one-device simulated cluster,
 // contiguous rows, every activation kept (no recompute), the fused LM head.
+// A lone rank has no peer to wait on, so it runs on the calling thread
+// rather than under Cluster::run: a step per call spawns no thread, and no
+// malloc arena of its own.
 template <class Fn>
 void on_one_device(const ModelConfig& m, const MaskSpec& mask, Fn&& fn) {
   DistTrainConfig cfg;
@@ -684,12 +687,11 @@ void on_one_device(const ModelConfig& m, const MaskSpec& mask, Fn&& fn) {
   cfg.ckpt = core::CkptConfig{CkptStrategy::kNone, 0.0};
   // burst-lint: allow(no-direct-cluster) hosting boundary of the one-device entry points
   sim::Cluster cluster({sim::Topology::single_node(1)});
-  // burst-lint: allow(no-direct-cluster) each rank wrapped in a SimTransport
-  cluster.run([&](sim::DeviceContext& ctx) {
-    comm::SimTransport tp(ctx);
-    comm::Communicator comm(tp);
-    fn(comm, cfg);
-  });
+  // burst-lint: allow(no-direct-cluster) the lone rank, wrapped in a SimTransport
+  sim::DeviceContext ctx(cluster, 0);
+  comm::SimTransport tp(ctx);
+  comm::Communicator comm(tp);
+  fn(comm, cfg);
 }
 
 }  // namespace

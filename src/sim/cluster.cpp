@@ -299,29 +299,24 @@ void Cluster::run(const std::function<void(DeviceContext&)>& fn) {
     barrier_max_time_ = 0.0;
   }
 
-  const auto run_rank = [this, &fn](int r) {
-    DeviceContext ctx(*this, r);
-    try {
-      fn(ctx);
-    } catch (...) {
-      report_failure(r, ctx.clock().elapsed(), std::current_exception());
-    }
-    auto& s = stats_[static_cast<std::size_t>(r)];
-    s.elapsed_s = ctx.clock().elapsed();
-    s.peak_mem_bytes = ctx.mem().peak();
-    s.bytes_sent = ctx.bytes_sent();
-    s.messages_sent = ctx.messages_sent();
-    s.bytes_sent_intra = ctx.bytes_sent_intra();
-    s.bytes_sent_inter = ctx.bytes_sent_inter();
-  };
-  // One device has no peer to wait on: it runs on the calling thread, so a
-  // run per step spawns no thread (and no malloc arena of its own).
   std::vector<std::thread> threads;
-  for (int r = 0; r < g && g > 1; ++r) {
-    threads.emplace_back(run_rank, r);
-  }
-  if (g == 1) {
-    run_rank(0);
+  threads.reserve(static_cast<std::size_t>(g));
+  for (int r = 0; r < g; ++r) {
+    threads.emplace_back([this, r, &fn] {
+      DeviceContext ctx(*this, r);
+      try {
+        fn(ctx);
+      } catch (...) {
+        report_failure(r, ctx.clock().elapsed(), std::current_exception());
+      }
+      auto& s = stats_[static_cast<std::size_t>(r)];
+      s.elapsed_s = ctx.clock().elapsed();
+      s.peak_mem_bytes = ctx.mem().peak();
+      s.bytes_sent = ctx.bytes_sent();
+      s.messages_sent = ctx.messages_sent();
+      s.bytes_sent_intra = ctx.bytes_sent_intra();
+      s.bytes_sent_inter = ctx.bytes_sent_inter();
+    });
   }
   for (auto& t : threads) {
     t.join();

@@ -66,7 +66,9 @@ struct Message {
 class Cluster;
 
 /// Everything a device-side SPMD function can touch. Created by Cluster::run,
-/// one per rank, destroyed when the run ends. Not thread-shared.
+/// one per rank, destroyed when the run ends; a one-device caller may build
+/// its lone rank's context directly and run it on its own thread. Not
+/// thread-shared.
 class DeviceContext {
  public:
   DeviceContext(Cluster& cluster, int rank);
@@ -199,8 +201,7 @@ class Cluster {
   const Config& config() const { return cfg_; }
   int world_size() const { return cfg_.topo.world_size(); }
 
-  /// Runs `fn(ctx)` on world_size() threads, one per rank (a one-device
-  /// cluster runs it on the calling thread). Blocks until all
+  /// Runs `fn(ctx)` on world_size() threads, one per rank. Blocks until all
   /// devices finish; rethrows the temporally-first root-cause exception
   /// (after all threads have unwound). May be called repeatedly; mailboxes
   /// must be empty at the end of each clean run (checked; duplicates
