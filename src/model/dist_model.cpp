@@ -128,12 +128,6 @@ std::vector<Tensor> split_heads(const Tensor& all, std::int64_t heads,
   return out;
 }
 
-void maybe_rope_inverse(const DeviceState& st, Tensor* grad_head) {
-  if (st.cfg->model.use_rope) {
-    kernels::apply_rope_inverse_inplace(*grad_head, st.map);
-  }
-}
-
 // On a one-member route a head's sweep sends nothing and reduces to its
 // local kernels, so the heads run those under the deterministic
 // parallel_for, one chunk per head. Their costs are charged after the join,
@@ -477,8 +471,10 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
                                              st.attn_cfg(), {hd.q[h], k, v},
                                              {o[h], lse[h]}, d_o_heads[h]);
         }
-        maybe_rope_inverse(st, &hg.dq);
-        maybe_rope_inverse(st, &hg.dk);
+        if (m.use_rope) {  // gradients w.r.t. the pre-rotation Q/K
+          kernels::apply_rope_inverse_inplace(hg.dq, st.map);
+          kernels::apply_rope_inverse_inplace(hg.dk, st.map);
+        }
         tensor::set_cols(dq_all, static_cast<std::int64_t>(h) * dh, hg.dq);
         hg.dq = Tensor();
       }

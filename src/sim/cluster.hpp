@@ -65,10 +65,8 @@ struct Message {
 
 class Cluster;
 
-/// Everything a device-side SPMD function can touch. Created by Cluster::run,
-/// one per rank, destroyed when the run ends; a one-device caller may build
-/// its lone rank's context directly and run it on its own thread. Not
-/// thread-shared.
+/// Everything a device-side SPMD function can touch, one per rank: made by
+/// Cluster::run, or by the caller for a lone rank. Not thread-shared.
 class DeviceContext {
  public:
   DeviceContext(Cluster& cluster, int rank);
