@@ -471,6 +471,7 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
                                              st.attn_cfg(), {hd.q[h], k, v},
                                              {o[h], lse[h]}, d_o_heads[h]);
         }
+        d_o_heads[h] = Tensor();  // the head's dO is spent
         if (m.use_rope) {  // gradients w.r.t. the pre-rotation Q/K
           kernels::apply_rope_inverse_inplace(hg.dq, st.map);
           kernels::apply_rope_inverse_inplace(hg.dk, st.map);
