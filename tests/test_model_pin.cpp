@@ -10,7 +10,6 @@
 // reduces it as a float, so only its low bits may move.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
