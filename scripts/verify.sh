@@ -37,9 +37,11 @@
 #             distributed step's rank threads share one kernel pool),
 #             test_transport_conformance (SocketTransport's mesh build runs
 #             accept/connect threads; the socket-backed cases put them under
-#             TSan), and test_sweep and test_failure_injection (ring-sweep
+#             TSan), test_sweep and test_failure_injection (ring-sweep
 #             payloads are shared read-only across rank threads, and fault
-#             injection clones or shares them in flight).
+#             injection clones or shares them in flight), and test_resilience
+#             and test_serve_resilience (every recovery supervisor unwinds
+#             aborted rank threads through the shared supervisor loop).
 #   bench     bench fleet with the RunReport self_check gate, then the
 #             regression gate against the committed BENCH_baseline.json
 #             (gated metrics may not fall more than 10% below baseline).
@@ -214,9 +216,10 @@ tsan_gate() {
         --target test_thread_pool test_kernel_determinism test_serve_decode \
                  test_serve_engine test_api_server test_api_scheduler \
                  test_dist_model test_gqa test_transport_conformance \
-                 test_sweep test_failure_injection &&
+                 test_sweep test_failure_injection test_resilience \
+                 test_serve_resilience &&
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|DistModel|GqaDist|TransportConformance|SocketTransportSmoke|SweepRoute|ActivationSweep|GradientSweep|SweepTiming|ZeroCopySweep|FailureInjection|FaultPlan'
+        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|DistModel|GqaDist|TransportConformance|SocketTransportSmoke|SweepRoute|ActivationSweep|GradientSweep|SweepTiming|ZeroCopySweep|FailureInjection|FaultPlan|ResilienceTest|ServeResilience|ServeDegrade|ServeSnapshot|ResilientPrefill'
 }
 if [[ $RUN_TSAN -eq 1 ]]; then
   echo "== TSan build + threaded suites (${TSAN_BUILD_DIR})"

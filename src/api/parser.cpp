@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
 
 #include "obs/report.hpp"
 
@@ -73,49 +74,38 @@ class Scanner {
 
   /// JSON string with the common escapes; no \uXXXX (token-id payloads
   /// never need it, and rejecting it keeps the parser honest about scope).
-  bool string(std::string* out) {
+  /// Fails without growing `out` past `cap` characters; overlong() then
+  /// tells a too-long string from a malformed one.
+  bool string(std::string* out, std::size_t cap) {
+    overlong_ = false;
     if (!consume('"')) {
       return false;
     }
     out->clear();
     while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
+      char c = s_[pos_++];
       if (c == '"') {
         return true;
       }
       if (c == '\\') {
-        if (pos_ >= s_.size()) {
+        constexpr std::string_view kFrom = "\"\\/ntr", kTo = "\"\\/\n\t\r";
+        const std::size_t e =
+            pos_ < s_.size() ? kFrom.find(s_[pos_++]) : kFrom.npos;
+        if (e == kFrom.npos) {
           return false;
         }
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"':
-            out->push_back('"');
-            break;
-          case '\\':
-            out->push_back('\\');
-            break;
-          case '/':
-            out->push_back('/');
-            break;
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          case 'r':
-            out->push_back('\r');
-            break;
-          default:
-            return false;
-        }
-        continue;
+        c = kTo[e];
+      }
+      if (out->size() == cap) {
+        overlong_ = true;
+        return false;
       }
       out->push_back(c);
     }
     return false;  // unterminated
   }
+
+  bool overlong() const { return overlong_; }
 
   bool number(double* out) {
     skip_ws();
@@ -133,7 +123,19 @@ class Scanner {
  private:
   const std::string& s_;
   std::size_t pos_ = 0;
+  bool overlong_ = false;
 };
+
+/// Longest tenant name, and the max_tokens / prompt-length bound.
+constexpr std::size_t kMaxTenantChars = 64;
+constexpr std::int64_t kMaxTokens = std::int64_t{1} << 20;
+/// Hostile strings are echoed in error messages at most this long.
+constexpr std::size_t kEchoChars = 32;
+
+/// `s` quoted for an error message; `cut` marks a prefix of a longer string.
+std::string quoted(const std::string& s, bool cut) {
+  return "\"" + s + (cut ? "...\"" : "\"");
+}
 
 bool fail(ApiError* err, const std::string& message) {
   err->status = 400;
@@ -170,29 +172,33 @@ bool parse_completion_request(const std::string& body, CompletionRequest* out,
     }
     first = false;
     std::string key;
-    if (!sc.string(&key)) {
-      return fail(err, "expected a string key in request object");
+    if (!sc.string(&key, kEchoChars)) {
+      return fail(err, sc.overlong()
+                           ? "unknown field " + quoted(key, true)
+                           : "expected a string key in request object");
     }
     if (!sc.consume(':')) {
-      return fail(err, "expected ':' after key \"" + key + "\"");
+      return fail(err, "expected ':' after key " + quoted(key, false));
     }
     if (key == "tenant") {
       std::string v;
-      if (!sc.string(&v)) {
+      const bool scanned = sc.string(&v, kMaxTenantChars);
+      if (!scanned && !sc.overlong()) {
         return fail(err, "\"tenant\" must be a string");
       }
-      if (v.empty() || v.size() > 64) {
+      if (!scanned || v.empty()) {
         return fail(err, "\"tenant\" must be 1..64 characters");
       }
       out->tenant = v;
     } else if (key == "priority") {
       std::string v;
-      if (!sc.string(&v)) {
+      const bool scanned = sc.string(&v, kEchoChars);
+      if (!scanned && !sc.overlong()) {
         return fail(err, "\"priority\" must be a string");
       }
-      if (!priority_from_name(v, &out->priority)) {
+      if (!scanned || !priority_from_name(v, &out->priority)) {
         return fail(err, "\"priority\" must be one of batch|standard|"
-                         "interactive, got \"" + v + "\"");
+                         "interactive, got " + quoted(v, sc.overlong()));
       }
     } else if (key == "prompt") {
       if (!sc.consume('[')) {
@@ -206,6 +212,9 @@ bool parse_completion_request(const std::string& body, CompletionRequest* out,
           if (!sc.number(&v) || !as_int(v, &tok) || tok < 0) {
             return fail(err, "\"prompt\" entries must be non-negative "
                              "integer token ids");
+          }
+          if (static_cast<std::int64_t>(out->prompt.size()) == kMaxTokens) {
+            return fail(err, "\"prompt\" must hold at most 2^20 token ids");
           }
           out->prompt.push_back(tok);
           if (sc.consume(']')) {
@@ -223,7 +232,7 @@ bool parse_completion_request(const std::string& body, CompletionRequest* out,
       if (!sc.number(&v) || !as_int(v, &n)) {
         return fail(err, "\"max_tokens\" must be an integer");
       }
-      if (n < 1 || n > 1 << 20) {
+      if (n < 1 || n > kMaxTokens) {
         return fail(err, "\"max_tokens\" must be in [1, 2^20]");
       }
       out->max_tokens = n;
@@ -246,7 +255,7 @@ bool parse_completion_request(const std::string& body, CompletionRequest* out,
       }
       out->tpot_slo_s = v * 1e-3;
     } else {
-      return fail(err, "unknown field \"" + key + "\"");
+      return fail(err, "unknown field " + quoted(key, false));
     }
   }
   if (!sc.eof()) {

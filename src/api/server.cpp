@@ -119,24 +119,15 @@ ApiServer::Report ApiServer::run() {
   if (accepted_.empty()) {
     return report;
   }
-  serve::ServeReport serve_report;
-  const bool resilient = !cfg_.resilience.faults.empty() ||
-                         cfg_.resilience.checkpoint_every > 0;
-  if (resilient) {
-    serve::ServeResilienceConfig rc = cfg_.resilience;
-    rc.flops_per_s = cfg_.flops_per_s;
-    if (rc.trace == nullptr) {
-      rc.trace = cfg_.engine.trace;
-    }
-    serve::ResilientServeReport rrep = serve::serve_with_recovery(engine, rc);
-    serve_report = std::move(rrep.report);
-    report.recoveries = std::move(rrep.recoveries);
-  } else {
-    serve_report =
-        run_on_single_device(engine, cfg_.flops_per_s, cfg_.engine.trace);
+  serve::ServeResilienceConfig rc = cfg_.resilience;
+  rc.flops_per_s = cfg_.flops_per_s;
+  if (rc.trace == nullptr) {
+    rc.trace = cfg_.engine.trace;
   }
-  report.metrics = serve_report.metrics;
-  report.results = std::move(serve_report.results);
+  serve::ResilientServeReport rrep = serve::serve_with_recovery(engine, rc);
+  report.recoveries = std::move(rrep.recoveries);
+  report.metrics = rrep.report.metrics;
+  report.results = std::move(rrep.report.results);
 
   // Replay outcomes as one virtual-time-ordered stream. kind breaks ties so
   // a request's final response lands after its last token at the same

@@ -68,11 +68,11 @@ struct ApiServerConfig {
   double flops_per_s = 100e12;
   /// Weighted-fair share per tenant name; unlisted tenants weigh 1.0.
   std::vector<std::pair<std::string, double>> tenant_weights;
-  /// Fault tolerance: when the fault plan is non-empty or checkpointing is
-  /// on, run() routes through serve::serve_with_recovery — crash faults are
-  /// recovered from the newest checkpoint and surfaced in Report::recoveries
-  /// (flops_per_s and trace are taken from this server config). A default
-  /// ServeResilienceConfig keeps the exact fault-free single-device path.
+  /// Fault tolerance: run() always goes through serve::serve_with_recovery
+  /// — crash faults are recovered from the newest checkpoint and surfaced in
+  /// Report::recoveries (flops_per_s and trace are taken from this server
+  /// config). A default ServeResilienceConfig is one fault-free
+  /// single-device run.
   serve::ServeResilienceConfig resilience;
 };
 

@@ -120,6 +120,22 @@ void Registry::reset() {
   }
 }
 
+void Registry::merge_from(const Registry& from) {
+  std::scoped_lock lock(mu_, from.mu_);
+  for (const auto& [name, c] : from.counters_) {
+    counters_[name].add(c.value());
+  }
+  for (const auto& [name, g] : from.gauges_) {
+    gauges_[name].set(g.value());
+  }
+  for (const auto& [name, h] : from.histograms_) {
+    Histogram& into = histograms_[name];
+    std::scoped_lock samples_lock(into.mu_, h.mu_);
+    into.samples_.insert(into.samples_.end(), h.samples_.begin(),
+                         h.samples_.end());
+  }
+}
+
 std::string labeled(const std::string& name, const Labels& labels) {
   if (labels.empty()) {
     return name;

@@ -77,6 +77,7 @@ class Histogram {
   void reset();
 
  private:
+  friend class Registry;  // merge_from appends samples under both locks
   mutable std::mutex mu_;
   std::vector<double> samples_;
 };
@@ -121,6 +122,11 @@ class Registry {
 
   /// Zeroes every instrument (names stay interned).
   void reset();
+
+  /// Folds `from` into this registry: counters add, histograms append their
+  /// samples, gauges take `from`'s value. `from` is another registry that
+  /// no thread is writing.
+  void merge_from(const Registry& from);
 
  private:
   mutable std::mutex mu_;

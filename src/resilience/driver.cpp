@@ -2,7 +2,6 @@
 // burst-lint: allow-file(no-direct-cluster) hosting boundary: constructs clusters and wraps each rank in a SimTransport before protocol code runs
 
 #include <algorithm>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "comm/communicator.hpp"
 #include "comm/sim_transport.hpp"
 #include "obs/metrics.hpp"
+#include "resilience/supervisor.hpp"
 
 namespace burst::resilience {
 
@@ -57,8 +57,6 @@ namespace {
 constexpr int kKeepLast = 3;
 /// Seed of the synthetic training stream.
 constexpr std::uint64_t kDataSeed = 1234;
-/// Models snapshot save/restore I/O time on the virtual clock.
-constexpr double kDiskBandwidthBytesPerS = 2e9;
 
 /// Supervisor-track events (pid one past the last device rank).
 void trace_event(const ResilienceConfig& cfg, const std::string& name,
@@ -82,11 +80,10 @@ ResilienceReport resilient_train_loop(const ResilienceConfig& cfg,
   Rng data_rng(kDataSeed);
   SnapshotManager snaps(cfg.snapshot_dir, kKeepLast);
   snaps.require_empty();
-  auto cluster = std::make_unique<Cluster>(cfg.cluster);
-  std::vector<int> dead_ranks;
+  int dead_ranks = 0;
 
   ResilienceReport rep;
-  rep.final_world_size = cluster->world_size();
+  rep.final_world_size = cfg.cluster.topo.world_size();
   rep.losses.assign(static_cast<std::size_t>(cfg.total_steps), 0.0);
 
   double t_virtual = 0.0;
@@ -112,130 +109,29 @@ ResilienceReport resilient_train_loop(const ResilienceConfig& cfg,
   };
   snapshot_now(0);
 
+  const auto total = static_cast<std::uint64_t>(cfg.total_steps);
   std::uint64_t step = 0;
-  while (step < static_cast<std::uint64_t>(cfg.total_steps)) {
+  // One attempt is one training step; it commits (optimizer step, snapshot)
+  // only after every rank finished.
+  const auto train_step = [&](Cluster& cluster) {
     const Tensor tokens =
         make_markov_sequence(data_rng, cfg.seq_len, cfg.dist.model.vocab);
-
     double loss = 0.0;
     ModelGrads grads;
     std::mutex mu;
-    try {
-      cluster->run([&](DeviceContext& ctx) {
-        ctx.begin_step(static_cast<std::int64_t>(step));
-        comm::SimTransport comm_tp(ctx);
-        comm::Communicator comm(comm_tp);
-        auto r = model::dist_train_step(comm, cfg.dist, weights, tokens);
-        if (ctx.rank() == 0) {
-          std::lock_guard lock(mu);
-          loss = r.loss;
-          grads = std::move(r.grads);
-        }
-      });
-    } catch (const std::exception& e) {
-      const double t_attempt_begin = t_virtual;
-      const double failed_makespan = cluster->makespan();
-      t_virtual += failed_makespan;
-      rep.wasted_virtual_time_s += failed_makespan;
-
-      ++rep.recoveries;
-      if (rep.recoveries > cfg.max_recoveries) {
-        throw;
+    cluster.run([&](DeviceContext& ctx) {
+      ctx.begin_step(static_cast<std::int64_t>(step));
+      comm::SimTransport comm_tp(ctx);
+      comm::Communicator comm(comm_tp);
+      auto r = model::dist_train_step(comm, cfg.dist, weights, tokens);
+      if (ctx.rank() == 0) {
+        std::lock_guard lock(mu);
+        loss = r.loss;
+        grads = std::move(r.grads);
       }
+    });
 
-      // Detection latency: the failing rank stopped at its crash point; the
-      // survivors kept going until the abort reached every blocked receive.
-      const int failed_rank = cluster->last_failure_rank();
-      const double fail_point =
-          failed_rank >= 0 && failed_rank < cluster->world_size()
-              ? cluster->stats()[static_cast<std::size_t>(failed_rank)]
-                    .elapsed_s
-              : 0.0;
-      const double detect = std::max(0.0, failed_makespan - fail_point);
-      trace_event(cfg,
-                  "recovery:detect(step=" + std::to_string(step) +
-                      ",rank=" + std::to_string(failed_rank) + ")",
-                  t_attempt_begin + fail_point, t_virtual);
-
-      // Restore the latest valid snapshot.
-      TrainSnapshot snap = snaps.load_latest();
-      const double restore = static_cast<double>(snapshot_bytes(snap)) /
-                             kDiskBandwidthBytesPerS;
-      trace_event(cfg,
-                  "recovery:restore(from=" + std::to_string(snap.step) + ")",
-                  t_virtual, t_virtual + restore);
-      t_virtual += restore;
-      rep.wasted_virtual_time_s += restore;
-
-      RecoveryEvent event;
-      event.failed_step = step;
-      event.resumed_from_step = snap.step;
-      event.lost_steps = static_cast<int>(step - snap.step);
-      event.failed_rank = failed_rank;
-      event.cause = e.what();
-      event.cause_code = error_code_of(e);
-      event.detect_latency_s = detect;
-      event.restore_time_s = restore;
-      if (obs::Registry* reg = cfg.cluster.metrics) {
-        reg->counter(obs::labeled("resilience.recoveries",
-                                  {{"code", event.cause_code}}))
-            .add(1);
-        reg->histogram("resilience.detect_latency_s").observe(detect);
-        reg->histogram("resilience.restore_time_s").observe(restore);
-      }
-      rep.events.push_back(std::move(event));
-
-      weights = std::move(snap.weights);
-      opt.restore_state(snap.adam);
-      data_rng.restore_state(snap.data_rng);
-      step = snap.step;
-
-      if (dynamic_cast<const comm::CommError*>(&e) != nullptr) {
-        // A corrupted or lost-beyond-retry link: model the operator
-        // replacing/rerouting it, so the replay does not hit the same wire
-        // fault forever.
-        sim::FaultPlan healed = cluster->config().faults;
-        healed.drops.clear();
-        healed.duplicates.clear();
-        healed.corruptions.clear();
-        cluster->set_faults(std::move(healed));
-      }
-
-      const bool rank_died =
-          dynamic_cast<const sim::InjectedFaultError*>(&e) != nullptr ||
-          dynamic_cast<const sim::DeviceOomError*>(&e) != nullptr;
-      if (rank_died && failed_rank >= 0) {
-        dead_ranks.push_back(failed_rank);
-      }
-      if (cfg.remap_on_failure && rank_died) {
-        const int survivors =
-            cfg.cluster.topo.world_size() -
-            static_cast<int>(dead_ranks.size());
-        if (survivors < 1) {
-          throw;
-        }
-        const int new_g = feasible_world_size(cfg.dist, cfg.seq_len,
-                                              survivors);
-        // Weights are replicated, so shrinking the world is pure
-        // re-sharding: build a fresh cluster on the survivors (faults were
-        // scheduled against the original topology, so they do not carry
-        // over) and continue.
-        sim::Cluster::Config cc = cfg.cluster;
-        sim::Topology topo = sim::Topology::single_node(new_g);
-        topo.intra = cfg.cluster.topo.intra;
-        topo.inter = cfg.cluster.topo.inter;
-        cc.topo = topo;
-        cc.faults = sim::FaultPlan{};
-        cluster = std::make_unique<Cluster>(cc);
-        rep.final_world_size = new_g;
-        trace_event(cfg, "recovery:remap(world=" + std::to_string(new_g) + ")",
-                    t_virtual, t_virtual);
-      }
-      continue;
-    }
-
-    // Step committed.
-    const double makespan = cluster->makespan();
+    const double makespan = cluster.makespan();
     t_virtual += makespan;
     if (step < high_water) {
       rep.wasted_virtual_time_s += makespan;  // replay of lost work
@@ -247,9 +143,73 @@ ResilienceReport resilient_train_loop(const ResilienceConfig& cfg,
     high_water = std::max(high_water, step);
     rep.steps_completed = static_cast<int>(high_water);
     if (cfg.snapshot_interval > 0 && step % cfg.snapshot_interval == 0 &&
-        step < static_cast<std::uint64_t>(cfg.total_steps)) {
+        step < total) {
       snapshot_now(step);
     }
+    return step >= total;
+  };
+
+  // Restores the latest valid snapshot and, with remap_on_failure, shrinks
+  // the world onto the survivors.
+  const auto recover = [&](const Failure& f, Cluster::Config& next) {
+    const double t_attempt_begin = t_virtual;
+    t_virtual += f.detected_at_s();
+    rep.wasted_virtual_time_s += f.detected_at_s();
+    ++rep.recoveries;
+    trace_event(cfg,
+                "recovery:detect(step=" + std::to_string(step) +
+                    ",rank=" + std::to_string(f.rank) + ")",
+                t_attempt_begin + f.time_s, t_virtual);
+
+    TrainSnapshot snap = snaps.load_latest();
+    const double restore = static_cast<double>(snapshot_bytes(snap)) /
+                           kDiskBandwidthBytesPerS;
+    trace_event(cfg,
+                "recovery:restore(from=" + std::to_string(snap.step) + ")",
+                t_virtual, t_virtual + restore);
+    t_virtual += restore;
+    rep.wasted_virtual_time_s += restore;
+
+    rep.events.push_back({.failed_step = step,
+                          .resumed_from_step = snap.step,
+                          .lost_steps = static_cast<int>(step - snap.step),
+                          .failed_rank = f.rank,
+                          .cause = f.error.what(),
+                          .cause_code = f.error.code_name(),
+                          .detect_latency_s = f.detect_latency_s,
+                          .restore_time_s = restore});
+    if (obs::Registry* reg = cfg.cluster.metrics) {
+      reg->counter(obs::labeled("resilience.recoveries",
+                                {{"code", f.error.code_name()}}))
+          .add(1);
+      reg->histogram("resilience.detect_latency_s")
+          .observe(f.detect_latency_s);
+      reg->histogram("resilience.restore_time_s").observe(restore);
+    }
+
+    weights = std::move(snap.weights);
+    opt.restore_state(snap.adam);
+    data_rng.restore_state(snap.data_rng);
+    step = snap.step;
+
+    if (cfg.remap_on_failure && f.crashed) {
+      const int survivors = cfg.cluster.topo.world_size() - ++dead_ranks;
+      if (survivors < 1) {
+        throw;  // the failure being handled: nobody is left to train
+      }
+      // Weights are replicated, so shrinking the world is pure re-sharding.
+      rep.final_world_size =
+          feasible_world_size(cfg.dist, cfg.seq_len, survivors);
+      shrink_world(next, rep.final_world_size);
+      trace_event(cfg,
+                  "recovery:remap(world=" +
+                      std::to_string(rep.final_world_size) + ")",
+                  t_virtual, t_virtual);
+    }
+  };
+
+  if (step < total) {
+    supervise(cfg.cluster, cfg.max_recoveries, train_step, recover);
   }
 
   rep.virtual_time_s = t_virtual;

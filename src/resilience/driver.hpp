@@ -1,28 +1,15 @@
-// Resilient training driver: a supervisor around dist_train_step.
-//
-// The loop runs one distributed training step per Cluster::run, keeps the
-// optimizer on the host (gradients are identical on all ranks after the
-// data-parallel all-reduce, so rank 0's copy is authoritative), and
-// persists durable snapshots every `snapshot_interval` steps. When a step
-// fails — an injected device crash, a corrupted frame, an exhausted retry
-// budget, an OOM — the supervisor:
-//
-//   1. detects the failure (Cluster::run rethrows the temporally-first
-//      root cause; surviving ranks have already unwound via
-//      PeerFailedError/ClusterAbortedError);
-//   2. restores the latest valid snapshot (weights, Adam moments, data-RNG
-//      state, data cursor), charging the modeled disk-read time;
-//   3. optionally remaps onto a smaller topology when ranks are dead and
-//      remap_on_failure is set (weights are replicated, so no state
-//      migration is needed — the survivors just re-shard the sequence);
-//   4. resumes from the snapshot step, replaying lost steps.
-//
-// Because snapshots capture the *complete* training state and the step is
-// deterministic, a recovered run on the same world size finishes with
-// weights bitwise identical to a fault-free run — the acceptance check of
-// tests/test_resilience.cpp. Recovery events (detection latency, restore
-// time, lost steps) land both in the returned report and, when a
-// TraceRecorder is attached, in the trace on a synthetic supervisor track
+// Resilient training driver: dist_train_step under the recovery supervisor
+// (resilience/supervisor.hpp), one supervised attempt per step. The
+// optimizer stays on the host (gradients are identical on all ranks after
+// the data-parallel all-reduce, so rank 0's copy is authoritative), and
+// durable snapshots are saved every `snapshot_interval` steps. After a
+// failure the latest valid snapshot (weights, Adam moments, data-RNG state,
+// data cursor) is restored at a modeled disk-read cost, the world optionally
+// shrinks onto the survivors, and lost steps are replayed. Snapshots hold
+// the *complete* training state and the step is deterministic, so a
+// recovered run on the same world size ends bitwise identical to a
+// fault-free one (tests/test_resilience.cpp). Recovery events land in the
+// report and, with a TraceRecorder attached, on a supervisor trace track
 // (pid == world_size).
 // burst-lint: allow-file(no-direct-cluster) the training-resilience supervisor owns the cluster lifecycle (build, crash, rebuild), which is inherently a simulator-hosting concern
 #pragma once
@@ -75,7 +62,7 @@ struct RecoveryEvent {
   /// Stable burst::Error code of the root cause ("injected_fault",
   /// "comm_corruption", ...; "unknown" for untyped exceptions).
   std::string cause_code = "unknown";
-  double detect_latency_s = 0.0;       // failure -> all ranks unwound
+  double detect_latency_s = 0.0;       // Failure::detect_latency_s
   double restore_time_s = 0.0;         // modeled snapshot read time
 };
 
@@ -112,8 +99,9 @@ int feasible_world_size(const model::DistTrainConfig& cfg,
 
 /// Runs `cfg.total_steps` training steps from `init` under the supervisor,
 /// surviving the injected faults in cfg.cluster.faults. Rethrows the last
-/// failure if recovery is exhausted or impossible. When cfg.cluster.metrics
-/// is attached, the supervisor additionally feeds it:
+/// failure if recovery is exhausted or impossible, and non-recoverable ones
+/// (OOM, invalid configs) at once. When cfg.cluster.metrics is attached it
+/// receives the committed steps' metrics and the supervisor's own:
 ///   resilience.recoveries{code=<cause_code>}  counter
 ///   resilience.snapshots_taken                counter
 ///   resilience.detect_latency_s               histogram

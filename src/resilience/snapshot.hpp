@@ -54,6 +54,9 @@ class SnapshotIoError : public burst::Error {
 /// Container header overhead in bytes (magic + version + size + checksum).
 constexpr std::uint64_t kBlobHeaderBytes = 8 + 4 + 8 + 8;
 
+/// Snapshot and checkpoint I/O is charged to the virtual clock at this rate.
+constexpr double kDiskBandwidthBytesPerS = 2e9;
+
 /// Atomically writes `payload` in the checked-blob container to
 /// `final_path` (a crash mid-save never leaves a partial file under that
 /// name). Returns the total bytes written, header included.

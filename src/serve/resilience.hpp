@@ -1,26 +1,17 @@
 // Serving resilience: request recovery and graceful degradation under the
-// deterministic fault machinery (sim/fault.hpp).
+// deterministic fault machinery (sim/fault.hpp), two recover steps on the
+// shared recovery supervisor (resilience/supervisor.hpp).
 //
-// Two supervisors live here, one per serving phase:
+// serve_with_recovery — Engine::run on one device, checkpointing its run
+// state (serve/snapshot.hpp) every N iterations. After a crash it restores
+// the newest checkpoint at a modeled restore cost, resumes the device clock
+// past the crash, and opens a circuit-breaker window so requests arriving
+// mid-recovery fail fast with HTTP 503. Replay is bitwise: the same tokens
+// come out, shifted only by the recovery delay.
 //
-// serve_with_recovery — wraps Engine::run on a one-device cluster with an
-// injected FaultPlan. The engine checkpoints its run state (serve/
-// snapshot.hpp) every N iterations; when a crash fault kills the device,
-// the supervisor restores the newest checkpoint — charging a modeled
-// restore time against a disk bandwidth — re-runs on the *same* cluster
-// (fired crash faults stay disarmed, exactly the training supervisor's
-// resume semantics), and installs a circuit-breaker window on the engine so
-// requests arriving mid-recovery fail fast with HTTP 503 instead of piling
-// onto a queue that isn't moving. Replay from a checkpoint is bitwise: the
-// same tokens come out, shifted only by the recovery delay.
-//
-// resilient_distributed_prefill — wraps the sequence-parallel prefill ring.
-// Message-level faults (drops, corruption) surface as typed comm errors
-// from the reliable Communicator; crashes abort the ring. The supervisor
-// retries with bounded exponential backoff on a fresh cluster, advancing
-// the fault plan past the failure it just saw; after a
-// crash it shrinks the ring to the survivors (the largest prompt-divisor
-// world that excludes the dead rank's slot). The retried result is
+// resilient_distributed_prefill — the sequence-parallel prefill ring. It
+// backs off exponentially and, after a crash, shrinks the ring to the
+// largest prompt-divisor world below the current one. The retried result is
 // bit-identical to a fault-free prefill at the same final world size.
 // burst-lint: allow-file(no-direct-cluster) the serving recovery supervisor rebuilds clusters across faults; cluster configs are its input surface
 #pragma once
@@ -83,8 +74,8 @@ struct ResilientServeReport {
 
 /// Drives `engine` to completion under `cfg.faults`, recovering from every
 /// crash until the run finishes or max_recoveries is exhausted (then the
-/// last failure is rethrown). Fault-free plans reduce to a plain
-/// single-device run plus checkpoint I/O charges.
+/// last failure is rethrown). A fault-free plan without checkpoints is one
+/// plain single-device Engine::run.
 ResilientServeReport serve_with_recovery(Engine& engine,
                                          const ServeResilienceConfig& cfg);
 

@@ -51,28 +51,28 @@ int DeviceContext::world_size() const { return cluster_.world_size(); }
 
 const Topology& DeviceContext::topo() const { return cluster_.config().topo; }
 
+bool DeviceContext::claim_crash(std::size_t i, double now_s) {
+  {
+    std::lock_guard lock(cluster_.fault_mutex_);
+    if (cluster_.crash_fired_[i]) {
+      return false;
+    }
+    cluster_.crash_fired_[i] = 1;
+    cluster_.count_fault(&Cluster::FaultCounters::crashes);
+  }
+  if (auto* trace = cluster_.cfg_.trace) {
+    trace->record(rank_, kCompute, "fault:crash", now_s, now_s);
+  }
+  return true;
+}
+
 void DeviceContext::check_crash(double now_s) {
   const auto& crashes = cluster_.cfg_.faults.crashes;
   for (std::size_t i = 0; i < crashes.size(); ++i) {
     const auto& c = crashes[i];
-    if (c.rank != rank_ || now_s < c.at_time_s) {
-      continue;
-    }
-    bool fire = false;
-    {
-      std::lock_guard lock(cluster_.fault_mutex_);
-      if (!cluster_.crash_fired_[i]) {
-        cluster_.crash_fired_[i] = 1;
-        cluster_.count_fault(&Cluster::FaultCounters::crashes);
-        fire = true;
-      }
-    }
-    if (fire) {
-      if (auto* trace = cluster_.cfg_.trace) {
-        trace->record(rank_, kCompute, "fault:crash", now_s, now_s);
-      }
+    if (c.rank == rank_ && now_s >= c.at_time_s && claim_crash(i, now_s)) {
       throw InjectedFaultError(
-          rank_, "device crashed at t=" + std::to_string(now_s) + "s");
+          rank_, i, "device crashed at t=" + std::to_string(now_s) + "s");
     }
   }
 }
@@ -98,24 +98,10 @@ void DeviceContext::begin_step(std::int64_t step) {
   const auto& crashes = cluster_.cfg_.faults.crashes;
   for (std::size_t i = 0; i < crashes.size(); ++i) {
     const auto& c = crashes[i];
-    if (c.rank != rank_ || c.at_step < 0 || step < c.at_step) {
-      continue;
-    }
-    bool fire = false;
-    {
-      std::lock_guard lock(cluster_.fault_mutex_);
-      if (!cluster_.crash_fired_[i]) {
-        cluster_.crash_fired_[i] = 1;
-        cluster_.count_fault(&Cluster::FaultCounters::crashes);
-        fire = true;
-      }
-    }
-    if (fire) {
-      if (auto* trace = cluster_.cfg_.trace) {
-        trace->record(rank_, kCompute, "fault:crash", now, now);
-      }
+    if (c.rank == rank_ && c.at_step >= 0 && step >= c.at_step &&
+        claim_crash(i, now)) {
       throw InjectedFaultError(
-          rank_, "device crashed at step " + std::to_string(step));
+          rank_, i, "device crashed at step " + std::to_string(step));
     }
   }
 }
@@ -198,6 +184,10 @@ void DeviceContext::barrier() {
 Cluster::Cluster(Config cfg) : cfg_(std::move(cfg)) {
   failed_.assign(static_cast<std::size_t>(world_size()), 0);
   crash_fired_.assign(cfg_.faults.crashes.size(), 0);
+  // Sized here too for a lone-rank DeviceContext that never enters run().
+  drops_left_.resize(cfg_.faults.drops.size());
+  dups_left_.resize(cfg_.faults.duplicates.size());
+  corrupts_left_.resize(cfg_.faults.corruptions.size());
   fault_counters_.crashes = &internal_metrics_.counter("sim.faults.crashes_fired");
   fault_counters_.dropped =
       &internal_metrics_.counter("sim.faults.messages_dropped");
@@ -214,7 +204,6 @@ Cluster::Cluster(Config cfg) : cfg_(std::move(cfg)) {
     fault_mirror_.corrupted =
         &cfg_.metrics->counter("sim.faults.messages_corrupted");
   }
-  reset_faults();
 }
 
 void Cluster::count_fault(obs::Counter* FaultCounters::* which) {
@@ -222,29 +211,6 @@ void Cluster::count_fault(obs::Counter* FaultCounters::* which) {
   if (fault_mirror_.*which != nullptr) {
     (fault_mirror_.*which)->add(1);
   }
-}
-
-void Cluster::reset_faults() {
-  std::lock_guard lock(fault_mutex_);
-  std::fill(crash_fired_.begin(), crash_fired_.end(), 0);
-  drops_left_.assign(cfg_.faults.drops.size(), {});
-  dups_left_.assign(cfg_.faults.duplicates.size(), {});
-  corrupts_left_.assign(cfg_.faults.corruptions.size(), {});
-  // The internal registry is the FaultStats source of truth; the attached
-  // mirror (if any) is left alone — it belongs to the caller.
-  fault_counters_.crashes->reset();
-  fault_counters_.dropped->reset();
-  fault_counters_.duplicated->reset();
-  fault_counters_.corrupted->reset();
-}
-
-void Cluster::set_faults(FaultPlan plan) {
-  {
-    std::lock_guard lock(fault_mutex_);
-    cfg_.faults = std::move(plan);
-    crash_fired_.assign(cfg_.faults.crashes.size(), 0);
-  }
-  reset_faults();
 }
 
 FaultStats Cluster::fault_stats() const {
@@ -368,9 +334,9 @@ double Cluster::makespan() const {
 
 bool Cluster::post(int src, int dst, int tag, Message msg, double send_time) {
   bool duplicate = false;
-  // cfg_.faults is immutable while a run is in flight (set_faults may only
-  // be called between runs), so the emptiness probe needs no lock and a
-  // fault-free run never touches fault_mutex_ on the message hot path.
+  // cfg_.faults is immutable after construction, so the emptiness probe
+  // needs no lock and a fault-free run never touches fault_mutex_ on the
+  // message hot path.
   const auto& faults = cfg_.faults;
   if (!faults.drops.empty() || !faults.corruptions.empty() ||
       !faults.duplicates.empty()) {

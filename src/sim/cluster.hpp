@@ -12,8 +12,8 @@
 // typed PeerFailedError when the rank it was blocked on is the one that
 // failed) so all threads can unwind and join — and Cluster::run rethrows the
 // *temporally first* root-cause exception. This is what lets OOM experiments
-// (Figure 12/13) fail cleanly and what the resilience supervisor
-// (src/resilience/driver.hpp) builds its detection path on.
+// (Figure 12/13) fail cleanly and what the recovery supervisor
+// (src/resilience/supervisor.hpp) builds its detection path on.
 //
 // Fault injection: a FaultPlan on Config (sim/fault.hpp) deterministically
 // kills ranks, slows them down, degrades links, and drops/duplicates/
@@ -136,6 +136,9 @@ class DeviceContext {
   /// Throws InjectedFaultError if a CrashDevice fault targets this rank and
   /// its firing time has been reached (one-shot; marks it fired).
   void check_crash(double now_s);
+  /// Marks crash entry `i` fired, counts and traces it; false if it already
+  /// fired.
+  bool claim_crash(std::size_t i, double now_s);
   /// Product of the slowdown factors of stragglers active at `now_s`.
   double work_scale(double now_s) const;
 
@@ -204,7 +207,7 @@ class Cluster {
   /// (after all threads have unwound). May be called repeatedly; mailboxes
   /// must be empty at the end of each clean run (checked; duplicates
   /// injected by faults are exempt). Crash faults that fired in an earlier
-  /// run stay disarmed, so a supervisor can re-run to resume past them.
+  /// run stay disarmed, so a re-run resumes past them.
   void run(const std::function<void(DeviceContext&)>& fn);
 
   /// Stats of the most recent run, indexed by rank.
@@ -230,13 +233,6 @@ class Cluster {
   /// compatibility view over the cluster's internal metrics registry
   /// (sim.faults.* counters) — the registry is the source of truth.
   FaultStats fault_stats() const;
-
-  /// Re-arms one-shot crash faults and zeroes fault counters.
-  void reset_faults();
-
-  /// Replaces the fault plan (e.g. a supervisor healing a flaky link after
-  /// recovery). Resets all fault state, including crash fired flags.
-  void set_faults(FaultPlan plan);
 
  private:
   friend class DeviceContext;

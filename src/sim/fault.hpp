@@ -25,6 +25,7 @@
 //                         flight; receivers detect the checksum mismatch.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -70,16 +71,21 @@ class PeerFailedError : public ClusterAbortedError {
 /// code: injected_fault.
 class InjectedFaultError : public burst::Error {
  public:
-  InjectedFaultError(int rank, const std::string& detail)
+  InjectedFaultError(int rank, std::size_t fault_index,
+                     const std::string& detail)
       : burst::Error(ErrorCode::kInjectedFault,
                      "injected fault on rank " + std::to_string(rank) + ": " +
                          detail),
-        rank_(rank) {}
+        rank_(rank),
+        fault_index_(fault_index) {}
 
   int rank() const { return rank_; }
+  /// Index of the FaultPlan::crashes entry that fired.
+  std::size_t fault_index() const { return fault_index_; }
 
  private:
   int rank_;
+  std::size_t fault_index_;
 };
 
 /// Deterministic fault schedule. All times are virtual seconds; src/dst of
@@ -88,8 +94,9 @@ struct FaultPlan {
   /// Kill `rank`: fires at the first op boundary (compute/busy/send/recv/
   /// barrier/begin_step) at or after `at_time_s`, or at begin_step(step)
   /// with step >= at_step when at_step >= 0. One-shot: once fired it stays
-  /// disarmed for the Cluster's lifetime, so a supervisor can re-run the
-  /// same cluster and resume past the fault (see Cluster::reset_faults).
+  /// disarmed for the Cluster's lifetime; a supervisor that retries on a
+  /// fresh cluster drops the entry the failure names
+  /// (InjectedFaultError::fault_index, resilience/supervisor.hpp).
   struct CrashDevice {
     int rank = -1;
     double at_time_s = std::numeric_limits<double>::infinity();
@@ -159,7 +166,7 @@ struct FaultPlan {
 };
 
 /// Counters of faults that actually fired (cumulative over a Cluster's
-/// lifetime; see Cluster::fault_stats / reset_faults).
+/// lifetime; see Cluster::fault_stats).
 struct FaultStats {
   std::uint64_t crashes_fired = 0;
   std::uint64_t messages_dropped = 0;

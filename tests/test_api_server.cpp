@@ -110,6 +110,67 @@ TEST(ApiParser, TenantLengthBoundsAreInclusive) {
   }
 }
 
+// The prompt holds at most 2^20 token ids (the max_tokens bound); the
+// parser rejects the next one before it stores it.
+TEST(ApiParser, PromptLengthBoundIsInclusive) {
+  constexpr std::size_t kMax = std::size_t{1} << 20;
+  for (const std::size_t n : {kMax, kMax + 1}) {
+    std::string body = R"({"prompt": [)";
+    body.reserve(body.size() + 2 * n + 2);
+    for (std::size_t i = 0; i < n; ++i) {
+      body += i == 0 ? "7" : ",7";
+    }
+    body += "]}";
+    CompletionRequest req;
+    ApiError err;
+    const bool ok = parse_completion_request(body, &req, &err);
+    EXPECT_EQ(ok, n == kMax) << n << ": " << err.message;
+    if (ok) {
+      EXPECT_EQ(req.prompt.size(), kMax);
+    } else {
+      EXPECT_EQ(err.status, 400);
+      EXPECT_NE(err.message.find("2^20"), std::string::npos) << err.message;
+    }
+  }
+}
+
+// Hostile strings: a tenant counts escapes as one character each and stops
+// at 64, and a long key or priority is echoed in the error only as a short
+// prefix.
+TEST(ApiParser, HostileStringsAreBoundedInErrors) {
+  const auto parse = [](const std::string& body, ApiError* err) {
+    CompletionRequest req;
+    const bool ok = parse_completion_request(body, &req, err);
+    return ok ? req.tenant : std::string();
+  };
+  std::string escaped64;
+  for (int i = 0; i < 64; ++i) {
+    escaped64 += "\\n";
+  }
+  ApiError err;
+  EXPECT_EQ(parse(R"({"prompt": [1], "tenant": ")" + escaped64 + "\"}", &err),
+            std::string(64, '\n'));
+  EXPECT_EQ(parse(R"({"prompt": [1], "tenant": ")" + escaped64 + "x\"}", &err),
+            "");
+  EXPECT_NE(err.message.find("1..64"), std::string::npos) << err.message;
+
+  const std::string huge(1 << 20, 'k');
+  const std::vector<std::string> hostile = {
+      R"({"prompt": [1], "tenant": ")" + huge + "\"}",
+      R"({"prompt": [1], ")" + huge + R"(": 1})",
+      R"({"prompt": [1], "priority": ")" + huge + "\"}",
+      R"({"prompt": [1], "priority": ")" + huge,  // unterminated
+  };
+  for (const std::string& body : hostile) {
+    err = ApiError{};
+    EXPECT_EQ(parse(body, &err), "");
+    EXPECT_EQ(err.status, 400);
+    EXPECT_EQ(err.code, burst::ErrorCode::kInvalidRequest);
+    EXPECT_LT(err.message.size(), 128u) << err.message.substr(0, 200);
+  }
+  EXPECT_NE(err.message.find("got \"kkkk"), std::string::npos) << err.message;
+}
+
 TEST(ApiParser, PriorityNamesRoundTrip) {
   for (const Priority p :
        {Priority::kBatch, Priority::kStandard, Priority::kInteractive}) {

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "resilience/driver.hpp"
 #include "resilience/snapshot.hpp"
 #include "sim/cluster.hpp"
@@ -132,6 +134,66 @@ TEST_F(ResilienceTest, CrashAtVirtualTimeRecovers) {
   EXPECT_EQ(rep.events[0].failed_rank, 1);
   EXPECT_GT(rep.events[0].detect_latency_s, 0.0);
   EXPECT_TRUE(resilience::bitwise_equal(rep.final_weights, ref.final_weights));
+}
+
+// A faulted run is a function of its seed. bench_recovery_overhead's crash
+// configuration (4 ranks, rank 2 crashing at step 7, snapshot interval 4,
+// a registry attached) must replay every report field, every recovery event
+// and the registry bitwise. How far the aborted attempt's survivors ran
+// before the abort reached them is thread timing, so nothing that reaches
+// the caller may depend on it.
+TEST_F(ResilienceTest, FaultPathReplaysBitwise) {
+  const ModelWeights init = ModelWeights::init(ModelConfig::toy(), 2024);
+  const auto run = [&](int i, std::string* metrics_json) {
+    ResilienceConfig cfg = base_config("replay" + std::to_string(i));
+    cfg.total_steps = 12;
+    cfg.snapshot_interval = 4;
+    sim::FaultPlan::CrashDevice crash;
+    crash.rank = 2;
+    crash.at_step = 7;
+    cfg.cluster.faults.crashes.push_back(crash);
+    obs::Registry reg;
+    cfg.cluster.metrics = &reg;
+    ResilienceReport rep = resilience::resilient_train_loop(cfg, init);
+    obs::RunReport dump("test", "fault_path_replay");
+    dump.attach_registry(reg);
+    *metrics_json = dump.to_json();
+    return rep;
+  };
+
+  std::string ref_json;
+  const ResilienceReport ref = run(0, &ref_json);
+  ASSERT_EQ(ref.recoveries, 1);
+  ASSERT_EQ(ref.events.size(), 1u);
+  for (int i = 1; i < 10; ++i) {
+    std::string json;
+    const ResilienceReport rep = run(i, &json);
+    EXPECT_EQ(rep.steps_completed, ref.steps_completed) << i;
+    EXPECT_EQ(rep.recoveries, ref.recoveries) << i;
+    EXPECT_EQ(rep.snapshots_taken, ref.snapshots_taken) << i;
+    EXPECT_EQ(rep.final_world_size, ref.final_world_size) << i;
+    EXPECT_EQ(rep.virtual_time_s, ref.virtual_time_s) << i;
+    EXPECT_EQ(rep.wasted_virtual_time_s, ref.wasted_virtual_time_s) << i;
+    EXPECT_EQ(rep.snapshot_io_time_s, ref.snapshot_io_time_s) << i;
+    EXPECT_EQ(rep.final_loss, ref.final_loss) << i;
+    EXPECT_EQ(rep.losses, ref.losses) << i;
+    EXPECT_TRUE(resilience::bitwise_equal(rep.final_weights, ref.final_weights))
+        << i;
+    ASSERT_EQ(rep.events.size(), ref.events.size()) << i;
+    for (std::size_t k = 0; k < ref.events.size(); ++k) {
+      const auto& a = rep.events[k];
+      const auto& b = ref.events[k];
+      EXPECT_EQ(a.failed_step, b.failed_step) << i;
+      EXPECT_EQ(a.resumed_from_step, b.resumed_from_step) << i;
+      EXPECT_EQ(a.lost_steps, b.lost_steps) << i;
+      EXPECT_EQ(a.failed_rank, b.failed_rank) << i;
+      EXPECT_EQ(a.cause, b.cause) << i;
+      EXPECT_EQ(a.cause_code, b.cause_code) << i;
+      EXPECT_EQ(a.detect_latency_s, b.detect_latency_s) << i;
+      EXPECT_EQ(a.restore_time_s, b.restore_time_s) << i;
+    }
+    EXPECT_EQ(json, ref_json) << i;
+  }
 }
 
 // A link that drops more frames than the retry budget: the driver recovers
