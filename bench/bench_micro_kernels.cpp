@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <utility>
+#include <vector>
 
 #include "kernels/flash_attention.hpp"
 #include "kernels/lm_head.hpp"
@@ -156,10 +157,13 @@ void BM_LmHead(benchmark::State& state) {
         r = kernels::naive_lm_head_loss(h, w, targets);
         break;
       case 1:
-        r = kernels::tiled_recompute_lm_head_loss(h, w, targets, 32, 64);
+        r = kernels::tiled_recompute_lm_head_loss(
+            h, w, targets, kernels::kLmHeadStripRows, kernels::kLmHeadTileCols);
         break;
       default:
-        r = kernels::fused_lm_head_loss(h, w, targets, 32, 64);
+        r = kernels::fused_lm_head_loss(h, w, targets,
+                                       kernels::kLmHeadStripRows,
+                                       kernels::kLmHeadTileCols);
         break;
     }
     scratch = r.peak_scratch_bytes;
@@ -261,12 +265,13 @@ int main(int argc, char** argv) {
   rep.check(ran > 0, "at least one benchmark ran");
 
   // ---- regression-gate section: single-thread causal attention at
-  // n = 512 and a single-thread 512^3 GEMM, timed alternately (best of
-  // ten batches each) so host noise hits every side alike. Two ratios are
-  // machine-portable: zigzag over contiguous forward (a classification or
-  // masking slow path on non-contiguous maps shows up however fast the
-  // host is), and contiguous forward over the GEMM (attention tiles that
-  // fall off the packed GEMM kernel's speed show up).
+  // n = 512, the fused LM head at train_1dev's shape and a single-thread
+  // 512^3 GEMM, timed alternately (best of ten batches each) so host noise
+  // hits every side alike. Three ratios are machine-portable: zigzag over
+  // contiguous forward (a classification or masking slow path on
+  // non-contiguous maps shows up however fast the host is), and contiguous
+  // attention forward and the LM head over the GEMM (kernels that fall off
+  // the packed GEMM kernel's speed show up).
   {
     burst::parallel::ThreadPool::reset_global(1);
     const CausalShard range(kRangeMap);
@@ -292,13 +297,34 @@ int main(int argc, char** argv) {
       });
     };
     gemm_batch();  // warm-up grows the workspace
+    constexpr std::int64_t kLmN = 1024;
+    constexpr std::int64_t kLmV = 2048;
+    constexpr std::int64_t kLmD = 256;
+    const Tensor lh = grng.gaussian(kLmN, kLmD, 0.7f);
+    const Tensor lw = grng.gaussian(kLmV, kLmD, 0.7f);
+    std::vector<std::int64_t> lt;
+    for (std::int64_t i = 0; i < kLmN; ++i) {
+      lt.push_back(grng.next_index(kLmV));
+    }
+    double lm_flops = 0.0;
+    const auto lm_batch = [&] {
+      return batch_seconds(1, [&] {
+        const kernels::LmHeadResult r = kernels::fused_lm_head_loss(
+            lh, lw, lt, kernels::kLmHeadStripRows, kernels::kLmHeadTileCols);
+        lm_flops = static_cast<double>(r.flops);
+        benchmark::DoNotOptimize(r.loss);
+      });
+    };
+    lm_batch();  // warm-up
     double range_s = 1e30;
     double zigzag_s = 1e30;
     double bwd_s = 1e30;
     double gemm_s = 1e30;
+    double lm_s = 1e30;
     for (int rep_i = 0; rep_i < 10; ++rep_i) {
       range_s = std::min(range_s, range.forward_batch());
       gemm_s = std::min(gemm_s, gemm_batch());
+      lm_s = std::min(lm_s, lm_batch());
       zigzag_s = std::min(zigzag_s, zigzag.forward_batch());
       bwd_s = std::min(bwd_s, range.backward_batch());
     }
@@ -308,6 +334,7 @@ int main(int argc, char** argv) {
     const double gemm_gflops =
         2.0 * static_cast<double>(kGemmN * kGemmN * kGemmN) * kGemmCalls /
         gemm_s / 1e9;
+    const double lm_gflops = lm_flops / lm_s / 1e9;
     rep.measurement("attn_fwd_causal_512_st_gflops", range_gflops,
                     burst::obs::RunReport::kNoPaperValue, "GFLOP/s");
     rep.measurement("attn_fwd_zigzag_512_st_gflops", zigzag_gflops,
@@ -316,9 +343,12 @@ int main(int argc, char** argv) {
                     burst::obs::RunReport::kNoPaperValue, "GFLOP/s");
     rep.measurement("gemm_512_st_gflops", gemm_gflops,
                     burst::obs::RunReport::kNoPaperValue, "GFLOP/s");
+    rep.measurement("lm_head_fused_st_gflops", lm_gflops,
+                    burst::obs::RunReport::kNoPaperValue, "GFLOP/s");
     rep.measurement("attn_fwd_zigzag_over_range",
                     zigzag_gflops / range_gflops);
     rep.measurement("attn_fwd_over_gemm_st", range_gflops / gemm_gflops);
+    rep.measurement("lm_head_over_gemm_st", lm_gflops / gemm_gflops);
     burst::parallel::ThreadPool::reset_global();
   }
   rep.check(registry.counter("kernels.attn.tiles_computed").value() > 0,

@@ -127,19 +127,8 @@ float* pack_rows_a(Workspace& ws, ConstMatView x, std::int64_t r0,
   return out;
 }
 
-// B panels of x[r0:r0+n, :]^T (d-deep, one column per row of x) in kKC
-// slices, written into `out` (b_panel_floats(n, d) floats).
-void pack_rows_bt(ConstMatView x, std::int64_t r0, std::int64_t n,
-                  float* out) {
-  const std::int64_t d = x.cols;
-  for (std::int64_t pc = 0; pc < d; pc += kKC) {
-    tensor::pack::pack_b(x, Trans::Yes, pc, std::min(kKC, d - pc), r0, n,
-                         out + b_panel_floats(n, pc));
-  }
-}
-
 // C += A B^T over the head dim: A from pack_rows_a over c.rows rows, B the
-// columns [j0, j0 + c.cols) of a pack_rows_bt over `width` rows.
+// columns [j0, j0 + c.cols) of a pack_b_blocks of x^T over `width` rows.
 void gemm_depth_d(const float* ap, const float* bp, std::int64_t width,
                   std::int64_t j0, std::int64_t d, MatView c) {
   for (std::int64_t pc = 0; pc < d; pc += kKC) {
@@ -182,11 +171,11 @@ class KeyBlockPanels {
     b0_ = b0;
     keys_ = std::min(kKeyBlock, k_.rows - b0);
     const std::int64_t d = k_.cols;
-    pack_rows_bt(k_, b0, keys_, kt_);
+    tensor::pack::pack_b_blocks(k_, Trans::Yes, d, b0, keys_, kt_);
     if (v_panels_ != nullptr) {
       tensor::pack::pack_b(v_, Trans::No, b0, keys_, 0, d, v_panels_);
     } else {
-      pack_rows_bt(v_, b0, keys_, vt_);
+      tensor::pack::pack_b_blocks(v_, Trans::Yes, d, b0, keys_, vt_);
       tensor::pack::pack_b(k_, Trans::No, b0, keys_, 0, d, k_panels_);
     }
   }

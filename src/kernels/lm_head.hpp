@@ -16,6 +16,10 @@
 //                                   so nothing is recomputed and memory
 //                                   stays at Bs x v.
 //
+// The two tiled variants run one implementation, which reads W (the
+// vocabulary weights) in place and splits each strip across the thread
+// pool; results are bitwise identical for any pool size.
+//
 // Loss is mean cross-entropy over tokens; gradients are with respect to that
 // mean. Scratch bytes report the logits storage high-water mark in fp32 (the
 // functional dtype); the perfmodel rescales to bf16 for paper-scale numbers.
@@ -27,6 +31,12 @@
 #include "tensor/tensor.hpp"
 
 namespace burst::kernels {
+
+/// The strip shape the model runs Algorithm 3 at: 32-token strips over
+/// 64-word vocabulary tiles. Each strip's products split across the pool
+/// (lm_head.cpp), so the tiles stay small without leaving cores idle.
+inline constexpr std::int64_t kLmHeadStripRows = 32;
+inline constexpr std::int64_t kLmHeadTileCols = 64;
 
 struct LmHeadResult {
   double loss = 0.0;                 // mean CE over the N tokens

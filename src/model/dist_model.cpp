@@ -574,7 +574,9 @@ kernels::LmHeadResult lm_head_loss(DeviceState& st, const Tensor& x,
   comm::Communicator& comm = *st.comm;
   kernels::LmHeadResult lm =
       st.cfg->fused_lm_head
-          ? kernels::fused_lm_head_loss(x, w_head, targets, 32, 64)
+          ? kernels::fused_lm_head_loss(x, w_head, targets,
+                                        kernels::kLmHeadStripRows,
+                                        kernels::kLmHeadTileCols)
           : kernels::naive_lm_head_loss(x, w_head, targets);
   comm.transport().mem().alloc(lm.peak_scratch_bytes / 2, "lm head scratch");
   comm.transport().compute(static_cast<double>(lm.flops));

@@ -143,6 +143,17 @@ inline std::int64_t pack_b(ConstMatView b, Trans tb, std::int64_t pc,
   return panels;
 }
 
+/// Packs op(B)[0:k, jc:jc+nc] as consecutive kKC-deep cache blocks, block
+/// pc at dst + b_panel_floats(nc, pc): a whole operand for a caller that
+/// runs gemm_block once per K block, as the GEMM driver splits a product.
+inline void pack_b_blocks(ConstMatView b, Trans tb, std::int64_t k,
+                          std::int64_t jc, std::int64_t nc, float* dst) {
+  for (std::int64_t pc = 0; pc < k; pc += kKC) {
+    pack_b(b, tb, pc, std::min(kKC, k - pc), jc, nc,
+           dst + b_panel_floats(nc, pc));
+  }
+}
+
 // ---- quantized B-panel packing --------------------------------------------
 
 /// Quantization blocks along K of a kc-row panel slice.

@@ -36,6 +36,7 @@
 #include "serve/snapshot.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
+#include "temp_dir.hpp"
 
 namespace burst {
 namespace {
@@ -192,9 +193,9 @@ TEST(CodecFormatPin, TrainingSnapshotPayloadBytes) {
 }
 
 TEST(CodecFormatPin, TrainingSnapshotFileBytes) {
-  const fs::path dir = fs::temp_directory_path() / "burst-codec-pin";
-  EXPECT_EQ(fnv(read_file(saved_snapshot_file(dir))), 0x987328c6c0bf206eull);
-  fs::remove_all(dir);
+  const TempDir tmp("burst-codec-pin");
+  EXPECT_EQ(fnv(read_file(saved_snapshot_file(tmp.path() / "snapshots"))),
+            0x987328c6c0bf206eull);
 }
 
 TEST(CodecFormatPin, ServeCheckpointBytes) {
@@ -303,7 +304,8 @@ TEST(CodecMutation, ServeCheckpointDecodesOrThrowsTyped) {
 // and checksum fields included) must fail typed too, never allocate by a
 // forged size.
 TEST(CodecMutation, SnapshotFileLoadsOrThrowsTyped) {
-  const fs::path dir = fs::temp_directory_path() / "burst-codec-mutation";
+  const TempDir tmp("burst-codec-mutation");
+  const fs::path dir = tmp.path() / "snapshots";
   const fs::path path = saved_snapshot_file(dir);
   const resilience::SnapshotManager mgr(dir.string());
   const auto load = [&](const Bytes& b) {
@@ -316,7 +318,6 @@ TEST(CodecMutation, SnapshotFileLoadsOrThrowsTyped) {
   };
   const Outcomes o = fuzz<SnapshotCorruptError>(read_file(path), 404, load);
   EXPECT_GT(o.rejected, kIterations / 2) << "last: " << o.last_rejection;
-  fs::remove_all(dir);
 }
 
 TEST(CodecMutation, CompletionRequestParsesInRangeOrRejects400) {

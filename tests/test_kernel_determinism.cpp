@@ -1,6 +1,7 @@
 // Bitwise determinism across thread-pool sizes: the packed GEMM and the
-// flash-attention kernels partition work at fixed chunk boundaries and keep
-// a fixed per-element arithmetic order, and the serial transformer block
+// flash-attention kernels (and the fused LM head) partition work at fixed
+// chunk boundaries and keep a fixed per-element arithmetic order, and the
+// serial transformer block
 // gives each attention head its own chunk and reduces GQA dK/dV in a fixed
 // order, so the exact same bits must come out for any worker count
 // (including a BURST_THREADS override).
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "kernels/flash_attention.hpp"
+#include "kernels/lm_head.hpp"
 #include "model/transformer.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/gemm.hpp"
@@ -70,6 +72,25 @@ AttnOut attention_result(const MaskSpec& mask, const IndexMap& id) {
   out.o = std::move(fwd.o);
   out.lse = std::move(fwd.lse);
   return out;
+}
+
+// The fused LM head (and its recompute variant) at the model's 32 x 64
+// tiles: each strip's logits and dW are split by vocab tile and its dh by
+// row blocks of d, so a split that followed the pool would change bits.
+// v = 300 ends on a short tile and n = 100 on a short strip.
+kernels::LmHeadResult lm_head_result(bool recompute) {
+  Rng rng(103);
+  const std::int64_t n = 100;
+  const std::int64_t v = 300;
+  const std::int64_t d = 72;
+  const Tensor h = rng.gaussian(n, d, 0.7f);
+  const Tensor w = rng.gaussian(v, d, 0.7f);
+  std::vector<std::int64_t> targets;
+  for (std::int64_t i = 0; i < n; ++i) {
+    targets.push_back(rng.next_index(v));
+  }
+  return recompute ? kernels::tiled_recompute_lm_head_loss(h, w, targets, 32, 64)
+                   : kernels::fused_lm_head_loss(h, w, targets, 32, 64);
 }
 
 // One serial train step with RoPE and 8 query heads. With 2 K/V heads each
@@ -146,6 +167,22 @@ TEST(KernelDeterminism, AttentionBitwiseIdenticalAcrossPoolSizes) {
         EXPECT_TRUE(bitwise_equal(got.dk, base.dk)) << workers;
         EXPECT_TRUE(bitwise_equal(got.dv, base.dv)) << workers;
       }
+    }
+  }
+  parallel::ThreadPool::reset_global();
+}
+
+TEST(KernelDeterminism, FusedLmHeadBitwiseAcrossPoolSizes) {
+  for (const bool recompute : {false, true}) {
+    parallel::ThreadPool::reset_global(1);
+    const kernels::LmHeadResult base = lm_head_result(recompute);
+    for (std::size_t workers : {2u, 4u}) {
+      parallel::ThreadPool::reset_global(workers);
+      const kernels::LmHeadResult got = lm_head_result(recompute);
+      EXPECT_EQ(std::memcmp(&got.loss, &base.loss, sizeof got.loss), 0)
+          << recompute << " " << workers;
+      EXPECT_TRUE(bitwise_equal(got.dh, base.dh)) << recompute << " " << workers;
+      EXPECT_TRUE(bitwise_equal(got.dw, base.dw)) << recompute << " " << workers;
     }
   }
   parallel::ThreadPool::reset_global();

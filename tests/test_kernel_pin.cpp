@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "kernels/flash_attention.hpp"
+#include "kernels/lm_head.hpp"
 #include "pin.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/rng.hpp"
@@ -381,6 +382,87 @@ TEST(KernelPin, AttentionEmptyQuerySubset) {
   EXPECT_EQ(stats.flops, 0U);
   EXPECT_EQ(stats.tiles_computed, 0U);
   EXPECT_EQ(stats.tiles_skipped, 0U);
+}
+
+
+// ---- fused LM head ----------------------------------------------------------
+
+struct LmShape {
+  std::int64_t n, v, d;
+};
+// d = 300 crosses the 256-deep K block of the logits product; n = 20 is
+// shorter than a 32-row strip; v = 37 is narrower than a 64-column tile and
+// most v are not multiples of the 16-column panel. The 260-row and
+// 300-column shapes, under the 272 x 300 blocks below, make the dW and dh
+// products deeper than one K block too.
+constexpr LmShape kLmShapes[] = {{70, 90, 300}, {20, 50, 40},  {64, 37, 24},
+                                 {96, 130, 64}, {5, 3, 7},     {1, 17, 9},
+                                 {260, 70, 12}, {40, 300, 12}, {40, 1, 8}};
+
+struct LmBlocks {
+  std::int64_t s, v;
+};
+constexpr LmBlocks kLmBlocks[] = {{32, 64}, {1, 1},   {7, 9},
+                                  {32, 24}, {17, 48}, {272, 300}};
+
+using LmHeadFn = kernels::LmHeadResult (*)(const Tensor&, const Tensor&,
+                                           const std::vector<std::int64_t>&,
+                                           std::int64_t, std::int64_t);
+
+// Hashes loss bits, dh, dw, FLOPs and scratch bytes of `head` over every
+// block size, one hash per shape.
+std::vector<std::uint64_t> lm_head_hashes(LmHeadFn head) {
+  std::vector<std::uint64_t> out;
+  Rng rng(43);
+  for (const LmShape& sh : kLmShapes) {
+    const Tensor x = rng.gaussian(sh.n, sh.d, 0.7f);
+    const Tensor w = rng.gaussian(sh.v, sh.d, 0.7f);
+    std::vector<std::int64_t> targets;
+    for (std::int64_t i = 0; i < sh.n; ++i) {
+      targets.push_back(rng.next_index(sh.v));
+    }
+    Fnv h;
+    for (const LmBlocks& b : kLmBlocks) {
+      const kernels::LmHeadResult r = head(x, w, targets, b.s, b.v);
+      h.bytes(&r.loss, sizeof r.loss);
+      h.tensor(r.dh);
+      h.tensor(r.dw);
+      h.bytes(&r.flops, sizeof r.flops);
+      h.bytes(&r.peak_scratch_bytes, sizeof r.peak_scratch_bytes);
+    }
+    out.push_back(h.h);
+  }
+  return out;
+}
+
+TEST(KernelPin, FusedLmHeadEveryShapeAndBlock) {
+  const std::vector<Pin> want = {
+      {"fused 70x90x300", 0xa30dae588fdce2c6ULL},
+      {"fused 20x50x40", 0x5a820ca930d27815ULL},
+      {"fused 64x37x24", 0xe4003efbdac17280ULL},
+      {"fused 96x130x64", 0x398300693b345f58ULL},
+      {"fused 5x3x7", 0x8b740995cf3c1360ULL},
+      {"fused 1x17x9", 0xd015dc615ccabb2fULL},
+      {"fused 260x70x12", 0x113fc2982e02ed59ULL},
+      {"fused 40x300x12", 0x9467f81a982baa92ULL},
+      {"fused 40x1x8", 0xa3f3b38aecbb154dULL},
+  };
+  expect_pins(want, lm_head_hashes(&kernels::fused_lm_head_loss));
+}
+
+TEST(KernelPin, FusedLmHeadRecomputeEveryShapeAndBlock) {
+  const std::vector<Pin> want = {
+      {"recompute 70x90x300", 0x2d57e837cb23ae2bULL},
+      {"recompute 20x50x40", 0x610d443daa48f3ddULL},
+      {"recompute 64x37x24", 0xa2416347cd2e252ULL},
+      {"recompute 96x130x64", 0x3503f551bb7af5caULL},
+      {"recompute 5x3x7", 0x8a6cb9aaa7f84ecULL},
+      {"recompute 1x17x9", 0xb774c83031cba6bULL},
+      {"recompute 260x70x12", 0x2be923db09e9adfdULL},
+      {"recompute 40x300x12", 0xf17599f116944ad3ULL},
+      {"recompute 40x1x8", 0xc2418591915d555dULL},
+  };
+  expect_pins(want, lm_head_hashes(&kernels::tiled_recompute_lm_head_loss));
 }
 
 }  // namespace

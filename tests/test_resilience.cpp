@@ -17,6 +17,7 @@
 #include "resilience/snapshot.hpp"
 #include "sim/cluster.hpp"
 #include "sim/trace.hpp"
+#include "temp_dir.hpp"
 
 namespace burst {
 namespace {
@@ -31,15 +32,6 @@ using sim::Topology;
 
 class ResilienceTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    base_ = (fs::temp_directory_path() /
-             (std::string("burst-resil-") + info->name()))
-                .string();
-    fs::remove_all(base_);
-  }
-  void TearDown() override { fs::remove_all(base_); }
-
   /// 4-rank BurstAttention training config, 8 steps, snapshot every 2.
   ResilienceConfig base_config(const std::string& subdir) const {
     ResilienceConfig cfg;
@@ -53,7 +45,8 @@ class ResilienceTest : public ::testing::Test {
     return cfg;
   }
 
-  std::string base_;
+  TempDir tmp_{"burst-resil"};
+  std::string base_ = tmp_.path().string();
 };
 
 bool has_event_prefix(const sim::TraceRecorder& trace, int rank,

@@ -23,6 +23,7 @@
 #include "serve/snapshot.hpp"
 #include "sim/cluster.hpp"
 #include "tensor/rng.hpp"
+#include "temp_dir.hpp"
 
 namespace fs = std::filesystem;
 
@@ -202,8 +203,8 @@ TEST(ServeSnapshot, RejectsHugeCountsAndNegativeDims) {
 }
 
 TEST(ServeSnapshot, ManagerRetainsPrunesAndSkipsCorrupt) {
-  const fs::path dir = fs::temp_directory_path() / "burst-serve-snap-test";
-  fs::remove_all(dir);
+  const TempDir tmp("burst-serve-snap");
+  const fs::path dir = tmp.path();
   ServeSnapshotManager mgr(dir.string(), /*keep_last=*/2);
 
   EngineCheckpoint ck = sample_checkpoint();
@@ -234,7 +235,6 @@ TEST(ServeSnapshot, ManagerRetainsPrunesAndSkipsCorrupt) {
     f.put('\x5a');
   }
   EXPECT_THROW(mgr.load_latest(), resilience::SnapshotCorruptError);
-  fs::remove_all(dir);
 }
 
 // --- checkpoint / resume ----------------------------------------------------
@@ -364,8 +364,8 @@ TEST(ServeResilience, CheckpointlessCrashRestartsFromScratch) {
 }
 
 TEST(ServeResilience, DurableCheckpointsSurviveOnDisk) {
-  const fs::path dir = fs::temp_directory_path() / "burst-serve-recover-test";
-  fs::remove_all(dir);
+  const TempDir tmp("burst-serve-recover");
+  const fs::path dir = tmp.path();
   const ServeReport want = fault_free_baseline();
 
   Engine engine(serve_toy(), toy_weights(), small_engine_config());
@@ -386,7 +386,6 @@ TEST(ServeResilience, DurableCheckpointsSurviveOnDisk) {
     EXPECT_EQ(rep.report.results[i].generated, want.results[i].generated)
         << i;
   }
-  fs::remove_all(dir);
 }
 
 // The serving counterpart of ResilienceTest.RejectsSnapshotDirFromAnotherRun:
@@ -394,8 +393,8 @@ TEST(ServeResilience, DurableCheckpointsSurviveOnDisk) {
 // directory. The supervisor refuses to start, names the stale file and
 // deletes nothing.
 TEST(ServeResilience, RejectsSnapshotDirFromAnotherRun) {
-  const fs::path dir = fs::temp_directory_path() / "burst-serve-stale-test";
-  fs::remove_all(dir);
+  const TempDir tmp("burst-serve-stale");
+  const fs::path dir = tmp.path();
   const ServeReport want = fault_free_baseline();
 
   ServeResilienceConfig rc;
@@ -424,7 +423,6 @@ TEST(ServeResilience, RejectsSnapshotDirFromAnotherRun) {
         << e.what();
   }
   EXPECT_EQ(ServeSnapshotManager(dir.string()).list(), before);
-  fs::remove_all(dir);
 }
 
 TEST(ServeResilience, BreakerFailsFastDuringRecovery) {

@@ -20,6 +20,7 @@
 #include "resilience/snapshot.hpp"
 #include "sim/cluster.hpp"
 #include "tensor/rng.hpp"
+#include "temp_dir.hpp"
 
 namespace burst {
 namespace {
@@ -44,16 +45,8 @@ using tensor::Tensor;
 /// Fresh per-test snapshot directory under the system temp dir.
 class SnapshotTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = (fs::temp_directory_path() /
-            (std::string("burst-snap-") + info->name()))
-               .string();
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  std::string dir_;
+  TempDir tmp_{"burst-snap"};
+  std::string dir_ = tmp_.path().string();
 };
 
 TrainSnapshot make_snapshot(std::uint64_t step, std::uint64_t seed) {
