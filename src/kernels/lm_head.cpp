@@ -300,7 +300,8 @@ LmHeadResult tiled_lm_head_impl(const Tensor& h, const Tensor& w,
               gemm_blocks(
                   ConstMatView{wd + t * block_v * d + c0, tile_cols(t),
                                c1 - c0, d},
-                  Trans::Yes, tile_of(t), MatView{dht + c0 * bs, c1 - c0, bs, bs});
+                  Trans::Yes, tile_of(t),
+                  MatView{dht + c0 * bs, c1 - c0, bs, bs});
             }
           });
     }

@@ -89,8 +89,9 @@ kernels::LmHeadResult lm_head_result(bool recompute) {
   for (std::int64_t i = 0; i < n; ++i) {
     targets.push_back(rng.next_index(v));
   }
-  return recompute ? kernels::tiled_recompute_lm_head_loss(h, w, targets, 32, 64)
-                   : kernels::fused_lm_head_loss(h, w, targets, 32, 64);
+  return recompute
+             ? kernels::tiled_recompute_lm_head_loss(h, w, targets, 32, 64)
+             : kernels::fused_lm_head_loss(h, w, targets, 32, 64);
 }
 
 // One serial train step with RoPE and 8 query heads. With 2 K/V heads each
@@ -181,8 +182,10 @@ TEST(KernelDeterminism, FusedLmHeadBitwiseAcrossPoolSizes) {
       const kernels::LmHeadResult got = lm_head_result(recompute);
       EXPECT_EQ(std::memcmp(&got.loss, &base.loss, sizeof got.loss), 0)
           << recompute << " " << workers;
-      EXPECT_TRUE(bitwise_equal(got.dh, base.dh)) << recompute << " " << workers;
-      EXPECT_TRUE(bitwise_equal(got.dw, base.dw)) << recompute << " " << workers;
+      EXPECT_TRUE(bitwise_equal(got.dh, base.dh))
+          << recompute << " " << workers;
+      EXPECT_TRUE(bitwise_equal(got.dw, base.dw))
+          << recompute << " " << workers;
     }
   }
   parallel::ThreadPool::reset_global();
