@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <ios>
 #include <mutex>
 #include <stdexcept>
 #include <tuple>
@@ -224,6 +225,77 @@ TEST(DistModelUlysses, MatchesPinnedParentBitwise) {
           << "rank " << r;
       EXPECT_EQ(stats[r].peak_mem_bytes, pin.ranks[r].peak_mem_bytes)
           << "rank " << r;
+    }
+  }
+}
+
+struct SweepPin {
+  const char* name;
+  AttnImpl impl;
+  std::int64_t kv_heads;
+  Topology topo;
+  double loss;
+  std::uint64_t grads_fnv;
+  std::uint64_t messages_sent, bytes_sent;  // every rank's
+};
+
+// The multi-rank step's loss and gradient bits and each rank's traffic, for
+// the context-parallel sweeps (RoPE on, zigzag rows, seq-selective
+// recompute) and USP's two-member rings. The loss and gradients were
+// recorded when every query head ran a sweep of its own, and must not move;
+// the message counts are those of one sweep per layer carrying every head.
+TEST(DistModelPin, MultiRankLossGradsAndTraffic) {
+  const Topology one = Topology::single_node(4);
+  const Topology two = Topology::multi_node(2, 2);
+  const std::vector<SweepPin> pins = {
+      {"burst-mha/1x4", AttnImpl::kBurst, 0, one, 0x1.091ab2p+2,
+       0x555f51b3ec73f6c9ULL, 149, 133894},
+      {"ring-mha/1x4", AttnImpl::kRing, 0, one, 0x1.091ab2p+2,
+       0xae00f295d2bb9c15ULL, 149, 137222},
+      {"burst-kv2/1x4", AttnImpl::kBurst, 2, one, 0x1.29199p+2,
+       0x74b83ae55154196bULL, 149, 121606},
+      {"usp-ring2/1x4", AttnImpl::kUsp, 0, one, 0x1.093ce6p+2,
+       0xe896ef480f62dcc7ULL, 89, 126982},
+      {"burst-mha/2x2", AttnImpl::kBurst, 0, two, 0x1.091ab2p+2,
+       0xa348acb558ba26b4ULL, 149, 133894},
+      {"ring-mha/2x2", AttnImpl::kRing, 0, two, 0x1.091ab2p+2,
+       0xa348acb558ba26b4ULL, 149, 137222},
+      {"burst-kv2/2x2", AttnImpl::kBurst, 2, two, 0x1.29199p+2,
+       0x576a6e9ef51a4d65ULL, 149, 121606},
+      {"usp-ring2/2x2", AttnImpl::kUsp, 0, two, 0x1.093ce6p+2,
+       0xe896ef480f62dcc7ULL, 89, 126982},
+  };
+  for (const SweepPin& pin : pins) {
+    Fixture fx;
+    fx.cfg.kv_heads = pin.kv_heads;
+    fx.cfg.use_rope = pin.impl != AttnImpl::kUsp;
+    fx.weights = ModelWeights::init(fx.cfg, 41);
+    DistTrainConfig cfg;
+    cfg.model = fx.cfg;
+    cfg.impl = pin.impl;
+    cfg.ckpt = CkptConfig{CkptStrategy::kSeqSelective, 0.5};
+    cfg.usp_head_parallel = 2;
+    Cluster cluster({pin.topo});
+    DistStepResult r;
+    std::mutex mu;
+    cluster.run([&](DeviceContext& ctx) {
+      comm::SimTransport comm_tp(ctx);
+      comm::Communicator comm(comm_tp);
+      DistStepResult mine = dist_train_step(comm, cfg, fx.weights, fx.tokens);
+      if (ctx.rank() == 0) {
+        std::lock_guard lock(mu);
+        r = std::move(mine);
+      }
+    });
+    EXPECT_EQ(r.loss, pin.loss) << pin.name << ": got " << std::hexfloat
+                                << r.loss;
+    EXPECT_EQ(grads_fnv(r.grads), pin.grads_fnv)
+        << pin.name << ": got 0x" << std::hex << grads_fnv(r.grads);
+    for (std::size_t k = 0; k < cluster.stats().size(); ++k) {
+      EXPECT_EQ(cluster.stats()[k].messages_sent, pin.messages_sent)
+          << pin.name << " rank " << k;
+      EXPECT_EQ(cluster.stats()[k].bytes_sent, pin.bytes_sent)
+          << pin.name << " rank " << k;
     }
   }
 }
