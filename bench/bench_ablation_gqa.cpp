@@ -2,13 +2,15 @@
 // Ring-vs-Burst backward communication trade-off.
 //
 // BurstAttention's backward (Algorithm 2) circulates *query-side* tensors
-// (Q, ∇Q, ∇O: 3Nd + 2N), which GQA does not shrink; RingAttention's backward
-// circulates K/V-side tensors (4·N·d_kv), which GQA shrinks by the group
-// factor. With d_kv < 3/4 · d_model + ..., Algorithm 1's volume drops below
-// Algorithm 2's — e.g. LLaMA-3-style 8x GQA flips the paper's 25% saving
-// into a ~6x deficit. BurstEngine integrations on GQA models should
+// (Q, ∇Q, ∇O, and Lse and D per query head: 3Nd + 2NH), which GQA does not
+// shrink; RingAttention's backward circulates K/V-side tensors (4·N·d_kv),
+// which GQA shrinks by the group factor, since each hop carries every K/V
+// head once. With d_kv < 3/4 · d_model + ..., Algorithm 1's volume drops
+// below Algorithm 2's — e.g. LLaMA-3-style 8x GQA flips the paper's 25%
+// saving into a ~6x deficit. BurstEngine integrations on GQA models should
 // therefore pick the backward algorithm per kv-head ratio (the topology-
-// aware ring and overlap apply to both).
+// aware ring and overlap apply to both). tests/test_comm_bytes.cpp checks
+// both volumes against the bytes a training step sends.
 #include "bench_util.hpp"
 #include "model/config.hpp"
 #include "reporter.hpp"
@@ -29,7 +31,7 @@ int main() {
     const double dkv = static_cast<double>(cfg.d_kv());
     // Volumes in units of N * d_model (per device, full backward).
     const double ring = 4.0 * dkv / d;
-    const double burst = 3.0 + 2.0 / d;
+    const double burst = 3.0 + 2.0 * static_cast<double>(cfg.heads) / d;
     t.row({std::to_string(kv), std::to_string(cfg.d_kv()),
            fmt(ring, "%.3f"), fmt(burst, "%.3f"), fmt(burst / ring, "%.2f"),
            burst < ring ? "Burst (Alg. 2)" : "Ring (Alg. 1)"});
@@ -45,7 +47,7 @@ int main() {
   }
   t.print();
   std::printf(
-      "\ncrossover at d_kv/d = (3 + 2/d)/4 ≈ 0.75: below ~24 kv heads (of\n"
+      "\ncrossover at d_kv/d = (3 + 2H/d)/4 ≈ 0.75: below ~24 kv heads (of\n"
       "32), circulating K/V gradients (Algorithm 1) is cheaper than\n"
       "circulating query-side tensors (Algorithm 2). Forward volume is\n"
       "2·N·d_kv for both. Not evaluated in the paper (MHA models only);\n"

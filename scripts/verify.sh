@@ -39,9 +39,12 @@
 #             accept/connect threads; the socket-backed cases put them under
 #             TSan), test_sweep and test_failure_injection (ring-sweep
 #             payloads are shared read-only across rank threads, and fault
-#             injection clones or shares them in flight), and test_resilience
-#             and test_serve_resilience (every recovery supervisor unwinds
-#             aborted rank threads through the shared supervisor loop).
+#             injection clones or shares them in flight), test_dist_attention
+#             and test_ulysses_usp (every sweep visit runs its heads under a
+#             parallel_for, issued from concurrent rank threads), and
+#             test_resilience and test_serve_resilience (every recovery
+#             supervisor unwinds aborted rank threads through the shared
+#             supervisor loop).
 #   bench     bench fleet with the RunReport self_check gate, then the
 #             regression gate against the committed BENCH_baseline.json
 #             (gated metrics may not fall more than 10% below baseline).
@@ -216,10 +219,10 @@ tsan_gate() {
         --target test_thread_pool test_kernel_determinism test_serve_decode \
                  test_serve_engine test_api_server test_api_scheduler \
                  test_dist_model test_gqa test_transport_conformance \
-                 test_sweep test_failure_injection test_resilience \
-                 test_serve_resilience &&
+                 test_sweep test_failure_injection test_dist_attention \
+                 test_ulysses_usp test_resilience test_serve_resilience &&
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|DistModel|GqaDist|TransportConformance|SocketTransportSmoke|SweepRoute|ActivationSweep|GradientSweep|SweepTiming|ZeroCopySweep|FailureInjection|FaultPlan|ResilienceTest|ServeResilience|ServeDegrade|ServeSnapshot|ResilientPrefill'
+        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|DistModel|GqaDist|TransportConformance|SocketTransportSmoke|SweepRoute|ActivationSweep|GradientSweep|SweepTiming|ZeroCopySweep|FailureInjection|DistAttention|Ulysses|Usp|FaultPlan|ResilienceTest|ServeResilience|ServeDegrade|ServeSnapshot|ResilientPrefill'
 }
 if [[ $RUN_TSAN -eq 1 ]]; then
   echo "== TSan build + threaded suites (${TSAN_BUILD_DIR})"

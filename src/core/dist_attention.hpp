@@ -2,12 +2,17 @@
 // RingAttention baseline (Section 3.1, Algorithms 1 and 2).
 //
 // Both share the forward pass (ring K/V sweep with online-softmax
-// aggregation, communication volume 2Nd per GPU). They differ in backward:
+// aggregation, communication volume 2N·d_kv per GPU, where d_kv is the K/V
+// width: d for MHA, less under GQA). They differ in backward:
 //
-//  * RingAttention (Algorithm 1) circulates (K, V, ∇K, ∇V): volume 4Nd, and
-//    recomputes D = rowsum(∇O ∘ O) every ring step.
+//  * RingAttention (Algorithm 1) circulates (K, V, ∇K, ∇V): volume 4N·d_kv,
+//    and recomputes D = rowsum(∇O ∘ O) every ring step.
 //  * BurstAttention (Algorithm 2) keeps K/V/∇K/∇V local and circulates
-//    (Q, ∇Q, ∇O, D, Lse): volume 3Nd + 2N (~25% less), computing D once.
+//    (Q, ∇Q, ∇O, D, Lse): volume 3Nd + 2NH for H query heads (~25% less
+//    than Ring for MHA), computing D once.
+//
+// Every local head travels in one bundle per hop, as Algorithm 2 passes a
+// device's whole shard, so a layer takes one sweep, not one per head.
 //
 // The route decides the communication pattern: flat ring (vanilla /
 // Megatron-CP style), or the topology-aware double ring (BurstAttention,
@@ -20,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "comm/communicator.hpp"
 #include "core/partition.hpp"
@@ -42,45 +48,74 @@ struct DistAttnConfig {
   BackwardComm backward = BackwardComm::kBurst;
   bool overlap = true;
   std::int64_t seq_len = 0;  // global N
-  /// Context-parallel group size (route size); ranks outside take no part.
+  /// First message tag of the sweeps (SweepOptions::tag_base).
   int tag_base = 0;
 };
 
-/// This device's Q/K/V shard, rows ordered by its IndexMap.
+/// Every local head of this device's shard, rows ordered by its IndexMap:
+/// one Q per query head, one K and one V per K/V head. Query head h reads
+/// K/V head h / (q.size() / k.size()), so MHA and GQA share one layout.
+struct LocalHeads {
+  std::vector<tensor::Tensor> q, k, v;
+};
+
+/// Forward output per query head: O and its LSE.
+struct HeadsResult {
+  std::vector<tensor::Tensor> o, lse;
+};
+
+/// Gradients: dQ per query head, dK and dV per K/V head.
+struct HeadsGrads {
+  std::vector<tensor::Tensor> dq, dk, dv;
+};
+
+/// Ring forward (both methods) of every head at once: each hop carries each
+/// K/V head once; a visit runs the heads' kernels under the deterministic
+/// parallel_for, one chunk per head, then charges their post-skip FLOPs to
+/// the virtual compute stream (and `stats`) in head order. A one-member
+/// route is the same call with no hop. `q_rows`, if given, holds the global
+/// positions of `local.q`'s rows: the subset of this device's queries that
+/// sequence-level selective checkpointing recomputes. It may be empty; the
+/// device still feeds its K/V to the ring.
+HeadsResult dist_attention_forward(comm::Communicator& comm,
+                                   const SweepRoute& route,
+                                   const DistAttnConfig& cfg,
+                                   const LocalHeads& local,
+                                   kernels::KernelStats* stats = nullptr,
+                                   const kernels::IndexMap* q_rows = nullptr);
+
+/// Backward per `cfg.backward`, every head at once. Ring's hops carry each
+/// K/V head's K, V, dK and dV once; Burst's carry Q, dO, D and Lse of every
+/// query head with a dQ accumulator per query head, and keep a dK/dV per
+/// query head on the device, summed into their K/V head at the end in
+/// ascending head order. When `rope` is set, Q and K were rotated at their
+/// rows' global positions, and dQ and dK are rotated back (each query
+/// head's dK before the sum) so they are w.r.t. the unrotated inputs.
+HeadsGrads dist_attention_backward(comm::Communicator& comm,
+                                   const SweepRoute& route,
+                                   const DistAttnConfig& cfg,
+                                   const LocalHeads& local,
+                                   const HeadsResult& fwd,
+                                   std::vector<tensor::Tensor> d_out,
+                                   kernels::KernelStats* stats = nullptr,
+                                   bool rope = false);
+
+/// This device's Q/K/V shard of one head, and its gradients.
 struct LocalQKV {
-  tensor::Tensor q;
-  tensor::Tensor k;
-  tensor::Tensor v;
+  tensor::Tensor q, k, v;
 };
-
 struct LocalGrads {
-  tensor::Tensor dq;
-  tensor::Tensor dk;
-  tensor::Tensor dv;
+  tensor::Tensor dq, dk, dv;
 };
 
-/// Ring forward (both methods): local O and LSE shards.
-/// `stats` (optional) accumulates post-skip kernel FLOPs, which are also
-/// charged to the device's virtual compute stream.
+/// One head: the multi-head forward above with one query and one K/V head.
 kernels::AttnResult dist_attention_forward(comm::Communicator& comm,
                                            const SweepRoute& route,
                                            const DistAttnConfig& cfg,
                                            const LocalQKV& local,
                                            kernels::KernelStats* stats = nullptr);
 
-/// Ring forward for an arbitrary subset of this device's queries (`q_sub`
-/// rows at global positions `qmap_sub`), attending to the full distributed
-/// K/V. Used by sequence-level selective checkpointing to recompute only the
-/// non-stored front rows during backward. `q_sub` may have zero rows — the
-/// device still participates in the K/V ring (its keys are needed by peers).
-kernels::AttnResult dist_attention_forward_subset(
-    comm::Communicator& comm, const SweepRoute& route,
-    const DistAttnConfig& cfg, const tensor::Tensor& q_sub,
-    const kernels::IndexMap& qmap_sub, const tensor::Tensor& k_local,
-    const tensor::Tensor& v_local, kernels::KernelStats* stats = nullptr);
-
-/// Backward per `cfg.backward`. Needs the forward's O/LSE and the local
-/// output gradient shard.
+/// One head: the multi-head backward above.
 LocalGrads dist_attention_backward(comm::Communicator& comm,
                                    const SweepRoute& route,
                                    const DistAttnConfig& cfg,

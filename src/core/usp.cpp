@@ -158,42 +158,32 @@ std::vector<Tensor> usp_forward(Communicator& comm, const UspConfig& cfg,
   auto qr = comm.all_to_all_group(grid.head_group, pack_by_owner(q, grid.gh, hl));
   auto kr = comm.all_to_all_group(grid.head_group, pack_by_owner(k, grid.gh, hl));
   auto vr = comm.all_to_all_group(grid.head_group, pack_by_owner(v, grid.gh, hl));
-  std::vector<Tensor> qf = assemble_full_seq(qr, grid.gh, hl, n_local);
-  std::vector<Tensor> kf = assemble_full_seq(kr, grid.gh, hl, n_local);
-  std::vector<Tensor> vf = assemble_full_seq(vr, grid.gh, hl, n_local);
+  LocalHeads heads{assemble_full_seq(qr, grid.gh, hl, n_local),
+                   assemble_full_seq(kr, grid.gh, hl, n_local),
+                   assemble_full_seq(vr, grid.gh, hl, n_local)};
 
-  // Stage 2: ring attention across the ring group, per owned head.
+  // Stage 2: ring attention across the ring group, every owned head at once.
   const SweepRoute route = SweepRoute::flat(comm::RingOrder(grid.ring_group));
-  const DistAttnConfig rc = ring_cfg(cfg);
-  std::vector<Tensor> o_full(static_cast<std::size_t>(hl));
-  std::vector<Tensor> lse_full(static_cast<std::size_t>(hl));
-  for (int t = 0; t < hl; ++t) {
-    const std::size_t ti = static_cast<std::size_t>(t);
-    LocalQKV local{qf[ti], kf[ti], vf[ti]};
-    auto r = dist_attention_forward(comm, route, rc, local, stats);
-    o_full[ti] = std::move(r.o);
-    lse_full[ti] = std::move(r.lse);
-  }
+  HeadsResult full =
+      dist_attention_forward(comm, route, ring_cfg(cfg), heads, stats);
 
   // Stage 3: reverse all-to-all back to sequence sharding.
-  auto out_recv = comm.all_to_all_group(grid.head_group,
-                                        pack_by_shard(o_full, grid.gh, n_local));
+  auto out_recv = comm.all_to_all_group(
+      grid.head_group, pack_by_shard(full.o, grid.gh, n_local));
   std::vector<Tensor> o_local =
       unpack_to_heads(out_recv, grid.gh, hl, n_local);
 
   if (saved != nullptr) {
-    saved->q = std::move(qf);
-    saved->k = std::move(kf);
-    saved->v = std::move(vf);
-    saved->o = std::move(o_full);
-    saved->lse = std::move(lse_full);
+    saved->heads = std::move(heads);
+    saved->out = std::move(full);
   }
   return o_local;
 }
 
-UspGrads usp_backward(Communicator& comm, const UspConfig& cfg,
-                      const UspSaved& saved, const std::vector<Tensor>& d_out,
-                      KernelStats* stats) {
+HeadsGrads usp_backward(Communicator& comm, const UspConfig& cfg,
+                        const UspSaved& saved,
+                        const std::vector<Tensor>& d_out, KernelStats* stats,
+                        bool rope) {
   Grid grid = make_grid(cfg, comm.world_size(), comm.rank());
   const int hl = cfg.num_heads / grid.gh;
   const std::int64_t n_local = d_out.front().rows();
@@ -203,32 +193,19 @@ UspGrads usp_backward(Communicator& comm, const UspConfig& cfg,
   std::vector<Tensor> do_full = assemble_full_seq(dr, grid.gh, hl, n_local);
 
   const SweepRoute route = SweepRoute::flat(comm::RingOrder(grid.ring_group));
-  const DistAttnConfig rc = ring_cfg(cfg);
-  std::vector<Tensor> dq_full(static_cast<std::size_t>(hl));
-  std::vector<Tensor> dk_full(static_cast<std::size_t>(hl));
-  std::vector<Tensor> dv_full(static_cast<std::size_t>(hl));
-  for (int t = 0; t < hl; ++t) {
-    const std::size_t ti = static_cast<std::size_t>(t);
-    LocalQKV local{saved.q[ti], saved.k[ti], saved.v[ti]};
-    kernels::AttnResult fwd;
-    fwd.o = saved.o[ti];
-    fwd.lse = saved.lse[ti];
-    auto g = dist_attention_backward(comm, route, rc, local, fwd, do_full[ti],
-                                     stats);
-    dq_full[ti] = std::move(g.dq);
-    dk_full[ti] = std::move(g.dk);
-    dv_full[ti] = std::move(g.dv);
-  }
+  const HeadsGrads full =
+      dist_attention_backward(comm, route, ring_cfg(cfg), saved.heads,
+                              saved.out, std::move(do_full), stats, rope);
 
-  UspGrads out;
-  auto dq_recv = comm.all_to_all_group(grid.head_group,
-                                       pack_by_shard(dq_full, grid.gh, n_local));
+  HeadsGrads out;
+  auto dq_recv = comm.all_to_all_group(
+      grid.head_group, pack_by_shard(full.dq, grid.gh, n_local));
   out.dq = unpack_to_heads(dq_recv, grid.gh, hl, n_local);
-  auto dk_recv = comm.all_to_all_group(grid.head_group,
-                                       pack_by_shard(dk_full, grid.gh, n_local));
+  auto dk_recv = comm.all_to_all_group(
+      grid.head_group, pack_by_shard(full.dk, grid.gh, n_local));
   out.dk = unpack_to_heads(dk_recv, grid.gh, hl, n_local);
-  auto dv_recv = comm.all_to_all_group(grid.head_group,
-                                       pack_by_shard(dv_full, grid.gh, n_local));
+  auto dv_recv = comm.all_to_all_group(
+      grid.head_group, pack_by_shard(full.dv, grid.gh, n_local));
   out.dv = unpack_to_heads(dv_recv, grid.gh, hl, n_local);
   return out;
 }

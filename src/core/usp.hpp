@@ -7,8 +7,8 @@
 // Forward: (1) all-to-all inside each head group converts [N/G tokens x H
 // heads] to [N/Gr tokens x H/Gh heads]; (2) ring attention (RingAttention or
 // BurstAttention backward-comm, selectable) runs across the Gr ring-group
-// devices per owned head; (3) the reverse all-to-all restores sequence
-// sharding. Backward mirrors the pipeline.
+// devices, every owned head in one sweep; (3) the reverse all-to-all restores
+// sequence sharding. Backward mirrors the pipeline.
 //
 // DeepSpeed-Ulysses (Section 4.1) is the grid's Gh = G corner: one head
 // group spanning the world, rings of one member, contiguous shards. Its
@@ -65,8 +65,8 @@ kernels::IndexMap usp_local_index_map(const UspConfig& cfg, int world_size,
                                       int rank);
 
 struct UspSaved {
-  std::vector<tensor::Tensor> q, k, v;  // ring-shard per owned head
-  std::vector<tensor::Tensor> o, lse;
+  LocalHeads heads;  // ring shard of every owned head
+  HeadsResult out;
 };
 
 /// Inputs: one [N/G, dh] tensor per global head, rows ordered by
@@ -79,13 +79,12 @@ std::vector<tensor::Tensor> usp_forward(comm::Communicator& comm,
                                         UspSaved* saved,
                                         kernels::KernelStats* stats = nullptr);
 
-struct UspGrads {
-  std::vector<tensor::Tensor> dq, dk, dv;
-};
-
-UspGrads usp_backward(comm::Communicator& comm, const UspConfig& cfg,
-                      const UspSaved& saved,
-                      const std::vector<tensor::Tensor>& d_out,
-                      kernels::KernelStats* stats = nullptr);
+/// `rope`: Q and K were rotated at their global positions; dQ and dK come
+/// back w.r.t. the unrotated inputs (see dist_attention_backward).
+HeadsGrads usp_backward(comm::Communicator& comm, const UspConfig& cfg,
+                        const UspSaved& saved,
+                        const std::vector<tensor::Tensor>& d_out,
+                        kernels::KernelStats* stats = nullptr,
+                        bool rope = false);
 
 }  // namespace burst::core

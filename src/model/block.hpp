@@ -16,8 +16,12 @@
 #include <cstdint>
 #include <functional>
 #include <utility>
+#include <vector>
 
+#include "kernels/index_map.hpp"
+#include "kernels/rope.hpp"
 #include "model/transformer.hpp"
+#include "parallel/thread_pool.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -48,6 +52,37 @@ inline void layer_boundary(tensor::Tensor& x, bool bf16_boundary) {
 using AttendFn = std::function<tensor::Tensor(const tensor::Tensor& q_all,
                                               const tensor::Tensor& k_all,
                                               const tensor::Tensor& v_all)>;
+
+/// Column blocks of `all`, one per head of width `dh`, each rotated at the
+/// rows' *global* positions when `rope` is given (the CP correctness trap
+/// the kernels/rope.hpp header documents). One parallel_for chunk per head.
+inline std::vector<tensor::Tensor> split_heads(
+    const tensor::Tensor& all, std::int64_t heads, std::int64_t dh,
+    const kernels::IndexMap* rope = nullptr) {
+  std::vector<tensor::Tensor> out(static_cast<std::size_t>(heads));
+  parallel::parallel_for(0, out.size(), 1, [&](std::size_t h0,
+                                               std::size_t h1) {
+    for (std::size_t h = h0; h < h1; ++h) {
+      out[h] = tensor::copy_cols(all, static_cast<std::int64_t>(h) * dh, dh);
+      if (rope != nullptr) {
+        kernels::apply_rope_inplace(out[h], *rope);
+      }
+    }
+  });
+  return out;
+}
+
+/// The inverse of split_heads without RoPE: the heads side by side in
+/// `width` columns.
+inline tensor::Tensor concat_heads(const std::vector<tensor::Tensor>& heads,
+                                   std::int64_t width) {
+  tensor::Tensor out(heads.front().rows(), width);
+  for (std::size_t h = 0; h < heads.size(); ++h) {
+    tensor::set_cols(out, static_cast<std::int64_t>(h) * heads[h].cols(),
+                     heads[h]);
+  }
+  return out;
+}
 
 /// What a block keeps for its W_2 output and its backward.
 struct BlockActs {

@@ -10,14 +10,10 @@
 #include "comm/sim_transport.hpp"
 #include "core/sweep.hpp"
 #include "core/usp.hpp"
-#include "kernels/flash_attention.hpp"
 #include "kernels/lm_head.hpp"
-#include "kernels/rope.hpp"
 #include "model/block.hpp"
-#include "parallel/thread_pool.hpp"
 // burst-lint: allow(no-direct-cluster) the one-device entry points host their cluster
 #include "sim/cluster.hpp"
-#include "sim/phase_metrics.hpp"
 #include "tensor/ops.hpp"
 
 namespace burst::model {
@@ -60,23 +56,17 @@ std::uint64_t bf16_bytes(const Tensor& t) {
   return static_cast<std::uint64_t>(t.numel()) * 2;
 }
 
-// Per-head Q/K/V of the distributed block.
-struct Heads {
-  std::vector<Tensor> q, k, v;
-};
-
 // Everything a layer may keep between forward and backward. Which fields are
 // populated depends on the checkpoint strategy / attention impl.
 struct LayerCache {
   Tensor x_in;  // always stored (the gradient-checkpoint boundary)
   // kNone: full serial-style cache.
   bool full = false;
-  Heads heads;
+  core::LocalHeads heads;
   BlockActs acts;
-  // Attention outputs (per head): all rows (SelectivePP / kNone), the stored
-  // tail (SeqSelective), or nothing (Full).
-  std::vector<Tensor> o_stored, lse_stored;
-  std::vector<std::int64_t> stored_rows;  // local row indices kept
+  // Attention outputs (per head): all rows (kNone), the stored rows
+  // (SelectivePP / SeqSelective), or nothing (Full).
+  core::HeadsResult stored;
   // Ulysses / USP saved state (these impls manage their own full cache).
   core::UspSaved usp;
   std::uint64_t charged_bytes = 0;  // what we alloc'd on the MemoryTracker
@@ -109,122 +99,58 @@ struct DeviceState {
   }
 };
 
-// Column blocks of `all`, one per head, each rotated at the device's
-// *global* positions when `rope` is given (the CP correctness trap the
-// kernels/rope.hpp header documents). One parallel_for chunk per head.
-std::vector<Tensor> split_heads(const Tensor& all, std::int64_t heads,
-                                std::int64_t dh,
-                                const IndexMap* rope = nullptr) {
-  std::vector<Tensor> out(static_cast<std::size_t>(heads));
-  parallel::parallel_for(0, out.size(), 1, [&](std::size_t h0,
-                                               std::size_t h1) {
-    for (std::size_t h = h0; h < h1; ++h) {
-      out[h] = tensor::copy_cols(all, static_cast<std::int64_t>(h) * dh, dh);
-      if (rope != nullptr) {
-        kernels::apply_rope_inplace(out[h], *rope);
-      }
-    }
-  });
-  return out;
-}
-
-// On a one-member route a head's sweep sends nothing and reduces to its
-// local kernels, so the heads run those under the deterministic
-// parallel_for, one chunk per head. Their costs are charged after the join,
-// in head order, as each sweep charges its own: inside the sweep's phase,
-// `pre_flops` (the backward's D, Algorithm 2 line 2), then the kernel's.
-void charge_local_heads(DeviceState& st, const char* phase, double pre_flops,
-                        const std::vector<kernels::KernelStats>& stats) {
-  comm::Transport& tp = st.comm->transport();
-  for (const kernels::KernelStats& ks : stats) {
-    sim::ScopedPhaseMetrics scope(tp, phase);
-    if (pre_flops > 0.0) {
-      tp.compute(pre_flops);
-    }
-    tp.compute(static_cast<double>(ks.flops));
-  }
-}
-
-// Multi-head distributed attention forward; returns per-head (O, Lse).
-void attention_forward(DeviceState& st, const Heads& hd, LayerCache& cache,
-                       std::vector<Tensor>* o_out,
-                       std::vector<Tensor>* lse_out) {
+// Every local head's attention: one multi-head sweep on the context-parallel
+// route, or USP's pipeline, which keeps its state in `usp`.
+core::HeadsResult attend_heads(DeviceState& st, const core::LocalHeads& hd,
+                               core::UspSaved* usp) {
   const auto& cfg = *st.cfg;
-  if (cfg.model.num_kv_heads() != cfg.model.heads && is_head_parallel(cfg)) {
+  if (!is_head_parallel(cfg)) {
+    return core::dist_attention_forward(*st.comm, st.route, st.attn_cfg(), hd);
+  }
+  if (cfg.model.num_kv_heads() != cfg.model.heads) {
     // Head parallelism would have to replicate shared K/V heads across the
     // query-head owners; unsupported here (the same constraint limits
     // DeepSpeed-Ulysses degrees to the KV head count on real GQA models).
     throw std::invalid_argument(
         "GQA (kv_heads != heads) requires a context-parallel attention impl");
   }
-  switch (cfg.impl) {
-    case AttnImpl::kBurst:
-    case AttnImpl::kRing: {
-      const std::size_t heads = hd.q.size();
-      const auto group = static_cast<std::size_t>(cfg.model.group_size());
-      const bool local = st.route.size() == 1;
-      std::vector<kernels::KernelStats> stats(heads);
-      o_out->resize(heads);
-      lse_out->resize(heads);
-      const auto attend = [&](std::size_t h0, std::size_t h1) {
-        for (std::size_t h = h0; h < h1; ++h) {
-          const Tensor& k = hd.k[h / group];
-          const Tensor& v = hd.v[h / group];
-          kernels::AttnResult r =
-              local ? kernels::flash_forward(hd.q[h], st.map, k, v, st.map,
-                                             cfg.mask, st.scale, &stats[h])
-                    : core::dist_attention_forward(*st.comm, st.route,
-                                                   st.attn_cfg(),
-                                                   {hd.q[h], k, v});
-          (*o_out)[h] = std::move(r.o);
-          (*lse_out)[h] = std::move(r.lse);
-        }
-      };
-      if (local) {
-        parallel::parallel_for(0, heads, 1, attend);
-        charge_local_heads(st, "attn.forward", 0.0, stats);
-      } else {
-        attend(0, heads);
-      }
-      break;
-    }
-    case AttnImpl::kUlysses:
-    case AttnImpl::kUsp: {
-      *o_out = usp_forward(*st.comm, st.usp_cfg(), hd.q, hd.k, hd.v,
-                           &cache.usp);
-      lse_out->clear();  // lse lives inside cache.usp
-      break;
-    }
-  }
+  return {usp_forward(*st.comm, st.usp_cfg(), hd.q, hd.k, hd.v, usp), {}};
 }
 
-// Local row indices whose attention output is stored under the strategy.
-std::vector<std::int64_t> stored_local_rows(const DistTrainConfig& cfg,
-                                            const IndexMap& map,
-                                            std::int64_t n_global) {
-  std::vector<std::int64_t> rows;
-  for (std::int64_t i = 0; i < map.size(); ++i) {
-    if (core::stores_position(cfg.ckpt, map.global(i), n_global)) {
-      rows.push_back(i);
-    }
+// Local row indices whose attention output the strategy stores, and the
+// rest.
+struct Rows {
+  std::vector<std::int64_t> stored, missing;
+};
+
+Rows checkpoint_rows(const DeviceState& st) {
+  Rows rows;
+  for (std::int64_t i = 0; i < st.map.size(); ++i) {
+    const bool kept =
+        core::stores_position(st.cfg->ckpt, st.map.global(i), st.n_global);
+    (kept ? rows.stored : rows.missing).push_back(i);
   }
   return rows;
 }
 
-Tensor gather_rows(const Tensor& t, const std::vector<std::int64_t>& rows) {
-  Tensor out(static_cast<std::int64_t>(rows.size()), t.cols());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    for (std::int64_t c = 0; c < t.cols(); ++c) {
-      out(static_cast<std::int64_t>(i), c) = t(rows[i], c);
+// `map`'s positions of the ascending local `rows`, merged into segments.
+IndexMap positions(const IndexMap& map, const std::vector<std::int64_t>& rows) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> segs;
+  for (std::int64_t r : rows) {
+    const std::int64_t g = map.global(r);
+    if (!segs.empty() && segs.back().first + segs.back().second == g) {
+      ++segs.back().second;
+    } else {
+      segs.push_back({g, 1});
     }
   }
-  return out;
+  return IndexMap::segments(std::move(segs));
 }
 
-Tensor gather_vec(const Tensor& t, const std::vector<std::int64_t>& rows) {
-  Tensor out(static_cast<std::int64_t>(rows.size()));
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    out[static_cast<std::int64_t>(i)] = t[rows[i]];
+Tensor gather_vec(const Tensor& t, const IndexMap& rows) {
+  Tensor out(rows.size());
+  for (std::int64_t i = 0; i < rows.size(); ++i) {
+    out[i] = t[rows.global(i)];
   }
   return out;
 }
@@ -241,25 +167,17 @@ void charge(DeviceState& st, LayerCache& cache, const Tensor& t,
 // the Q/K/V projection FLOPs to the virtual clock (before any sweep starts),
 // then splits the projections into heads rotated at the device's global
 // positions.
-Heads split_qkv(DeviceState& st, const Tensor& q_all, const Tensor& k_all,
-                const Tensor& v_all) {
+core::LocalHeads split_qkv(DeviceState& st, const Tensor& q_all,
+                           const Tensor& k_all, const Tensor& v_all) {
   const auto& m = st.cfg->model;
   const std::int64_t dh = m.head_dim();
   st.comm->transport().compute(
       2.0 * static_cast<double>(q_all.rows()) *
       (fd(m.d_model) * fd(m.d_model) + 2.0 * fd(m.d_model) * fd(m.d_kv())));
   const IndexMap* rope = m.use_rope ? &st.map : nullptr;
-  return Heads{split_heads(q_all, m.heads, dh, rope),
-               split_heads(k_all, m.num_kv_heads(), dh, rope),
-               split_heads(v_all, m.num_kv_heads(), dh)};
-}
-
-Tensor concat_heads(const std::vector<Tensor>& o, std::int64_t d_model) {
-  Tensor out(o.front().rows(), d_model);
-  for (std::size_t h = 0; h < o.size(); ++h) {
-    tensor::set_cols(out, static_cast<std::int64_t>(h) * o[h].cols(), o[h]);
-  }
-  return out;
+  return {split_heads(q_all, m.heads, dh, rope),
+          split_heads(k_all, m.num_kv_heads(), dh, rope),
+          split_heads(v_all, m.num_kv_heads(), dh)};
 }
 
 Tensor dist_layer_forward(DeviceState& st, const LayerWeights& w,
@@ -268,13 +186,13 @@ Tensor dist_layer_forward(DeviceState& st, const LayerWeights& w,
   cache.x_in = x;
   charge(st, cache, x, "ckpt input");
 
-  Heads hd;
-  std::vector<Tensor> o, lse;
+  core::LocalHeads hd;
+  core::HeadsResult attn;
   BlockActs acts = block_hidden(
       w, x, [&](const Tensor& q_all, const Tensor& k_all, const Tensor& v_all) {
         hd = split_qkv(st, q_all, k_all, v_all);
-        attention_forward(st, hd, cache, &o, &lse);
-        return concat_heads(o, m.d_model);
+        attn = attend_heads(st, hd, &cache.usp);
+        return concat_heads(attn.o, m.d_model);
       });
   Tensor y = block_output(w, acts);
   st.comm->transport().compute(2.0 * static_cast<double>(x.rows()) *
@@ -284,7 +202,7 @@ Tensor dist_layer_forward(DeviceState& st, const LayerWeights& w,
   // --- what survives until backward ----------------------------------------
   if (is_head_parallel(*st.cfg)) {
     // Ulysses/USP keep their own full-sequence per-head state; account it.
-    for (const auto& t : cache.usp.o) {
+    for (const auto& t : cache.usp.out.o) {
       charge(st, cache, t, "head-parallel saved");
     }
     cache.full = false;
@@ -293,20 +211,14 @@ Tensor dist_layer_forward(DeviceState& st, const LayerWeights& w,
   if (st.cfg->ckpt.strategy == CkptStrategy::kNone) {
     cache.full = true;
     cache.heads = std::move(hd);
-    cache.o_stored = std::move(o);
-    cache.lse_stored = std::move(lse);
+    cache.stored = std::move(attn);
     cache.acts = std::move(acts);
-    for (const auto& t : cache.heads.q) {
-      charge(st, cache, t, "acts q");
-    }
-    for (const auto& t : cache.heads.k) {
-      charge(st, cache, t, "acts k");
-    }
-    for (const auto& t : cache.heads.v) {
-      charge(st, cache, t, "acts v");
-    }
-    for (const auto& t : cache.o_stored) {
-      charge(st, cache, t, "acts o");
+    for (const auto& [heads, tag] :
+         {std::pair{&cache.heads.q, "acts q"}, {&cache.heads.k, "acts k"},
+          {&cache.heads.v, "acts v"}, {&cache.stored.o, "acts o"}}) {
+      for (const Tensor& t : *heads) {
+        charge(st, cache, t, tag);
+      }
     }
     charge(st, cache, cache.acts.attn, "acts attn");
     charge(st, cache, cache.acts.h, "acts h");
@@ -316,96 +228,67 @@ Tensor dist_layer_forward(DeviceState& st, const LayerWeights& w,
   }
 
   // Checkpointed path: keep only the attention outputs the strategy stores.
-  cache.stored_rows = stored_local_rows(*st.cfg, st.map, st.n_global);
-  if (!cache.stored_rows.empty()) {
-    for (std::int64_t h = 0; h < m.heads; ++h) {
-      const std::size_t hi = static_cast<std::size_t>(h);
-      cache.o_stored.push_back(gather_rows(o[hi], cache.stored_rows));
-      cache.lse_stored.push_back(gather_vec(lse[hi], cache.stored_rows));
-      charge(st, cache, cache.o_stored.back(), "stored attn out");
+  const IndexMap stored = positions(IndexMap::range(0, st.map.size()),
+                                    checkpoint_rows(st).stored);
+  if (stored.size() > 0) {
+    for (std::size_t h = 0; h < attn.o.size(); ++h) {
+      cache.stored.o.push_back(core::shard_rows(attn.o[h], stored));
+      cache.stored.lse.push_back(gather_vec(attn.lse[h], stored));
+      charge(st, cache, cache.stored.o.back(), "stored attn out");
     }
   }
   return y;
 }
 
 // Rebuilds the full per-head (O, Lse) for backward: stored rows are
-// restored, missing rows recomputed with a distributed subset forward.
-void rebuild_attention_outputs(DeviceState& st,
-                               const std::vector<Tensor>& q,
-                               const std::vector<Tensor>& k,
-                               const std::vector<Tensor>& v,
-                               const LayerCache& cache, std::vector<Tensor>* o,
-                               std::vector<Tensor>* lse) {
-  const auto& m = st.cfg->model;
+// restored, missing rows recomputed by one multi-head sweep over their
+// queries.
+core::HeadsResult rebuild_attention_outputs(DeviceState& st,
+                                            const core::LocalHeads& hd,
+                                            const LayerCache& cache) {
   const std::int64_t n_loc = st.map.size();
-  std::vector<bool> is_stored(static_cast<std::size_t>(n_loc), false);
-  for (std::int64_t r : cache.stored_rows) {
-    is_stored[static_cast<std::size_t>(r)] = true;
-  }
-  std::vector<std::int64_t> missing;
-  for (std::int64_t i = 0; i < n_loc; ++i) {
-    if (!is_stored[static_cast<std::size_t>(i)]) {
-      missing.push_back(i);
-    }
-  }
-  // Global positions of the missing rows (merged into segments).
-  std::vector<std::pair<std::int64_t, std::int64_t>> segs;
-  for (std::int64_t r : missing) {
-    const std::int64_t g = st.map.global(r);
-    if (!segs.empty() && segs.back().first + segs.back().second == g) {
-      ++segs.back().second;
-    } else {
-      segs.push_back({g, 1});
-    }
-  }
-  const IndexMap missing_map = IndexMap::segments(segs);
+  const Rows rows = checkpoint_rows(st);
+  const IndexMap all = IndexMap::range(0, n_loc);
+  const IndexMap missing = positions(all, rows.missing);
+  const IndexMap stored = positions(all, rows.stored);
+  const IndexMap missing_at = positions(st.map, rows.missing);
 
-  const std::int64_t group = st.cfg->model.group_size();
-  for (std::int64_t h = 0; h < m.heads; ++h) {
-    const std::size_t hi = static_cast<std::size_t>(h);
-    const std::size_t kvh = static_cast<std::size_t>(h / group);
-    Tensor o_full = Tensor::zeros(n_loc, m.head_dim());
-    Tensor lse_full(n_loc);
-    // Every rank participates in the recompute sweep even with nothing
-    // missing locally (its K/V shard feeds the ring).
-    Tensor q_sub = gather_rows(q[hi], missing);
-    auto rec = core::dist_attention_forward_subset(
-        *st.comm, st.route, st.attn_cfg(), q_sub, missing_map, k[kvh],
-        v[kvh]);
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      const std::int64_t row = missing[i];
-      for (std::int64_t c = 0; c < m.head_dim(); ++c) {
-        o_full(row, c) = rec.o(static_cast<std::int64_t>(i), c);
-      }
-      lse_full[row] = rec.lse[static_cast<std::int64_t>(i)];
-    }
-    for (std::size_t i = 0; i < cache.stored_rows.size(); ++i) {
-      const std::int64_t row = cache.stored_rows[i];
-      for (std::int64_t c = 0; c < m.head_dim(); ++c) {
-        o_full(row, c) = cache.o_stored[hi](static_cast<std::int64_t>(i), c);
-      }
-      lse_full[row] = cache.lse_stored[hi][static_cast<std::int64_t>(i)];
-    }
-    o->push_back(std::move(o_full));
-    lse->push_back(std::move(lse_full));
+  // Every rank takes part in the recompute sweep even with nothing missing
+  // locally (its K/V shard feeds the ring).
+  core::LocalHeads sub{{}, hd.k, hd.v};
+  for (const Tensor& q : hd.q) {
+    sub.q.push_back(core::shard_rows(q, missing));
   }
+  const core::HeadsResult rec = core::dist_attention_forward(
+      *st.comm, st.route, st.attn_cfg(), sub, nullptr, &missing_at);
+
+  core::HeadsResult out;
+  for (std::size_t h = 0; h < hd.q.size(); ++h) {
+    out.o.push_back(Tensor::zeros(n_loc, hd.q[h].cols()));
+    out.lse.push_back(Tensor(n_loc));
+    core::unshard_rows(out.o[h], missing, rec.o[h]);
+    core::unshard_vec(out.lse[h], missing, rec.lse[h]);
+    if (stored.size() > 0) {
+      core::unshard_rows(out.o[h], stored, cache.stored.o[h]);
+      core::unshard_vec(out.lse[h], stored, cache.stored.lse[h]);
+    }
+  }
+  return out;
 }
 
 Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
                            LayerCache& cache, const Tensor& d_y,
                            LayerGrads& g) {
   const auto& m = st.cfg->model;
-  const std::int64_t dh = m.head_dim();
   const Tensor& x = cache.x_in;
 
   // ---- recompute (or restore) the forward intermediates --------------------
-  Heads hd;
-  std::vector<Tensor> o, lse;
+  core::LocalHeads hd;
+  core::HeadsResult attn;
   BlockActs acts;
   if (cache.full) {
     hd = std::move(cache.heads);
-    o = std::move(cache.o_stored);
-    lse = std::move(cache.lse_stored);
+    attn = std::move(cache.stored);
     acts = std::move(cache.acts);
   } else {
     // The block up to W_1: the recompute never needs W_2's output.
@@ -417,11 +300,11 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
         // state (outputs equal the stored ones); backward reads the saved
         // head-sharded state.
         core::UspSaved scratch;
-        o = usp_forward(*st.comm, st.usp_cfg(), hd.q, hd.k, hd.v, &scratch);
+        attn = attend_heads(st, hd, &scratch);
       } else {
-        rebuild_attention_outputs(st, hd.q, hd.k, hd.v, cache, &o, &lse);
+        attn = rebuild_attention_outputs(st, hd, cache);
       }
-      return concat_heads(o, m.d_model);
+      return concat_heads(attn.o, m.d_model);
     });
     st.comm->transport().compute(2.0 * static_cast<double>(x.rows()) *
                            (fd(m.d_model) * fd(m.d_model) +
@@ -434,73 +317,20 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
                          (fd(m.d_model) * fd(m.d_model) +
                           2.0 * fd(m.d_model) * fd(m.d_ff)));
 
-  std::vector<Tensor> d_o_heads = split_heads(ffn.d_attn, m.heads, dh);
-  Tensor dq_all(x.rows(), m.d_model);
-  Tensor dk_all(x.rows(), m.d_kv());
-  Tensor dv_all(x.rows(), m.d_kv());
-  if (is_head_parallel(*st.cfg)) {
-    // The head-parallel impls return every head's gradients for local rows.
-    const core::UspGrads grads =
-        usp_backward(*st.comm, st.usp_cfg(), cache.usp, d_o_heads);
-    for (std::int64_t h = 0; h < m.heads; ++h) {
-      const std::size_t hi = static_cast<std::size_t>(h);
-      tensor::set_cols(dq_all, h * dh, grads.dq[hi]);
-      tensor::set_cols(dk_all, h * dh, grads.dk[hi]);
-      tensor::set_cols(dv_all, h * dh, grads.dv[hi]);
-    }
-  } else {
-    const auto heads = static_cast<std::size_t>(m.heads);
-    const auto group = static_cast<std::size_t>(m.group_size());
-    const bool local = st.route.size() == 1;
-    std::vector<kernels::KernelStats> stats(heads);
-    std::vector<core::LocalGrads> grads(heads);
-    const auto attend_backward = [&](std::size_t h0, std::size_t h1) {
-      for (std::size_t h = h0; h < h1; ++h) {
-        const Tensor& k = hd.k[h / group];
-        const Tensor& v = hd.v[h / group];
-        core::LocalGrads& hg = grads[h];
-        if (local) {
-          hg = {Tensor::zeros(x.rows(), dh), Tensor::zeros(x.rows(), dh),
-                Tensor::zeros(x.rows(), dh)};
-          kernels::flash_backward_partial(
-              hd.q[h], st.map, k, v, st.map, st.cfg->mask, st.scale,
-              d_o_heads[h], lse[h], kernels::attention_dvec(d_o_heads[h], o[h]),
-              hg.dq, hg.dk, hg.dv, &stats[h]);
-        } else {
-          hg = core::dist_attention_backward(*st.comm, st.route,
-                                             st.attn_cfg(), {hd.q[h], k, v},
-                                             {o[h], lse[h]}, d_o_heads[h]);
-        }
-        d_o_heads[h] = Tensor();  // the head's dO is spent
-        if (m.use_rope) {  // gradients w.r.t. the pre-rotation Q/K
-          kernels::apply_rope_inverse_inplace(hg.dq, st.map);
-          kernels::apply_rope_inverse_inplace(hg.dk, st.map);
-        }
-        tensor::set_cols(dq_all, static_cast<std::int64_t>(h) * dh, hg.dq);
-        hg.dq = Tensor();
-      }
-    };
-    if (local) {
-      parallel::parallel_for(0, heads, 1, attend_backward);
-      charge_local_heads(st, "attn.backward", 2.0 * fd(x.rows()) * fd(dh),
-                         stats);
-    } else {
-      attend_backward(0, heads);
-    }
-    // Query heads of one group accumulate into their shared K/V head, in
-    // ascending head order.
-    dk_all.fill(0.0f);
-    dv_all.fill(0.0f);
-    for (std::int64_t h = 0; h < m.heads; ++h) {
-      const core::LocalGrads& head = grads[static_cast<std::size_t>(h)];
-      const std::int64_t kv_col = h / m.group_size() * dh;
-      tensor::add_cols_inplace(dk_all, kv_col, head.dk);
-      tensor::add_cols_inplace(dv_all, kv_col, head.dv);
-    }
-  }
-
-  Tensor dx = block_backward_qkv(w, x, std::move(ffn.d_h), dq_all, dk_all,
-                                 dv_all, g);
+  // Every head's gradients for the local rows, w.r.t. the pre-rotation Q/K.
+  std::vector<Tensor> d_o_heads =
+      split_heads(ffn.d_attn, m.heads, m.head_dim());
+  const core::HeadsGrads grads =
+      is_head_parallel(*st.cfg)
+          ? usp_backward(*st.comm, st.usp_cfg(), cache.usp, d_o_heads,
+                         nullptr, m.use_rope)
+          : core::dist_attention_backward(*st.comm, st.route, st.attn_cfg(),
+                                          hd, attn, std::move(d_o_heads),
+                                          nullptr, m.use_rope);
+  Tensor dx = block_backward_qkv(w, x, std::move(ffn.d_h),
+                                 concat_heads(grads.dq, m.d_model),
+                                 concat_heads(grads.dk, m.d_kv()),
+                                 concat_heads(grads.dv, m.d_kv()), g);
   st.comm->transport().compute(12.0 * static_cast<double>(x.rows()) * fd(m.d_model) *
                          fd(m.d_model));
 

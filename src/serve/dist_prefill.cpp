@@ -10,9 +10,7 @@
 #include "comm/sim_transport.hpp"
 #include "core/dist_attention.hpp"
 #include "core/sweep.hpp"
-#include "kernels/rope.hpp"
 #include "model/block.hpp"
-#include "tensor/ops.hpp"
 
 namespace burst::serve {
 
@@ -56,7 +54,6 @@ DistPrefillResult distributed_prefill(sim::Cluster& cluster,
   out.cache.reserve(n);
 
   const std::int64_t dh = cfg.head_dim();
-  const std::int64_t group = cfg.group_size();
   const std::int64_t kvh_n = cfg.num_kv_heads();
 
   cluster.run([&](sim::DeviceContext& ctx) {
@@ -82,32 +79,22 @@ DistPrefillResult distributed_prefill(sim::Cluster& cluster,
     std::vector<std::vector<Tensor>> v_shard(
         static_cast<std::size_t>(cfg.layers));
 
+    const IndexMap* rope = cfg.use_rope ? &map : nullptr;
     for (std::int64_t l = 0; l < cfg.layers; ++l) {
-      const auto& lw = w.layers[static_cast<std::size_t>(l)];
-      auto& kl = k_shard[static_cast<std::size_t>(l)];
-      auto& vl = v_shard[static_cast<std::size_t>(l)];
-      // Attention source: the BurstAttention ring sweep over every shard.
+      const auto li = static_cast<std::size_t>(l);
+      const auto& lw = w.layers[li];
+      // Attention source: one BurstAttention ring sweep over every shard,
+      // every head at once.
       x = model::block_output(lw, model::block_hidden(lw, x, [&](
           const Tensor& q_all, const Tensor& k_all, const Tensor& v_all) {
-        for (std::int64_t kvh = 0; kvh < kvh_n; ++kvh) {
-          Tensor kh = tensor::copy_cols(k_all, kvh * dh, dh);
-          if (cfg.use_rope) {
-            kernels::apply_rope_inplace(kh, map);
-          }
-          kl.push_back(std::move(kh));
-          vl.push_back(tensor::copy_cols(v_all, kvh * dh, dh));
-        }
-        Tensor attn = Tensor::zeros(m, cfg.d_model);
-        for (std::int64_t h = 0; h < cfg.heads; ++h) {
-          Tensor qh = tensor::copy_cols(q_all, h * dh, dh);
-          if (cfg.use_rope) {
-            kernels::apply_rope_inplace(qh, map);
-          }
-          const auto kvh = static_cast<std::size_t>(h / group);
-          core::LocalQKV local{qh, kl[kvh], vl[kvh]};
-          auto r = core::dist_attention_forward(comm, route, acfg, local);
-          tensor::set_cols(attn, h * dh, r.o);
-        }
+        core::LocalHeads hd{model::split_heads(q_all, cfg.heads, dh, rope),
+                            model::split_heads(k_all, kvh_n, dh, rope),
+                            model::split_heads(v_all, kvh_n, dh)};
+        Tensor attn = model::concat_heads(
+            core::dist_attention_forward(comm, route, acfg, hd).o,
+            cfg.d_model);
+        k_shard[li] = std::move(hd.k);
+        v_shard[li] = std::move(hd.v);
         return attn;
       }));
     }

@@ -7,6 +7,8 @@
 //     vs RingAttention's 4Nd (K, V plus the dK/dV accumulators) — the ~25%
 //     backward saving of Section 3.1.
 //   * Both forwards circulate 2Nd (K and V).
+//   * A training step's sweeps carry every head at once, so under GQA the
+//     K/V-side volumes (the forward, Ring's backward) shrink with d_kv.
 //   * The topology-aware double ring splits traffic so far fewer bytes cross
 //     the inter-node links than a flat ring (Table 1's premise).
 //   * Attaching a registry is observation-only: results and the virtual
@@ -28,6 +30,7 @@
 #include "comm/sim_transport.hpp"
 #include "core/dist_attention.hpp"
 #include "core/partition.hpp"
+#include "model/dist_model.hpp"
 #include "obs/metrics.hpp"
 #include "sim/cluster.hpp"
 #include "tensor/rng.hpp"
@@ -179,6 +182,83 @@ TEST(CommBytes, ForwardIs2NdPerRankForBothAlgorithms) {
           << "rank " << r;
     }
   }
+}
+
+// Attention bytes one rank sends in a training step: L layers, each one
+// forward sweep of every K/V head's K and V, and one backward sweep.
+struct StepAttnBytes {
+  std::uint64_t forward, backward;
+};
+
+std::vector<StepAttnBytes> train_step_attention_bytes(model::AttnImpl impl,
+                                                      std::int64_t kv_heads,
+                                                      int g) {
+  model::DistTrainConfig cfg;
+  cfg.model = model::ModelConfig::toy();
+  cfg.model.d_model = 64;
+  cfg.model.heads = 8;
+  cfg.model.kv_heads = kv_heads;
+  cfg.impl = impl;
+  cfg.ckpt = CkptConfig{CkptStrategy::kNone, 0.0};  // no recompute sweep
+  const model::ModelWeights w = model::ModelWeights::init(cfg.model, 5);
+  Rng rng(7);
+  const Tensor tokens = rng.token_ids(kN + 1, cfg.model.vocab);
+
+  obs::Registry reg;
+  Cluster::Config cc;
+  cc.topo = Topology::single_node(g);
+  cc.metrics = &reg;
+  Cluster cluster(cc);
+  cluster.run([&](DeviceContext& ctx) {
+    comm::SimTransport comm_tp(ctx);
+    Communicator comm(comm_tp, /*wire_bytes_per_element=*/1.0);
+    model::dist_train_step(comm, cfg, w, tokens);
+  });
+  std::vector<StepAttnBytes> out;
+  for (int r = 0; r < g; ++r) {
+    out.push_back({phase_bytes(reg, "attn.forward", r),
+                   phase_bytes(reg, "attn.backward", r)});
+  }
+  return out;
+}
+
+// The step's sweeps carry every head at once, so each K/V head's shard
+// travels once per hop: the closed forms hold per rank with d = d_model,
+// H query heads and d_kv = kv_heads * d_h. Counting the elided own-shard
+// hop, the backward is Algorithm 1's 4·N·d_kv and Algorithm 2's 3·N·d +
+// 2·N·H, the volumes bench_ablation_gqa tabulates.
+TEST(CommBytes, TrainStepAttentionMatchesClosedFormUnderGqa) {
+  const int g = 4;
+  const std::uint64_t gu = 4, layers = 2, big_n = kN, n = big_n / gu;
+  const std::uint64_t d = 64, h = 8, dh = d / h;
+  std::uint64_t ring_total[2] = {0, 0};  // MHA, kv = 2
+  for (std::int64_t kv : {std::int64_t{8}, std::int64_t{2}}) {
+    const std::uint64_t dkv = static_cast<std::uint64_t>(kv) * dh;
+    for (model::AttnImpl impl : {model::AttnImpl::kBurst,
+                                 model::AttnImpl::kRing}) {
+      const bool ring = impl == model::AttnImpl::kRing;
+      const std::uint64_t fwd_imm = 2 * n * dkv;
+      const std::uint64_t bwd_imm = ring ? 2 * n * dkv : 2 * n * d + 2 * n * h;
+      const std::uint64_t bwd_acc = ring ? 2 * n * dkv : n * d;
+      const std::uint64_t bwd_paper =
+          ring ? 4 * big_n * dkv : 3 * big_n * d + 2 * big_n * h;
+      const auto bytes = train_step_attention_bytes(impl, kv, g);
+      for (int r = 0; r < g; ++r) {
+        const StepAttnBytes& b = bytes[static_cast<std::size_t>(r)];
+        EXPECT_EQ(b.forward, layers * (gu - 1) * fwd_imm)
+            << "kv " << kv << " ring " << ring << " rank " << r;
+        EXPECT_EQ(b.backward, layers * ((gu - 1) * bwd_imm + gu * bwd_acc))
+            << "kv " << kv << " ring " << ring << " rank " << r;
+        EXPECT_EQ(b.backward / layers + bwd_imm, bwd_paper)
+            << "kv " << kv << " ring " << ring << " rank " << r;
+      }
+      if (ring) {
+        ring_total[kv == 2] = bytes[0].forward + bytes[0].backward;
+      }
+    }
+  }
+  // 4x GQA: Ring's K/V traffic is a quarter of MHA's.
+  EXPECT_EQ(4 * ring_total[1], ring_total[0]);
 }
 
 TEST(CommBytes, DoubleRingMovesTrafficOffTheInterNodeLinks) {

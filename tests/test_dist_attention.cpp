@@ -223,6 +223,82 @@ TEST(DistAttention, NonOverlappedModeIsNumericallyIdentical) {
   EXPECT_FLOAT_EQ(tensor::max_abs_diff(a.dq, b.dq), 0.0f);
 }
 
+// One multi-head call (4 query heads over 2 K/V heads) against one
+// single-head call per query head on the same ranks. Each head's kernels
+// are the same, so O, LSE and dQ match bit for bit, and so does Burst's dK
+// and dV, which it sums per K/V head in head order; Ring adds a group into
+// the shared accumulator at every visit, so its dK and dV match within
+// rounding.
+TEST(DistAttentionHeads, MultiHeadCallMatchesPerHeadCalls) {
+  const std::int64_t n = 64, d = 8, heads = 4, kv_heads = 2;
+  Rng rng(31);
+  std::vector<Tensor> q, k, v, d_out;
+  for (std::int64_t h = 0; h < heads; ++h) {
+    q.push_back(rng.gaussian(n, d, 0.8f));
+    d_out.push_back(rng.gaussian(n, d, 0.8f));
+  }
+  for (std::int64_t h = 0; h < kv_heads; ++h) {
+    k.push_back(rng.gaussian(n, d, 0.8f));
+    v.push_back(rng.gaussian(n, d, 0.8f));
+  }
+  const auto same = [](const Tensor& a, const Tensor& b) {
+    return tensor::max_abs_diff(a, b) == 0.0f;
+  };
+  for (BackwardComm backward : {BackwardComm::kBurst, BackwardComm::kRing}) {
+    Cluster cluster({Topology::single_node(4)});
+    std::mutex mu;
+    cluster.run([&](DeviceContext& ctx) {
+      comm::SimTransport comm_tp(ctx);
+      Communicator comm(comm_tp);
+      const SweepRoute route = SweepRoute::flat(comm::flat_ring(4));
+      DistAttnConfig cfg;
+      cfg.mask = MaskSpec::causal();
+      cfg.scale = 1.0f / std::sqrt(static_cast<float>(d));
+      cfg.balance = Balance::kZigzag;
+      cfg.backward = backward;
+      cfg.seq_len = n;
+      const IndexMap map = route_index_map(route, cfg, ctx.rank());
+      const auto shard = [&](const std::vector<Tensor>& ts) {
+        std::vector<Tensor> out;
+        for (const Tensor& t : ts) {
+          out.push_back(shard_rows(t, map));
+        }
+        return out;
+      };
+      const LocalHeads local{shard(q), shard(k), shard(v)};
+      const HeadsResult fwd = dist_attention_forward(comm, route, cfg, local);
+      const HeadsGrads grads = dist_attention_backward(comm, route, cfg, local,
+                                                       fwd, shard(d_out));
+      std::vector<Tensor> dk_sum, dv_sum;
+      for (std::size_t kvh = 0; kvh < local.k.size(); ++kvh) {
+        dk_sum.push_back(Tensor::zeros(local.k[kvh].rows(), d));
+        dv_sum.push_back(Tensor::zeros(local.v[kvh].rows(), d));
+      }
+      for (std::size_t h = 0; h < local.q.size(); ++h) {
+        const std::size_t kvh = h / 2;
+        const LocalQKV one{local.q[h], local.k[kvh], local.v[kvh]};
+        const kernels::AttnResult f =
+            dist_attention_forward(comm, route, cfg, one);
+        const LocalGrads g = dist_attention_backward(
+            comm, route, cfg, one, f, shard_rows(d_out[h], map));
+        tensor::add_inplace(dk_sum[kvh], g.dk);
+        tensor::add_inplace(dv_sum[kvh], g.dv);
+        std::lock_guard lock(mu);
+        EXPECT_TRUE(same(fwd.o[h], f.o)) << "head " << h;
+        EXPECT_TRUE(same(fwd.lse[h], f.lse)) << "head " << h;
+        EXPECT_TRUE(same(grads.dq[h], g.dq)) << "head " << h;
+      }
+      std::lock_guard lock(mu);
+      ASSERT_EQ(grads.dk.size(), dk_sum.size());
+      for (std::size_t kvh = 0; kvh < dk_sum.size(); ++kvh) {
+        const float tol = backward == BackwardComm::kBurst ? 0.0f : 1e-5f;
+        EXPECT_LE(tensor::max_abs_diff(grads.dk[kvh], dk_sum[kvh]), tol);
+        EXPECT_LE(tensor::max_abs_diff(grads.dv[kvh], dv_sum[kvh]), tol);
+      }
+    });
+  }
+}
+
 // --- the paper's headline communication claim ------------------------------
 //
 // Per device: forward moves 2Nd (both methods). Backward: RingAttention

@@ -242,28 +242,33 @@ struct SweepPin {
 // The multi-rank step's loss and gradient bits and each rank's traffic, for
 // the context-parallel sweeps (RoPE on, zigzag rows, seq-selective
 // recompute) and USP's two-member rings. The loss and gradients were
-// recorded when every query head ran a sweep of its own, and must not move;
-// the message counts are those of one sweep per layer carrying every head.
+// recorded when every query head ran a sweep of its own, and must not move.
+// The traffic is that of one sweep per layer carrying every head, each K/V
+// head's shard once per hop.
 TEST(DistModelPin, MultiRankLossGradsAndTraffic) {
   const Topology one = Topology::single_node(4);
   const Topology two = Topology::multi_node(2, 2);
   const std::vector<SweepPin> pins = {
       {"burst-mha/1x4", AttnImpl::kBurst, 0, one, 0x1.091ab2p+2,
-       0x555f51b3ec73f6c9ULL, 149, 133894},
+       0x555f51b3ec73f6c9ULL, 71, 133894},
       {"ring-mha/1x4", AttnImpl::kRing, 0, one, 0x1.091ab2p+2,
-       0xae00f295d2bb9c15ULL, 149, 137222},
+       0xae00f295d2bb9c15ULL, 71, 137222},
       {"burst-kv2/1x4", AttnImpl::kBurst, 2, one, 0x1.29199p+2,
-       0x74b83ae55154196bULL, 149, 121606},
+       0x74b83ae55154196bULL, 71, 115462},
+      {"burst-kv1/1x4", AttnImpl::kBurst, 1, one, 0x1.391e48p+2,
+       0x0286d073a4019e82ULL, 71, 106246},
       {"usp-ring2/1x4", AttnImpl::kUsp, 0, one, 0x1.093ce6p+2,
-       0xe896ef480f62dcc7ULL, 89, 126982},
+       0xe896ef480f62dcc7ULL, 79, 126982},
       {"burst-mha/2x2", AttnImpl::kBurst, 0, two, 0x1.091ab2p+2,
-       0xa348acb558ba26b4ULL, 149, 133894},
+       0xa348acb558ba26b4ULL, 71, 133894},
       {"ring-mha/2x2", AttnImpl::kRing, 0, two, 0x1.091ab2p+2,
-       0xa348acb558ba26b4ULL, 149, 137222},
+       0xa348acb558ba26b4ULL, 71, 137222},
       {"burst-kv2/2x2", AttnImpl::kBurst, 2, two, 0x1.29199p+2,
-       0x576a6e9ef51a4d65ULL, 149, 121606},
+       0x576a6e9ef51a4d65ULL, 71, 115462},
+      {"burst-kv1/2x2", AttnImpl::kBurst, 1, two, 0x1.391e48p+2,
+       0x022423c99af980deULL, 71, 106246},
       {"usp-ring2/2x2", AttnImpl::kUsp, 0, two, 0x1.093ce6p+2,
-       0xe896ef480f62dcc7ULL, 89, 126982},
+       0xe896ef480f62dcc7ULL, 79, 126982},
   };
   for (const SweepPin& pin : pins) {
     Fixture fx;
@@ -459,6 +464,26 @@ TEST(DistModelOracle, OneRankStepMatchesReference) {
       EXPECT_NEAR(dist.loss, ref.loss, 1e-4) << "kv_heads " << kv_heads;
       expect_grads_close(dist.grads, ref.grads, 2e-3f);
     }
+  }
+}
+
+// Head-parallel impls rotate Q and K at the rows' global positions like the
+// context-parallel ones, so their gradients must be rotated back too.
+TEST(DistModelOracle, HeadParallelWithRopeMatchesReference) {
+  Fixture fx;
+  fx.cfg.use_rope = true;
+  fx.weights = ModelWeights::init(fx.cfg, 41);
+  const auto ref = testing::reference_train_step(fx.cfg, fx.weights,
+                                                 fx.tokens, MaskSpec::causal());
+  for (AttnImpl impl : {AttnImpl::kUlysses, AttnImpl::kUsp}) {
+    DistTrainConfig cfg;
+    cfg.model = fx.cfg;
+    cfg.impl = impl;
+    cfg.usp_head_parallel = 2;
+    const DistStepResult dist =
+        run_distributed(fx, cfg, Topology::single_node(4));
+    EXPECT_NEAR(dist.loss, ref.loss, 1e-4) << static_cast<int>(impl);
+    expect_grads_close(dist.grads, ref.grads, 2e-3f);
   }
 }
 
