@@ -44,7 +44,9 @@
 #             parallel_for, issued from concurrent rank threads), and
 #             test_resilience and test_serve_resilience (every recovery
 #             supervisor unwinds aborted rank threads through the shared
-#             supervisor loop).
+#             supervisor loop), and test_ops, test_optimizer and test_rope
+#             (the elementwise passes, Adam and the RoPE angle tables split
+#             large tensors over the pool; selected as Ops|Adam|Rope).
 #   bench     bench fleet with the RunReport self_check gate, then the
 #             regression gate against the committed BENCH_baseline.json
 #             (gated metrics may not fall more than 10% below baseline).
@@ -220,9 +222,10 @@ tsan_gate() {
                  test_serve_engine test_api_server test_api_scheduler \
                  test_dist_model test_gqa test_transport_conformance \
                  test_sweep test_failure_injection test_dist_attention \
-                 test_ulysses_usp test_resilience test_serve_resilience &&
+                 test_ulysses_usp test_resilience test_serve_resilience \
+                 test_ops test_optimizer test_rope &&
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|DistModel|GqaDist|TransportConformance|SocketTransportSmoke|SweepRoute|ActivationSweep|GradientSweep|SweepTiming|ZeroCopySweep|FailureInjection|DistAttention|Ulysses|Usp|FaultPlan|ResilienceTest|ServeResilience|ServeDegrade|ServeSnapshot|ResilientPrefill'
+        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|DistModel|GqaDist|TransportConformance|SocketTransportSmoke|SweepRoute|ActivationSweep|GradientSweep|SweepTiming|ZeroCopySweep|FailureInjection|DistAttention|Ulysses|Usp|FaultPlan|ResilienceTest|ServeResilience|ServeDegrade|ServeSnapshot|ResilientPrefill|Ops|Adam|Rope'
 }
 if [[ $RUN_TSAN -eq 1 ]]; then
   echo "== TSan build + threaded suites (${TSAN_BUILD_DIR})"

@@ -257,7 +257,8 @@ HeadsGrads dist_attention_backward(Communicator& comm, const SweepRoute& route,
                                    const LocalHeads& local,
                                    const HeadsResult& fwd,
                                    std::vector<Tensor> d_out,
-                                   KernelStats* stats, bool rope) {
+                                   KernelStats* stats,
+                                   const kernels::RopeTable* rope) {
   HeadsGrads out;
   std::vector<Tensor> part;
   {
@@ -273,7 +274,7 @@ HeadsGrads dist_attention_backward(Communicator& comm, const SweepRoute& route,
   const std::size_t kv_heads = local.k.size();
   const std::size_t group = out.dq.size() / kv_heads;
   const std::size_t per_kv = part.size() / 2 / kv_heads;
-  const IndexMap map = route_index_map(route, cfg, comm.rank());
+  assert(rope == nullptr || rope->rows() == local.q.front().rows());
   out.dk.resize(kv_heads);
   out.dv.resize(kv_heads);
   parallel::parallel_for(0, kv_heads, 1, [&](std::size_t k0, std::size_t k1) {
@@ -283,14 +284,15 @@ HeadsGrads dist_attention_backward(Communicator& comm, const SweepRoute& route,
       out.dk[kvh] = Tensor::zeros(part[dk0].rows(), part[dk0].cols());
       out.dv[kvh] = Tensor::zeros(part[dv0].rows(), part[dv0].cols());
       for (std::size_t i = 0; i < per_kv; ++i) {
-        if (rope) {
-          kernels::apply_rope_inverse_inplace(part[dk0 + i], map);
+        if (rope != nullptr) {
+          kernels::apply_rope_inverse_inplace(part[dk0 + i], *rope);
         }
         tensor::add_inplace(out.dk[kvh], part[dk0 + i]);
         tensor::add_inplace(out.dv[kvh], part[dv0 + i]);
       }
-      for (std::size_t h = kvh * group; rope && h < (kvh + 1) * group; ++h) {
-        kernels::apply_rope_inverse_inplace(out.dq[h], map);
+      for (std::size_t h = kvh * group;
+           rope != nullptr && h < (kvh + 1) * group; ++h) {
+        kernels::apply_rope_inverse_inplace(out.dq[h], *rope);
       }
     }
   });

@@ -32,6 +32,7 @@
 #include "core/sweep.hpp"
 #include "kernels/flash_attention.hpp"
 #include "kernels/mask.hpp"
+#include "kernels/rope.hpp"
 #include "tensor/tensor.hpp"
 
 namespace burst::core {
@@ -88,9 +89,10 @@ HeadsResult dist_attention_forward(comm::Communicator& comm,
 /// K/V head's K, V, dK and dV once; Burst's carry Q, dO, D and Lse of every
 /// query head with a dQ accumulator per query head, and keep a dK/dV per
 /// query head on the device, summed into their K/V head at the end in
-/// ascending head order. When `rope` is set, Q and K were rotated at their
-/// rows' global positions, and dQ and dK are rotated back (each query
-/// head's dK before the sum) so they are w.r.t. the unrotated inputs.
+/// ascending head order. When `rope` is set, Q and K were rotated by its
+/// angles (the table of this device's rows), and dQ and dK are rotated back
+/// (each query head's dK before the sum) so they are w.r.t. the unrotated
+/// inputs.
 HeadsGrads dist_attention_backward(comm::Communicator& comm,
                                    const SweepRoute& route,
                                    const DistAttnConfig& cfg,
@@ -98,7 +100,7 @@ HeadsGrads dist_attention_backward(comm::Communicator& comm,
                                    const HeadsResult& fwd,
                                    std::vector<tensor::Tensor> d_out,
                                    kernels::KernelStats* stats = nullptr,
-                                   bool rope = false);
+                                   const kernels::RopeTable* rope = nullptr);
 
 /// This device's Q/K/V shard of one head, and its gradients.
 struct LocalQKV {

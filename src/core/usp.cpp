@@ -1,7 +1,10 @@
 #include "core/usp.hpp"
 
 #include <cassert>
+#include <memory>
 #include <stdexcept>
+
+#include "kernels/rope.hpp"
 
 namespace burst::core {
 
@@ -193,9 +196,15 @@ HeadsGrads usp_backward(Communicator& comm, const UspConfig& cfg,
   std::vector<Tensor> do_full = assemble_full_seq(dr, grid.gh, hl, n_local);
 
   const SweepRoute route = SweepRoute::flat(comm::RingOrder(grid.ring_group));
+  const DistAttnConfig rc = ring_cfg(cfg);
+  std::unique_ptr<const kernels::RopeTable> table;
+  if (rope) {
+    table = std::make_unique<kernels::RopeTable>(
+        route_index_map(route, rc, comm.rank()), saved.heads.q.front().cols());
+  }
   const HeadsGrads full =
-      dist_attention_backward(comm, route, ring_cfg(cfg), saved.heads,
-                              saved.out, std::move(do_full), stats, rope);
+      dist_attention_backward(comm, route, rc, saved.heads, saved.out,
+                              std::move(do_full), stats, table.get());
 
   HeadsGrads out;
   auto dq_recv = comm.all_to_all_group(

@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "kernels/index_map.hpp"
 #include "kernels/rope.hpp"
 #include "model/transformer.hpp"
 #include "parallel/thread_pool.hpp"
@@ -53,12 +52,13 @@ using AttendFn = std::function<tensor::Tensor(const tensor::Tensor& q_all,
                                               const tensor::Tensor& k_all,
                                               const tensor::Tensor& v_all)>;
 
-/// Column blocks of `all`, one per head of width `dh`, each rotated at the
-/// rows' *global* positions when `rope` is given (the CP correctness trap
-/// the kernels/rope.hpp header documents). One parallel_for chunk per head.
+/// Column blocks of `all`, one per head of width `dh`, each rotated by
+/// `rope`'s angles when given: the table of the rows' *global* positions
+/// (the CP correctness trap the kernels/rope.hpp header documents). One
+/// parallel_for chunk per head.
 inline std::vector<tensor::Tensor> split_heads(
     const tensor::Tensor& all, std::int64_t heads, std::int64_t dh,
-    const kernels::IndexMap* rope = nullptr) {
+    const kernels::RopeTable* rope = nullptr) {
   std::vector<tensor::Tensor> out(static_cast<std::size_t>(heads));
   parallel::parallel_for(0, out.size(), 1, [&](std::size_t h0,
                                                std::size_t h1) {
@@ -73,13 +73,24 @@ inline std::vector<tensor::Tensor> split_heads(
 }
 
 /// The inverse of split_heads without RoPE: the heads side by side in
-/// `width` columns.
+/// `width` columns. One parallel_for chunk per head once the output is
+/// larger than one elementwise chunk.
 inline tensor::Tensor concat_heads(const std::vector<tensor::Tensor>& heads,
                                    std::int64_t width) {
-  tensor::Tensor out(heads.front().rows(), width);
-  for (std::size_t h = 0; h < heads.size(); ++h) {
-    tensor::set_cols(out, static_cast<std::int64_t>(h) * heads[h].cols(),
-                     heads[h]);
+  assert(static_cast<std::int64_t>(heads.size()) * heads.front().cols() ==
+         width);
+  tensor::Tensor out =
+      tensor::Tensor::uninitialized({heads.front().rows(), width});
+  const auto copy = [&](std::size_t h0, std::size_t h1) {
+    for (std::size_t h = h0; h < h1; ++h) {
+      tensor::set_cols(out, static_cast<std::int64_t>(h) * heads[h].cols(),
+                       heads[h]);
+    }
+  };
+  if (out.numel() <= tensor::kElementwiseChunk) {
+    copy(0, heads.size());
+  } else {
+    parallel::parallel_for(0, heads.size(), 1, copy);
   }
   return out;
 }
@@ -102,7 +113,8 @@ BlockActs block_hidden(const Layer& w, const tensor::Tensor& x,
   const tensor::Tensor v_all = project(x, w.wv);
   BlockActs a;
   a.attn = attend(q_all, k_all, v_all);
-  a.h = tensor::add(project(a.attn, w.wo), x);
+  a.h = project(a.attn, w.wo);
+  tensor::add_inplace(a.h, x);
   a.u_pre = project(a.h, w.w1);
   a.u = tensor::relu(a.u_pre);
   return a;

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -11,6 +12,7 @@
 #include "core/sweep.hpp"
 #include "core/usp.hpp"
 #include "kernels/lm_head.hpp"
+#include "kernels/rope.hpp"
 #include "model/block.hpp"
 // burst-lint: allow(no-direct-cluster) the one-device entry points host their cluster
 #include "sim/cluster.hpp"
@@ -79,6 +81,9 @@ struct DeviceState {
   IndexMap map = IndexMap::range(0, 0);
   SweepRoute route = SweepRoute::flat(comm::flat_ring(1));
   float scale = 1.0f;
+  // RoPE angles of `map`'s rows (null without RoPE), built once per step
+  // and shared by every layer's forward, recompute and backward.
+  std::unique_ptr<const kernels::RopeTable> rope;
 
   DistAttnConfig attn_cfg() const {
     DistAttnConfig ac;
@@ -174,9 +179,8 @@ core::LocalHeads split_qkv(DeviceState& st, const Tensor& q_all,
   st.comm->transport().compute(
       2.0 * static_cast<double>(q_all.rows()) *
       (fd(m.d_model) * fd(m.d_model) + 2.0 * fd(m.d_model) * fd(m.d_kv())));
-  const IndexMap* rope = m.use_rope ? &st.map : nullptr;
-  return {split_heads(q_all, m.heads, dh, rope),
-          split_heads(k_all, m.num_kv_heads(), dh, rope),
+  return {split_heads(q_all, m.heads, dh, st.rope.get()),
+          split_heads(k_all, m.num_kv_heads(), dh, st.rope.get()),
           split_heads(v_all, m.num_kv_heads(), dh)};
 }
 
@@ -326,7 +330,7 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
                          nullptr, m.use_rope)
           : core::dist_attention_backward(*st.comm, st.route, st.attn_cfg(),
                                           hd, attn, std::move(d_o_heads),
-                                          nullptr, m.use_rope);
+                                          nullptr, st.rope.get());
   Tensor dx = block_backward_qkv(w, x, std::move(ffn.d_h),
                                  concat_heads(grads.dq, m.d_model),
                                  concat_heads(grads.dk, m.d_kv()),
@@ -349,6 +353,10 @@ DeviceState device_state(comm::Communicator& comm, const DistTrainConfig& cfg,
   st.n_global = n;
   st.map = dist_index_map(cfg, n, comm.world_size(), comm.rank());
   st.scale = 1.0f / std::sqrt(static_cast<float>(cfg.model.head_dim()));
+  if (cfg.model.use_rope) {
+    st.rope =
+        std::make_unique<kernels::RopeTable>(st.map, cfg.model.head_dim());
+  }
   const bool multi = comm.transport().topo().num_nodes > 1;
   st.route = (cfg.topo_aware && multi)
                  ? SweepRoute::double_ring(comm.transport().topo())

@@ -1,8 +1,12 @@
 #include "model/optimizer.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+
+#include "parallel/thread_pool.hpp"
+#include "tensor/ops.hpp"
 
 namespace burst::model {
 
@@ -33,22 +37,6 @@ AdamOptimizer::~AdamOptimizer() {
   }
 }
 
-void AdamOptimizer::update_tensor(tensor::Tensor& w, const tensor::Tensor& g,
-                                  std::size_t state_offset) {
-  assert(w.numel() == g.numel());
-  const float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
-  for (std::int64_t i = 0; i < w.numel(); ++i) {
-    const std::size_t s = state_offset + static_cast<std::size_t>(i);
-    const float grad = g.data()[i];
-    m_[s] = kBeta1 * m_[s] + (1.0f - kBeta1) * grad;
-    v_[s] = kBeta2 * v_[s] + (1.0f - kBeta2) * grad * grad;
-    const float mhat = m_[s] / bc1;
-    const float vhat = v_[s] / bc2;
-    w.data()[i] -= cfg_.lr * mhat / (std::sqrt(vhat) + kEps);
-  }
-}
-
 AdamState AdamOptimizer::export_state() const { return {t_, m_, v_}; }
 
 void AdamOptimizer::restore_state(const AdamState& s) {
@@ -64,14 +52,54 @@ void AdamOptimizer::restore_state(const AdamState& s) {
 
 void AdamOptimizer::step(ModelWeights& w, const ModelGrads& g) {
   ++t_;
+  const float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
+  const float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
+  // Every parameter tensor, cut into pieces of at most kElementwiseChunk
+  // elements at fixed boundaries: one writer per element, whatever the pool.
+  struct Piece {
+    float* w;
+    const float* g;
+    std::size_t state;
+    std::int64_t n;
+  };
+  std::vector<Piece> pieces;
   std::size_t offset = 0;
   for_each_param(
       [&](tensor::Tensor& wt, const tensor::Tensor& gt) {
-        update_tensor(wt, gt, offset);
+        assert(wt.numel() == gt.numel());
+        for (std::int64_t b = 0; b < wt.numel();
+             b += tensor::kElementwiseChunk) {
+          pieces.push_back({wt.data() + b, gt.data() + b,
+                            offset + static_cast<std::size_t>(b),
+                            std::min(tensor::kElementwiseChunk,
+                                     wt.numel() - b)});
+        }
         offset += static_cast<std::size_t>(wt.numel());
       },
       w, g);
   assert(offset == static_cast<std::size_t>(num_params_));
+  const float lr = cfg_.lr;
+  const auto update = [&](std::size_t p0, std::size_t p1) {
+    for (std::size_t p = p0; p < p1; ++p) {
+      const Piece& pc = pieces[p];
+      float* m = m_.data() + pc.state;
+      float* v = v_.data() + pc.state;
+      for (std::int64_t i = 0; i < pc.n; ++i) {
+        const float grad = pc.g[i];
+        m[i] = kBeta1 * m[i] + (1.0f - kBeta1) * grad;
+        v[i] = kBeta2 * v[i] + (1.0f - kBeta2) * grad * grad;
+        const float mhat = m[i] / bc1;
+        const float vhat = v[i] / bc2;
+        pc.w[i] -= lr * mhat / (std::sqrt(vhat) + kEps);
+      }
+    }
+  };
+  // A model no larger than one chunk stays on the calling thread.
+  if (num_params_ <= tensor::kElementwiseChunk) {
+    update(0, pieces.size());
+  } else {
+    parallel::parallel_for(0, pieces.size(), 1, update);
+  }
 }
 
 }  // namespace burst::model

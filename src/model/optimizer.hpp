@@ -46,7 +46,10 @@ class AdamOptimizer {
   AdamOptimizer(const AdamOptimizer&) = delete;
   AdamOptimizer& operator=(const AdamOptimizer&) = delete;
 
-  /// One Adam step over every parameter tensor.
+  /// One Adam step over every parameter tensor. Each element's update is
+  /// one expression with one writer; the parameters are split into
+  /// tensor::kElementwiseChunk-element pieces over the global pool, so the
+  /// result is bitwise the same at every pool size.
   void step(ModelWeights& w, const ModelGrads& g);
 
   /// Copies out the full optimizer state (for durable snapshots).
@@ -61,9 +64,6 @@ class AdamOptimizer {
   int steps_taken() const { return t_; }
 
  private:
-  void update_tensor(tensor::Tensor& w, const tensor::Tensor& g,
-                     std::size_t state_offset);
-
   AdamConfig cfg_;
   std::int64_t num_params_ = 0;
   std::vector<float> m_;

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "kernels/flash_attention.hpp"
 #include "kernels/rope.hpp"
@@ -151,6 +153,12 @@ Tensor prefill_chunk(const ModelConfig& cfg, const ModelWeights& w,
   const auto group = static_cast<std::size_t>(cfg.group_size());
   const auto kv_heads = static_cast<std::size_t>(cfg.num_kv_heads());
   const auto heads = static_cast<std::size_t>(cfg.heads);
+  // The chunk's RoPE angles (null without RoPE), shared by every layer and
+  // head.
+  std::unique_ptr<const kernels::RopeTable> rope;
+  if (cfg.use_rope) {
+    rope = std::make_unique<kernels::RopeTable>(qmap, dh);
+  }
   Tensor x = embed(w, tokens, count, bf16_boundary);
   for (std::int64_t l = 0; l < cfg.layers; ++l) {
     const Layer& lw = layers[static_cast<std::size_t>(l)];
@@ -165,8 +173,8 @@ Tensor prefill_chunk(const ModelConfig& cfg, const ModelWeights& w,
         for (std::size_t kvh = h0; kvh < h1; ++kvh) {
           const std::int64_t col = static_cast<std::int64_t>(kvh) * dh;
           Tensor kh = tensor::copy_cols(k_all, col, dh);
-          if (cfg.use_rope) {
-            kernels::apply_rope_inplace(kh, qmap);
+          if (rope) {
+            kernels::apply_rope_inplace(kh, *rope);
           }
           cache.put(l, static_cast<std::int64_t>(kvh), kh,
                     tensor::copy_cols(v_all, col, dh));
@@ -185,8 +193,8 @@ Tensor prefill_chunk(const ModelConfig& cfg, const ModelWeights& w,
         for (std::size_t h = h0; h < h1; ++h) {
           const std::int64_t col = static_cast<std::int64_t>(h) * dh;
           tensor::copy_cols_into(q_all, col, qh);
-          if (cfg.use_rope) {
-            kernels::apply_rope_inplace(qh, qmap);
+          if (rope) {
+            kernels::apply_rope_inplace(qh, *rope);
           }
           const auto kvh = static_cast<std::int64_t>(h / group);
           o.fill(0.0f);
@@ -233,16 +241,17 @@ void begin_decode_batch(const std::vector<SequenceKvCache*>& caches,
 }
 
 // The per-row half of decode layer `layer`: for each row b, RoPE-rotates
-// row b of `k_all` at caches[b]->len(), appends it and row b of `v_all` to
-// *caches[b], then attends row b of `q_all` over that cache into row b of
-// the result ([B, d_model]). One parallel_for chunk per row: a row touches
-// only its own cache, its own output row and its own stats, which are
-// summed after the join, so the result is the same for every pool size.
+// row b of `k_all` by row b of `rope` (the angles at caches[b]->len(); null
+// without RoPE), appends it and row b of `v_all` to *caches[b], then attends
+// row b of `q_all` over that cache into row b of the result ([B, d_model]).
+// One parallel_for chunk per row: a row touches only its own cache, its own
+// output row and its own stats, which are summed after the join, so the
+// result is the same for every pool size.
 Tensor decode_attention(const ModelConfig& cfg, std::int64_t layer,
                         const std::vector<SequenceKvCache*>& caches,
-                        const Tensor& q_all, const Tensor& k_all,
-                        const Tensor& v_all, const MaskSpec& mask,
-                        kernels::KernelStats* stats) {
+                        const kernels::RopeTable* rope, const Tensor& q_all,
+                        const Tensor& k_all, const Tensor& v_all,
+                        const MaskSpec& mask, kernels::KernelStats* stats) {
   const std::int64_t dh = cfg.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   const std::int64_t group = cfg.group_size();
@@ -264,19 +273,18 @@ Tensor decode_attention(const ModelConfig& cfg, std::int64_t layer,
       SequenceKvCache& cache = *caches[b];
       const auto row = static_cast<std::int64_t>(b);
       const std::int64_t pos = cache.len();
-      const IndexMap posmap = IndexMap::range(pos, 1);
       for (std::int64_t kvh = 0; kvh < cfg.num_kv_heads(); ++kvh) {
         slice(k_all, row, kvh * dh, kh);
-        if (cfg.use_rope) {
-          kernels::apply_rope_inplace(kh, posmap);
+        if (rope != nullptr) {
+          kernels::apply_rope_inplace(kh, *rope, row);
         }
         slice(v_all, row, kvh * dh, vh);
         cache.put(layer, kvh, kh, vh);
       }
       for (std::int64_t h = 0; h < cfg.heads; ++h) {
         slice(q_all, row, h * dh, qh);
-        if (cfg.use_rope) {
-          kernels::apply_rope_inplace(qh, posmap);
+        if (rope != nullptr) {
+          kernels::apply_rope_inplace(qh, *rope, row);
         }
         const std::int64_t kvh = h / group;
         const tensor::MatView o_row{attn.data() + row * attn.cols() + h * dh,
@@ -301,6 +309,16 @@ Tensor decode_batch(const ModelConfig& cfg, const ModelWeights& w,
                     const MaskSpec& mask, kernels::KernelStats* stats) {
   assert(layers.size() == static_cast<std::size_t>(cfg.layers));
   begin_decode_batch(caches, tokens);
+  // Row b's RoPE angles at its cache's length, shared by every layer.
+  std::unique_ptr<const kernels::RopeTable> rope;
+  if (cfg.use_rope) {
+    std::vector<std::pair<std::int64_t, std::int64_t>> rows;
+    for (const SequenceKvCache* cache : caches) {
+      rows.emplace_back(cache->len(), 1);
+    }
+    rope = std::make_unique<kernels::RopeTable>(
+        IndexMap::segments(std::move(rows)), cfg.head_dim());
+  }
   Tensor x = embed(w, tokens.data(), static_cast<std::int64_t>(tokens.size()),
                    bf16_boundary);
   for (std::int64_t l = 0; l < cfg.layers; ++l) {
@@ -308,8 +326,8 @@ Tensor decode_batch(const ModelConfig& cfg, const ModelWeights& w,
     x = block_output(lw, block_hidden(lw, x, [&](const Tensor& q_all,
                                                  const Tensor& k_all,
                                                  const Tensor& v_all) {
-      return decode_attention(cfg, l, caches, q_all, k_all, v_all, mask,
-                              stats);
+      return decode_attention(cfg, l, caches, rope.get(), q_all, k_all, v_all,
+                              mask, stats);
     }), bf16_boundary);
   }
   for (SequenceKvCache* cache : caches) {

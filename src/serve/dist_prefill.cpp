@@ -4,12 +4,14 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "comm/communicator.hpp"
 #include "comm/sim_transport.hpp"
 #include "core/dist_attention.hpp"
 #include "core/sweep.hpp"
+#include "kernels/rope.hpp"
 #include "model/block.hpp"
 
 namespace burst::serve {
@@ -79,7 +81,11 @@ DistPrefillResult distributed_prefill(sim::Cluster& cluster,
     std::vector<std::vector<Tensor>> v_shard(
         static_cast<std::size_t>(cfg.layers));
 
-    const IndexMap* rope = cfg.use_rope ? &map : nullptr;
+    // Every layer's and head's RoPE angles (null without RoPE).
+    std::unique_ptr<const kernels::RopeTable> rope;
+    if (cfg.use_rope) {
+      rope = std::make_unique<kernels::RopeTable>(map, dh);
+    }
     for (std::int64_t l = 0; l < cfg.layers; ++l) {
       const auto li = static_cast<std::size_t>(l);
       const auto& lw = w.layers[li];
@@ -87,8 +93,9 @@ DistPrefillResult distributed_prefill(sim::Cluster& cluster,
       // every head at once.
       x = model::block_output(lw, model::block_hidden(lw, x, [&](
           const Tensor& q_all, const Tensor& k_all, const Tensor& v_all) {
-        core::LocalHeads hd{model::split_heads(q_all, cfg.heads, dh, rope),
-                            model::split_heads(k_all, kvh_n, dh, rope),
+        core::LocalHeads hd{
+            model::split_heads(q_all, cfg.heads, dh, rope.get()),
+            model::split_heads(k_all, kvh_n, dh, rope.get()),
                             model::split_heads(v_all, kvh_n, dh)};
         Tensor attn = model::concat_heads(
             core::dist_attention_forward(comm, route, acfg, hd).o,

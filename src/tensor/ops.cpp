@@ -7,17 +7,41 @@
 #include <cstring>
 #include <limits>
 
+#include "parallel/thread_pool.hpp"
+
 namespace burst::tensor {
 
 namespace {
+
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+
+// Runs `fn(begin, end)` over `[0, n)`: once on the calling thread when
+// n <= kElementwiseChunk, else over kElementwiseChunk-element chunks on the
+// global pool.
+template <class Fn>
+void for_each_chunk(std::int64_t n, const Fn& fn) {
+  if (n <= kElementwiseChunk) {
+    fn(std::int64_t{0}, n);
+    return;
+  }
+  parallel::parallel_for(
+      static_cast<std::size_t>(n), static_cast<std::size_t>(kElementwiseChunk),
+      [&fn](std::size_t b, std::size_t e) {
+        fn(static_cast<std::int64_t>(b), static_cast<std::int64_t>(e));
+      });
 }
+
+}  // namespace
 
 void add_inplace(Tensor& y, const Tensor& x) {
   assert(y.numel() == x.numel());
-  for (std::int64_t i = 0; i < y.numel(); ++i) {
-    y.data()[i] += x.data()[i];
-  }
+  float* yd = y.data();
+  const float* xd = x.data();
+  for_each_chunk(y.numel(), [=](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) {
+      yd[i] += xd[i];
+    }
+  });
 }
 
 void sub_inplace(Tensor& y, const Tensor& x) {
@@ -28,9 +52,12 @@ void sub_inplace(Tensor& y, const Tensor& x) {
 }
 
 void scale_inplace(Tensor& y, float s) {
-  for (std::int64_t i = 0; i < y.numel(); ++i) {
-    y.data()[i] *= s;
-  }
+  float* yd = y.data();
+  for_each_chunk(y.numel(), [=](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) {
+      yd[i] *= s;
+    }
+  });
 }
 
 void axpy(float alpha, const Tensor& x, Tensor& y) {
@@ -41,8 +68,16 @@ void axpy(float alpha, const Tensor& x, Tensor& y) {
 }
 
 Tensor add(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  add_inplace(out, b);
+  assert(a.numel() == b.numel());
+  Tensor out = Tensor::uninitialized(a.shape());
+  float* od = out.data();
+  const float* ad = a.data();
+  const float* bd = b.data();
+  for_each_chunk(a.numel(), [=](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      od[i] = ad[i] + bd[i];
+    }
+  });
   return out;
 }
 
@@ -231,33 +266,45 @@ float norm(const Tensor& a) {
 }
 
 void round_bf16_inplace(Tensor& t) {
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
-    std::uint32_t bits;
-    static_assert(sizeof(bits) == sizeof(float));
-    std::memcpy(&bits, &t.data()[i], sizeof(bits));
-    // Round-to-nearest-even into the upper 16 bits.
-    const std::uint32_t rounding = 0x7FFFu + ((bits >> 16) & 1u);
-    bits = (bits + rounding) & 0xFFFF0000u;
-    std::memcpy(&t.data()[i], &bits, sizeof(bits));
-  }
+  float* td = t.data();
+  for_each_chunk(t.numel(), [=](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) {
+      std::uint32_t bits;
+      static_assert(sizeof(bits) == sizeof(float));
+      std::memcpy(&bits, &td[i], sizeof(bits));
+      // Round-to-nearest-even into the upper 16 bits.
+      const std::uint32_t rounding = 0x7FFFu + ((bits >> 16) & 1u);
+      bits = (bits + rounding) & 0xFFFF0000u;
+      std::memcpy(&td[i], &bits, sizeof(bits));
+    }
+  });
 }
 
 Tensor relu(const Tensor& x) {
-  Tensor out = x;
-  for (std::int64_t i = 0; i < out.numel(); ++i) {
-    out.data()[i] = std::max(out.data()[i], 0.0f);
-  }
+  Tensor out = Tensor::uninitialized(x.shape());
+  float* od = out.data();
+  const float* xd = x.data();
+  for_each_chunk(x.numel(), [=](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) {
+      od[i] = std::max(xd[i], 0.0f);
+    }
+  });
   return out;
 }
 
 Tensor relu_backward(const Tensor& dy, const Tensor& x) {
   assert(dy.numel() == x.numel());
-  Tensor dx = dy;
-  for (std::int64_t i = 0; i < dx.numel(); ++i) {
-    if (x.data()[i] <= 0.0f) {
-      dx.data()[i] = 0.0f;
+  Tensor dx = Tensor::uninitialized(dy.shape());
+  float* dxd = dx.data();
+  const float* dyd = dy.data();
+  const float* xd = x.data();
+  // A select, not a branch: the signs of x are random, so a branch would
+  // mispredict about every other element.
+  for_each_chunk(dy.numel(), [=](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) {
+      dxd[i] = xd[i] <= 0.0f ? 0.0f : dyd[i];
     }
-  }
+  });
   return dx;
 }
 

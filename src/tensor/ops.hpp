@@ -2,6 +2,12 @@
 // LM-head fusion, and the toy transformer. All functions are scalar-CPU and
 // deterministic; accumulation orders are fixed so distributed == serial
 // comparisons hold to tight floating-point tolerances.
+//
+// The passes marked "pooled" split tensors of more than kElementwiseChunk
+// elements into chunks of that many at fixed boundaries and run them on the
+// global pool. Each element keeps one writer and the same expression, so
+// the result is bitwise the same at every pool size; smaller (decode-sized)
+// tensors stay on the calling thread.
 #pragma once
 
 #include <cstdint>
@@ -10,19 +16,23 @@
 
 namespace burst::tensor {
 
-/// y += x (same shape).
+/// Elements per chunk of a pooled elementwise pass, and the size above
+/// which a pass splits at all.
+inline constexpr std::int64_t kElementwiseChunk = std::int64_t{1} << 15;
+
+/// y += x (same shape). Pooled.
 void add_inplace(Tensor& y, const Tensor& x);
 
 /// y -= x (same shape).
 void sub_inplace(Tensor& y, const Tensor& x);
 
-/// y *= s.
+/// y *= s. Pooled.
 void scale_inplace(Tensor& y, float s);
 
 /// y += alpha * x.
 void axpy(float alpha, const Tensor& x, Tensor& y);
 
-/// Returns a + b.
+/// Returns a + b. Pooled.
 Tensor add(const Tensor& a, const Tensor& b);
 
 /// Returns a - b.
@@ -81,13 +91,14 @@ float norm(const Tensor& a);
 
 /// Rounds every element to the nearest bf16-representable value (round to
 /// nearest even on the top 16 bits). Used to study the numerical behaviour
-/// of the distributed algorithms under the paper's training dtype.
+/// of the distributed algorithms under the paper's training dtype. Pooled.
 void round_bf16_inplace(Tensor& t);
 
-/// ReLU forward: out = max(x, 0).
+/// ReLU forward: out = max(x, 0). Pooled.
 Tensor relu(const Tensor& x);
 
-/// ReLU backward: returns dx = dy ∘ 1[x > 0].
+/// ReLU backward: returns dx = dy ∘ 1[x > 0], as a select: dx is 0 where
+/// x <= 0 and dy elsewhere, so a NaN in x passes dy through. Pooled.
 Tensor relu_backward(const Tensor& dy, const Tensor& x);
 
 }  // namespace burst::tensor

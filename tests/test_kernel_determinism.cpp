@@ -7,17 +7,23 @@
 // (including a BURST_THREADS override).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "kernels/flash_attention.hpp"
 #include "kernels/lm_head.hpp"
+#include "model/block.hpp"
+#include "model/optimizer.hpp"
 #include "model/transformer.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
 
 namespace burst {
@@ -208,6 +214,102 @@ TEST(KernelDeterminism, SerialTrainStepBitwiseAcrossPoolSizes) {
             << "kv_heads " << kv_heads << ", pool size " << workers
             << ", gradient tensor " << i;
       }
+    }
+  }
+  parallel::ThreadPool::reset_global();
+}
+
+// Every pooled elementwise pass and Adam, at sizes below, at and above the
+// split constant (and one that is not a multiple of it), at pool sizes 1-4:
+// each element keeps one writer and one expression, so the bits equal a
+// plain loop's at every pool size.
+TEST(KernelDeterminism, ElementwiseAndAdamBitwiseAcrossPoolSizes) {
+  constexpr std::int64_t kChunk = tensor::kElementwiseChunk;
+  const std::vector<std::int64_t> sizes = {kChunk - 1, kChunk, kChunk + 1,
+                                           3 * kChunk + 123};
+  for (const std::int64_t n : sizes) {
+    Rng rng(static_cast<std::uint64_t>(n));
+    const Tensor a = rng.gaussian(1, n, 1.0f);
+    const Tensor b = rng.gaussian(1, n, 1.0f);
+    Tensor add_ref = a;
+    Tensor relu_ref = a;
+    Tensor relu_bwd_ref = b;
+    Tensor scale_ref = a;
+    Tensor bf16_ref = a;
+    for (std::int64_t i = 0; i < n; ++i) {
+      add_ref.data()[i] = a.data()[i] + b.data()[i];
+      relu_ref.data()[i] = std::max(a.data()[i], 0.0f);
+      if (a.data()[i] <= 0.0f) {
+        relu_bwd_ref.data()[i] = 0.0f;
+      }
+      scale_ref.data()[i] = a.data()[i] * 0.37f;
+    }
+    // bf16 rounding is pinned to its own one-way result.
+    parallel::ThreadPool::reset_global(1);
+    tensor::round_bf16_inplace(bf16_ref);
+    // Eight heads of eight columns, about `n` elements in all.
+    std::vector<Tensor> heads;
+    for (int h = 0; h < 8; ++h) {
+      heads.push_back(rng.gaussian(n / 64 + 1, 8, 1.0f));
+    }
+    Tensor concat_ref(heads.front().rows(), 64);
+    for (std::size_t h = 0; h < heads.size(); ++h) {
+      tensor::set_cols(concat_ref, static_cast<std::int64_t>(h) * 8, heads[h]);
+    }
+    for (std::size_t workers : {1u, 2u, 3u, 4u}) {
+      parallel::ThreadPool::reset_global(workers);
+      const std::string at = "n " + std::to_string(n) + ", pool size " +
+                             std::to_string(workers);
+      Tensor y = a;
+      tensor::add_inplace(y, b);
+      EXPECT_TRUE(bitwise_equal(y, add_ref)) << "add_inplace, " << at;
+      EXPECT_TRUE(bitwise_equal(tensor::add(a, b), add_ref)) << "add, " << at;
+      EXPECT_TRUE(bitwise_equal(tensor::relu(a), relu_ref)) << "relu, " << at;
+      EXPECT_TRUE(bitwise_equal(tensor::relu_backward(b, a), relu_bwd_ref))
+          << "relu_backward, " << at;
+      Tensor s = a;
+      tensor::scale_inplace(s, 0.37f);
+      EXPECT_TRUE(bitwise_equal(s, scale_ref)) << "scale_inplace, " << at;
+      Tensor r = a;
+      tensor::round_bf16_inplace(r);
+      EXPECT_TRUE(bitwise_equal(r, bf16_ref)) << "round_bf16_inplace, " << at;
+      EXPECT_TRUE(bitwise_equal(model::concat_heads(heads, 64), concat_ref))
+          << "concat_heads, " << at;
+    }
+  }
+
+  // Adam over models below and at one chunk (they run on the caller), and
+  // one whose tensors straddle and exceed it.
+  const auto adam_result = [](std::int64_t embed, std::int64_t head) {
+    model::ModelWeights w;
+    Rng rng(static_cast<std::uint64_t>(embed + head));
+    w.w_embed = rng.gaussian(1, embed, 0.5f);
+    w.w_head = rng.gaussian(1, head, 0.5f);
+    model::AdamOptimizer opt(w, {});
+    for (int step = 0; step < 3; ++step) {
+      model::ModelGrads g;
+      g.w_embed = rng.gaussian(1, embed, 1.0f);
+      g.w_head = rng.gaussian(1, head, 1.0f);
+      opt.step(w, g);
+    }
+    return std::pair{std::move(w), opt.export_state()};
+  };
+  for (const auto& [embed, head] :
+       {std::pair{kChunk / 2, kChunk / 2 - 1},
+        std::pair{kChunk - 1, std::int64_t{1}},
+        std::pair{3 * kChunk + 123, kChunk + 1}}) {
+    parallel::ThreadPool::reset_global(1);
+    const auto [base_w, base_state] = adam_result(embed, head);
+    for (std::size_t workers : {2u, 3u, 4u}) {
+      parallel::ThreadPool::reset_global(workers);
+      const auto [w, state] = adam_result(embed, head);
+      const std::string at = "Adam " + std::to_string(embed) + " + " +
+                             std::to_string(head) + ", pool size " +
+                             std::to_string(workers);
+      EXPECT_TRUE(bitwise_equal(w.w_embed, base_w.w_embed)) << at;
+      EXPECT_TRUE(bitwise_equal(w.w_head, base_w.w_head)) << at;
+      EXPECT_EQ(state.m, base_state.m) << at;
+      EXPECT_EQ(state.v, base_state.v) << at;
     }
   }
   parallel::ThreadPool::reset_global();

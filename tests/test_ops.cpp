@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "tensor/rng.hpp"
 
@@ -182,6 +184,38 @@ TEST(Ops, ReluAndBackward) {
   EXPECT_FLOAT_EQ(dx(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(dx(0, 1), 0.0f);  // gradient 0 at x == 0
   EXPECT_FLOAT_EQ(dx(0, 2), 1.0f);
+}
+
+// The select must give the bits of the old copy-then-zero formulation
+// (dx = dy, then dx[i] = 0 where x[i] <= 0) on every special value: a NaN
+// in x passes dy through, -0 in x zeroes it, and a NaN in dy survives only
+// where x > 0.
+TEST(Ops, ReluBackwardEdgeCases) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> values = {nan,  kInf, -kInf,   0.0f, -0.0f,
+                                     1.0f, -1.0f, denorm, -denorm};
+  const auto n = static_cast<std::int64_t>(values.size());
+  Tensor x(n, n);
+  Tensor dy(n, n);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      x(i, j) = values[static_cast<std::size_t>(i)];
+      dy(i, j) = values[static_cast<std::size_t>(j)];
+    }
+  }
+  Tensor want = dy;
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    if (x.data()[i] <= 0.0f) {
+      want.data()[i] = 0.0f;
+    }
+  }
+  const Tensor got = relu_backward(dy, x);
+  ASSERT_EQ(got.shape(), want.shape());
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    EXPECT_EQ(std::memcmp(got.data() + i, want.data() + i, sizeof(float)), 0)
+        << "x = " << x.data()[i] << ", dy = " << dy.data()[i];
+  }
 }
 
 TEST(Ops, NormMatchesManual) {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <mutex>
+#include <vector>
 
 #include "comm/communicator.hpp"
 #include "comm/sim_transport.hpp"
@@ -84,6 +86,88 @@ TEST(Rope, AttentionInvariantUnderGlobalShift) {
   auto a = attn_with_offset(0);
   auto b = attn_with_offset(1000);
   EXPECT_LT(tensor::max_abs_diff(a.o, b.o), 2e-4f);
+}
+
+// The per-element formulation the angle tables replaced: every call
+// recomputes cos and sin of sign * pos * freq for every element.
+void rotate_per_element(Tensor& x, const IndexMap& positions, float sign) {
+  const std::int64_t d = x.cols();
+  for (std::int64_t r = 0; r < x.rows(); ++r) {
+    const double pos = static_cast<double>(positions.global(r));
+    for (std::int64_t i = 0; i < d / 2; ++i) {
+      const double freq =
+          std::pow(10000.0, -2.0 * static_cast<double>(i) /
+                                static_cast<double>(d));
+      const double angle = sign * pos * freq;
+      const float c = static_cast<float>(std::cos(angle));
+      const float s = static_cast<float>(std::sin(angle));
+      const float a = x(r, 2 * i);
+      const float b = x(r, 2 * i + 1);
+      x(r, 2 * i) = a * c - b * s;
+      x(r, 2 * i + 1) = a * s + b * c;
+    }
+  }
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+// One table per set of positions gives the bits of per-element trig, forward
+// and inverse (the inverse reads sin negated, which relies on cos being even
+// and sin odd bit for bit), on every map kind, positions up to 2^20, every
+// head width the models use, odd row counts, and single rows read at an
+// offset into the table (the decode path).
+TEST(Rope, TableMatchesPerElementTrigBitwise) {
+  constexpr std::int64_t kTop = std::int64_t{1} << 20;
+  const std::vector<IndexMap> maps = {
+      IndexMap::range(0, 37),
+      IndexMap::range(kTop - 257, 257),
+      IndexMap::segments({{3, 50}, {kTop - 51, 51}}),   // zigzag
+      IndexMap::strided(7, 8191, 129),                  // striped, to ~2^20
+      IndexMap::range(kTop, 1),                         // one row
+      IndexMap::range(12345, 1),
+  };
+  Rng rng(37);
+  for (const std::int64_t dh : {16, 32, 64, 128}) {
+    for (const IndexMap& map : maps) {
+      const kernels::RopeTable table(map, dh);
+      ASSERT_EQ(table.rows(), map.size());
+      ASSERT_EQ(table.head_dim(), dh);
+      const Tensor x = rng.gaussian(map.size(), dh, 1.0f);
+      for (const float sign : {1.0f, -1.0f}) {
+        Tensor want = x;
+        rotate_per_element(want, map, sign);
+        Tensor got = x;
+        if (sign > 0.0f) {
+          kernels::apply_rope_inplace(got, table);
+        } else {
+          kernels::apply_rope_inverse_inplace(got, table);
+        }
+        EXPECT_TRUE(same_bits(got, want))
+            << "dh " << dh << ", first position " << map.global(0)
+            << ", rows " << map.size() << ", sign " << sign;
+        Tensor wrapped = x;
+        if (sign > 0.0f) {
+          kernels::apply_rope_inplace(wrapped, map);
+        } else {
+          kernels::apply_rope_inverse_inplace(wrapped, map);
+        }
+        EXPECT_TRUE(same_bits(wrapped, want)) << "IndexMap overload";
+        const std::int64_t r = map.size() / 2;
+        Tensor row = x.copy_rows(r, 1);
+        if (sign > 0.0f) {
+          kernels::apply_rope_inplace(row, table, r);
+        } else {
+          kernels::apply_rope_inverse_inplace(row, table, r);
+        }
+        EXPECT_TRUE(same_bits(row, want.copy_rows(r, 1))) << "row " << r;
+      }
+    }
+  }
 }
 
 // RoPE through the whole serial model: finite-difference gradcheck covers
