@@ -41,12 +41,14 @@
 #             payloads are shared read-only across rank threads, and fault
 #             injection clones or shares them in flight), test_dist_attention
 #             and test_ulysses_usp (every sweep visit runs its heads under a
-#             parallel_for, issued from concurrent rank threads), and
+#             parallel_for, issued from concurrent rank threads),
 #             test_resilience and test_serve_resilience (every recovery
 #             supervisor unwinds aborted rank threads through the shared
-#             supervisor loop), and test_ops, test_optimizer and test_rope
+#             supervisor loop), test_ops, test_optimizer and test_rope
 #             (the elementwise passes, Adam and the RoPE angle tables split
-#             large tensors over the pool; selected as Ops|Adam|Rope).
+#             large tensors over the pool; selected as Ops|Adam|Rope), and
+#             test_comm_bytes (multi-rank training steps, the kernel pool
+#             inside rank threads; selected as CommBytes).
 #   bench     bench fleet with the RunReport self_check gate, then the
 #             regression gate against the committed BENCH_baseline.json
 #             (gated metrics may not fall more than 10% below baseline).
@@ -223,9 +225,9 @@ tsan_gate() {
                  test_dist_model test_gqa test_transport_conformance \
                  test_sweep test_failure_injection test_dist_attention \
                  test_ulysses_usp test_resilience test_serve_resilience \
-                 test_ops test_optimizer test_rope &&
+                 test_ops test_optimizer test_rope test_comm_bytes &&
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|DistModel|GqaDist|TransportConformance|SocketTransportSmoke|SweepRoute|ActivationSweep|GradientSweep|SweepTiming|ZeroCopySweep|FailureInjection|DistAttention|Ulysses|Usp|FaultPlan|ResilienceTest|ServeResilience|ServeDegrade|ServeSnapshot|ResilientPrefill|Ops|Adam|Rope'
+        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|DistModel|GqaDist|TransportConformance|SocketTransportSmoke|SweepRoute|ActivationSweep|GradientSweep|SweepTiming|ZeroCopySweep|FailureInjection|DistAttention|Ulysses|Usp|FaultPlan|ResilienceTest|ServeResilience|ServeDegrade|ServeSnapshot|ResilientPrefill|Ops|Adam|Rope|CommBytes'
 }
 if [[ $RUN_TSAN -eq 1 ]]; then
   echo "== TSan build + threaded suites (${TSAN_BUILD_DIR})"

@@ -1,14 +1,16 @@
 // The one transformer block (Eq. 2-3 of the paper):
 //   H = ATTN(X) W_o + X,  Y = relu(H W_1) W_2 + H.
 // Every forward in the repo — serial training, chunked prefill, batched
-// decode (dense and quantized), the distributed step and its checkpoint
-// recompute, and distributed prefill — runs this body and differs only in
-// where attention reads K/V from: each caller passes its attention source as
-// an AttendFn. The layer type picks the GEMM by overload: dense LayerWeights
-// project through matmul, PackedWeights::Layer through packed_matmul. The
-// serving forwards pass `bf16_boundary` from their packed set's spec to
-// round activations to bf16 at every layer boundary (DESIGN.md section 2,
-// "One transformer block").
+// decode (dense and quantized), and the distributed step, its checkpoint
+// recompute and its forward-only pass (which distributed prefill runs) —
+// runs this body and differs only in where attention reads K/V from: each
+// caller passes its attention source as an AttendFn. The GEMM FLOPs the
+// virtual clock charges for the body are stated once, below it. The layer
+// type picks the GEMM by overload: dense LayerWeights project through
+// matmul, PackedWeights::Layer through packed_matmul. The serving forwards
+// pass `bf16_boundary` from their packed set's spec to round activations to
+// bf16 at every layer boundary (DESIGN.md section 2, "One transformer
+// block").
 #pragma once
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "kernels/rope.hpp"
+#include "model/config.hpp"
 #include "model/transformer.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/gemm.hpp"
@@ -128,6 +131,35 @@ tensor::Tensor block_output(const Layer& w, const BlockActs& a,
   tensor::add_inplace(y, a.h);
   layer_boundary(y, bf16_boundary);
   return y;
+}
+
+/// GEMM FLOPs the virtual clock charges for the block's projections over
+/// `rows` rows, 2·rows·in·out each: the Q/K/V projections, W_o, and one FFN
+/// matrix (W_1 or W_2). A backward GEMM pass costs twice its forward.
+inline std::uint64_t gemm_flops(std::int64_t rows, std::int64_t in,
+                                std::int64_t out) {
+  return 2 * static_cast<std::uint64_t>(rows) *
+         static_cast<std::uint64_t>(in) * static_cast<std::uint64_t>(out);
+}
+inline std::uint64_t qkv_flops(const ModelConfig& m, std::int64_t rows) {
+  return gemm_flops(rows, m.d_model, m.d_model + 2 * m.d_kv());
+}
+inline std::uint64_t wo_flops(const ModelConfig& m, std::int64_t rows) {
+  return gemm_flops(rows, m.d_model, m.d_model);
+}
+inline std::uint64_t ffn_matrix_flops(const ModelConfig& m,
+                                      std::int64_t rows) {
+  return gemm_flops(rows, m.d_model, m.d_ff);
+}
+
+/// The block forward's GEMM FLOPs (block_hidden, then block_output).
+inline std::uint64_t block_flops(const ModelConfig& m, std::int64_t rows) {
+  return qkv_flops(m, rows) + wo_flops(m, rows) + 2 * ffn_matrix_flops(m, rows);
+}
+
+/// The LM head's logits GEMM over `rows` rows.
+inline std::uint64_t head_flops(const ModelConfig& m, std::int64_t rows) {
+  return gemm_flops(rows, m.d_model, m.vocab);
 }
 
 /// Gradients flowing out of the FFN and W_o.

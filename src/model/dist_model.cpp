@@ -30,9 +30,6 @@ using tensor::Tensor;
 
 namespace {
 
-// Model dimensions enter the simulated-FLOP arithmetic as doubles.
-inline double fd(std::int64_t v) { return static_cast<double>(v); }
-
 bool is_head_parallel(const DistTrainConfig& cfg) {
   return cfg.impl == AttnImpl::kUlysses || cfg.impl == AttnImpl::kUsp;
 }
@@ -177,8 +174,7 @@ core::LocalHeads split_qkv(DeviceState& st, const Tensor& q_all,
   const auto& m = st.cfg->model;
   const std::int64_t dh = m.head_dim();
   st.comm->transport().compute(
-      2.0 * static_cast<double>(q_all.rows()) *
-      (fd(m.d_model) * fd(m.d_model) + 2.0 * fd(m.d_model) * fd(m.d_kv())));
+      static_cast<double>(qkv_flops(m, q_all.rows())));
   return {split_heads(q_all, m.heads, dh, st.rope.get()),
           split_heads(k_all, m.num_kv_heads(), dh, st.rope.get()),
           split_heads(v_all, m.num_kv_heads(), dh)};
@@ -199,9 +195,8 @@ Tensor dist_layer_forward(DeviceState& st, const LayerWeights& w,
         return concat_heads(attn.o, m.d_model);
       });
   Tensor y = block_output(w, acts);
-  st.comm->transport().compute(2.0 * static_cast<double>(x.rows()) *
-                         (fd(m.d_model) * fd(m.d_model) +
-                          2.0 * fd(m.d_model) * fd(m.d_ff)));
+  st.comm->transport().compute(static_cast<double>(
+      wo_flops(m, x.rows()) + 2 * ffn_matrix_flops(m, x.rows())));
 
   // --- what survives until backward ----------------------------------------
   if (is_head_parallel(*st.cfg)) {
@@ -255,23 +250,29 @@ core::HeadsResult rebuild_attention_outputs(DeviceState& st,
   const IndexMap all = IndexMap::range(0, n_loc);
   const IndexMap missing = positions(all, rows.missing);
   const IndexMap stored = positions(all, rows.stored);
-  const IndexMap missing_at = positions(st.map, rows.missing);
 
   // Every rank takes part in the recompute sweep even with nothing missing
-  // locally (its K/V shard feeds the ring).
-  core::LocalHeads sub{{}, hd.k, hd.v};
-  for (const Tensor& q : hd.q) {
-    sub.q.push_back(core::shard_rows(q, missing));
+  // locally (its K/V shard feeds the ring). A strategy that stores every
+  // position, on every rank alike, runs none: the stored rows are restored.
+  core::HeadsResult rec;
+  if (core::stored_boundary(st.cfg->ckpt, st.n_global) > 0) {
+    core::LocalHeads sub{{}, hd.k, hd.v};
+    for (const Tensor& q : hd.q) {
+      sub.q.push_back(core::shard_rows(q, missing));
+    }
+    const IndexMap missing_at = positions(st.map, rows.missing);
+    rec = core::dist_attention_forward(*st.comm, st.route, st.attn_cfg(), sub,
+                                       nullptr, &missing_at);
   }
-  const core::HeadsResult rec = core::dist_attention_forward(
-      *st.comm, st.route, st.attn_cfg(), sub, nullptr, &missing_at);
 
   core::HeadsResult out;
   for (std::size_t h = 0; h < hd.q.size(); ++h) {
     out.o.push_back(Tensor::zeros(n_loc, hd.q[h].cols()));
     out.lse.push_back(Tensor(n_loc));
-    core::unshard_rows(out.o[h], missing, rec.o[h]);
-    core::unshard_vec(out.lse[h], missing, rec.lse[h]);
+    if (missing.size() > 0) {
+      core::unshard_rows(out.o[h], missing, rec.o[h]);
+      core::unshard_vec(out.lse[h], missing, rec.lse[h]);
+    }
     if (stored.size() > 0) {
       core::unshard_rows(out.o[h], stored, cache.stored.o[h]);
       core::unshard_vec(out.lse[h], stored, cache.stored.lse[h]);
@@ -310,16 +311,14 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
       }
       return concat_heads(attn.o, m.d_model);
     });
-    st.comm->transport().compute(2.0 * static_cast<double>(x.rows()) *
-                           (fd(m.d_model) * fd(m.d_model) +
-                            fd(m.d_model) * fd(m.d_ff)));
+    st.comm->transport().compute(static_cast<double>(
+        wo_flops(m, x.rows()) + ffn_matrix_flops(m, x.rows())));
   }
 
   // ---- backward math (the serial block's) ----------------------------------
   BlockFfnGrads ffn = block_backward_ffn(w, acts, d_y, g);
-  st.comm->transport().compute(4.0 * static_cast<double>(x.rows()) *
-                         (fd(m.d_model) * fd(m.d_model) +
-                          2.0 * fd(m.d_model) * fd(m.d_ff)));
+  st.comm->transport().compute(static_cast<double>(
+      2 * (wo_flops(m, x.rows()) + 2 * ffn_matrix_flops(m, x.rows()))));
 
   // Every head's gradients for the local rows, w.r.t. the pre-rotation Q/K.
   std::vector<Tensor> d_o_heads =
@@ -335,8 +334,8 @@ Tensor dist_layer_backward(DeviceState& st, const LayerWeights& w,
                                  concat_heads(grads.dq, m.d_model),
                                  concat_heads(grads.dk, m.d_kv()),
                                  concat_heads(grads.dv, m.d_kv()), g);
-  st.comm->transport().compute(12.0 * static_cast<double>(x.rows()) * fd(m.d_model) *
-                         fd(m.d_model));
+  st.comm->transport().compute(
+      static_cast<double>(2 * qkv_flops(m, x.rows())));
 
   // Release everything this layer had charged.
   st.comm->transport().mem().free(cache.charged_bytes);
@@ -406,12 +405,12 @@ std::vector<int> whole_world(int g) {
 // actual -> as-if bf16); the caller frees the scratch. Every shard has N/G
 // rows, so the global mean loss is the all-reduced average of the local
 // means, reduced as a float; the returned result holds it.
-kernels::LmHeadResult lm_head_loss(DeviceState& st, const Tensor& x,
+kernels::LmHeadResult lm_head_loss(comm::Communicator& comm,
+                                   const DistTrainConfig& cfg, const Tensor& x,
                                    const Tensor& w_head,
                                    const std::vector<std::int64_t>& targets) {
-  comm::Communicator& comm = *st.comm;
   kernels::LmHeadResult lm =
-      st.cfg->fused_lm_head
+      cfg.fused_lm_head
           ? kernels::fused_lm_head_loss(x, w_head, targets,
                                         kernels::kLmHeadStripRows,
                                         kernels::kLmHeadTileCols)
@@ -424,17 +423,6 @@ kernels::LmHeadResult lm_head_loss(DeviceState& st, const Tensor& x,
   comm.all_reduce_group_inplace(whole_world(comm.world_size()), loss_t);
   lm.loss = loss_t(0, 0);
   return lm;
-}
-
-// Forward only: each layer's cache, and its charge, is dropped as soon as
-// the layer's output exists.
-Tensor forward_only(DeviceState& st, const ModelWeights& w, Tensor x) {
-  for (const LayerWeights& lw : w.layers) {
-    LayerCache cache;
-    x = dist_layer_forward(st, lw, x, cache);
-    st.comm->transport().mem().free(cache.charged_bytes);
-  }
-  return x;
 }
 
 }  // namespace
@@ -477,7 +465,8 @@ DistStepResult dist_train_step(comm::Communicator& comm,
   }
 
   // ---- LM head + loss ----------------------------------------------------------
-  kernels::LmHeadResult lm = lm_head_loss(st, x, weights.w_head, lt.targets);
+  kernels::LmHeadResult lm =
+      lm_head_loss(comm, cfg, x, weights.w_head, lt.targets);
   DistStepResult out;
   out.loss = lm.loss;
   out.grads = ModelGrads::zeros(m);
@@ -506,6 +495,27 @@ DistStepResult dist_train_step(comm::Communicator& comm,
       [&](Tensor& grad) { comm.all_reduce_group_inplace(world, grad); },
       out.grads);
   return out;
+}
+
+Tensor dist_forward(comm::Communicator& comm, const DistTrainConfig& cfg,
+                    const ModelWeights& w, const std::int64_t* ids,
+                    std::int64_t n, std::vector<core::LocalHeads>* kv) {
+  DeviceState st = device_state(comm, cfg, n);
+  std::vector<std::int64_t> local(static_cast<std::size_t>(st.map.size()));
+  for (std::size_t i = 0; i < local.size(); ++i) {
+    local[i] = ids[st.map.global(static_cast<std::int64_t>(i))];
+  }
+  Tensor x = embed(w, local.data(), st.map.size());
+  for (const LayerWeights& lw : w.layers) {
+    LayerCache cache;
+    x = dist_layer_forward(st, lw, x, cache);
+    comm.transport().mem().free(cache.charged_bytes);
+    if (kv != nullptr) {
+      assert(cache.full);
+      kv->push_back({{}, std::move(cache.heads.k), std::move(cache.heads.v)});
+    }
+  }
+  return x;
 }
 
 namespace {
@@ -547,14 +557,14 @@ TrainStepResult serial_train_step(const ModelConfig& cfg,
 double serial_loss(const ModelConfig& cfg, const ModelWeights& w,
                    const Tensor& tokens, const MaskSpec& mask) {
   check_tokens(cfg, tokens);
+  const std::int64_t n = tokens.numel() - 1;
+  // One rank's rows are the whole sequence, in order.
+  const LocalTokens lt = local_tokens(IndexMap::range(0, n), tokens);
   double loss = 0.0;
   on_one_device(cfg, mask, [&](comm::Communicator& comm,
                                const DistTrainConfig& dc) {
-    DeviceState st = device_state(comm, dc, tokens.numel() - 1);
-    const LocalTokens lt = local_tokens(st.map, tokens);
-    const Tensor x =
-        forward_only(st, w, embed(w, lt.ids.data(), st.map.size()));
-    loss = lm_head_loss(st, x, w.w_head, lt.targets).loss;
+    const Tensor x = dist_forward(comm, dc, w, lt.ids.data(), n);
+    loss = lm_head_loss(comm, dc, x, w.w_head, lt.targets).loss;
   });
   return loss;
 }
@@ -565,9 +575,7 @@ Tensor serial_forward_logits(const ModelConfig& cfg, const ModelWeights& w,
   Tensor h;
   on_one_device(cfg, mask, [&](comm::Communicator& comm,
                                const DistTrainConfig& dc) {
-    // One rank's rows are the whole sequence, in order.
-    DeviceState st = device_state(comm, dc, count);
-    h = forward_only(st, w, embed(w, tokens, count));
+    h = dist_forward(comm, dc, w, tokens, count);
   });
   return head_logits(w, h);
 }

@@ -12,12 +12,19 @@
 //   * fused or naive LM head + loss (Section 3.3);
 //   * data-parallel weight-gradient all-reduce.
 //
+// The step's forward also runs alone (dist_forward): the one-device serial
+// loss and logits, and serve::distributed_prefill, which keeps its K/V
+// shards for the decode cache.
+//
 // Weights are replicated (the paper's FSDP is a memory-sharding optimization
 // modeled analytically in perfmodel; replication keeps the functional math
 // identical). Stored activations and LM-head scratch are charged to the
 // device MemoryTracker at 2 bytes/element ("as-if bf16") so strategies are
 // comparable with the paper's units.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "comm/communicator.hpp"
 #include "core/checkpoint.hpp"
@@ -67,6 +74,20 @@ DistStepResult dist_train_step(comm::Communicator& comm,
                                const DistTrainConfig& cfg,
                                const ModelWeights& weights,
                                const tensor::Tensor& tokens);
+
+/// The step's forward alone, SPMD like it: this rank embeds its rows of the
+/// `n` global ids `ids`, runs every layer's forward and drops each layer's
+/// state, and its memory charge, once the layer's output exists. Returns
+/// this rank's final hidden rows in dist_index_map order. With `kv`, which
+/// needs ckpt kNone and a context-parallel impl, each layer appends its
+/// post-RoPE K/V heads of this rank's rows (`q` left empty). Charges the
+/// virtual clock as the step's forward does: every GEMM, the attention
+/// kernels and their communication.
+tensor::Tensor dist_forward(comm::Communicator& comm,
+                            const DistTrainConfig& cfg,
+                            const ModelWeights& weights,
+                            const std::int64_t* ids, std::int64_t n,
+                            std::vector<core::LocalHeads>* kv = nullptr);
 
 /// Ranks per head group of the USP grid `cfg` runs on over `world_size`
 /// ranks: the whole world for Ulysses (USP with one head group),

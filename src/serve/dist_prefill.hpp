@@ -1,15 +1,17 @@
 // Distributed chunked prefill: sequence-parallel prompt processing for
 // prompts too long for one simulated device.
 //
-// The prompt is sharded contiguously across the cluster; every device runs
-// the layer stack on its rows with the BurstAttention ring forward
-// (core/dist_attention) supplying cross-shard attention — topology-aware
-// double ring on multi-node clusters, per-head like training, GQA included.
-// Each device ends up holding exactly its shard's K/V rows (post-RoPE, the
-// cache layout decode expects); those per-device cache shards are then
-// gathered to rank 0 and assembled into one model::SequenceKvCache that is
-// bit-compatible with serial chunked prefill, ready for the single-device
-// decode engine to take over.
+// Prefill is the training step's forward pass (model::dist_forward) plus a
+// gather. The prompt is sharded contiguously across the cluster, and every
+// device runs the layer stack on its rows with the BurstAttention ring
+// forward supplying cross-shard attention: topology-aware double ring on
+// multi-node clusters, every head in one sweep, GQA included. The virtual
+// clock is charged as for the step's forward: the block GEMMs, the attention
+// kernels and the transient activations. Each device ends up holding exactly
+// its shard's K/V rows (post-RoPE, the cache layout decode expects); those
+// per-device cache shards are then gathered to rank 0 and assembled into one
+// model::SequenceKvCache that is bit-compatible with serial chunked prefill,
+// ready for the single-device decode engine to take over.
 // burst-lint: allow-file(no-direct-cluster) distributed prefill is entered with a caller-owned cluster; ranks are wrapped in SimTransport internally
 #pragma once
 

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "model/block.hpp"
 #include "obs/metrics.hpp"
 #include "serve/errors.hpp"
 #include "serve/kv_cache.hpp"
@@ -22,23 +23,6 @@ using model::SequenceKvCache;
 using tensor::Tensor;
 
 namespace {
-
-// GEMM FLOPs of one token through the projections and the two-matrix ReLU
-// FFN the functional transformer actually runs (not the gated analytic
-// count perfmodel uses for paper-scale estimates).
-std::uint64_t linear_flops_per_token(const ModelConfig& m) {
-  const std::uint64_t d = static_cast<std::uint64_t>(m.d_model);
-  const std::uint64_t per_layer =
-      4 * d * d + 4 * d * static_cast<std::uint64_t>(m.d_kv()) +
-      4 * d * static_cast<std::uint64_t>(m.d_ff);
-  return static_cast<std::uint64_t>(m.layers) * per_layer;
-}
-
-// LM-head FLOPs for one row of logits.
-std::uint64_t head_flops(const ModelConfig& m) {
-  return 2 * static_cast<std::uint64_t>(m.vocab) *
-         static_cast<std::uint64_t>(m.d_model);
-}
 
 // Bytes streamed from simulated HBM per iteration: every weight once.
 std::uint64_t weight_stream_bytes(const ModelConfig& m) {
@@ -156,8 +140,12 @@ ServeReport Engine::run(sim::DeviceContext& ctx, const RunOptions& opts) {
   KvBlockPool pool(ctx.mem(),
                    SequenceKvCache::block_bytes(model_, cfg_.block_tokens),
                    cfg_.max_kv_blocks);
-  const std::uint64_t lin_per_tok = linear_flops_per_token(model_);
-  const std::uint64_t head_per_row = head_flops(model_);
+  // GEMM FLOPs of one token through the block the functional transformer
+  // runs (not the gated analytic count perfmodel uses for paper-scale
+  // estimates), and of one row of logits.
+  const std::uint64_t lin_per_tok =
+      static_cast<std::uint64_t>(model_.layers) * model::block_flops(model_, 1);
+  const std::uint64_t head_per_row = model::head_flops(model_, 1);
   const double weight_s =
       static_cast<double>(weight_stream_bytes(model_)) / cfg_.hbm_bytes_per_s;
 

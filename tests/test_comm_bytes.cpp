@@ -11,6 +11,8 @@
 //     K/V-side volumes (the forward, Ring's backward) shrink with d_kv.
 //   * The topology-aware double ring splits traffic so far fewer bytes cross
 //     the inter-node links than a flat ring (Table 1's premise).
+//   * A step whose checkpoint stores every attention output runs no
+//     recompute sweep: it sends what the step without checkpointing sends.
 //   * Attaching a registry is observation-only: results and the virtual
 //     clock are bitwise identical with and without one.
 //
@@ -20,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <ios>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -31,7 +34,9 @@
 #include "core/dist_attention.hpp"
 #include "core/partition.hpp"
 #include "model/dist_model.hpp"
+#include "model/transformer.hpp"
 #include "obs/metrics.hpp"
+#include "pin.hpp"
 #include "sim/cluster.hpp"
 #include "tensor/rng.hpp"
 
@@ -259,6 +264,102 @@ TEST(CommBytes, TrainStepAttentionMatchesClosedFormUnderGqa) {
   }
   // 4x GQA: Ring's K/V traffic is a quarter of MHA's.
   EXPECT_EQ(4 * ring_total[1], ring_total[0]);
+}
+
+// One training step's loss and gradient hash, and every rank's traffic.
+struct StepTraffic {
+  double loss = 0.0;
+  std::uint64_t grads_fnv = 0;
+  std::vector<std::uint64_t> bytes, messages;
+};
+
+StepTraffic train_step_traffic(model::AttnImpl impl, std::int64_t kv_heads,
+                               const Topology& topo, const CkptConfig& ckpt) {
+  model::DistTrainConfig cfg;
+  cfg.model = model::ModelConfig::toy();
+  cfg.model.kv_heads = kv_heads;
+  cfg.model.use_rope = true;
+  cfg.impl = impl;
+  cfg.ckpt = ckpt;
+  const model::ModelWeights w = model::ModelWeights::init(cfg.model, 5);
+  Rng rng(7);
+  const Tensor tokens = rng.token_ids(kN + 1, cfg.model.vocab);
+
+  Cluster cluster({topo});
+  StepTraffic out;
+  std::mutex mu;
+  cluster.run([&](DeviceContext& ctx) {
+    comm::SimTransport comm_tp(ctx);
+    Communicator comm(comm_tp, /*wire_bytes_per_element=*/1.0);
+    const model::DistStepResult r =
+        model::dist_train_step(comm, cfg, w, tokens);
+    if (ctx.rank() == 0) {
+      Fnv h;
+      model::for_each_param([&h](const Tensor& t) { h.tensor(t); }, r.grads);
+      std::lock_guard lock(mu);
+      out.loss = r.loss;
+      out.grads_fnv = h.h;
+    }
+  });
+  for (const auto& s : cluster.stats()) {
+    out.bytes.push_back(s.bytes_sent);
+    out.messages.push_back(s.messages_sent);
+  }
+  return out;
+}
+
+// Selective++ stores every attention output, and so does sequence-level
+// selective checkpointing at store_fraction 1.0: the backward restores them
+// and runs no recompute sweep, so every rank sends what the step without
+// checkpointing sends. The loss and gradient bits were recorded while the
+// recompute sweep still ran; they must not move.
+TEST(CommBytes, StoredAttentionSkipsTheRecomputeSweep) {
+  struct Case {
+    const char* name;
+    model::AttnImpl impl;
+    std::int64_t kv_heads;
+    Topology topo;
+    double loss;
+    std::uint64_t grads_fnv;
+  };
+  const Topology one = Topology::single_node(4);
+  const Topology two = Topology::multi_node(2, 2);
+  const std::vector<Case> cases = {
+      {"burst-mha/1x4", model::AttnImpl::kBurst, 0, one, 0x1.1b751ap+2,
+       0x92d2e16c306828e3ULL},
+      {"ring-mha/1x4", model::AttnImpl::kRing, 0, one, 0x1.1b751ap+2,
+       0x55f6dffad46e07d6ULL},
+      {"burst-kv2/1x4", model::AttnImpl::kBurst, 2, one, 0x1.243cb2p+2,
+       0xb57a34f6190ee58bULL},
+      {"ring-kv2/1x4", model::AttnImpl::kRing, 2, one, 0x1.243cb2p+2,
+       0x1bce03e8c530e804ULL},
+      {"burst-mha/2x2", model::AttnImpl::kBurst, 0, two, 0x1.1b751ap+2,
+       0x140fa66e9081a95bULL},
+      {"ring-mha/2x2", model::AttnImpl::kRing, 0, two, 0x1.1b751ap+2,
+       0x140fa66e9081a95bULL},
+      {"burst-kv2/2x2", model::AttnImpl::kBurst, 2, two, 0x1.243cb2p+2,
+       0x288c147b082ebc67ULL},
+      {"ring-kv2/2x2", model::AttnImpl::kRing, 2, two, 0x1.243cb2p+2,
+       0xd5ebb2264cc8bb4fULL},
+  };
+  for (const Case& c : cases) {
+    const StepTraffic none = train_step_traffic(
+        c.impl, c.kv_heads, c.topo, CkptConfig{CkptStrategy::kNone, 0.0});
+    for (const CkptConfig& ckpt :
+         {CkptConfig{CkptStrategy::kSelectivePP, 0.5},
+          CkptConfig{CkptStrategy::kSeqSelective, 1.0}}) {
+      const std::string tag =
+          std::string(c.name) + " " + ckpt_name(ckpt.strategy);
+      const StepTraffic got =
+          train_step_traffic(c.impl, c.kv_heads, c.topo, ckpt);
+      EXPECT_EQ(got.bytes, none.bytes) << tag;
+      EXPECT_EQ(got.messages, none.messages) << tag;
+      EXPECT_EQ(got.loss, c.loss) << tag << ": got " << std::hexfloat
+                                  << got.loss;
+      EXPECT_EQ(got.grads_fnv, c.grads_fnv)
+          << tag << ": got 0x" << std::hex << got.grads_fnv;
+    }
+  }
 }
 
 TEST(CommBytes, DoubleRingMovesTrafficOffTheInterNodeLinks) {

@@ -128,6 +128,40 @@ TEST_P(GqaDist, DistributedMatchesSerial) {
   }
 }
 
+// Virtual time of a one-rank step with every activation kept, at one FLOP
+// per second: its FLOP count.
+double one_rank_step_flops(const ModelConfig& cfg, const Tensor& tokens) {
+  DistTrainConfig dc;
+  dc.model = cfg;
+  dc.ckpt = {core::CkptStrategy::kNone, 0.0};
+  const ModelWeights w = ModelWeights::init(cfg, 23);
+  Cluster::Config cc;
+  cc.flops_per_s = 1.0;
+  Cluster cluster(cc);
+  cluster.run([&](DeviceContext& ctx) {
+    comm::SimTransport comm_tp(ctx);
+    comm::Communicator comm(comm_tp);
+    dist_train_step(comm, dc, w, tokens);
+  });
+  return cluster.makespan();
+}
+
+// Narrower K/V projections save their FLOPs three times: once in the
+// forward and twice in the backward (the input and weight gradients).
+TEST_P(GqaDist, BackwardChargesKvWidthProjectionFlops) {
+  const ModelConfig mha = gqa_config(0);
+  const ModelConfig gqa = gqa_config(GetParam());
+  Rng rng(29);
+  const Tensor tokens = rng.token_ids(65, mha.vocab);
+  const double rows = 64.0;
+  // The Q/K/V projections: 2·rows·d·(d + 2·d_kv) FLOPs per layer.
+  const double saved_per_pass = 2.0 * rows * static_cast<double>(mha.d_model) *
+                                2.0 *
+                                static_cast<double>(mha.d_kv() - gqa.d_kv());
+  EXPECT_EQ(one_rank_step_flops(mha, tokens) - one_rank_step_flops(gqa, tokens),
+            3.0 * static_cast<double>(mha.layers) * saved_per_pass);
+}
+
 INSTANTIATE_TEST_SUITE_P(KvHeads, GqaDist, ::testing::Values(1, 2, 4));
 
 TEST(Gqa, HeadParallelImplsRejectGqa) {

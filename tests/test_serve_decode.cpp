@@ -21,6 +21,7 @@
 #include "model/transformer.hpp"
 #include "obs/error.hpp"
 #include "parallel/thread_pool.hpp"
+#include "pin.hpp"
 #include "serve/dist_prefill.hpp"
 #include "sim/cluster.hpp"
 #include "tensor/ops.hpp"
@@ -261,9 +262,8 @@ TEST(ServeDecode, DistributedPrefillMatchesSerial) {
   EXPECT_LT(tensor::max_abs_diff(a, b), 2e-3f);
 }
 
-// The same distributed prefill on a 2x2 double ring, where route positions
-// differ from global ranks: the gather must place every shard at its own
-// offset and find the last row's owner by route position.
+// The same distributed prefill on a 2x2 double ring: the gather must place
+// every shard at its own offset and take the last row from its owner.
 TEST(ServeDecode, DistributedPrefillOnDoubleRingMatchesChunkedPrefill) {
   const ModelConfig cfg = serve_toy();
   const ModelWeights w = ModelWeights::init(cfg, 59);
@@ -298,6 +298,85 @@ TEST(ServeDecode, DistributedPrefillOnDoubleRingMatchesChunkedPrefill) {
   const Tensor dist_logits = model::head_logits(w, dist.last_hidden);
   EXPECT_LT(tensor::max_abs_diff(dist_logits, logits), 2e-3f);
   EXPECT_EQ(dist.first_token, model::argmax(model::logits_row(logits, 0)));
+}
+
+// FNV-1a over every cache row of every layer and K/V head, the last hidden
+// state and the first token of a distributed prefill.
+std::uint64_t prefill_fnv(const ModelConfig& cfg,
+                          const serve::DistPrefillResult& r) {
+  Fnv h;
+  const std::int64_t n = r.cache.len();
+  for (std::int64_t l = 0; l < cfg.layers; ++l) {
+    for (std::int64_t kvh = 0; kvh < cfg.num_kv_heads(); ++kvh) {
+      for (const tensor::ConstMatView m :
+           {r.cache.k_view(l, kvh, n), r.cache.v_view(l, kvh, n)}) {
+        for (std::int64_t row = 0; row < n; ++row) {
+          h.bytes(&m(row, 0), static_cast<std::size_t>(m.cols) * sizeof(float));
+        }
+      }
+    }
+  }
+  h.tensor(r.last_hidden);
+  h.bytes(&r.first_token, sizeof r.first_token);
+  return h.h;
+}
+
+// Distributed prefill's cache, last hidden state and first token, recorded
+// when prefill ran a layer loop of its own. They must not move.
+TEST(ServeDecode, DistributedPrefillMatchesPinnedParent) {
+  struct Case {
+    const char* name;
+    sim::Topology topo;
+    std::int64_t kv_heads;
+    std::uint64_t want;
+  };
+  const std::vector<Case> cases = {
+      {"mha/1x1", sim::Topology::single_node(1), 0, 0x2991e854bd2f96cfULL},
+      {"mha/1x4", sim::Topology::single_node(4), 0, 0x24b220477223aaf2ULL},
+      {"mha/2x2", sim::Topology::multi_node(2, 2), 0, 0x76563f510880cb31ULL},
+      {"kv2/2x2", sim::Topology::multi_node(2, 2), 2, 0x367bd66d5f859da9ULL},
+  };
+  std::vector<Pin> want;
+  std::vector<std::uint64_t> got;
+  for (const Case& c : cases) {
+    ModelConfig cfg = ModelConfig::toy();  // 2 layers, d 32, 4 heads
+    cfg.kv_heads = c.kv_heads;
+    cfg.use_rope = true;
+    const ModelWeights w = ModelWeights::init(cfg, 73);
+    const auto prompt = random_prompt(79, 64, cfg.vocab);
+    sim::Cluster cluster({c.topo});
+    want.push_back({c.name, c.want});
+    got.push_back(prefill_fnv(
+        cfg, serve::distributed_prefill(cluster, cfg, w, prompt, 8)));
+  }
+  expect_pins(want, got);
+}
+
+// On one device, distributed prefill charges every prompt row's block GEMMs
+// (4d² + 4d·d_kv + 4d·d_ff FLOPs per row and layer, what the serving engine
+// charges its prefill chunks) plus the attention kernels' FLOPs of a
+// one-chunk prefill.
+TEST(ServeDecode, DistributedPrefillChargesBlockGemms) {
+  const ModelConfig cfg = serve_toy();
+  const ModelWeights w = ModelWeights::init(cfg, 59);
+  const std::int64_t n = 64;
+  const auto prompt = random_prompt(61, n, cfg.vocab);
+
+  kernels::KernelStats attn;
+  SequenceKvCache cache = SequenceKvCache::create(cfg, 8);
+  model::forward_prefill_chunk(cfg, w, cache, prompt.data(), n,
+                               MaskSpec::causal(), &attn);
+
+  sim::Cluster::Config cc;
+  cc.flops_per_s = 1.0;
+  sim::Cluster cluster(cc);
+  serve::distributed_prefill(cluster, cfg, w, prompt, 8);
+  const auto d = static_cast<std::uint64_t>(cfg.d_model);
+  const std::uint64_t linear =
+      static_cast<std::uint64_t>(n * cfg.layers) *
+      (4 * d * d + 4 * d * static_cast<std::uint64_t>(cfg.d_kv()) +
+       4 * d * static_cast<std::uint64_t>(cfg.d_ff));
+  EXPECT_EQ(cluster.makespan(), static_cast<double>(linear + attn.flops));
 }
 
 TEST(ServeDecode, DistributedPrefillRejectsOutOfVocabToken) {
