@@ -128,6 +128,7 @@ int main(int argc, char** argv) {
   burst::bench::Reporter rep("micro_gemm");
   burst::obs::Registry registry;
   attach_gemm_metrics(&registry);
+  burst::parallel::attach_pool_metrics(&registry);
   const std::size_t ran = benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   rep.measurement("benchmarks_run", static_cast<double>(ran));
@@ -247,50 +248,96 @@ int main(int argc, char** argv) {
 
   // ---- fork-join dispatch and the small-m column split ------------------
   // parallel_for_dispatch_us: median wall time of a parallel_for whose
-  // chunks do nothing, at the full pool (what every split pays).
+  // chunks do nothing, at the full pool (what every split pays; the caller
+  // claims such chunks alone, so it cannot see parked helpers).
+  // parallel_for_2us_job_us and parallel_for_2us_helper_share: median wall
+  // time of a job of one 2 us chunk per way issued after 30 us of serial
+  // work on the caller (the gap between a decode iteration's GEMMs), and
+  // the share of its chunks the helpers ran (from the pool counters). A job
+  // that scales takes about 2 us with a share near (ways - 1) / ways; one
+  // whose helpers parked in the gap runs on the caller alone in about 2 us
+  // per way, or waits for a wake.
   // gemm_m16_speedup: a decode-shaped 16x256x2048 kF32 gemm_packed at the
   // full pool over one thread; m = 16 is one row block, so any speedup
-  // comes from the column split. Both depend on the host's core count and
-  // are informational.
+  // comes from the column split; gemm_m16_helper_share is the helpers'
+  // share of its chunks. All depend on the host's core count and are
+  // informational.
   {
     const std::size_t nproc =
         std::max(1u, std::thread::hardware_concurrency());
     burst::parallel::ThreadPool::reset_global(nproc);
+    const auto median_us = [](std::vector<double> s) {
+      std::nth_element(s.begin(), s.begin() + s.size() / 2, s.end());
+      return s[s.size() / 2] * 1e6;
+    };
+    const auto helper_share = [&](auto&& fn) {
+      const auto& caller = registry.counter("parallel.pool.chunks_caller");
+      const auto& helper = registry.counter("parallel.pool.chunks_helper");
+      const double c0 = static_cast<double>(caller.value());
+      const double h0 = static_cast<double>(helper.value());
+      fn();
+      const double c = static_cast<double>(caller.value()) - c0;
+      const double h = static_cast<double>(helper.value()) - h0;
+      return c + h > 0.0 ? h / (c + h) : 0.0;
+    };
     std::vector<double> dispatch_s;
     for (int r = 0; r < 2001; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      burst::parallel::parallel_for(nproc, 1,
-                                    [](std::size_t, std::size_t) {});
-      const auto t1 = std::chrono::steady_clock::now();
-      dispatch_s.push_back(std::chrono::duration<double>(t1 - t0).count());
+      dispatch_s.push_back(seconds([&] {
+        burst::parallel::parallel_for(nproc, 1,
+                                      [](std::size_t, std::size_t) {});
+      }));
     }
-    std::nth_element(dispatch_s.begin(),
-                     dispatch_s.begin() + dispatch_s.size() / 2,
-                     dispatch_s.end());
-    rep.measurement("parallel_for_dispatch_us",
-                    dispatch_s[dispatch_s.size() / 2] * 1e6,
+    rep.measurement("parallel_for_dispatch_us", median_us(dispatch_s),
                     burst::obs::RunReport::kNoPaperValue, "us");
+
+    const auto spin_for = [](std::chrono::microseconds d) {
+      const auto t0 = std::chrono::steady_clock::now();
+      while (std::chrono::steady_clock::now() - t0 < d) {
+      }
+    };
+    std::vector<double> job_s;
+    const double job_share = helper_share([&] {
+      for (int r = 0; r < 2001; ++r) {
+        spin_for(std::chrono::microseconds(30));
+        job_s.push_back(seconds([&] {
+          burst::parallel::parallel_for(
+              nproc, 1, [&](std::size_t, std::size_t) {
+                spin_for(std::chrono::microseconds(2));
+              });
+        }));
+      }
+    });
+    rep.measurement("parallel_for_2us_job_us", median_us(job_s),
+                    burst::obs::RunReport::kNoPaperValue, "us");
+    rep.measurement("parallel_for_2us_helper_share", job_share);
 
     Rng rng(5);
     const Tensor a = rng.gaussian(16, 256, 1.0f);
     const Tensor w = rng.gaussian(256, 2048, 1.0f);
     const PackedB packed = PackedB::pack(w.view(), Trans::No, DType::kF32);
     Tensor c(16, 2048);
+    double share = 0.0;
     const auto timed = [&](std::size_t ways) {
       burst::parallel::ThreadPool::reset_global(ways);
       gemm_packed(a.view(), Trans::No, packed, c.view());  // warm-up
-      return best_seconds(200, [&] {
-        gemm_packed(a.view(), Trans::No, packed, c.view());
-        benchmark::DoNotOptimize(c.data());
+      double best = 0.0;
+      share = helper_share([&] {
+        best = best_seconds(200, [&] {
+          gemm_packed(a.view(), Trans::No, packed, c.view());
+          benchmark::DoNotOptimize(c.data());
+        });
       });
+      return best;
     };
     const double one_s = timed(1);
     const double all_s = timed(nproc);
     rep.measurement("gemm_m16_speedup", one_s / all_s);
+    rep.measurement("gemm_m16_helper_share", share);
     burst::parallel::ThreadPool::reset_global();
   }
 
   rep.attach_registry(registry);
   attach_gemm_metrics(nullptr);
+  burst::parallel::attach_pool_metrics(nullptr);
   return rep.finish();
 }

@@ -48,7 +48,10 @@
 #             (the elementwise passes, Adam and the RoPE angle tables split
 #             large tensors over the pool; selected as Ops|Adam|Rope), and
 #             test_comm_bytes (multi-rank training steps, the kernel pool
-#             inside rank threads; selected as CommBytes).
+#             inside rank threads; selected as CommBytes), and test_gemm
+#             (one dispatch per GEMM call: each task walks a row block over
+#             a column range that may span several cache blocks, on helpers
+#             that stay hot between calls; selected as Gemm).
 #   bench     bench fleet with the RunReport self_check gate, then the
 #             regression gate against the committed BENCH_baseline.json
 #             (gated metrics may not fall more than 10% below baseline).
@@ -225,9 +228,10 @@ tsan_gate() {
                  test_dist_model test_gqa test_transport_conformance \
                  test_sweep test_failure_injection test_dist_attention \
                  test_ulysses_usp test_resilience test_serve_resilience \
-                 test_ops test_optimizer test_rope test_comm_bytes &&
+                 test_ops test_optimizer test_rope test_comm_bytes \
+                 test_gemm &&
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|DistModel|GqaDist|TransportConformance|SocketTransportSmoke|SweepRoute|ActivationSweep|GradientSweep|SweepTiming|ZeroCopySweep|FailureInjection|DistAttention|Ulysses|Usp|FaultPlan|ResilienceTest|ServeResilience|ServeDegrade|ServeSnapshot|ResilientPrefill|Ops|Adam|Rope|CommBytes'
+        -R 'ThreadPool|ParallelFor|Scheduler|KernelDeterminism|ServeDecode|ServeEngine|ApiServer|SloEngine|Admission|DistModel|GqaDist|TransportConformance|SocketTransportSmoke|SweepRoute|ActivationSweep|GradientSweep|SweepTiming|ZeroCopySweep|FailureInjection|DistAttention|Ulysses|Usp|FaultPlan|ResilienceTest|ServeResilience|ServeDegrade|ServeSnapshot|ResilientPrefill|Ops|Adam|Rope|CommBytes|Gemm'
 }
 if [[ $RUN_TSAN -eq 1 ]]; then
   echo "== TSan build + threaded suites (${TSAN_BUILD_DIR})"

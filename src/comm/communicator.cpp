@@ -249,26 +249,29 @@ void Communicator::all_reduce_group_inplace(const std::vector<int>& group,
   assert(pos >= 0);
   // Flat exchange: everyone sends to everyone, then every member sums the
   // contributions in group-position order (position 0's tensor first), so
-  // all members hold the same bits.
+  // all members hold the same bits. `t` travels as one shared read-only
+  // payload to every peer, and the received parts are read where they
+  // arrived: no per-peer copy, and one summing pass.
+  const tensor::SharedTensors mine(std::vector<Tensor>{std::move(t)});
   for (int i = 0; i < gm; ++i) {
     if (i != pos) {
-      send(group[static_cast<std::size_t>(i)], base + pos, {t});
+      const int peer = group[static_cast<std::size_t>(i)];
+      send_bundle(peer, base + pos, Bundle{mine, -1}, stream_for(peer));
     }
   }
-  Tensor acc;
+  std::vector<Bundle> got(static_cast<std::size_t>(gm));
+  std::vector<const Tensor*> parts;
   for (int i = 0; i < gm; ++i) {
-    Tensor got;
-    if (i != pos) {
-      got = std::move(recv(group[static_cast<std::size_t>(i)], base + i).at(0));
+    if (i == pos) {
+      parts.push_back(&mine->at(0));
+      continue;
     }
-    const Tensor& part = i == pos ? t : got;
-    if (i == 0) {
-      acc = part;
-    } else {
-      tensor::add_inplace(acc, part);
-    }
+    const int peer = group[static_cast<std::size_t>(i)];
+    Bundle& b = got[static_cast<std::size_t>(i)];
+    b = recv_bundle(peer, base + i, stream_for(peer));
+    parts.push_back(&b.payload->at(0));
   }
-  t = std::move(acc);
+  t = tensor::sum_in_order(parts);
 }
 
 void Communicator::broadcast(Tensor& t, int root) {

@@ -168,25 +168,29 @@ struct BlockFfnGrads {
   tensor::Tensor d_attn;  // dL/d(concatenated head outputs)
 };
 
-/// Backward through W_2, ReLU, W_1 and W_o; accumulates their gradients.
+/// Backward through W_2, ReLU, W_1 and W_o; stores their gradients in `g`.
+/// Each weight gradient is one GEMM result moved into its slot: adding it to
+/// zeros would give the same bits (a GEMM's sums start at +0, so it never
+/// yields -0).
 inline BlockFfnGrads block_backward_ffn(const LayerWeights& w,
                                         const BlockActs& a,
                                         const tensor::Tensor& d_y,
                                         LayerGrads& g) {
   tensor::Tensor du = tensor::matmul_nt(d_y, w.w2);
-  tensor::add_inplace(g.w2, tensor::matmul_tn(a.u, d_y));
+  g.w2 = tensor::matmul_tn(a.u, d_y);
   du = tensor::relu_backward(du, a.u_pre);
   BlockFfnGrads out;
   out.d_h = tensor::matmul_nt(du, w.w1);
-  tensor::add_inplace(g.w1, tensor::matmul_tn(a.h, du));
+  g.w1 = tensor::matmul_tn(a.h, du);
   tensor::add_inplace(out.d_h, d_y);  // residual
   out.d_attn = tensor::matmul_nt(out.d_h, w.wo);
-  tensor::add_inplace(g.wo, tensor::matmul_tn(a.attn, out.d_h));
+  g.wo = tensor::matmul_tn(a.attn, out.d_h);
   return out;
 }
 
 /// Backward through the Q/K/V projections given the pre-RoPE head gradients
-/// (concatenated) and dH; accumulates their gradients and returns dX.
+/// (concatenated) and dH; stores their gradients in `g` (as
+/// block_backward_ffn does) and returns dX.
 inline tensor::Tensor block_backward_qkv(
     const LayerWeights& w, const tensor::Tensor& x, tensor::Tensor d_h,
     const tensor::Tensor& dq, const tensor::Tensor& dk,
@@ -195,9 +199,9 @@ inline tensor::Tensor block_backward_qkv(
   tensor::add_inplace(dx, tensor::matmul_nt(dq, w.wq));
   tensor::add_inplace(dx, tensor::matmul_nt(dk, w.wk));
   tensor::add_inplace(dx, tensor::matmul_nt(dv, w.wv));
-  tensor::add_inplace(g.wq, tensor::matmul_tn(x, dq));
-  tensor::add_inplace(g.wk, tensor::matmul_tn(x, dk));
-  tensor::add_inplace(g.wv, tensor::matmul_tn(x, dv));
+  g.wq = tensor::matmul_tn(x, dq);
+  g.wk = tensor::matmul_tn(x, dk);
+  g.wv = tensor::matmul_tn(x, dv);
   return dx;
 }
 

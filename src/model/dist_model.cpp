@@ -469,7 +469,11 @@ DistStepResult dist_train_step(comm::Communicator& comm,
       lm_head_loss(comm, cfg, x, weights.w_head, lt.targets);
   DistStepResult out;
   out.loss = lm.loss;
-  out.grads = ModelGrads::zeros(m);
+  // Only the embedding gradient starts as zeros (embed_backward scatter-adds
+  // into it); the layers' weight gradients are stored by the backward below
+  // and w_head's is the LM head's.
+  out.grads.layers.resize(static_cast<std::size_t>(m.layers));
+  out.grads.w_embed = Tensor::zeros(m.vocab, m.d_model);
   // The gradient of the global mean scales with 1/G.
   const float inv_g = 1.0f / static_cast<float>(comm.world_size());
   out.grads.w_head = std::move(lm.dw);

@@ -7,6 +7,8 @@
 #include <memory>
 #include <utility>
 
+#include "obs/metrics.hpp"
+
 namespace burst::parallel {
 
 namespace {
@@ -16,11 +18,16 @@ namespace {
 // burst-lint: allow(no-wallclock) spin-budget timing only
 using Clock = std::chrono::steady_clock;
 
-// How long an idle helper spins for the next job before it parks. Decode
-// issues a parallel_for every few microseconds, so a helper that stays hot
-// across those gaps saves a futex wake per call; the bound keeps idle
-// helpers from burning cores that other processes could use.
-constexpr auto kSpinBudget = std::chrono::microseconds(10);
+// How long an idle helper keeps looking for the next job before it parks.
+// It has to outlast the gaps inside a decode iteration and a training step
+// (serial work between GEMMs, the scheduler between iterations), or every
+// dispatch after such a gap pays a futex wake and runs on the caller alone
+// while the helpers come up: a 4-way job of 2 us chunks issued after 30 us
+// of serial work took about 10 us with a 10 us budget and 3.5 us with this
+// one (bench_micro_gemm's parallel_for_2us_job_us, 4-core Xeon). Past the
+// first few microseconds the helper spins with yields, so a busy host
+// still gets its cores; a pool idle for longer than this parks.
+constexpr auto kSpinBudget = std::chrono::microseconds(200);
 // Pause spins between clock reads while a helper waits for a job (a yield
 // spin reads the clock every time).
 constexpr unsigned kSpinsPerClockRead = 32;
@@ -32,6 +39,18 @@ constexpr unsigned kPauseSpins = 256;
 // True on pool helpers and on a caller while it runs its own job's chunks:
 // a parallel_for issued there runs inline.
 thread_local bool t_inline = false;
+
+// Observation-only pool counters (see attach_pool_metrics): null unless a
+// registry is attached. Only a dispatching caller touches them, inside its
+// own parallel_for, so attaching between calls races with nothing.
+struct PoolMetrics {
+  obs::Counter* jobs = nullptr;
+  obs::Counter* caller_chunks = nullptr;
+  obs::Counter* helper_chunks = nullptr;
+  obs::Counter* parks = nullptr;
+  obs::Counter* wakes = nullptr;
+};
+PoolMetrics g_metrics;
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -117,11 +136,12 @@ void ThreadPool::reset_global(std::size_t num_threads) {
   g_pool.store(g_owner.get(), std::memory_order_release);
 }
 
-void ThreadPool::work(std::uint32_t gen) {
+std::size_t ThreadPool::work(std::uint32_t gen) {
+  std::size_t ran = 0;
   std::uint64_t word = claim_.load(std::memory_order_relaxed);
   for (;;) {
     if (generation(word) != gen || unclaimed(word) == 0) {
-      return;
+      return ran;
     }
     // A successful claim acquires the job slot published with the word.
     if (!claim_.compare_exchange_weak(word, word - 1,
@@ -139,6 +159,7 @@ void ThreadPool::work(std::uint32_t gen) {
         error_ = std::current_exception();
       }
     }
+    ++ran;
     // Release: the chunk's writes happen-before the caller's return.
     pending_.fetch_sub(1, std::memory_order_acq_rel);
     word = claim_.load(std::memory_order_relaxed);
@@ -201,14 +222,15 @@ bool ThreadPool::run(std::size_t begin, std::size_t end, std::size_t grain,
   pending_.store(chunks, std::memory_order_relaxed);
   ++gen_;
   claim_.store((static_cast<std::uint64_t>(gen_) << 32) | chunks);
-  if (parked_.load() != 0) {
+  const std::size_t parked = parked_.load();
+  if (parked != 0) {
     {
       std::lock_guard lock(park_mu_);
     }
     park_cv_.notify_all();
   }
   t_inline = true;
-  work(gen_);
+  const std::size_t ran = work(gen_);
   t_inline = false;
   for (unsigned spins = 0; pending_.load(std::memory_order_acquire) != 0;
        ++spins) {
@@ -222,6 +244,17 @@ bool ThreadPool::run(std::size_t begin, std::size_t end, std::size_t grain,
   {
     std::lock_guard lock(error_mu_);
     error = std::exchange(error_, nullptr);
+  }
+  if (g_metrics.jobs != nullptr) {
+    // Every chunk ran on the caller or on a helper, so the helpers' share
+    // is what the caller did not run.
+    g_metrics.jobs->add(1);
+    g_metrics.caller_chunks->add(ran);
+    g_metrics.helper_chunks->add(chunks - ran);
+    if (parked != 0) {
+      g_metrics.wakes->add(1);
+      g_metrics.parks->add(parked);
+    }
   }
   busy_.store(false, std::memory_order_release);
   if (error) {
@@ -254,6 +287,18 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
 
 void parallel_for(std::size_t n, std::size_t grain, const RangeFn& fn) {
   parallel_for(0, n, grain, fn);
+}
+
+void attach_pool_metrics(obs::Registry* registry) {
+  if (registry == nullptr) {
+    g_metrics = PoolMetrics{};
+    return;
+  }
+  g_metrics.jobs = &registry->counter("parallel.pool.jobs");
+  g_metrics.caller_chunks = &registry->counter("parallel.pool.chunks_caller");
+  g_metrics.helper_chunks = &registry->counter("parallel.pool.chunks_helper");
+  g_metrics.parks = &registry->counter("parallel.pool.parks");
+  g_metrics.wakes = &registry->counter("parallel.pool.wakes");
 }
 
 }  // namespace burst::parallel

@@ -5,10 +5,11 @@
 //
 // One job slot, no queue: the caller publishes a job under a new
 // generation, and every thread — the caller included — claims chunks from
-// one generation-tagged atomic word until none are left. Helpers spin for a
-// bounded time between jobs, so back-to-back calls dispatch in
-// microseconds, then park on a condition variable; the caller pays a
-// notify only when some helper is parked. Threads are joined in the
+// one generation-tagged atomic word until none are left. Helpers keep
+// looking for work for a bounded time between jobs (long enough to span
+// the gaps inside a decode iteration or a training step), then park on a
+// condition variable; the caller pays a notify only when some helper is
+// parked. Threads are joined in the
 // destructor (C++ Core Guidelines CP.*: RAII, no detached threads).
 // DESIGN.md section 11, "Fork-join pool", has the protocol.
 #pragma once
@@ -22,6 +23,10 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+namespace burst::obs {
+class Registry;
+}  // namespace burst::obs
 
 namespace burst::parallel {
 
@@ -64,8 +69,9 @@ class ThreadPool {
   /// another thread's job holds the slot.
   bool run(std::size_t begin, std::size_t end, std::size_t grain,
            std::size_t chunks, const RangeFn& fn);
-  /// Claims and runs chunks of generation `gen` until none are left.
-  void work(std::uint32_t gen);
+  /// Claims and runs chunks of generation `gen` until none are left;
+  /// returns how many this thread ran.
+  std::size_t work(std::uint32_t gen);
   /// Spins, then parks, until the claim word carries a generation other
   /// than `seen` or the pool stops; returns the word's generation.
   std::uint32_t next_job(std::uint32_t seen);
@@ -121,5 +127,15 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
 
 /// Overload over `[0, n)`.
 void parallel_for(std::size_t n, std::size_t grain, const RangeFn& fn);
+
+/// Observation-only pool counters (attached metrics never change results).
+/// Over the jobs the pool dispatches (not the calls that run inline) it
+/// counts `parallel.pool.jobs`, the chunks the caller ran
+/// (`parallel.pool.chunks_caller`) and the chunks helpers ran
+/// (`parallel.pool.chunks_helper`), which sum to the chunks issued, plus
+/// `parallel.pool.wakes`, the dispatches that had to notify parked
+/// helpers, and `parallel.pool.parks`, the parked helpers they found. Pass
+/// nullptr to detach. Attach and detach while no parallel_for runs.
+void attach_pool_metrics(obs::Registry* registry);
 
 }  // namespace burst::parallel

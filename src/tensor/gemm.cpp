@@ -244,30 +244,41 @@ void run_block(const ASrc& a, const std::uint8_t* bp, std::int64_t b_stride,
   }
 }
 
-// Smallest work one parallel task of a column-split cache block carries:
-// below it, dispatch costs more than the split saves (the LM head's
-// 32 x 256 x 64 tiles stay one task).
-constexpr std::int64_t kMinTaskFlops = std::int64_t{1} << 20;
+// Smallest work one task of a column split carries: below it, a task's
+// share of the dispatch costs more than the split saves.
+constexpr std::int64_t kMinTaskFlops = std::int64_t{1} << 18;
+
+// A packed B stream: the micro-panel of kNR columns starting at column jc
+// (a multiple of kNR) and k-step pc (a multiple of kKC) is at `data`, and
+// the next panel `stride` bytes on.
+struct BPanels {
+  const std::uint8_t* data;
+  std::int64_t stride;
+};
 
 // The blocked driver behind every GEMM entry point: beta pre-scale, then
-// jc/pc cache-block loops, and per cache block one parallel_for over a grid
-// of kMC row blocks x groups of kNR column panels, each task packing its own
-// A block and running gemm_block over it. `panel_for(ws, jc, nc, pc, kc)`
-// supplies the packed B stream at dtype `dt` for one cache block: a
-// workspace pack made on the caller (gemm) or a borrowed PackedB block
-// (gemm_packed).
+// one parallel_for over a grid of row groups (whole kMC row blocks) x
+// ranges of kNR column panels. Each task walks its columns cache block by
+// cache block (a range may cross a kNC boundary) and, within each, the pc
+// blocks in ascending order; per (jc, pc) block it takes the packed B
+// stream `panels_at(ws, jc, nc, pc, kc)` at dtype `dt` (packed into the
+// task's own workspace by gemm, borrowed from a PackedB by gemm_packed) and
+// runs gemm_block over it for each of its row blocks, packing the A block
+// per pc block. There are at most as many row groups as ways, so gemm packs
+// each B block once per group, and no thread holds more than one A and one
+// B block.
 //
-// Column groups are formed only when the row blocks alone leave ways of the
+// Column ranges are split only when the row blocks alone leave ways of the
 // pool idle (small m, e.g. batched decode) and each task still carries at
-// least kMinTaskFlops. Every C element is written by exactly one task, with
-// the same kernel over the same packed panels in the same pc order, so
-// results are bitwise identical for any grid and any pool size, and
-// gemm_packed over a kF32 PackedB (the same panels gemm() packs per call)
-// reproduces gemm() bit for bit.
-template <typename PanelFn>
+// least kMinTaskFlops over the whole depth. Every C element is written by
+// exactly one task, which adds its kc-block sums in pc order with the same
+// kernel over the same packed panels, so results are bitwise identical for
+// any grid and any pool size, and gemm_packed over a kF32 PackedB (the
+// panels gemm() packs per call) reproduces gemm() bit for bit.
+template <typename PanelsFn>
 void gemm_blocked(ConstMatView a, Trans ta, std::int64_t m, std::int64_t k,
                   std::int64_t n, DType dt, MatView c, float alpha,
-                  float beta, PanelFn&& panel_for) {
+                  float beta, PanelsFn&& panels_at) {
   assert(c.rows == m && c.cols == n);
   // Scale / clear C first so the K-blocked accumulation below can always add.
   for (std::int64_t i = 0; i < m; ++i) {
@@ -284,62 +295,70 @@ void gemm_blocked(ConstMatView a, Trans ta, std::int64_t m, std::int64_t k,
   if (g_metrics.calls != nullptr) {
     g_metrics.calls->add(1);
   }
+  if (m == 0 || n == 0 || k == 0) {
+    return;
+  }
 
   const std::int64_t mblocks = (m + kMC - 1) / kMC;
+  const std::int64_t panels = (n + kNR - 1) / kNR;
   const auto ways = static_cast<std::int64_t>(parallel::concurrency());
-  Workspace& ws = Workspace::tls();
-  for (std::int64_t jc = 0; jc < n; jc += kNC) {
-    const std::int64_t nc = std::min(kNC, n - jc);
-    const std::int64_t panels = (nc + kNR - 1) / kNR;
-    for (std::int64_t pc = 0; pc < k; pc += kKC) {
-      const std::int64_t kc = std::min(kKC, k - pc);
-      // The B stream is shared read-only by the tasks below, and
-      // parallel_for joins before the scope pops.
-      Workspace::Scope bscope(ws);
-      const std::uint8_t* bpack = panel_for(ws, jc, nc, pc, kc);
-      const std::int64_t bstride = pack::b_panel_stride_bytes(dt, kc);
-
-      std::int64_t group_panels = panels;
-      if (ways > mblocks && m > 0) {
-        const std::int64_t panel_flops = 2 * std::min(m, kMC) * kc * kNR;
-        const std::int64_t min_panels =
-            (kMinTaskFlops + panel_flops - 1) / panel_flops;
-        const std::int64_t want = std::clamp<std::int64_t>(
-            panels / min_panels, 1, (ways + mblocks - 1) / mblocks);
-        group_panels = (panels + want - 1) / want;
-      }
-      const std::int64_t groups = (panels + group_panels - 1) / group_panels;
-
-      parallel::parallel_for(
-          0, static_cast<std::size_t>(mblocks * groups), 1,
-          [&](std::size_t t0, std::size_t t1) {
-            Workspace& wst = Workspace::tls();
-            for (std::size_t t = t0; t < t1; ++t) {
-              const auto task = static_cast<std::int64_t>(t);
-              const std::int64_t ic = task / groups * kMC;
-              const std::int64_t mc = std::min(kMC, m - ic);
-              const std::int64_t jr0 = task % groups * group_panels * kNR;
-              const std::int64_t jr1 = std::min(nc, jr0 + group_panels * kNR);
-              Workspace::Scope ascope(wst);
-              float* apack = wst.alloc_f32(
-                  static_cast<std::size_t>(pack::a_panel_floats(mc, kc)));
-              const std::int64_t apanels =
-                  pack::pack_a(a, ta, ic, mc, pc, kc, alpha, apack);
-              if (g_metrics.a_panels != nullptr) {
-                g_metrics.a_panels->add(static_cast<std::uint64_t>(apanels));
-              }
-              pack::gemm_block(
-                  apack, bpack + (jr0 / kNR) * bstride, bstride, dt, kc,
-                  MatView{c.data + ic * c.stride + jc + jr0, mc, jr1 - jr0,
-                          c.stride});
-            }
-          });
-    }
+  const std::int64_t group_blocks =
+      (mblocks + std::min(ways, mblocks) - 1) / std::min(ways, mblocks);
+  const std::int64_t groups = (mblocks + group_blocks - 1) / group_blocks;
+  std::int64_t range_panels = panels;
+  if (ways > mblocks) {
+    const std::int64_t panel_flops = 2 * std::min(m, kMC) * k * kNR;
+    const std::int64_t min_panels =
+        (kMinTaskFlops + panel_flops - 1) / panel_flops;
+    const std::int64_t want = std::clamp<std::int64_t>(
+        panels / min_panels, 1, (ways + mblocks - 1) / mblocks);
+    range_panels = (panels + want - 1) / want;
   }
+  const std::int64_t ranges = (panels + range_panels - 1) / range_panels;
+
+  parallel::parallel_for(
+      0, static_cast<std::size_t>(groups * ranges), 1,
+      [&](std::size_t t0, std::size_t t1) {
+        Workspace& wst = Workspace::tls();
+        // The A buffer comes first and is reused for every A block, so a
+        // thread's arena holds one A block and one B block and nothing more.
+        Workspace::Scope ascope(wst);
+        float* apack = wst.alloc_f32(static_cast<std::size_t>(
+            pack::a_panel_floats(std::min(m, kMC), std::min(k, kKC))));
+        for (std::size_t t = t0; t < t1; ++t) {
+          const auto task = static_cast<std::int64_t>(t);
+          const std::int64_t i0 = task / ranges * group_blocks * kMC;
+          const std::int64_t i1 = std::min(m, i0 + group_blocks * kMC);
+          const std::int64_t j0 = task % ranges * range_panels * kNR;
+          const std::int64_t j1 = std::min(n, j0 + range_panels * kNR);
+          for (std::int64_t jc = j0; jc < j1;) {
+            const std::int64_t jend = std::min(j1, (jc / kNC + 1) * kNC);
+            for (std::int64_t pc = 0; pc < k; pc += kKC) {
+              const std::int64_t kc = std::min(kKC, k - pc);
+              Workspace::Scope bscope(wst);
+              const BPanels b = panels_at(wst, jc, jend - jc, pc, kc);
+              for (std::int64_t ic = i0; ic < i1; ic += kMC) {
+                const std::int64_t mc = std::min(kMC, m - ic);
+                const std::int64_t apanels =
+                    pack::pack_a(a, ta, ic, mc, pc, kc, alpha, apack);
+                if (g_metrics.a_panels != nullptr) {
+                  g_metrics.a_panels->add(
+                      static_cast<std::uint64_t>(apanels));
+                }
+                pack::gemm_block(
+                    apack, b.data, b.stride, dt, kc,
+                    MatView{c.data + ic * c.stride + jc, mc, jend - jc,
+                            c.stride});
+              }
+            }
+            jc = jend;
+          }
+        }
+      });
 
   if (g_metrics.ws_high_water != nullptr) {
     g_metrics.ws_high_water->set_max(
-        static_cast<double>(ws.high_water_bytes()));
+        static_cast<double>(Workspace::tls().high_water_bytes()));
   }
 }
 
@@ -381,19 +400,20 @@ void gemm(ConstMatView a, Trans ta, ConstMatView b, Trans tb, MatView c,
   const std::int64_t n = (tb == Trans::No) ? b.cols : b.rows;
   assert(k == kb);
   (void)kb;
-  gemm_blocked(
-      a, ta, m, k, n, DType::kF32, c, alpha, beta,
-      [&](Workspace& ws, std::int64_t jc, std::int64_t nc, std::int64_t pc,
-          std::int64_t kc) {
-        float* bpack = ws.alloc_f32(
-            static_cast<std::size_t>(pack::b_panel_floats(nc, kc)));
-        const std::int64_t bpanels =
-            pack::pack_b(b, tb, pc, kc, jc, nc, bpack);
-        if (g_metrics.b_panels != nullptr) {
-          g_metrics.b_panels->add(static_cast<std::uint64_t>(bpanels));
-        }
-        return reinterpret_cast<const std::uint8_t*>(bpack);
-      });
+  gemm_blocked(a, ta, m, k, n, DType::kF32, c, alpha, beta,
+               [&](Workspace& ws, std::int64_t jc, std::int64_t nc,
+                   std::int64_t pc, std::int64_t kc) {
+                 float* bpack = ws.alloc_f32(
+                     static_cast<std::size_t>(pack::b_panel_floats(nc, kc)));
+                 const std::int64_t bpanels =
+                     pack::pack_b(b, tb, pc, kc, jc, nc, bpack);
+                 if (g_metrics.b_panels != nullptr) {
+                   g_metrics.b_panels->add(
+                       static_cast<std::uint64_t>(bpanels));
+                 }
+                 return BPanels{reinterpret_cast<const std::uint8_t*>(bpack),
+                                pack::b_panel_stride_bytes(DType::kF32, kc)};
+               });
 }
 
 // The outputs below start uninitialized: gemm's beta = 0 pass clears them.
@@ -477,8 +497,12 @@ void gemm_packed(ConstMatView a, Trans ta, const PackedB& b, MatView c,
   (void)ka;
   gemm_blocked(a, ta, m, b.k(), b.n(), b.dtype(), c, alpha, beta,
                [&](Workspace& /*ws*/, std::int64_t jc, std::int64_t /*nc*/,
-                   std::int64_t pc, std::int64_t /*kc*/) {
-                 return b.cache_block(jc / kNC, pc / kKC);
+                   std::int64_t pc, std::int64_t kc) {
+                 const std::int64_t stride =
+                     pack::b_panel_stride_bytes(b.dtype(), kc);
+                 return BPanels{b.cache_block(jc / kNC, pc / kKC) +
+                                    (jc % kNC / kNR) * stride,
+                                stride};
                });
 }
 

@@ -81,6 +81,25 @@ Tensor add(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+Tensor sum_in_order(const std::vector<const Tensor*>& parts) {
+  assert(!parts.empty());
+  Tensor out = Tensor::uninitialized(parts[0]->shape());
+  float* od = out.data();
+  // Chunk by chunk: copy the first part, then add the rest in order while
+  // the chunk is still in cache.
+  for_each_chunk(out.numel(), [&](std::int64_t lo, std::int64_t hi) {
+    std::copy(parts[0]->data() + lo, parts[0]->data() + hi, od + lo);
+    for (std::size_t j = 1; j < parts.size(); ++j) {
+      assert(parts[j]->numel() == out.numel());
+      const float* pd = parts[j]->data();
+      for (std::int64_t i = lo; i < hi; ++i) {
+        od[i] += pd[i];
+      }
+    }
+  });
+  return out;
+}
+
 Tensor sub(const Tensor& a, const Tensor& b) {
   Tensor out = a;
   sub_inplace(out, b);

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -34,6 +35,11 @@ void axpy(float alpha, const Tensor& x, Tensor& y);
 
 /// Returns a + b. Pooled.
 Tensor add(const Tensor& a, const Tensor& b);
+
+/// Returns parts[0] + parts[1] + ... (same shapes), each element summed in
+/// list order, so the bits equal those of successive add_inplace calls onto
+/// a copy of parts[0]; one pass over the output. Pooled.
+Tensor sum_in_order(const std::vector<const Tensor*>& parts);
 
 /// Returns a - b.
 Tensor sub(const Tensor& a, const Tensor& b);

@@ -244,9 +244,10 @@ TEST(Gemm, RowResultIndependentOfBatchRows) {
 }
 
 // The column-split twin of RowResultIndependentOfBatchRows. Small-m GEMMs
-// split each cache block's column panels across the pool, and the grid
-// depends on m, k and the pool size. Every C element must still see the same
-// arithmetic: results at pools 1, 2 and 4 are memcmp-equal, the last row
+// split the column panels across the pool, and the grid depends on m, k and
+// the pool size; at pool 3 the column ranges cross the kNC = 512 cache-block
+// boundary (n = 688 and 2048). Every C element must still see the same
+// arithmetic: results at pools 1, 2, 3 and 4 are memcmp-equal, the last row
 // equals that row computed alone, and kF32 gemm_packed stays bitwise
 // gemm(). The quantized microkernels run through the Q8_0/Q4_0 packs. One
 // instance per (k, n), so ctest runs them in parallel.
@@ -291,7 +292,7 @@ TEST_P(GemmColumnSplit, ResultIndependentOfGridAndPool) {
     const auto bytes =
         static_cast<std::size_t>(m * n) * sizeof(float);
     std::vector<Tensor> pool1;
-    for (const std::size_t ways : {1u, 2u, 4u}) {
+    for (const std::size_t ways : {1u, 2u, 3u, 4u}) {
       parallel::ThreadPool::reset_global(ways);
       for (std::size_t vi = 0; vi < variants.size(); ++vi) {
         const Variant& v = variants[vi];

@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace burst::parallel {
 namespace {
 
@@ -120,6 +122,42 @@ TEST(ThreadPool, ConcurrencyIsOneInsideAChunk) {
   ThreadPool::reset_global(1);
   EXPECT_EQ(concurrency(), 1u);
   ThreadPool::reset_global();
+}
+
+// The pool counters balance: over a run of dispatched jobs the caller's and
+// the helpers' chunks sum to the chunks issued, and every wake found at
+// least one and at most every helper parked. Who ran a chunk is timing, so
+// the split itself is not asserted. Calls that run inline are not jobs.
+TEST(ThreadPool, MetricsCountEveryDispatchedChunk) {
+  ThreadPool::reset_global(4);
+  obs::Registry reg;
+  attach_pool_metrics(&reg);
+  std::uint64_t issued = 0;
+  std::uint64_t jobs = 0;
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t n = 2 + static_cast<std::size_t>(i % 37);
+    if (i % 50 == 49) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    parallel_for(n, 1, [](std::size_t, std::size_t) {});
+    issued += n;
+    ++jobs;
+  }
+  parallel_for(1, 1, [](std::size_t, std::size_t) {});  // one chunk: inline
+  ThreadPool::reset_global(1);
+  parallel_for(8, 1, [](std::size_t, std::size_t) {});  // one-way: inline
+  attach_pool_metrics(nullptr);
+  ThreadPool::reset_global();
+
+  EXPECT_EQ(reg.counter("parallel.pool.jobs").value(), jobs);
+  EXPECT_EQ(reg.counter("parallel.pool.chunks_caller").value() +
+                reg.counter("parallel.pool.chunks_helper").value(),
+            issued);
+  const std::uint64_t wakes = reg.counter("parallel.pool.wakes").value();
+  const std::uint64_t parks = reg.counter("parallel.pool.parks").value();
+  EXPECT_LE(wakes, jobs);
+  EXPECT_GE(parks, wakes);
+  EXPECT_LE(parks, 3 * wakes);
 }
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {
